@@ -219,15 +219,6 @@ class ConvergenceReport:
         return [r for r in self.records if not r.failed]
 
 
-def _velocity_err_l2(
-    q_alpha: SpectralField, alpha: float, q_ref: SpectralField, grid: Grid
-) -> float:
-    """||u^alpha - u_ref||_{L2} straight from the vorticity coefficients."""
-    filt = 1.0 / (1.0 + alpha * grid.ksq)
-    diff = q_alpha.coeffs * filt - q_ref.coeffs
-    return TWO_PI * math.sqrt(float(np.sum(np.abs(diff) ** 2 * grid.inv_ksq)))
-
-
 def _trajectory(history: VelocityHistory, p0: ParticleSet, times, substeps: int):
     positions = [p0.positions.copy()]
     p = p0
@@ -257,24 +248,23 @@ def compare_states(
     qs_a, alpha_a: float, qs_b, alpha_b: float, grid: Grid, p_list=CSV_PS
 ):
     """Per-sample velocity and vorticity errors between two sampled runs on
-    the same grid; comparing a run against itself yields exact zeros."""
-    vel = np.array(
-        [
-            _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid)
-            for qa, qb in zip(qs_a, qs_b)
-        ]
-    )
-    vort = {}
-    for p in p_list:
-        vals = []
-        for qa, qb in zip(qs_a, qs_b):
-            diff = PhysicalField(grid, to_physical(qa).values - to_physical(qb).values)
-            vals.append(lp_norm(diff, p))
-        vort[p] = np.asarray(vals)
+    the same grid; comparing a run against itself yields exact zeros.
+
+    Each sample pair is transformed once and its vorticity difference,
+    taken in physical space, serves every p."""
+    vel = np.empty(len(qs_a))
+    vort = {p: np.empty(len(qs_a)) for p in p_list}
+    for j, (qa, qb) in enumerate(zip(qs_a, qs_b)):
+        vel[j] = _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid)
+        diff = PhysicalField(grid, to_physical(qa).values - to_physical(qb).values)
+        for p in p_list:
+            vort[p][j] = lp_norm(diff, p)
     return vel, vort
 
 
 def _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid) -> float:
+    """||u^alpha_a - u^alpha_b||_{L2} straight from the vorticity
+    coefficients; alpha = 0 filters by exactly 1.0."""
     fa = 1.0 / (1.0 + alpha_a * grid.ksq)
     fb = 1.0 / (1.0 + alpha_b * grid.ksq)
     diff = qa.coeffs * fa - qb.coeffs * fb
@@ -303,16 +293,7 @@ def _run_alpha(
         return AlphaRecord(alpha=alpha, failed=True, error=str(exc))
 
     qs = [s.q for s in sim.states]
-    vel_err = np.array(
-        [_velocity_err_l2(qa, alpha, qr, grid) for qa, qr in zip(qs, ref_qs)]
-    )
-    vort_err = {}
-    for p in cfg.p_list:
-        vals = []
-        for qa, qr in zip(qs, ref_qs):
-            diff = PhysicalField(grid, to_physical(qa).values - to_physical(qr).values)
-            vals.append(lp_norm(diff, p))
-        vort_err[p] = np.asarray(vals)
+    vel_err, vort_err = compare_states(qs, alpha, ref_qs, 0.0, grid, cfg.p_list)
 
     hist = VelocityHistory.from_states(sim.states)
     p0 = seed_particles(grid, cfg.particle_stride)
@@ -372,7 +353,8 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         keep_states=False,
     )
     richardson_error = max(
-        _velocity_err_l2(qc, 0.0, qr, grid) for qc, qr in zip(coarse_qs, ref_qs)
+        _velocity_err_l2_pair(qc, 0.0, qr, 0.0, grid)
+        for qc, qr in zip(coarse_qs, ref_qs)
     )
 
     workers = cfg.effective_workers()

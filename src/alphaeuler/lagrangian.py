@@ -107,11 +107,11 @@ class VelocityHistory:
 
         times = [s.t for s in states]
         grid = restrict_to if restrict_to is not None else states[0].grid
-        snaps = []
-        for s in states:
+        snaps = np.empty((len(states), 2, grid.n, grid.n))
+        for snap, s in zip(snaps, states):
             q = spectral_restrict(s.q, grid) if restrict_to is not None else s.q
-            snaps.append(solver_velocity(q, s.a).physical())
-        return cls(np.asarray(times), np.stack(snaps), grid)
+            snap[:] = solver_velocity(q, s.a).physical()
+        return cls(np.asarray(times), snaps, grid)
 
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
@@ -246,8 +246,10 @@ def velocity_l1_gap(hist_a: VelocityHistory, hist_b: VelocityHistory) -> np.ndar
     if hist_a.times.shape != hist_b.times.shape or np.any(hist_a.times != hist_b.times):
         raise ValueError("histories must share sample times")
     cell = hist_a.grid.cell_area
-    diff = hist_a.snapshots - hist_b.snapshots
-    spatial = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2).sum(axis=(1, 2)) * cell
+    spatial = np.empty(hist_a.times.size)
+    for j, (snap_a, snap_b) in enumerate(zip(hist_a.snapshots, hist_b.snapshots)):
+        diff = snap_a - snap_b
+        spatial[j] = np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * cell
     out = np.zeros_like(spatial)
     dt = np.diff(hist_a.times)
     out[1:] = np.cumsum(0.5 * dt * (spatial[1:] + spatial[:-1]))

@@ -5,6 +5,22 @@ filtered Biot-Savart velocity of q (alpha = 0 recovers the plain Euler
 solver: the filter is then an exact identity).  The nonlinear term is
 formed pseudo-spectrally and dealiased; time stepping is classical
 four-stage Runge-Kutta with a CFL-limited step.
+
+Stepping works on the ``rfft2`` half spectrum (``HalfSpectrum``, shape
+(n, n//2 + 1)).  An ``AdvectionStage`` holds the operator tables of one
+(grid, alpha, dealias) choice as a (4, n, n//2 + 1) stack: the filtered
+Biot-Savart multipliers of u1 and u2 and the derivatives d1, d2, each odd
+in some k_j and zeroed on the k_j = n/2 Nyquist line, plus the negated
+dealias mask with the mean mode zeroed.  One stage multiplies the stack by q, does one batched inverse
+real FFT to get (u1, u2, d1 q, d2 q), forms u . grad q and does one forward
+real FFT.  Transforms use ``norm="forward"``, which is the package's
+coefficient convention exactly because the power-of-two scaling is exact.
+
+``run`` builds one stage per run, converts the initial state to the half
+layout once and rebuilds the full layout (``SpectralField``) only at sample
+times: the states it returns and hands to ``on_sample`` are full-spectrum,
+as are checkpoints.  ``step`` and ``rhs`` accept full-spectrum input too
+and convert on the way in and out.
 """
 
 from __future__ import annotations
@@ -16,14 +32,17 @@ import numpy as np
 
 from .spectral import (
     Grid,
+    HalfSpectrum,
     SpectralField,
     dealias,
-    spectral_derivative,
+    full_spectrum,
+    half_spectrum,
     to_physical,
 )
 from .vorticity import (
     AlphaParam,
     VelocityField,
+    _require_mean_zero,
     alpha_norm,
     biot_savart,
     helmholtz_filter,
@@ -64,8 +83,11 @@ class SolverConfig:
 
 @dataclass
 class SimState:
+    """Solver state.  q is a SpectralField everywhere outside the solver;
+    inside `run` it is the HalfSpectrum that `step` advances."""
+
     t: float
-    q: SpectralField
+    q: SpectralField | HalfSpectrum
     a: AlphaParam
     step_count: int = 0
 
@@ -79,27 +101,64 @@ def velocity(q: SpectralField, a: AlphaParam) -> VelocityField:
     return helmholtz_filter(biot_savart(q), a)
 
 
-def _advection(q: SpectralField, a: AlphaParam, use_dealias: bool):
-    """Return (-u . grad q as coefficients, u samples, max speed)."""
-    g = q.grid
-    u = velocity(q, a)
-    u1 = to_physical(u.u1).values
-    u2 = to_physical(u.u2).values
-    dq1 = to_physical(spectral_derivative(q, 1)).values
-    dq2 = to_physical(spectral_derivative(q, 2)).values
-    product = u1 * dq1 + u2 * dq2
-    coeffs = -np.fft.fft2(product) / (g.n * g.n)
-    if use_dealias:
-        coeffs *= g.keep_mask
-    coeffs[0, 0] = 0.0
-    speed = float(np.sqrt(u1**2 + u2**2).max())
-    return coeffs, np.stack([u1, u2]), speed
+class AdvectionStage:
+    """-u . grad q on the half spectrum, for one (grid, alpha, dealias).
+
+    Calling the stage with half-spectrum coefficients returns the
+    half-spectrum coefficients of -u . grad q (dealiased if requested,
+    mean exactly zero) and the largest collocation speed |u|.  The work
+    buffers make an instance usable by one thread at a time: build one per
+    run.
+    """
+
+    def __init__(self, grid: Grid, a: AlphaParam, use_dealias: bool = True):
+        n = grid.n
+        nh = n // 2
+        self.grid = grid
+        self.alpha = a.alpha
+        self.use_dealias = use_dealias
+        k1 = grid.k1
+        k2 = grid.k2[:, : nh + 1]
+        bs = grid.inv_ksq[:, : nh + 1] / (1.0 + a.alpha * grid.ksq[:, : nh + 1])
+        # Multipliers odd in k_j lose their k_j = n/2 line: that sine mode
+        # vanishes at the collocation points.
+        mult = np.empty((4, n, nh + 1), dtype=np.complex128)
+        mult[0] = 1j * k2 * bs
+        mult[1] = -1j * k1 * bs
+        mult[2] = 1j * k1
+        mult[3] = 1j * k2
+        mult[[1, 2], nh, :] = 0.0  # u2, d1: odd in k1
+        mult[[0, 3], :, nh] = 0.0  # u1, d2: odd in k2
+        self.mult = mult
+        post = np.full((n, nh + 1), -1.0)
+        if use_dealias:
+            post[~grid.keep_mask[:, : nh + 1]] = 0.0
+        post[0, 0] = 0.0
+        self.post = post
+        self._spec = np.empty_like(mult)
+        self._phys = np.empty((4, n, n))
+        self._prod = np.empty((n, n))
+
+    def __call__(self, qh: np.ndarray) -> tuple[np.ndarray, float]:
+        n = self.grid.n
+        np.multiply(self.mult, qh, out=self._spec)
+        u1, u2, dq1, dq2 = np.fft.irfft2(
+            self._spec, s=(n, n), norm="forward", out=self._phys
+        )
+        product = np.multiply(u1, dq1, out=self._prod)
+        product += np.multiply(u2, dq2, out=dq2)
+        coeffs = np.fft.rfft2(product, norm="forward")
+        coeffs *= self.post
+        speed_sq = np.multiply(u1, u1, out=dq1)
+        speed_sq += np.multiply(u2, u2, out=dq2)
+        return coeffs, float(np.sqrt(speed_sq.max()))
 
 
 def rhs(q: SpectralField, a: AlphaParam, use_dealias: bool = True) -> SpectralField:
     """-u^alpha . grad q, dealiased and exactly mean-free."""
-    coeffs, _, _ = _advection(q, a, use_dealias)
-    return SpectralField(q.grid, coeffs)
+    _require_mean_zero(q, "vorticity passed to the right-hand side")
+    coeffs, _ = AdvectionStage(q.grid, a, use_dealias)(half_spectrum(q).coeffs)
+    return full_spectrum(HalfSpectrum(q.grid, coeffs))
 
 
 def rhs_divergence_form(
@@ -124,30 +183,61 @@ def cfl_timestep(speed: float, grid: Grid, cfl: float) -> float:
     return cfl * grid.dx / max(speed, CFL_SPEED_FLOOR)
 
 
-def step(state: SimState, cfg: SolverConfig, max_dt: float | None = None) -> SimState:
-    """One RK4 step; dt is CFL-limited and optionally capped by max_dt."""
-    q0 = state.q.coeffs
+def step(
+    state: SimState,
+    cfg: SolverConfig,
+    max_dt: float | None = None,
+    stage: AdvectionStage | None = None,
+) -> SimState:
+    """One RK4 step; dt is CFL-limited and optionally capped by max_dt.
+
+    The new state has the layout of the given one: full spectrum for a
+    SpectralField q, half spectrum for a HalfSpectrum q (as inside `run`).
+    `stage` passes in the AdvectionStage of the state's grid and alpha so
+    its tables are reused; by default one is built for this step.
+    """
     a = state.a
     g = state.grid
+    if stage is None:
+        stage = AdvectionStage(g, a, cfg.dealias)
+    elif (stage.grid, stage.alpha, stage.use_dealias) != (g, a.alpha, cfg.dealias):
+        raise ValueError(
+            "the advection stage was built for another grid, alpha or dealias"
+        )
+    half = isinstance(state.q, HalfSpectrum)
+    if not half:
+        _require_mean_zero(state.q, "vorticity passed to the RK4 step")
+    q0 = state.q.coeffs if half else half_spectrum(state.q).coeffs
 
-    k1, _, speed = _advection(state.q, a, cfg.dealias)
+    k1, speed = stage(q0)
     if not np.isfinite(speed):
-        raise SolverError("velocity is not finite; simulation aborted")
+        raise SolverError(
+            f"velocity is not finite at t={state.t}, step {state.step_count}; "
+            "simulation aborted"
+        )
     dt = cfg.fixed_dt if cfg.fixed_dt is not None else cfl_timestep(speed, g, cfg.cfl)
     if max_dt is not None:
         dt = min(dt, max_dt)
     if dt <= 0.0:
         raise SolverError(f"nonpositive time step dt={dt} at t={state.t}")
 
-    k2, _, s2 = _advection(SpectralField(g, q0 + 0.5 * dt * k1), a, cfg.dealias)
-    k3, _, s3 = _advection(SpectralField(g, q0 + 0.5 * dt * k2), a, cfg.dealias)
-    k4, _, s4 = _advection(SpectralField(g, q0 + dt * k3), a, cfg.dealias)
+    k2, s2 = stage(q0 + 0.5 * dt * k1)
+    k3, s3 = stage(q0 + 0.5 * dt * k2)
+    k4, s4 = stage(q0 + dt * k3)
     if not (np.isfinite(s2) and np.isfinite(s3) and np.isfinite(s4)):
         raise SolverError(
             f"velocity overflow in RK4 stage at t={state.t}, step {state.step_count}"
         )
     q_new = q0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return SimState(state.t + dt, SpectralField(g, q_new), a, state.step_count + 1)
+    if not np.isfinite(q_new).all():
+        raise SolverError(
+            f"non-finite vorticity after the RK4 step at t={state.t}, "
+            f"step {state.step_count}"
+        )
+    q_out = HalfSpectrum(g, q_new)
+    return SimState(
+        state.t + dt, q_out if half else full_spectrum(q_out), a, state.step_count + 1
+    )
 
 
 @dataclass
@@ -214,14 +304,16 @@ def run(
     otherwise monitors fire every cfg.monitor_every steps.  `on_sample` is
     invoked with the state at every sample; its return values, when not
     None, are collected into SimRun.collected.  Setting keep_states=False
-    drops the per-sample vorticity snapshots to save memory.
+    keeps only the final state, to save memory.  Steps run on the half
+    spectrum; sampled states are rebuilt in the full layout.
     """
     scale = max(1.0, float(np.max(np.abs(q0.coeffs))))
     if abs(q0.coeffs[0, 0]) > 1e-12 * scale:
         raise ValueError("initial vorticity must have zero mean")
     q_start = dealias(q0).coeffs if cfg.dealias else q0.coeffs.copy()
     q_start[0, 0] = 0.0
-    state = SimState(0.0, SpectralField(q0.grid, q_start), a)
+    stage = AdvectionStage(q0.grid, a, cfg.dealias)
+    state = SimState(0.0, half_spectrum(SpectralField(q0.grid, q_start)), a)
 
     if cfg.sample_times is not None:
         targets = np.asarray(cfg.sample_times, dtype=float)
@@ -237,11 +329,12 @@ def run(
     collected: list = []
 
     def take_sample(s: SimState):
+        sampled = SimState(s.t, full_spectrum(s.q), s.a, s.step_count)
         if keep_states:
-            states.append(SimState(s.t, s.q.copy(), s.a, s.step_count))
-        rows.append(_monitor_row(s))
+            states.append(sampled)
+        rows.append(_monitor_row(sampled))
         if on_sample is not None:
-            out = on_sample(s)
+            out = on_sample(sampled)
             if out is not None:
                 collected.append(out)
 
@@ -249,19 +342,19 @@ def run(
     if targets is not None:
         for target in targets[1:]:
             while state.t < target - 1e-13:
-                state = step(state, cfg, max_dt=target - state.t)
+                state = step(state, cfg, max_dt=target - state.t, stage=stage)
             state.t = target
             take_sample(state)
     else:
         while state.t < cfg.t_end - 1e-13:
-            state = step(state, cfg, max_dt=cfg.t_end - state.t)
+            state = step(state, cfg, max_dt=cfg.t_end - state.t, stage=stage)
             if state.step_count % cfg.monitor_every == 0 or state.t >= cfg.t_end - 1e-13:
                 take_sample(state)
 
     cols = list(zip(*rows))
     monitor = MonitorLog(*(np.asarray(c, dtype=float) for c in cols))
     if not keep_states:
-        states = [state]
+        states = [SimState(state.t, full_spectrum(state.q), a, state.step_count)]
     return SimRun(states, monitor, collected)
 
 

@@ -8,7 +8,9 @@ wavenumbers in FFT order.  The coefficient convention is
     f(x) = sum_k c_k exp(i k . x),
 
 so ``cos(x1)`` has coefficients 1/2 at k = (1, 0) and k = (-1, 0), and the
-k = (0, 0) coefficient is the mean of the field.
+k = (0, 0) coefficient is the mean of the field.  ``HalfSpectrum`` holds the
+same coefficients in the ``rfft2`` layout, the k2 >= 0 half, which the
+solver steps with.
 """
 
 from __future__ import annotations
@@ -136,6 +138,42 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
+
+
+@dataclass(frozen=True)
+class HalfSpectrum:
+    """Real scalar field stored as its ``rfft2`` half spectrum.
+
+    ``coeffs`` holds the k2 >= 0 columns of the full coefficient array,
+    shape (n, n//2 + 1); the k2 < 0 columns follow from the conjugate
+    symmetry c(-k) = conj(c(k)) of a real field.
+    """
+
+    grid: Grid
+    coeffs: np.ndarray
+
+    def __post_init__(self):
+        if self.coeffs.shape != (self.grid.n, self.grid.n // 2 + 1):
+            raise ValueError("half-spectrum shape does not match grid")
+        if self.coeffs.dtype != np.complex128:
+            raise ValueError("coefficients must be complex128")
+
+
+def half_spectrum(f: SpectralField) -> HalfSpectrum:
+    """The k2 >= 0 columns of f, copied."""
+    return HalfSpectrum(f.grid, f.coeffs[:, : f.grid.n // 2 + 1].copy())
+
+
+def full_spectrum(h: HalfSpectrum) -> SpectralField:
+    """Full coefficient array rebuilt from a half spectrum by conjugate
+    symmetry; the stored columns are copied unchanged."""
+    n = h.grid.n
+    nh = n // 2
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, : nh + 1] = h.coeffs
+    mirror_rows = -np.arange(n) % n
+    np.conjugate(h.coeffs[mirror_rows, nh - 1 : 0 : -1], out=out[:, nh + 1 :])
+    return SpectralField(h.grid, out)
 
 
 def sample(grid: Grid, fn) -> PhysicalField:

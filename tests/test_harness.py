@@ -224,6 +224,39 @@ class TestSweepInvariants:
         assert vel.max() == 0.0
         assert all(arr.max() == 0.0 for arr in vort.values())
 
+    def test_compare_states_matches_per_p_formula(self):
+        # one transform per sample, reused for every p, must reproduce the
+        # per-p evaluation bit for bit
+        from alphaeuler import (
+            AlphaParam,
+            Grid,
+            PhysicalField,
+            SolverConfig,
+            lp_norm,
+            run,
+            smooth_random,
+            to_physical,
+        )
+        from alphaeuler.harness import CSV_PS, compare_states
+
+        g = Grid(32)
+        times = np.linspace(0.0, 0.2, 3)
+        cfg = SolverConfig(t_end=0.2, sample_times=times)
+        qs_a = [s.q for s in run(smooth_random(3, 2.0, 5, g), AlphaParam(0.1), cfg).states]
+        qs_b = [s.q for s in run(smooth_random(3, 2.0, 5, g), AlphaParam(0.0), cfg).states]
+        vel, vort = compare_states(qs_a, 0.1, qs_b, 0.0, g)
+        filt = 1.0 / (1.0 + 0.1 * g.ksq)
+        for j, (qa, qb) in enumerate(zip(qs_a, qs_b)):
+            diff = qa.coeffs * filt - qb.coeffs
+            expected = 2 * np.pi * np.sqrt(np.sum(np.abs(diff) ** 2 * g.inv_ksq))
+            assert vel[j] == expected
+        for p in CSV_PS:
+            expected = [
+                lp_norm(PhysicalField(g, to_physical(qa).values - to_physical(qb).values), p)
+                for qa, qb in zip(qs_a, qs_b)
+            ]
+            assert np.array_equal(vort[p], expected)
+
 
 class TestRichardsonGate:
     def test_unresolvable_alpha_aborts(self):

@@ -17,6 +17,7 @@ from alphaeuler import (
     seed_particles,
     smooth_random,
     torus_distance,
+    velocity_l1_gap,
 )
 from alphaeuler.lagrangian import bicubic_sample, export_particles_csv, steady_history
 
@@ -220,6 +221,29 @@ class TestHistory:
 
         expected = velocity(sim.states[-1].q, AlphaParam(0.2)).physical()
         assert np.abs(hist.snapshots[-1] - expected).max() < 1e-14
+
+
+class TestVelocityL1Gap:
+    def test_matches_whole_array_formula(self):
+        # the gap is accumulated one sample at a time; the whole-array
+        # formula it replaced must give the same bits
+        g = Grid(16)
+        rng = np.random.default_rng(7)
+        times = np.array([0.0, 0.1, 0.25, 0.5])
+        a = VelocityHistory(times, rng.standard_normal((4, 2, 16, 16)), g)
+        b = VelocityHistory(times, rng.standard_normal((4, 2, 16, 16)), g)
+        diff = a.snapshots - b.snapshots
+        spatial = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2).sum(axis=(1, 2)) * g.cell_area
+        expected = np.zeros_like(spatial)
+        expected[1:] = np.cumsum(0.5 * np.diff(times) * (spatial[1:] + spatial[:-1]))
+        assert np.array_equal(velocity_l1_gap(a, b), expected)
+
+    def test_rejects_mismatched_times(self):
+        g = Grid(8)
+        a = constant_history(1.0, 0.0, g, t0=0.0, t1=1.0)
+        b = constant_history(1.0, 0.0, g, t0=0.0, t1=2.0)
+        with pytest.raises(ValueError):
+            velocity_l1_gap(a, b)
 
 
 def test_particles_csv_export(tmp_path):

@@ -9,7 +9,6 @@ from alphaeuler import (
     SolverConfig,
     SolverError,
     SpectralField,
-    biot_savart,
     dealias,
     load_checkpoint,
     lp_norm,
@@ -23,12 +22,42 @@ from alphaeuler import (
     to_physical,
     to_spectral,
 )
-from alphaeuler.solver import rhs_divergence_form
-from alphaeuler.spectral import spectral_derivative
+from alphaeuler.solver import AdvectionStage, rhs_divergence_form, velocity
+from alphaeuler.spectral import (
+    HalfSpectrum,
+    full_spectrum,
+    half_spectrum,
+    spectral_derivative,
+)
 
 
 def scaled(field, factor):
     return SpectralField(field.grid, field.coeffs * factor)
+
+
+def random_vorticity(grid, seed=0):
+    """Generic real mean-free field: every mode, Nyquist ones included."""
+    rng = np.random.default_rng(seed)
+    q = to_spectral(PhysicalField(grid, rng.standard_normal((grid.n, grid.n))))
+    q.coeffs[0, 0] = 0.0
+    return q
+
+
+def full_fft_advection(q, a, use_dealias=True):
+    """Oracle: the full-spectrum stage, four complex inverse FFTs of the
+    filtered Biot-Savart velocity and the gradient, one forward FFT.
+    Returns (-u . grad q coefficients, max speed)."""
+    g = q.grid
+    u = velocity(q, a)
+    u1 = to_physical(u.u1).values
+    u2 = to_physical(u.u2).values
+    dq1 = to_physical(spectral_derivative(q, 1)).values
+    dq2 = to_physical(spectral_derivative(q, 2)).values
+    coeffs = -np.fft.fft2(u1 * dq1 + u2 * dq2) / (g.n * g.n)
+    if use_dealias:
+        coeffs *= g.keep_mask
+    coeffs[0, 0] = 0.0
+    return coeffs, float(np.sqrt(u1**2 + u2**2).max())
 
 
 class TestRhs:
@@ -74,23 +103,53 @@ class TestRhs:
 
     def test_alpha_zero_matches_dedicated_euler_path(self):
         # with alpha = 0 the filter multiplies by exactly 1.0, so the solver
-        # must agree bitwise with an unfiltered Euler right-hand side
+        # must agree bitwise with the same half-spectrum stage built from the
+        # unfiltered Biot-Savart multipliers
         g = Grid(32)
-        q = smooth_random(6, 2.0, 6, g)
+        n, nh = g.n, g.n // 2
+        q = random_vorticity(g, seed=6)
 
         def euler_rhs(qf):
-            u = biot_savart(qf)
-            u1 = to_physical(u.u1).values
-            u2 = to_physical(u.u2).values
-            dq1 = to_physical(spectral_derivative(qf, 1)).values
-            dq2 = to_physical(spectral_derivative(qf, 2)).values
-            coeffs = -np.fft.fft2(u1 * dq1 + u2 * dq2) / (g.n * g.n)
-            coeffs *= g.keep_mask
+            k1, k2 = g.k1, g.k2[:, : nh + 1]
+            inv = g.inv_ksq[:, : nh + 1]
+            mult = np.stack(
+                [
+                    np.broadcast_to(m, (n, nh + 1))
+                    for m in (1j * k2 * inv, -1j * k1 * inv, 1j * k1, 1j * k2)
+                ]
+            )
+            mult[[1, 2], nh, :] = 0.0
+            mult[[0, 3], :, nh] = 0.0
+            u1, u2, dq1, dq2 = np.fft.irfft2(
+                mult * qf.coeffs[:, : nh + 1], s=(n, n), norm="forward"
+            )
+            coeffs = -np.fft.rfft2(u1 * dq1 + u2 * dq2, norm="forward")
+            coeffs *= g.keep_mask[:, : nh + 1]
             coeffs[0, 0] = 0.0
             return coeffs
 
-        ours = rhs(q, AlphaParam(0.0)).coeffs
+        ours = rhs(q, AlphaParam(0.0)).coeffs[:, : nh + 1]
         assert np.array_equal(ours, euler_rhs(q))
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    @pytest.mark.parametrize("use_dealias", [True, False])
+    def test_stage_matches_full_fft_oracle(self, n, alpha, use_dealias):
+        g = Grid(n)
+        q = random_vorticity(g, seed=n)
+        a = AlphaParam(alpha)
+        expected, expected_speed = full_fft_advection(q, a, use_dealias)
+        coeffs, speed = AdvectionStage(g, a, use_dealias)(half_spectrum(q).coeffs)
+        got = full_spectrum(HalfSpectrum(g, coeffs)).coeffs
+        scale = np.abs(expected).max()
+        assert np.abs(got - expected).max() <= 1e-14 * scale
+        assert speed == pytest.approx(expected_speed, rel=1e-14)
+
+    def test_stage_rejects_foreign_tables(self):
+        g = Grid(16)
+        state = SimState(0.0, shear(g), AlphaParam(0.1))
+        with pytest.raises(ValueError):
+            step(state, SolverConfig(t_end=1.0), stage=AdvectionStage(g, AlphaParam(0.2)))
 
 
 class TestStep:
@@ -125,6 +184,42 @@ class TestStep:
         coeffs[1, 0] = np.nan
         with pytest.raises(SolverError):
             step(SimState(0.0, SpectralField(g, coeffs), AlphaParam(0.0)), SolverConfig(t_end=1.0))
+
+    def test_inf_vorticity_aborts_with_time_and_step(self):
+        g = Grid(16)
+        q = shear(g)
+        q.coeffs[2, 1] = np.inf
+        with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"t=0\.25, step 3"):
+            step(SimState(0.25, q, AlphaParam(0.1), step_count=3), SolverConfig(t_end=1.0))
+
+    def test_nonfinite_update_aborts(self, monkeypatch):
+        # an inf that appears only in the last stage leaves every stage
+        # speed finite; the check on the new vorticity must still catch it
+        calls = []
+        real_stage = AdvectionStage.__call__
+
+        def poisoned(self, qh):
+            coeffs, speed = real_stage(self, qh)
+            calls.append(1)
+            if len(calls) == 4:
+                coeffs[1, 0] = np.inf
+            return coeffs, speed
+
+        monkeypatch.setattr(AdvectionStage, "__call__", poisoned)
+        g = Grid(16)
+        state = SimState(0.5, shear(g), AlphaParam(0.0), step_count=7)
+        with np.errstate(all="ignore"), pytest.raises(
+            SolverError, match=r"non-finite vorticity .* t=0\.5, step 7"
+        ):
+            step(state, SolverConfig(t_end=1.0))
+        assert len(calls) == 4
+
+    def test_rejects_nonzero_mean(self):
+        g = Grid(16)
+        q = shear(g)
+        q.coeffs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            step(SimState(0.0, q, AlphaParam(0.0)), SolverConfig(t_end=1.0))
 
 
 class TestRun:
@@ -185,6 +280,45 @@ class TestRun:
         qp = to_physical(dealias(q0))
         assert sim.monitor.q_l2[0] == pytest.approx(lp_norm(qp, 2), rel=1e-12)
         assert sim.monitor.q_linf[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_sampled_run_equals_loop_of_public_steps(self):
+        g = Grid(32)
+        q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
+        times = np.linspace(0.0, 0.3, 4)
+        cfg = SolverConfig(t_end=0.3, sample_times=times)
+        sim = run(q0, AlphaParam(0.1), cfg)
+        s = sim.states[0]
+        for target, sampled in zip(times[1:], sim.states[1:]):
+            while s.t < target - 1e-13:
+                s = step(s, cfg, max_dt=target - s.t)
+            s.t = target
+            assert s.step_count == sampled.step_count
+            assert np.array_equal(s.q.coeffs, sampled.q.coeffs)
+
+    def test_threaded_runs_match_serial_runs(self):
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        g = Grid(64)
+        q0 = scaled(smooth_random(4, 2.0, 5, g), 5.0)
+        cfg = SolverConfig(t_end=0.2, sample_times=np.linspace(0.0, 0.2, 3))
+        alphas = (0.05, 0.02)
+
+        def job(alpha):
+            sim = run(q0, AlphaParam(alpha), cfg)
+            return [s.q.coeffs for s in sim.states], sim.monitor.alpha_norm
+
+        serial = [job(alpha) for alpha in alphas]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                threaded = list(pool.map(job, alphas, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        for (qs_a, mon_a), (qs_b, mon_b) in zip(serial, threaded):
+            assert all(np.array_equal(x, y) for x, y in zip(qs_a, qs_b))
+            assert np.array_equal(mon_a, mon_b)
 
 
 class TestCheckpoint:

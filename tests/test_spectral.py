@@ -14,7 +14,13 @@ from alphaeuler import (
     to_physical,
     to_spectral,
 )
-from alphaeuler.spectral import hermitian_defect, l2_norm
+from alphaeuler.spectral import (
+    HalfSpectrum,
+    full_spectrum,
+    half_spectrum,
+    hermitian_defect,
+    l2_norm,
+)
 
 TOL = 1e-12
 
@@ -103,6 +109,34 @@ class TestTransforms:
         g = Grid(16)
         q = to_spectral(sample(g, lambda x1, x2: np.sin(x1)))
         assert l2_norm(q) == pytest.approx(np.pi * np.sqrt(2), rel=TOL)
+
+
+class TestHalfSpectrum:
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    def test_half_full_half_round_trip_exact(self, n):
+        g = Grid(n)
+        h = half_spectrum(to_spectral(random_field(g, seed=n)))
+        assert h.coeffs.shape == (n, n // 2 + 1)
+        assert np.array_equal(half_spectrum(full_spectrum(h)).coeffs, h.coeffs)
+
+    @pytest.mark.parametrize("n", [8, 32])
+    def test_full_layout_is_hermitian_and_matches_fft2(self, n):
+        g = Grid(n)
+        f = to_spectral(random_field(g, seed=3))
+        back = full_spectrum(half_spectrum(f))
+        assert hermitian_defect(back) < TOL
+        assert np.abs(back.coeffs - f.coeffs).max() < TOL
+
+    def test_matches_rfft2_layout(self):
+        g = Grid(16)
+        f = random_field(g, seed=5)
+        h = half_spectrum(to_spectral(f))
+        assert np.abs(h.coeffs - np.fft.rfft2(f.values, norm="forward")).max() < TOL
+
+    def test_rejects_full_shape(self):
+        g = Grid(8)
+        with pytest.raises(ValueError):
+            HalfSpectrum(g, np.zeros((8, 8), dtype=np.complex128))
 
 
 class TestDerivative:
