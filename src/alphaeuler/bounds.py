@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import linregress
 
 from .spectral import PhysicalField, SpectralField
 from .vorticity import (
@@ -174,6 +173,31 @@ def vorticity_rate_bound(
     return params.c * params.m ** (1.0 - 1.0 / p) * max(mod(k_val), tail)
 
 
+def linear_fit(x, y) -> tuple:
+    """Least-squares line y ~ slope x + intercept through at least 3 points.
+
+    Returns (slope, intercept, r, stderr of the slope) as numpy floats, by
+    the arithmetic of scipy.stats.linregress: population moments from
+    np.cov, r clipped to [-1, 1] (nan when y is constant) and
+    stderr = sqrt((1 - r^2) syy / sxx / (n - 2)).
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.size < 3:
+        raise ValueError("a line fit needs at least 3 points")
+    if np.amax(x) == np.amin(x):
+        raise ValueError("cannot fit a line when all x values are equal")
+    sxx, sxy, _, syy = np.cov(x, y, bias=1).flat
+    if syy == 0.0:
+        r = np.float64(np.nan if sxy == 0.0 else 0.0)
+    else:
+        r = np.clip(sxy / np.sqrt(sxx * syy), -1.0, 1.0)
+    slope = sxy / sxx
+    intercept = np.mean(y) - slope * np.mean(x)
+    stderr = np.sqrt((1 - r**2) * syy / sxx / (x.size - 2))
+    return slope, intercept, r, stderr
+
+
 def default_shifts(n: int) -> list[tuple[int, int]]:
     """Axis and diagonal cell displacements at dyadic magnitudes up to n/8."""
     shifts = []
@@ -213,11 +237,9 @@ def besov_modulus_fit(
         raise ValueError("degenerate data: translation differences vanish")
     hs = np.asarray(hs)
     vals = np.asarray(vals)
-    fit = linregress(np.log(hs), np.log(vals))
-    if fit.slope <= 0:
+    slope = float(linear_fit(np.log(hs), np.log(vals))[0])
+    if slope <= 0:
         raise ValueError("modulus does not vanish at zero: nonpositive slope")
     order = np.argsort(hs)
     table = np.column_stack([hs[order], np.maximum.accumulate(vals[order])])
-    return ModulusEstimate(
-        kind="besov", s=min(float(fit.slope), 1.0), table=table, slope=float(fit.slope)
-    )
+    return ModulusEstimate(kind="besov", s=min(slope, 1.0), table=table, slope=slope)

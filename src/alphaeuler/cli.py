@@ -20,19 +20,14 @@ from .bounds import BoundParams, ModulusEstimate, flow_rate_bound, velocity_rate
 from .harness import (
     SweepError,
     build_datum,
-    compare_bounds,
+    filtered_run,
     load_config,
+    reference_run,
     run_sweep,
 )
-from .lagrangian import (
-    ParticleSet,
-    VelocityHistory,
-    flow_distance,
-    seed_particles,
-    velocity_l1_gap,
-)
-from .solver import SimState, SolverConfig, SolverError, run, save_checkpoint
-from .spectral import Grid, restrict
+from .lagrangian import ParticleSet, flow_distance
+from .solver import SolverError, run, save_checkpoint
+from .spectral import Grid
 from .vorticity import AlphaParam
 
 
@@ -104,18 +99,16 @@ def _timestamp() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
+def _csv_row(values) -> str:
+    """Floats rendered as their shortest round-trip decimals."""
+    return ",".join(repr(float(v)) for v in values)
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     alpha = args.alpha if args.alpha is not None else cfg.alpha_list[0]
-    grid = Grid(cfg.n)
-    q0 = build_datum(cfg.datum, grid, cfg.seed)
-    times = np.linspace(0.0, cfg.t_end, cfg.samples + 1)
-    sim = run(
-        q0,
-        AlphaParam(alpha),
-        SolverConfig(t_end=cfg.t_end, cfl=cfg.cfl, sample_times=times),
-        keep_states=False,
-    )
+    q0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
+    sim = run(q0, AlphaParam(alpha), cfg.solver_config(), keep_states=False)
     out = _resolve_output(cfg.output_dir, args.output, "simulate_output")
     out.mkdir(parents=True, exist_ok=True)
     mon = sim.monitor
@@ -123,21 +116,8 @@ def cmd_simulate(args) -> int:
         f"# generated {_timestamp()}",
         "t,energy,alpha_norm,q_l1,q_l2,q_l4,q_linf",
     ]
-    for j in range(mon.times.size):
-        lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    mon.times[j],
-                    mon.energy[j],
-                    mon.alpha_norm[j],
-                    mon.q_l1[j],
-                    mon.q_l2[j],
-                    mon.q_l4[j],
-                    mon.q_linf[j],
-                )
-            )
-        )
+    columns = (mon.times, mon.energy, mon.alpha_norm, mon.q_l1, mon.q_l2, mon.q_l4, mon.q_linf)
+    lines += [_csv_row(row) for row in zip(*columns)]
     (out / "monitor.csv").write_text("\n".join(lines) + "\n")
     save_checkpoint(sim.final, out / "checkpoint.aeul")
     drift = float(np.max(mon.alpha_norm_drift()))
@@ -150,10 +130,6 @@ def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
     cfg.output_dir = _resolve_output(cfg.output_dir, args.output, "sweep_output")
     report = run_sweep(cfg)
-    compare_bounds(report, BoundParams(horizon=max(1.0, cfg.t_end)))
-    from .harness import persist_report
-
-    persist_report(report, cfg)
     if report.velocity_rate is not None:
         print(
             f"sweep: velocity rate {report.velocity_rate.slope:.3f} "
@@ -166,35 +142,9 @@ def cmd_sweep(args) -> int:
 def cmd_flows(args) -> int:
     cfg = load_config(args.config)
     alpha = args.alpha if args.alpha is not None else cfg.alpha_list[0]
-    grid = Grid(cfg.n)
-    grid_ref = Grid(cfg.n_ref)
-    times = np.linspace(0.0, cfg.t_end, cfg.samples + 1)
-    sol = SolverConfig(t_end=cfg.t_end, cfl=cfg.cfl, sample_times=times)
-
-    omega0_ref = build_datum(cfg.datum, grid_ref, cfg.seed)
-    omega0 = restrict(omega0_ref, grid)
-
-    ref_qs = []
-    run(
-        omega0_ref,
-        AlphaParam(0.0),
-        sol,
-        on_sample=lambda s: ref_qs.append(restrict(s.q, grid)),
-        keep_states=False,
-    )
-    ref_states = [SimState(float(t), q, AlphaParam(0.0)) for t, q in zip(times, ref_qs)]
-    ref_history = VelocityHistory.from_states(ref_states)
-
-    sim = run(omega0, AlphaParam(alpha), sol)
-    hist = VelocityHistory.from_states(sim.states)
-
-    from .harness import _trajectory
-
-    p0 = seed_particles(grid, cfg.particle_stride)
-    traj = _trajectory(hist, p0, times, cfg.substeps)
-    ref_traj = _trajectory(ref_history, p0, times, cfg.substeps)
-    delta_curve = velocity_l1_gap(hist, ref_history)
-    delta_total = float(delta_curve[-1])
+    ref = reference_run(cfg)
+    flow = filtered_run(alpha, ref, cfg)
+    delta_total = float(flow.delta[-1])
 
     out = _resolve_output(cfg.output_dir, args.output, "flows_output")
     out.mkdir(parents=True, exist_ok=True)
@@ -202,24 +152,16 @@ def cmd_flows(args) -> int:
         f"# generated {_timestamp()}",
         "t,mean_distance,l2_distance,g_delta,delta,log_bound",
     ]
-    for j, t in enumerate(times):
+    for j, t in enumerate(ref.times):
         comp = flow_distance(
-            ParticleSet(traj[j], float(t)),
-            ParticleSet(ref_traj[j], float(t)),
+            ParticleSet(flow.trajectory[j], float(t)),
+            ParticleSet(ref.trajectory[j], float(t)),
             delta=max(delta_total, 1e-300),
             c_cal=args.c_cal,
         )
         lines.append(
-            ",".join(
-                repr(float(v))
-                for v in (
-                    t,
-                    comp.mean_distance,
-                    comp.l2_distance,
-                    comp.g_delta,
-                    delta_curve[j],
-                    comp.log_bound,
-                )
+            _csv_row(
+                (t, comp.mean_distance, comp.l2_distance, comp.g_delta, flow.delta[j], comp.log_bound)
             )
         )
     (out / "flows.csv").write_text("\n".join(lines) + "\n")
@@ -249,11 +191,7 @@ def cmd_bounds(args) -> int:
             k_val = velocity_rate_K(AlphaParam(alpha), float(t), params)
             fb = flow_rate_bound(k_val, float(t), 0.0, args.c, args.horizon)
             vb = vorticity_rate_bound(k_val, modulus, args.p, params)
-            lines.append(
-                ",".join(
-                    repr(float(v)) for v in (alpha, t, k_val, fb, vb)
-                )
-            )
+            lines.append(_csv_row((alpha, t, k_val, fb, vb)))
     text = "\n".join(lines) + "\n"
     if args.output is None or args.output == "-":
         sys.stdout.write(text)

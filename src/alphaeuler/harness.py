@@ -5,7 +5,8 @@ run once on the study grid, measures velocity/vorticity/flow-map errors
 against the spectrally restricted reference at shared sample times, fits
 log-log rates, and persists a CSV table plus a JSON summary.  Runs are
 independent jobs; a bounded thread pool executes them and the assembled
-report does not depend on the worker count.
+report does not depend on the worker count.  The `flows` command shares
+the two halves of that work: `reference_run` and `filtered_run`.
 """
 
 from __future__ import annotations
@@ -20,20 +21,13 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import linregress
-from scipy.stats import t as student_t
+from scipy.special import stdtrit
 
-from .bounds import BoundParams, velocity_rate_K
+from .bounds import BoundParams, linear_fit, velocity_rate_K
 from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
-from .lagrangian import (
-    ParticleSet,
-    VelocityHistory,
-    advect_particles,
-    seed_particles,
-    velocity_l1_gap,
-)
-from .solver import SimState, SolverConfig, SolverError, run
+from .lagrangian import VelocityHistory, advect_particles, seed_particles, velocity_l1_gap
+from .solver import SimRun, SimState, SolverConfig, SolverError, run
 from .spectral import TWO_PI, Grid, PhysicalField, SpectralField, restrict, to_physical
 from .vorticity import AlphaParam, biot_savart, lp_norm, torus_distance, velocity_l2
 
@@ -45,6 +39,20 @@ CSV_PS = (1.0, 2.0, 4.0)
 
 WORKERS_ENV = "AEUL_WORKERS"
 
+# The Richardson gate: the reference's restriction gap must stay below this
+# fraction of the smallest filtered velocity error.
+RICHARDSON_FACTOR = 0.1
+
+EULER = AlphaParam(0.0)
+
+# Accepted [datum] keys per kind; every kind takes an amplitude `scale`.
+_DATUM_KEYS = {
+    "smooth_random": ("seed", "spectrum_slope", "k_max", "scale"),
+    "disc_patch": ("center_x", "center_y", "radius", "amplitude", "scale"),
+    "fractal_patch": ("generator", "depth", "amplitude", "scale"),
+    "shear": ("wavenumber", "scale"),
+}
+
 
 class SweepError(RuntimeError):
     """Sweep-level failure (e.g. the reference failed its consistency check)."""
@@ -55,11 +63,16 @@ class DatumSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    KINDS = ("smooth_random", "disc_patch", "fractal_patch", "shear")
-
     def __post_init__(self):
-        if self.kind not in self.KINDS:
+        if self.kind not in _DATUM_KEYS:
             raise ValueError(f"unknown datum kind {self.kind!r}")
+        accepted = _DATUM_KEYS[self.kind]
+        for key in self.params:
+            if key not in accepted:
+                raise ValueError(
+                    f"unknown [datum] key {key!r} for kind {self.kind!r} "
+                    f"(accepted: {', '.join(accepted)})"
+                )
 
 
 def build_datum(spec: DatumSpec, grid: Grid, default_seed: int = 0) -> SpectralField:
@@ -111,7 +124,6 @@ class ExperimentConfig:
     family: str = "identity"
     workers: int | None = None
     richardson: bool = True
-    richardson_factor: float = 0.1
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alpha_list)
@@ -140,6 +152,15 @@ class ExperimentConfig:
         env = os.environ.get(WORKERS_ENV)
         return max(1, int(env)) if env else 1
 
+    def solver_config(self) -> SolverConfig:
+        """Solver settings of every run of the study, sampled at samples + 1
+        equally spaced times on [0, t_end]."""
+        return SolverConfig(
+            t_end=self.t_end,
+            cfl=self.cfl,
+            sample_times=np.linspace(0.0, self.t_end, self.samples + 1),
+        )
+
 
 @dataclass
 class RateFit:
@@ -159,14 +180,14 @@ def fit_rate(pairs) -> RateFit:
         raise ValueError("rate fits require strictly positive errors")
     xs = np.log([a for a, _ in pairs])
     ys = np.log([e for _, e in pairs])
-    res = linregress(xs, ys)
-    tq = float(student_t.ppf(0.975, len(pairs) - 2)) if len(pairs) > 2 else float("nan")
+    slope, intercept, r, stderr = linear_fit(xs, ys)
+    tq = float(stdtrit(len(pairs) - 2, 0.975))
     return RateFit(
-        slope=float(res.slope),
-        intercept=float(res.intercept),
-        r2=float(res.rvalue**2),
-        stderr=float(res.stderr),
-        ci95=tq * float(res.stderr),
+        slope=float(slope),
+        intercept=float(intercept),
+        r2=float(r**2),
+        stderr=float(stderr),
+        ci95=tq * float(stderr),
     )
 
 
@@ -219,28 +240,86 @@ class ConvergenceReport:
         return [r for r in self.records if not r.failed]
 
 
-def _trajectory(history: VelocityHistory, p0: ParticleSet, times, substeps: int):
-    positions = [p0.positions.copy()]
-    p = p0
-    for t1 in times[1:]:
-        p = advect_particles(p, history, float(t1), substeps=substeps)
-        positions.append(p.positions.copy())
-    return positions
+@dataclass(frozen=True)
+class ReferenceRun:
+    """The unfiltered reference of a study, run on the n_ref grid and kept
+    on the study grid: the restricted initial datum and samples, their
+    velocity history and the particle-lattice trajectories it drives."""
+
+    grid: Grid
+    solver: SolverConfig
+    omega0: SpectralField
+    qs: tuple
+    history: VelocityHistory
+    trajectory: tuple
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.solver.sample_times
 
 
-def _self_errors(times: np.ndarray, p_list) -> AlphaRecord:
-    zeros = np.zeros_like(times)
-    return AlphaRecord(
-        alpha=0.0,
-        times=times,
-        vel_l2_err=zeros.copy(),
-        vort_err={p: zeros.copy() for p in p_list},
-        flow_dist=zeros.copy(),
-        delta=zeros.copy(),
-        alphanorm_drift=zeros.copy(),
-        energy=zeros.copy(),
-        q_l2_drift=zeros.copy(),
-        gamma0=0.0,
+@dataclass(frozen=True)
+class FilteredRun:
+    """One filtered run on the study grid, measured against the reference:
+    its initial datum, the solver output, the particle-lattice trajectories
+    and the cumulative velocity gap delta(t) to the reference."""
+
+    q0: SpectralField
+    sim: SimRun
+    trajectory: tuple
+    delta: np.ndarray
+
+
+def _trajectory(history: VelocityHistory, cfg: ExperimentConfig) -> tuple:
+    """Positions of the particle lattice at each sample time of history."""
+    p = seed_particles(history.grid, cfg.particle_stride)
+    positions = [p.positions]
+    for t1 in history.times[1:]:
+        p = advect_particles(p, history, float(t1), substeps=cfg.substeps)
+        positions.append(p.positions)
+    return tuple(positions)
+
+
+def reference_run(cfg: ExperimentConfig) -> ReferenceRun:
+    """Run the unfiltered reference on the n_ref grid, keeping each sample
+    as its spectral restriction to the study grid."""
+    grid = Grid(cfg.n)
+    solver = cfg.solver_config()
+    omega0_ref = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+    qs = []
+    run(
+        omega0_ref,
+        EULER,
+        solver,
+        on_sample=lambda s: qs.append(restrict(s.q, grid)),
+        keep_states=False,
+    )
+    history = VelocityHistory.from_states(
+        [SimState(float(t), q, EULER) for t, q in zip(solver.sample_times, qs)]
+    )
+    return ReferenceRun(
+        grid=grid,
+        solver=solver,
+        omega0=restrict(omega0_ref, grid),
+        qs=tuple(qs),
+        history=history,
+        trajectory=_trajectory(history, cfg),
+    )
+
+
+def filtered_run(alpha: float, ref: ReferenceRun, cfg: ExperimentConfig) -> FilteredRun:
+    """Solve from the approximating-family datum at this alpha on the
+    reference's sample times and follow the particle lattice through it.
+    Raises SolverError when the solve fails."""
+    a = AlphaParam(alpha)
+    q0 = approximating_family(ref.omega0, a, cfg.family)
+    sim = run(q0, a, ref.solver)
+    history = VelocityHistory.from_states(sim.states)
+    return FilteredRun(
+        q0=q0,
+        sim=sim,
+        trajectory=_trajectory(history, cfg),
+        delta=velocity_l1_gap(history, ref.history),
     )
 
 
@@ -271,96 +350,49 @@ def _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid) -> float:
     return TWO_PI * math.sqrt(float(np.sum(np.abs(diff) ** 2 * grid.inv_ksq)))
 
 
-def _run_alpha(
-    alpha: float,
-    omega0: SpectralField,
-    cfg: ExperimentConfig,
-    times: np.ndarray,
-    ref_qs,
-    ref_history: VelocityHistory,
-    ref_traj,
-) -> AlphaRecord:
-    grid = omega0.grid
-    a = AlphaParam(alpha)
-    q0 = approximating_family(omega0, a, cfg.family)
+def _run_alpha(alpha: float, ref: ReferenceRun, cfg: ExperimentConfig) -> AlphaRecord:
     try:
-        sim = run(
-            q0,
-            a,
-            SolverConfig(t_end=cfg.t_end, cfl=cfg.cfl, sample_times=times),
-        )
+        flow = filtered_run(alpha, ref, cfg)
     except SolverError as exc:
         return AlphaRecord(alpha=alpha, failed=True, error=str(exc))
 
-    qs = [s.q for s in sim.states]
-    vel_err, vort_err = compare_states(qs, alpha, ref_qs, 0.0, grid, cfg.p_list)
-
-    hist = VelocityHistory.from_states(sim.states)
-    p0 = seed_particles(grid, cfg.particle_stride)
-    traj = _trajectory(hist, p0, times, cfg.substeps)
+    monitor = flow.sim.monitor
+    qs = [s.q for s in flow.sim.states]
+    vel_err, vort_err = compare_states(qs, alpha, ref.qs, 0.0, ref.grid, cfg.p_list)
     flow_dist = np.array(
-        [float(torus_distance(pa, pr).mean()) for pa, pr in zip(traj, ref_traj)]
+        [float(torus_distance(pa, pr).mean()) for pa, pr in zip(flow.trajectory, ref.trajectory)]
     )
-    delta = velocity_l1_gap(hist, ref_history)
-
     return AlphaRecord(
         alpha=alpha,
-        times=times,
+        times=ref.times,
         vel_l2_err=vel_err,
         vort_err=vort_err,
         flow_dist=flow_dist,
-        delta=delta,
-        alphanorm_drift=sim.monitor.alpha_norm_drift(),
-        alpha_norm=sim.monitor.alpha_norm,
-        energy=sim.monitor.energy,
-        q_l2_drift=sim.monitor.q_l2_drift(),
-        gamma0=initial_velocity_gap(q0, omega0, a),
+        delta=flow.delta,
+        alphanorm_drift=monitor.alpha_norm_drift(),
+        alpha_norm=monitor.alpha_norm,
+        energy=monitor.energy,
+        q_l2_drift=monitor.q_l2_drift(),
+        gamma0=initial_velocity_gap(flow.q0, ref.omega0, AlphaParam(alpha)),
     )
 
 
 def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
-    grid = Grid(cfg.n)
-    grid_ref = Grid(cfg.n_ref)
-    times = np.linspace(0.0, cfg.t_end, cfg.samples + 1)
-    euler = AlphaParam(0.0)
-
-    omega0_ref = build_datum(cfg.datum, grid_ref, cfg.seed)
-    omega0 = restrict(omega0_ref, grid)
-
-    # Reference: unfiltered run on the fine grid, kept as its restriction.
-    ref_qs = []
-    run(
-        omega0_ref,
-        euler,
-        SolverConfig(t_end=cfg.t_end, cfl=cfg.cfl, sample_times=times),
-        on_sample=lambda s: ref_qs.append(restrict(s.q, grid)),
-        keep_states=False,
-    )
-    ref_states = [SimState(float(t), q, euler) for t, q in zip(times, ref_qs)]
-    ref_history = VelocityHistory.from_states(ref_states)
-    ref_traj = _trajectory(
-        ref_history, seed_particles(grid, cfg.particle_stride), times, cfg.substeps
-    )
+    """Reference, Richardson check, one filtered run per alpha, rate fits
+    and the default bound overlay (horizon max(1, t_end)); the outputs are
+    written once when cfg.output_dir is set."""
+    ref = reference_run(cfg)
 
     # Same-resolution unfiltered run: its gap to the restricted reference
     # estimates the discretization error floor (Richardson consistency).
-    coarse_qs = []
-    run(
-        omega0,
-        euler,
-        SolverConfig(t_end=cfg.t_end, cfl=cfg.cfl, sample_times=times),
-        on_sample=lambda s: coarse_qs.append(s.q.copy()),
-        keep_states=False,
-    )
+    coarse = run(ref.omega0, EULER, ref.solver).states
     richardson_error = max(
-        _velocity_err_l2_pair(qc, 0.0, qr, 0.0, grid)
-        for qc, qr in zip(coarse_qs, ref_qs)
+        _velocity_err_l2_pair(s.q, 0.0, qr, 0.0, ref.grid)
+        for s, qr in zip(coarse, ref.qs)
     )
 
     workers = cfg.effective_workers()
-    job = lambda alpha: _run_alpha(
-        alpha, omega0, cfg, times, ref_qs, ref_history, ref_traj
-    )
+    job = lambda alpha: _run_alpha(alpha, ref, cfg)
     if workers == 1:
         records = [job(alpha) for alpha in cfg.alpha_list]
     else:
@@ -373,38 +405,39 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
 
     if cfg.richardson:
         min_err = min(r.sup_vel_err() for r in ok)
-        if richardson_error > cfg.richardson_factor * min_err:
+        if richardson_error > RICHARDSON_FACTOR * min_err:
             raise SweepError(
                 "reference self-consistency failure: restriction gap "
-                f"{richardson_error:.3e} exceeds {cfg.richardson_factor} x the "
+                f"{richardson_error:.3e} exceeds {RICHARDSON_FACTOR} x the "
                 f"smallest filtered velocity error ({min_err:.3e})"
             )
 
-    velocity_rate = None
-    vorticity_rates = {}
-    if len(ok) >= 3:
+    def fit_or_none(pairs) -> RateFit | None:
         try:
-            velocity_rate = fit_rate([(r.alpha, r.sup_vel_err()) for r in ok])
-        except ValueError:
-            velocity_rate = None
-        for p in cfg.p_list:
-            try:
-                vorticity_rates[p] = fit_rate([(r.alpha, r.sup_vort_err(p)) for r in ok])
-            except ValueError:
-                continue
+            return fit_rate(pairs)
+        except ValueError:  # fewer than 3 runs, or a degenerate fit
+            return None
+
+    velocity_rate = fit_or_none([(r.alpha, r.sup_vel_err()) for r in ok])
+    vorticity_rates = {}
+    for p in cfg.p_list:
+        fit = fit_or_none([(r.alpha, r.sup_vort_err(p)) for r in ok])
+        if fit is not None:
+            vorticity_rates[p] = fit
 
     report = ConvergenceReport(
         n=cfg.n,
         n_ref=cfg.n_ref,
         t_end=cfg.t_end,
-        times=times,
+        times=ref.times,
         p_list=cfg.p_list,
         records=records,
         velocity_rate=velocity_rate,
         vorticity_rates=vorticity_rates,
         richardson_error=richardson_error,
-        u0_l2=velocity_l2(biot_savart(omega0)),
+        u0_l2=velocity_l2(biot_savart(ref.omega0)),
     )
+    compare_bounds(report, BoundParams(horizon=max(1.0, cfg.t_end)))
     if cfg.output_dir is not None:
         persist_report(report, cfg)
     return report
@@ -420,41 +453,26 @@ def compare_bounds(report: ConvergenceReport, params: BoundParams) -> Convergenc
     """
     if params.horizon < report.t_end:
         raise ValueError("bound horizon must cover the report's time span")
-    curves = {}
-    exceeded = []
-    for rec in report.ok_records():
-        p_rec = replace(params, gamma0=rec.gamma0)
-        curve = np.array(
+
+    def curve(rec: AlphaRecord, p: BoundParams) -> np.ndarray:
+        p_rec = replace(p, gamma0=rec.gamma0)
+        return np.array(
             [velocity_rate_K(AlphaParam(rec.alpha), float(t), p_rec) for t in rec.times]
         )
-        curves[rec.alpha] = curve
-        if np.any(rec.vel_l2_err > curve):
+
+    ok = report.ok_records()
+    curves = {}
+    exceeded = []
+    for rec in ok:
+        curves[rec.alpha] = curve(rec, params)
+        if np.any(rec.vel_l2_err > curves[rec.alpha]):
             exceeded.append(rec.alpha)
 
     rescaled_c = None
     if exceeded:
         for c in np.logspace(-3.0, 3.0, 601):
-            covered = True
-            for rec in report.ok_records():
-                p_c = BoundParams(
-                    c1=c,
-                    c2=c,
-                    c=c,
-                    m=params.m,
-                    gamma0=rec.gamma0,
-                    alpha_bar=params.alpha_bar,
-                    horizon=params.horizon,
-                )
-                curve = np.array(
-                    [
-                        velocity_rate_K(AlphaParam(rec.alpha), float(t), p_c)
-                        for t in rec.times
-                    ]
-                )
-                if np.any(rec.vel_l2_err > curve):
-                    covered = False
-                    break
-            if covered:
+            scaled = replace(params, c1=c, c2=c, c=c)
+            if not any(np.any(rec.vel_l2_err > curve(rec, scaled)) for rec in ok):
                 rescaled_c = float(c)
                 break
 
@@ -469,19 +487,10 @@ def sweep_csv_lines(report: ConvergenceReport, timestamp: str | None = None) -> 
     lines = [f"# generated {timestamp}", CSV_COLUMNS]
     for rec in report.ok_records():
         for j, t in enumerate(rec.times):
-            cells = [
-                repr(float(rec.alpha)),
-                repr(float(t)),
-                repr(float(rec.vel_l2_err[j])),
-                repr(float(rec.vort_err[1.0][j])),
-                repr(float(rec.vort_err[2.0][j])),
-                repr(float(rec.vort_err[4.0][j])),
-                repr(float(rec.flow_dist[j])),
-                repr(float(rec.delta[j])),
-                repr(float(rec.alphanorm_drift[j])),
-                repr(float(rec.energy[j])),
-            ]
-            lines.append(",".join(cells))
+            cells = (rec.alpha, t, rec.vel_l2_err[j])
+            cells += tuple(rec.vort_err[p][j] for p in CSV_PS)
+            cells += (rec.flow_dist[j], rec.delta[j], rec.alphanorm_drift[j], rec.energy[j])
+            lines.append(",".join(repr(float(v)) for v in cells))
     return lines
 
 
@@ -528,13 +537,6 @@ def persist_report(report: ConvergenceReport, cfg: ExperimentConfig) -> None:
 
 
 # --- configuration files -------------------------------------------------
-
-_DATUM_KEYS = {
-    "smooth_random": ("seed", "spectrum_slope", "k_max"),
-    "disc_patch": ("center_x", "center_y", "radius", "amplitude"),
-    "fractal_patch": ("generator", "depth", "amplitude"),
-    "shear": ("wavenumber",),
-}
 
 
 def load_config(path) -> ExperimentConfig:

@@ -9,7 +9,6 @@ reconstruction come from the same integrator.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,19 +98,15 @@ class VelocityHistory:
             raise ValueError("snapshot array shape does not match times/grid")
 
     @classmethod
-    def from_states(cls, states, restrict_to: Grid | None = None) -> "VelocityHistory":
-        """Build a history from solver samples, optionally spectrally
-        restricted to a coarser grid first."""
+    def from_states(cls, states) -> "VelocityHistory":
+        """Build a history from solver samples."""
         from .solver import velocity as solver_velocity
-        from .spectral import restrict as spectral_restrict
 
-        times = [s.t for s in states]
-        grid = restrict_to if restrict_to is not None else states[0].grid
+        grid = states[0].grid
         snaps = np.empty((len(states), 2, grid.n, grid.n))
         for snap, s in zip(snaps, states):
-            q = spectral_restrict(s.q, grid) if restrict_to is not None else s.q
-            snap[:] = solver_velocity(q, s.a).physical()
-        return cls(np.asarray(times), snaps, grid)
+            snap[:] = solver_velocity(s.q, s.a).physical()
+        return cls(np.asarray([s.t for s in states]), snaps, grid)
 
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
@@ -132,11 +127,6 @@ class VelocityHistory:
     def velocity_at(self, t: float, positions: np.ndarray) -> np.ndarray:
         grids = self.grids_at(t)
         return bicubic_sample(grids, positions, self.grid.dx).T
-
-
-def steady_history(u_phys: np.ndarray, grid: Grid, t0: float, t1: float) -> VelocityHistory:
-    """History holding one time-independent field over [t0, t1]."""
-    return VelocityHistory([t0, t1], np.stack([u_phys, u_phys]), grid)
 
 
 def advect_particles(
@@ -254,12 +244,3 @@ def velocity_l1_gap(hist_a: VelocityHistory, hist_b: VelocityHistory) -> np.ndar
     dt = np.diff(hist_a.times)
     out[1:] = np.cumsum(0.5 * dt * (spatial[1:] + spatial[:-1]))
     return out
-
-
-def export_particles_csv(p: ParticleSet, path) -> None:
-    """Particle snapshot as CSV with columns x1, x2, id."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x1", "x2", "id"])
-        for i, (x1, x2) in enumerate(p.positions):
-            writer.writerow([repr(float(x1)), repr(float(x2)), i])

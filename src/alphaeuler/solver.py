@@ -26,7 +26,7 @@ and convert on the way in and out.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -161,22 +161,6 @@ def rhs(q: SpectralField, a: AlphaParam, use_dealias: bool = True) -> SpectralFi
     return full_spectrum(HalfSpectrum(q.grid, coeffs))
 
 
-def rhs_divergence_form(
-    q: SpectralField, a: AlphaParam, use_dealias: bool = True
-) -> SpectralField:
-    """-div(u q); equal to `rhs` for divergence-free u, kept as a cross-check."""
-    g = q.grid
-    u = velocity(q, a)
-    qp = to_physical(q).values
-    f1 = np.fft.fft2(to_physical(u.u1).values * qp) / (g.n * g.n)
-    f2 = np.fft.fft2(to_physical(u.u2).values * qp) / (g.n * g.n)
-    coeffs = -1j * (g.k1 * f1 + g.k2 * f2)
-    if use_dealias:
-        coeffs *= g.keep_mask
-    coeffs[0, 0] = 0.0
-    return SpectralField(g, coeffs)
-
-
 def cfl_timestep(speed: float, grid: Grid, cfl: float) -> float:
     if not np.isfinite(speed):
         raise SolverError("velocity is not finite; simulation aborted")
@@ -269,7 +253,6 @@ def _relative_drift(series: np.ndarray) -> np.ndarray:
 class SimRun:
     states: list
     monitor: MonitorLog
-    collected: list = field(default_factory=list)
 
     @property
     def final(self) -> SimState:
@@ -302,8 +285,7 @@ def run(
     If cfg.sample_times is set, steps are clipped so the trajectory lands
     exactly on those times (which must start at 0 and end at t_end);
     otherwise monitors fire every cfg.monitor_every steps.  `on_sample` is
-    invoked with the state at every sample; its return values, when not
-    None, are collected into SimRun.collected.  Setting keep_states=False
+    invoked with the state at every sample.  Setting keep_states=False
     keeps only the final state, to save memory.  Steps run on the half
     spectrum; sampled states are rebuilt in the full layout.
     """
@@ -326,7 +308,6 @@ def run(
 
     states: list[SimState] = []
     rows = []
-    collected: list = []
 
     def take_sample(s: SimState):
         sampled = SimState(s.t, full_spectrum(s.q), s.a, s.step_count)
@@ -334,9 +315,7 @@ def run(
             states.append(sampled)
         rows.append(_monitor_row(sampled))
         if on_sample is not None:
-            out = on_sample(sampled)
-            if out is not None:
-                collected.append(out)
+            on_sample(sampled)
 
     take_sample(state)
     if targets is not None:
@@ -355,7 +334,7 @@ def run(
     monitor = MonitorLog(*(np.asarray(c, dtype=float) for c in cols))
     if not keep_states:
         states = [SimState(state.t, full_spectrum(state.q), a, state.step_count)]
-    return SimRun(states, monitor, collected)
+    return SimRun(states, monitor)
 
 
 def save_checkpoint(state: SimState, path) -> None:

@@ -233,13 +233,6 @@ def restrict(f: SpectralField, coarse: Grid) -> SpectralField:
     return SpectralField(coarse, out)
 
 
-def hermitian_defect(f: SpectralField) -> float:
-    """Max deviation from the conjugate symmetry c(-k) = conj(c(k))."""
-    c = f.coeffs
-    mirrored = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
-    return float(np.max(np.abs(c - np.conj(mirrored))))
-
-
 def l2_norm(f: SpectralField) -> float:
     """L^2 norm over the torus via Parseval: 2*pi * sqrt(sum |c_k|^2)."""
     return TWO_PI * float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))

@@ -22,7 +22,7 @@ from alphaeuler import (
     velocity_rate_K,
     vorticity_rate_bound,
 )
-from alphaeuler.bounds import osgood_M
+from alphaeuler.bounds import linear_fit, osgood_M
 
 # frozen against 50-digit arithmetic (mpmath) on the closed forms
 K_001_T1 = 1.6176565479800037
@@ -267,3 +267,33 @@ class TestBesovFit:
         f = sample(g, lambda x1, x2: np.cos(x1) + np.sin(2 * x2))
         fit = besov_modulus_fit(f, 2.0)
         assert np.all(np.diff(fit.table[:, 1]) >= 0)
+
+
+class TestLinearFit:
+    def test_matches_scipy_linregress_bitwise(self):
+        from scipy.stats import linregress
+
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            n = int(rng.integers(3, 12))
+            x = np.log(rng.uniform(1e-4, 1.0, n))
+            y = rng.normal(size=n) * rng.uniform(0.0, 3.0) + x * rng.normal()
+            ref = linregress(x, y)
+            assert linear_fit(x, y) == (ref.slope, ref.intercept, ref.rvalue, ref.stderr)
+
+    def test_exact_line(self):
+        slope, intercept, r, stderr = linear_fit([0.0, 1.0, 2.0], [1.0, 3.0, 5.0])
+        assert (slope, intercept, r, stderr) == (2.0, 1.0, 1.0, 0.0)
+
+    def test_constant_y_has_nan_correlation(self):
+        slope, intercept, r, stderr = linear_fit([0.0, 1.0, 2.0], [4.0, 4.0, 4.0])
+        assert slope == 0.0 and intercept == 4.0
+        assert math.isnan(r) and math.isnan(stderr)
+
+    def test_equal_x_rejected(self):
+        with pytest.raises(ValueError, match="all x values are equal"):
+            linear_fit([1.0, 1.0, 1.0], [0.0, 1.0, 2.0])
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError):
+            linear_fit([0.0, 1.0], [0.0, 1.0])

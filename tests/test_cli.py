@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -147,3 +148,70 @@ class TestUsageErrors:
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("alpha,t,K,flow_bound,vort_bound")
+
+
+class TestSharedPipeline:
+    def test_sweep_persists_once(self, shear_cfg, tmp_path, monkeypatch):
+        import alphaeuler.harness as harness
+
+        calls = []
+        original = harness.persist_report
+
+        def counting(report, cfg):
+            calls.append(report)
+            original(report, cfg)
+
+        monkeypatch.setattr(harness, "persist_report", counting)
+        out = tmp_path / "out"
+        assert main(["sweep", "--config", str(shear_cfg), "--output", str(out)]) == 0
+        assert len(calls) == 1
+        assert calls[0].bounds is not None
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["bounds"] == {"exceeded": [], "rescaled_c": None}
+
+    def test_flows_matches_sweep_with_mollified_family(self, tmp_path):
+        # flows runs the sweep's reference and per-alpha path, approximating
+        # family included, so its columns equal the sweep's bit for bit
+        cfg = tmp_path / "mollified.cfg"
+        cfg.write_text(SHEAR_CFG + "family = mollified\n")
+        sweep_out, flows_out = tmp_path / "sweep", tmp_path / "flows"
+        assert main(["sweep", "--config", str(cfg), "--output", str(sweep_out)]) == 0
+        assert main(
+            ["flows", "--config", str(cfg), "--alpha", "0.5", "--output", str(flows_out)]
+        ) == 0
+
+        def table(path):
+            rows = [
+                line.split(",")
+                for line in path.read_text().splitlines()
+                if not line.startswith("#")
+            ]
+            return [dict(zip(rows[0], row)) for row in rows[1:]]
+
+        sweep_rows = [r for r in table(sweep_out / "sweep.csv") if r["alpha"] == "0.5"]
+        flows_rows = table(flows_out / "flows.csv")
+        assert len(flows_rows) == len(sweep_rows) == 5
+        assert [r["delta"] for r in flows_rows] == [r["delta"] for r in sweep_rows]
+        assert [r["mean_distance"] for r in flows_rows] == [r["flow_dist"] for r in sweep_rows]
+        # the mollified datum lags the reference from the start
+        assert float(flows_rows[-1]["delta"]) > 0.0
+
+    def test_misspelt_datum_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(SHEAR_CFG.replace("kind = shear", "kind = shear\nwavenumbr = 2"))
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "'wavenumbr'" in err and "'shear'" in err
+
+    def test_cli_import_skips_scipy_stats(self):
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys, alphaeuler.cli; print('scipy.stats' in sys.modules)",
+            ],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

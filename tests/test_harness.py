@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from alphaeuler import (
 from alphaeuler.harness import (
     CSV_COLUMNS,
     AlphaRecord,
-    _self_errors,
     sweep_csv_lines,
     summary_dict,
 )
@@ -37,6 +37,23 @@ samples = 4
 alphas = 0.5
 particle_stride = 4
 """
+
+
+def _self_errors(times, p_list):
+    """The record of a run compared against itself: every error is zero."""
+    zeros = np.zeros_like(times)
+    return AlphaRecord(
+        alpha=0.0,
+        times=times,
+        vel_l2_err=zeros.copy(),
+        vort_err={p: zeros.copy() for p in p_list},
+        flow_dist=zeros.copy(),
+        delta=zeros.copy(),
+        alphanorm_drift=zeros.copy(),
+        energy=zeros.copy(),
+        q_l2_drift=zeros.copy(),
+        gamma0=0.0,
+    )
 
 
 def smooth_config(**overrides):
@@ -77,6 +94,17 @@ class TestFitRate:
     def test_nonpositive_error_rejected(self):
         with pytest.raises(ValueError):
             fit_rate([(0.1, 1.0), (0.01, 0.0), (0.001, 0.1)])
+
+    def test_equal_alphas_rejected(self):
+        with pytest.raises(ValueError):
+            fit_rate([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)])
+
+    def test_ci95_is_student_t_quantile_times_stderr(self):
+        from scipy.stats import t as student_t
+
+        pairs = [(0.1, 0.31), (0.05, 0.2), (0.01, 0.11), (0.005, 0.06), (0.001, 0.03)]
+        fit = fit_rate(pairs)
+        assert fit.ci95 == float(student_t.ppf(0.975, len(pairs) - 2)) * fit.stderr
 
 
 class TestConfigValidation:
@@ -131,6 +159,35 @@ class TestConfigFile:
         with pytest.raises(ValueError):
             load_config(path)
 
+    def test_misspelt_datum_key_rejected(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "[datum]\nkind = disc_patch\nradus = 0.5\n[grid]\nn = 32\n"
+            "[time]\nt_end = 0.5\n[sweep]\nalphas = 0.5\n"
+        )
+        with pytest.raises(ValueError, match="'radus'.*'disc_patch'"):
+            load_config(path)
+
+    def test_demo_configs_load(self):
+        configs = sorted((Path(__file__).parent.parent / "demos" / "configs").glob("*.cfg"))
+        assert configs
+        for path in configs:
+            load_config(path)
+
+
+class TestDatumSpec:
+    def test_scale_accepted_for_every_kind(self):
+        for kind in ("smooth_random", "disc_patch", "fractal_patch", "shear"):
+            assert DatumSpec(kind, {"scale": "2.0"}).params == {"scale": "2.0"}
+
+    def test_unknown_key_names_key_and_kind(self):
+        with pytest.raises(ValueError, match="'seed'.*'shear'"):
+            DatumSpec("shear", {"seed": 3})
+
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown datum kind"):
+            DatumSpec("vortex_sheet")
+
 
 @pytest.fixture(scope="module")
 def shear_report():
@@ -171,6 +228,10 @@ class TestSteadyShearSweep:
 
     def test_reference_is_self_consistent(self, shear_report):
         assert shear_report.richardson_error < 1e-10
+
+    def test_default_bound_overlay(self, shear_report):
+        assert shear_report.bounds.params == BoundParams(horizon=1.0)
+        assert list(shear_report.bounds.curves) == [0.5]
 
 
 class TestSweepInvariants:

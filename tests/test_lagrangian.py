@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,21 @@ from alphaeuler import (
     torus_distance,
     velocity_l1_gap,
 )
-from alphaeuler.lagrangian import bicubic_sample, export_particles_csv, steady_history
+from alphaeuler.lagrangian import bicubic_sample
+
+
+def steady_history(u_phys, grid, t0, t1):
+    """History holding one time-independent field over [t0, t1]."""
+    return VelocityHistory([t0, t1], np.stack([u_phys, u_phys]), grid)
+
+
+def export_particles_csv(p, path):
+    """Particle snapshot as CSV with columns x1, x2, id."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x1", "x2", "id"])
+        for i, (x1, x2) in enumerate(p.positions):
+            writer.writerow([repr(float(x1)), repr(float(x2)), i])
 
 
 def constant_history(u1, u2, grid, t0=0.0, t1=10.0):

@@ -22,7 +22,7 @@ from alphaeuler import (
     to_physical,
     to_spectral,
 )
-from alphaeuler.solver import AdvectionStage, rhs_divergence_form, velocity
+from alphaeuler.solver import AdvectionStage, velocity
 from alphaeuler.spectral import (
     HalfSpectrum,
     full_spectrum,
@@ -58,6 +58,20 @@ def full_fft_advection(q, a, use_dealias=True):
         coeffs *= g.keep_mask
     coeffs[0, 0] = 0.0
     return coeffs, float(np.sqrt(u1**2 + u2**2).max())
+
+
+def rhs_divergence_form(q, a, use_dealias=True):
+    """Oracle: -div(u q), equal to `rhs` for divergence-free u."""
+    g = q.grid
+    u = velocity(q, a)
+    qp = to_physical(q).values
+    f1 = np.fft.fft2(to_physical(u.u1).values * qp) / (g.n * g.n)
+    f2 = np.fft.fft2(to_physical(u.u2).values * qp) / (g.n * g.n)
+    coeffs = -1j * (g.k1 * f1 + g.k2 * f2)
+    if use_dealias:
+        coeffs *= g.keep_mask
+    coeffs[0, 0] = 0.0
+    return SpectralField(g, coeffs)
 
 
 class TestRhs:

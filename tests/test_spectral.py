@@ -18,11 +18,17 @@ from alphaeuler.spectral import (
     HalfSpectrum,
     full_spectrum,
     half_spectrum,
-    hermitian_defect,
     l2_norm,
 )
 
 TOL = 1e-12
+
+
+def hermitian_defect(f):
+    """Max deviation from the conjugate symmetry c(-k) = conj(c(k))."""
+    c = f.coeffs
+    mirrored = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
+    return float(np.max(np.abs(c - np.conj(mirrored))))
 
 
 def random_field(grid, seed=0):
