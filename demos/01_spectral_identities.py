@@ -7,6 +7,7 @@ Run:  python3 demos/01_spectral_identities.py
 import numpy as np
 
 import alphaeuler as ae
+from alphaeuler.spectral import parseval_sum
 
 g = ae.Grid(64)
 print(f"grid: n={g.n}, dx={g.dx:.5f}, dealias band |k| <= {g.kmax_dealias}")
@@ -17,14 +18,15 @@ f = ae.sample(g, lambda x1, x2: np.cos(x1))
 q = ae.to_spectral(f)
 print(f"cos(x1) coefficient at k=(1,0): {q.coeffs[1, 0]:.6f}")
 
-# Round trip and Parseval.
+# Round trip and Parseval.  Only the k2 >= 0 half of the coefficients is
+# stored; parseval_sum counts each column 0 < k2 < n/2 for its mirror too.
 rng = np.random.default_rng(1)
 noise = ae.PhysicalField(g, rng.standard_normal((g.n, g.n)))
 spec = ae.to_spectral(noise)
 back = ae.to_physical(spec)
 print(f"transform round trip error: {np.abs(back.values - noise.values).max():.2e}")
 parseval_gap = abs(
-    (2 * np.pi) ** 2 * np.sum(np.abs(spec.coeffs) ** 2)
+    (2 * np.pi) ** 2 * parseval_sum(np.abs(spec.coeffs) ** 2)
     - np.sum(noise.values**2) * g.cell_area
 )
 print(f"Parseval gap: {parseval_gap:.2e}")

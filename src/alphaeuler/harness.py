@@ -28,7 +28,7 @@ from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
 from .lagrangian import VelocityHistory, advect_particles, seed_particles, velocity_l1_gap
 from .solver import SimRun, SimState, SolverConfig, SolverError, run
-from .spectral import TWO_PI, Grid, PhysicalField, SpectralField, restrict, to_physical
+from .spectral import TWO_PI, Grid, PhysicalField, SpectralField, parseval_sum, restrict, to_physical
 from .vorticity import AlphaParam, biot_savart, lp_norm, torus_distance, velocity_l2
 
 CSV_COLUMNS = (
@@ -347,7 +347,7 @@ def _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid) -> float:
     fa = 1.0 / (1.0 + alpha_a * grid.ksq)
     fb = 1.0 / (1.0 + alpha_b * grid.ksq)
     diff = qa.coeffs * fa - qb.coeffs * fb
-    return TWO_PI * math.sqrt(float(np.sum(np.abs(diff) ** 2 * grid.inv_ksq)))
+    return TWO_PI * math.sqrt(parseval_sum(np.abs(diff) ** 2 * grid.inv_ksq))
 
 
 def _run_alpha(alpha: float, ref: ReferenceRun, cfg: ExperimentConfig) -> AlphaRecord:

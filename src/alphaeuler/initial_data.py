@@ -19,9 +19,10 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     dealias_cutoff,
+    l2_norm,
     to_spectral,
 )
-from .vorticity import AlphaParam, helmholtz_filter_scalar, torus_distance
+from .vorticity import AlphaParam, _require_mean_zero, helmholtz_filter_scalar, torus_distance
 
 
 def smooth_random(
@@ -31,7 +32,8 @@ def smooth_random(
 
     Coefficients are drawn mode by mode in a fixed lattice order, so the
     same seed produces the same analytic field on every grid that resolves
-    it; modes are confined to the dealias band and the result is scaled to
+    it; a mode drawn with k2 < 0 is stored as the conjugate of its mirror.
+    Modes are confined to the dealias band and the result is scaled to
     unit L^2 norm.
     """
     if k_max < 1:
@@ -42,7 +44,7 @@ def smooth_random(
         )
     rng = np.random.default_rng(seed)
     n = grid.n
-    coeffs = np.zeros((n, n), dtype=np.complex128)
+    coeffs = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     for k1 in range(0, k_max + 1):
         for k2 in range(-k_max, k_max + 1):
             if k1 == 0 and k2 <= 0:
@@ -53,10 +55,11 @@ def smooth_random(
                 continue
             amp = 0.5 * mag_sq ** (-spectrum_slope / 2.0)
             c = amp * np.exp(1j * phase)
-            coeffs[k1 % n, k2 % n] = c
-            coeffs[-k1 % n, -k2 % n] = np.conj(c)
-    norm = TWO_PI * math.sqrt(float(np.sum(np.abs(coeffs) ** 2)))
-    coeffs /= norm
+            if k2 >= 0:
+                coeffs[k1, k2] = c
+            if k2 <= 0:
+                coeffs[-k1 % n, -k2] = np.conj(c)
+    coeffs /= l2_norm(SpectralField(grid, coeffs))
     return SpectralField(grid, coeffs)
 
 
@@ -229,9 +232,7 @@ def approximating_family(
 ) -> SpectralField:
     """Initial data family converging to omega0: either omega0 itself or
     its Helmholtz mollification at scale alpha."""
-    scale = max(1.0, float(np.max(np.abs(omega0.coeffs))))
-    if abs(omega0.coeffs[0, 0]) > 1e-12 * scale:
-        raise ValueError("omega0 must have zero mean")
+    _require_mean_zero(omega0, "omega0")
     if mode == "identity":
         return omega0.copy()
     if mode == "mollified":
@@ -242,7 +243,7 @@ def approximating_family(
 def shear(grid: Grid, wavenumber: int = 1) -> SpectralField:
     """The steady shear mode cos(wavenumber * x1)."""
     n = grid.n
-    coeffs = np.zeros((n, n), dtype=np.complex128)
+    coeffs = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     coeffs[wavenumber % n, 0] = 0.5
     coeffs[-wavenumber % n, 0] = 0.5
     return SpectralField(grid, coeffs)

@@ -6,21 +6,19 @@ solver: the filter is then an exact identity).  The nonlinear term is
 formed pseudo-spectrally and dealiased; time stepping is classical
 four-stage Runge-Kutta with a CFL-limited step.
 
-Stepping works on the ``rfft2`` half spectrum (``HalfSpectrum``, shape
-(n, n//2 + 1)).  An ``AdvectionStage`` holds the operator tables of one
-(grid, alpha, dealias) choice as a (4, n, n//2 + 1) stack: the filtered
-Biot-Savart multipliers of u1 and u2 and the derivatives d1, d2, each odd
-in some k_j and zeroed on the k_j = n/2 Nyquist line, plus the negated
-dealias mask with the mean mode zeroed.  One stage multiplies the stack by q, does one batched inverse
-real FFT to get (u1, u2, d1 q, d2 q), forms u . grad q and does one forward
-real FFT.  Transforms use ``norm="forward"``, which is the package's
-coefficient convention exactly because the power-of-two scaling is exact.
+States hold q as a ``SpectralField``, the ``rfft2`` half spectrum of shape
+(n, n//2 + 1).  An ``AdvectionStage`` holds the operator tables of one
+(grid, alpha, dealias) choice as a (4, n, n//2 + 1) stack built from the
+``Grid`` tables: the filtered Biot-Savart multipliers of u1 and u2 and the
+derivatives d1, d2, each odd in some k_j and zeroed on the k_j = n/2
+Nyquist line, plus the negated dealias mask with the mean mode zeroed.
+One stage multiplies the stack by q, does one batched inverse real FFT to
+get (u1, u2, d1 q, d2 q), forms u . grad q and does one forward real FFT.
+``run`` builds one stage per run and hands it to every ``step``.
 
-``run`` builds one stage per run, converts the initial state to the half
-layout once and rebuilds the full layout (``SpectralField``) only at sample
-times: the states it returns and hands to ``on_sample`` are full-spectrum,
-as are checkpoints.  ``step`` and ``rhs`` accept full-spectrum input too
-and convert on the way in and out.
+Checkpoints keep the full (n, n) coefficient array on disk: saving expands
+the half spectrum by conjugate symmetry, and loading checks that symmetry
+and keeps the stored half.
 """
 
 from __future__ import annotations
@@ -30,15 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import (
-    Grid,
-    HalfSpectrum,
-    SpectralField,
-    dealias,
-    full_spectrum,
-    half_spectrum,
-    to_physical,
-)
+from .spectral import Grid, SpectralField, dealias, to_physical
 from .vorticity import (
     AlphaParam,
     VelocityField,
@@ -55,6 +45,9 @@ CFL_SPEED_FLOOR = 1e-12
 CHECKPOINT_MAGIC = b"AEUL"
 CHECKPOINT_VERSION = 1
 _HEADER = struct.Struct("<4sIIdd")
+# Largest |c(k) - conj(c(-k))| of a loaded checkpoint, relative to
+# max(1, max |c_k|): transform roundoff; beyond it the file holds no real field.
+SYMMETRY_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -66,7 +59,6 @@ class SolverConfig:
     t_end: float
     cfl: float = 0.5
     dealias: bool = True
-    monitor_every: int = 1
     sample_times: np.ndarray | None = None
     fixed_dt: float | None = None  # bypass the CFL choice (convergence studies)
 
@@ -75,19 +67,16 @@ class SolverConfig:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
         if self.t_end < 0.0:
             raise ValueError("t_end must be nonnegative")
-        if self.monitor_every < 1:
-            raise ValueError("monitor_every must be a positive integer")
         if self.fixed_dt is not None and self.fixed_dt <= 0.0:
             raise ValueError("fixed_dt must be positive")
 
 
 @dataclass
 class SimState:
-    """Solver state.  q is a SpectralField everywhere outside the solver;
-    inside `run` it is the HalfSpectrum that `step` advances."""
+    """Solver state: time, vorticity, filter scale and steps taken."""
 
     t: float
-    q: SpectralField | HalfSpectrum
+    q: SpectralField
     a: AlphaParam
     step_count: int = 0
 
@@ -102,13 +91,12 @@ def velocity(q: SpectralField, a: AlphaParam) -> VelocityField:
 
 
 class AdvectionStage:
-    """-u . grad q on the half spectrum, for one (grid, alpha, dealias).
+    """-u . grad q for one (grid, alpha, dealias).
 
-    Calling the stage with half-spectrum coefficients returns the
-    half-spectrum coefficients of -u . grad q (dealiased if requested,
-    mean exactly zero) and the largest collocation speed |u|.  The work
-    buffers make an instance usable by one thread at a time: build one per
-    run.
+    Calling the stage with the coefficients of q returns the coefficients
+    of -u . grad q (dealiased if requested, mean exactly zero) and the
+    largest collocation speed |u|.  The work buffers make an instance
+    usable by one thread at a time: build one per run.
     """
 
     def __init__(self, grid: Grid, a: AlphaParam, use_dealias: bool = True):
@@ -117,9 +105,8 @@ class AdvectionStage:
         self.grid = grid
         self.alpha = a.alpha
         self.use_dealias = use_dealias
-        k1 = grid.k1
-        k2 = grid.k2[:, : nh + 1]
-        bs = grid.inv_ksq[:, : nh + 1] / (1.0 + a.alpha * grid.ksq[:, : nh + 1])
+        k1, k2 = grid.k1, grid.k2
+        bs = grid.inv_ksq / (1.0 + a.alpha * grid.ksq)
         # Multipliers odd in k_j lose their k_j = n/2 line: that sine mode
         # vanishes at the collocation points.
         mult = np.empty((4, n, nh + 1), dtype=np.complex128)
@@ -132,16 +119,16 @@ class AdvectionStage:
         self.mult = mult
         post = np.full((n, nh + 1), -1.0)
         if use_dealias:
-            post[~grid.keep_mask[:, : nh + 1]] = 0.0
+            post[~grid.keep_mask] = 0.0
         post[0, 0] = 0.0
         self.post = post
         self._spec = np.empty_like(mult)
         self._phys = np.empty((4, n, n))
         self._prod = np.empty((n, n))
 
-    def __call__(self, qh: np.ndarray) -> tuple[np.ndarray, float]:
+    def __call__(self, q: np.ndarray) -> tuple[np.ndarray, float]:
         n = self.grid.n
-        np.multiply(self.mult, qh, out=self._spec)
+        np.multiply(self.mult, q, out=self._spec)
         u1, u2, dq1, dq2 = np.fft.irfft2(
             self._spec, s=(n, n), norm="forward", out=self._phys
         )
@@ -157,8 +144,8 @@ class AdvectionStage:
 def rhs(q: SpectralField, a: AlphaParam, use_dealias: bool = True) -> SpectralField:
     """-u^alpha . grad q, dealiased and exactly mean-free."""
     _require_mean_zero(q, "vorticity passed to the right-hand side")
-    coeffs, _ = AdvectionStage(q.grid, a, use_dealias)(half_spectrum(q).coeffs)
-    return full_spectrum(HalfSpectrum(q.grid, coeffs))
+    coeffs, _ = AdvectionStage(q.grid, a, use_dealias)(q.coeffs)
+    return SpectralField(q.grid, coeffs)
 
 
 def cfl_timestep(speed: float, grid: Grid, cfl: float) -> float:
@@ -175,8 +162,6 @@ def step(
 ) -> SimState:
     """One RK4 step; dt is CFL-limited and optionally capped by max_dt.
 
-    The new state has the layout of the given one: full spectrum for a
-    SpectralField q, half spectrum for a HalfSpectrum q (as inside `run`).
     `stage` passes in the AdvectionStage of the state's grid and alpha so
     its tables are reused; by default one is built for this step.
     """
@@ -188,10 +173,8 @@ def step(
         raise ValueError(
             "the advection stage was built for another grid, alpha or dealias"
         )
-    half = isinstance(state.q, HalfSpectrum)
-    if not half:
-        _require_mean_zero(state.q, "vorticity passed to the RK4 step")
-    q0 = state.q.coeffs if half else half_spectrum(state.q).coeffs
+    _require_mean_zero(state.q, "vorticity passed to the RK4 step")
+    q0 = state.q.coeffs
 
     k1, speed = stage(q0)
     if not np.isfinite(speed):
@@ -218,10 +201,7 @@ def step(
             f"non-finite vorticity after the RK4 step at t={state.t}, "
             f"step {state.step_count}"
         )
-    q_out = HalfSpectrum(g, q_new)
-    return SimState(
-        state.t + dt, q_out if half else full_spectrum(q_out), a, state.step_count + 1
-    )
+    return SimState(state.t + dt, SpectralField(g, q_new), a, state.step_count + 1)
 
 
 @dataclass
@@ -284,18 +264,15 @@ def run(
 
     If cfg.sample_times is set, steps are clipped so the trajectory lands
     exactly on those times (which must start at 0 and end at t_end);
-    otherwise monitors fire every cfg.monitor_every steps.  `on_sample` is
-    invoked with the state at every sample.  Setting keep_states=False
-    keeps only the final state, to save memory.  Steps run on the half
-    spectrum; sampled states are rebuilt in the full layout.
+    otherwise monitors fire after every step.  `on_sample` is invoked with
+    the state at every sample.  Setting keep_states=False keeps only the
+    final state, to save memory.
     """
-    scale = max(1.0, float(np.max(np.abs(q0.coeffs))))
-    if abs(q0.coeffs[0, 0]) > 1e-12 * scale:
-        raise ValueError("initial vorticity must have zero mean")
+    _require_mean_zero(q0, "initial vorticity")
     q_start = dealias(q0).coeffs if cfg.dealias else q0.coeffs.copy()
     q_start[0, 0] = 0.0
     stage = AdvectionStage(q0.grid, a, cfg.dealias)
-    state = SimState(0.0, half_spectrum(SpectralField(q0.grid, q_start)), a)
+    state = SimState(0.0, SpectralField(q0.grid, q_start), a)
 
     if cfg.sample_times is not None:
         targets = np.asarray(cfg.sample_times, dtype=float)
@@ -310,47 +287,61 @@ def run(
     rows = []
 
     def take_sample(s: SimState):
-        sampled = SimState(s.t, full_spectrum(s.q), s.a, s.step_count)
         if keep_states:
-            states.append(sampled)
-        rows.append(_monitor_row(sampled))
+            states.append(s)
+        rows.append(_monitor_row(s))
         if on_sample is not None:
-            on_sample(sampled)
+            on_sample(s)
 
     take_sample(state)
     if targets is not None:
         for target in targets[1:]:
             while state.t < target - 1e-13:
                 state = step(state, cfg, max_dt=target - state.t, stage=stage)
-            state.t = target
+            state = SimState(target, state.q, a, state.step_count)
             take_sample(state)
     else:
         while state.t < cfg.t_end - 1e-13:
             state = step(state, cfg, max_dt=cfg.t_end - state.t, stage=stage)
-            if state.step_count % cfg.monitor_every == 0 or state.t >= cfg.t_end - 1e-13:
-                take_sample(state)
+            take_sample(state)
 
     cols = list(zip(*rows))
     monitor = MonitorLog(*(np.asarray(c, dtype=float) for c in cols))
     if not keep_states:
-        states = [SimState(state.t, full_spectrum(state.q), a, state.step_count)]
+        states = [state]
     return SimRun(states, monitor)
 
 
+def _full_coeffs(q: SpectralField) -> np.ndarray:
+    """The full (n, n) coefficient array in FFT order: the stored k2 >= 0
+    columns and their conjugate mirror c(-k) = conj(c(k))."""
+    n = q.grid.n
+    nh = n // 2
+    out = np.empty((n, n), dtype=np.complex128)
+    out[:, : nh + 1] = q.coeffs
+    np.conjugate(q.coeffs[-np.arange(n) % n, nh - 1 : 0 : -1], out=out[:, nh + 1 :])
+    return out
+
+
 def save_checkpoint(state: SimState, path) -> None:
-    """Binary snapshot: magic, version, n, alpha, t, then the coefficients
-    as little-endian interleaved (re, im) float64 in row-major order."""
+    """Binary snapshot: magic, version, n, alpha, t, then the full (n, n)
+    coefficient array as little-endian interleaved (re, im) float64 in
+    row-major order."""
     g = state.grid
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, g.n, state.a.alpha, state.t
     )
-    payload = np.ascontiguousarray(state.q.coeffs).astype("<c16", copy=False)
+    payload = _full_coeffs(state.q).astype("<c16", copy=False)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload.tobytes())
 
 
 def load_checkpoint(path) -> SimState:
+    """Read a snapshot written by `save_checkpoint`.  Raises ValueError for
+    a malformed file: bad header or size, non-finite coefficients, nonzero
+    mean, or coefficients that are not conjugate-symmetric to within
+    SYMMETRY_TOL (not a real field)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -368,4 +359,14 @@ def load_checkpoint(path) -> SimState:
         .reshape(n, n)
         .astype(np.complex128)
     )
-    return SimState(t, SpectralField(Grid(n), coeffs), AlphaParam(alpha))
+    if not np.isfinite(coeffs).all():
+        raise ValueError("checkpoint coefficients are not finite")
+    q = SpectralField(Grid(n), coeffs[:, : n // 2 + 1].copy())
+    _require_mean_zero(q, "checkpoint vorticity")
+    mirror = -np.arange(n) % n
+    defect = float(np.max(np.abs(coeffs - np.conj(coeffs[np.ix_(mirror, mirror)]))))
+    if defect > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(coeffs)))):
+        raise ValueError(
+            f"checkpoint coefficients are not conjugate-symmetric (defect {defect:.3e})"
+        )
+    return SimState(t, q, AlphaParam(alpha))

@@ -1,16 +1,21 @@
 """Periodic grid, Fourier transforms, spectral differentiation and dealiasing.
 
 Real scalar fields on the 2*pi-periodic square torus are stored either as
-collocation samples (``PhysicalField``) or as a full complex array of
-Fourier-series coefficients (``SpectralField``) indexed by integer
-wavenumbers in FFT order.  The coefficient convention is
+collocation samples (``PhysicalField``) or as Fourier-series coefficients
+(``SpectralField``).  The coefficient convention is
 
     f(x) = sum_k c_k exp(i k . x),
 
 so ``cos(x1)`` has coefficients 1/2 at k = (1, 0) and k = (-1, 0), and the
-k = (0, 0) coefficient is the mean of the field.  ``HalfSpectrum`` holds the
-same coefficients in the ``rfft2`` layout, the k2 >= 0 half, which the
-solver steps with.
+k = (0, 0) coefficient is the mean of the field.
+
+A real field satisfies c(-k) = conj(c(k)), so only the ``rfft2`` half
+spectrum is stored: shape (n, n//2 + 1), rows k1 in FFT order and columns
+k2 = 0 .. n/2.  The ``Grid`` wavenumber tables have the same layout, and
+``to_spectral``/``to_physical`` are one ``rfft2``/``irfft2`` each with
+``norm="forward"``, which is the coefficient convention exactly because the
+power-of-two scaling is exact.  Sums over the whole lattice of a quantity
+even in k go through ``parseval_sum``, which owns the column weights.
 """
 
 from __future__ import annotations
@@ -37,10 +42,11 @@ def dealias_cutoff(n: int) -> int:
 
 
 def dealias_mask(n: int) -> np.ndarray:
-    """Boolean keep-mask over the (k1, k2) wavenumber lattice in FFT order."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    keep = np.abs(k) <= dealias_cutoff(n)
-    return keep[:, None] & keep[None, :]
+    """Boolean keep-mask over the half-spectrum (k1, k2 >= 0) lattice."""
+    cutoff = dealias_cutoff(n)
+    keep1 = np.abs(np.fft.fftfreq(n, d=1.0 / n)) <= cutoff
+    keep2 = np.fft.rfftfreq(n, d=1.0 / n) <= cutoff
+    return keep1[:, None] & keep2[None, :]
 
 
 @dataclass(frozen=True)
@@ -82,8 +88,8 @@ class Grid:
 
     @cached_property
     def k2(self) -> np.ndarray:
-        """Integer wavenumbers along axis 2, shape (1, n)."""
-        return np.fft.fftfreq(self.n, d=1.0 / self.n)[None, :]
+        """Nonnegative wavenumbers along axis 2, shape (1, n//2 + 1)."""
+        return np.fft.rfftfreq(self.n, d=1.0 / self.n)[None, :]
 
     @cached_property
     def ksq(self) -> np.ndarray:
@@ -92,7 +98,7 @@ class Grid:
     @cached_property
     def inv_ksq(self) -> np.ndarray:
         """1/|k|^2 with the k = 0 entry set to zero (mean-zero inversion)."""
-        inv = np.zeros((self.n, self.n))
+        inv = np.zeros(self.ksq.shape)
         np.divide(1.0, self.ksq, out=inv, where=self.ksq > 0)
         return inv
 
@@ -121,13 +127,15 @@ class PhysicalField:
 
 @dataclass(frozen=True)
 class SpectralField:
-    """Real scalar field stored as complex Fourier coefficients in FFT order."""
+    """Real scalar field stored as its ``rfft2`` half spectrum: complex
+    coefficients of shape (n, n//2 + 1), the k2 >= 0 columns; the k2 < 0
+    columns follow from c(-k) = conj(c(k))."""
 
     grid: Grid
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.coeffs.shape != (self.grid.n, self.grid.n):
+        if self.coeffs.shape != (self.grid.n, self.grid.n // 2 + 1):
             raise ValueError("coefficient array shape does not match grid")
         if self.coeffs.dtype != np.complex128:
             raise ValueError("coefficients must be complex128")
@@ -140,42 +148,6 @@ class SpectralField:
         return SpectralField(self.grid, self.coeffs.copy())
 
 
-@dataclass(frozen=True)
-class HalfSpectrum:
-    """Real scalar field stored as its ``rfft2`` half spectrum.
-
-    ``coeffs`` holds the k2 >= 0 columns of the full coefficient array,
-    shape (n, n//2 + 1); the k2 < 0 columns follow from the conjugate
-    symmetry c(-k) = conj(c(k)) of a real field.
-    """
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.grid.n, self.grid.n // 2 + 1):
-            raise ValueError("half-spectrum shape does not match grid")
-        if self.coeffs.dtype != np.complex128:
-            raise ValueError("coefficients must be complex128")
-
-
-def half_spectrum(f: SpectralField) -> HalfSpectrum:
-    """The k2 >= 0 columns of f, copied."""
-    return HalfSpectrum(f.grid, f.coeffs[:, : f.grid.n // 2 + 1].copy())
-
-
-def full_spectrum(h: HalfSpectrum) -> SpectralField:
-    """Full coefficient array rebuilt from a half spectrum by conjugate
-    symmetry; the stored columns are copied unchanged."""
-    n = h.grid.n
-    nh = n // 2
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, : nh + 1] = h.coeffs
-    mirror_rows = -np.arange(n) % n
-    np.conjugate(h.coeffs[mirror_rows, nh - 1 : 0 : -1], out=out[:, nh + 1 :])
-    return SpectralField(h.grid, out)
-
-
 def sample(grid: Grid, fn) -> PhysicalField:
     """Evaluate fn(X1, X2) on the collocation mesh."""
     x1, x2 = grid.mesh
@@ -183,13 +155,12 @@ def sample(grid: Grid, fn) -> PhysicalField:
 
 
 def to_spectral(f: PhysicalField) -> SpectralField:
-    n = f.grid.n
-    return SpectralField(f.grid, np.fft.fft2(f.values) / (n * n))
+    return SpectralField(f.grid, np.fft.rfft2(f.values, norm="forward"))
 
 
 def to_physical(f: SpectralField) -> PhysicalField:
     n = f.grid.n
-    return PhysicalField(f.grid, np.fft.ifft2(f.coeffs).real * (n * n))
+    return PhysicalField(f.grid, np.fft.irfft2(f.coeffs, s=(n, n), norm="forward"))
 
 
 def spectral_derivative(f: SpectralField, axis: int) -> SpectralField:
@@ -220,19 +191,27 @@ def restrict(f: SpectralField, coarse: Grid) -> SpectralField:
 
     Keeps the modes inside the coarse grid's dealias band; coefficients are
     resolution-independent under the Fourier-series convention, so this is a
-    plain copy of the retained entries.
+    plain copy of the rows of every signed k1 in the band, columns 0..kmax.
     """
     if coarse.n > f.grid.n:
         raise ValueError("target grid must not be finer than the source")
     kmax = coarse.kmax_dealias
-    ks = np.concatenate([np.arange(0, kmax + 1), np.arange(-kmax, 0)])
-    fine_idx = ks % f.grid.n
-    coarse_idx = ks % coarse.n
-    out = np.zeros((coarse.n, coarse.n), dtype=np.complex128)
-    out[np.ix_(coarse_idx, coarse_idx)] = f.coeffs[np.ix_(fine_idx, fine_idx)]
+    k1 = np.concatenate([np.arange(0, kmax + 1), np.arange(-kmax, 0)])
+    out = np.zeros((coarse.n, coarse.n // 2 + 1), dtype=np.complex128)
+    out[k1 % coarse.n, : kmax + 1] = f.coeffs[k1 % f.grid.n, : kmax + 1]
     return SpectralField(coarse, out)
+
+
+def parseval_sum(density: np.ndarray) -> float:
+    """Sum over the whole (k1, k2) lattice of a density even in k, given on
+    the half spectrum.  Columns k2 = 0 and n/2 are their own mirror image and
+    count once; every other column also stands for its k2 < 0 mirror and
+    counts twice."""
+    weight = np.full(density.shape[-1], 2.0)
+    weight[0] = weight[-1] = 1.0
+    return float(np.sum(density * weight))
 
 
 def l2_norm(f: SpectralField) -> float:
     """L^2 norm over the torus via Parseval: 2*pi * sqrt(sum |c_k|^2)."""
-    return TWO_PI * float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
+    return TWO_PI * float(np.sqrt(parseval_sum(np.abs(f.coeffs) ** 2)))

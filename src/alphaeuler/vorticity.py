@@ -18,6 +18,8 @@ from .spectral import (
     Grid,
     PhysicalField,
     SpectralField,
+    parseval_sum,
+    spectral_derivative,
     to_physical,
 )
 
@@ -56,8 +58,10 @@ class VelocityField:
 
 
 def _require_mean_zero(q: SpectralField, what: str) -> None:
-    scale = max(1.0, float(np.max(np.abs(q.coeffs))))
-    if abs(q.coeffs[0, 0]) > MEAN_TOL * scale:
+    """Reject |mean| > MEAN_TOL * max(1, max |c_k|); an exactly zero mean,
+    as inside a run, skips the scan for the largest coefficient."""
+    mean = abs(q.coeffs[0, 0])
+    if mean > MEAN_TOL and mean > MEAN_TOL * float(np.max(np.abs(q.coeffs))):
         raise ValueError(f"{what} must have zero mean on the torus")
 
 
@@ -65,14 +69,15 @@ def biot_savart(q: SpectralField) -> VelocityField:
     """Divergence-free velocity with curl v = q (curl = d1 v2 - d2 v1).
 
     Spectrally v_hat(k) = i (k2, -k1) q_hat(k) / |k|^2 for k != 0 and
-    v_hat(0) = 0; requires the mean of q to vanish.
+    v_hat(0) = 0, with the derivatives zeroed on their Nyquist line as in
+    `spectral_derivative`, so v is the velocity of the collocation field;
+    requires the mean of q to vanish.
     """
     _require_mean_zero(q, "vorticity passed to the Biot-Savart solve")
     g = q.grid
-    base = q.coeffs * g.inv_ksq
-    u1 = 1j * g.k2 * base
-    u2 = -1j * g.k1 * base
-    return VelocityField(SpectralField(g, u1), SpectralField(g, u2))
+    psi = SpectralField(g, q.coeffs * g.inv_ksq)
+    u2 = spectral_derivative(psi, 1)
+    return VelocityField(spectral_derivative(psi, 2), SpectralField(g, -u2.coeffs))
 
 
 def helmholtz_factor(grid: Grid, a: AlphaParam) -> np.ndarray:
@@ -100,13 +105,13 @@ def helmholtz_unfilter(u: VelocityField, a: AlphaParam) -> VelocityField:
 
 
 def divergence(u: VelocityField) -> SpectralField:
-    g = u.grid
-    return SpectralField(g, 1j * (g.k1 * u.u1.coeffs + g.k2 * u.u2.coeffs))
+    d1u1, d2u2 = spectral_derivative(u.u1, 1), spectral_derivative(u.u2, 2)
+    return SpectralField(u.grid, d1u1.coeffs + d2u2.coeffs)
 
 
 def curl(u: VelocityField) -> SpectralField:
-    g = u.grid
-    return SpectralField(g, 1j * (g.k1 * u.u2.coeffs - g.k2 * u.u1.coeffs))
+    d1u2, d2u1 = spectral_derivative(u.u2, 1), spectral_derivative(u.u1, 2)
+    return SpectralField(u.grid, d1u2.coeffs - d2u1.coeffs)
 
 
 def lp_norm(f: PhysicalField, p: float) -> float:
@@ -120,8 +125,7 @@ def lp_norm(f: PhysicalField, p: float) -> float:
 
 
 def _coeff_weighted_sq(u: VelocityField, weight) -> float:
-    total = np.sum(weight * (np.abs(u.u1.coeffs) ** 2 + np.abs(u.u2.coeffs) ** 2))
-    return float(total)
+    return parseval_sum(weight * (np.abs(u.u1.coeffs) ** 2 + np.abs(u.u2.coeffs) ** 2))
 
 
 def velocity_l2(u: VelocityField) -> float:
@@ -183,8 +187,6 @@ def scaling_monitor(q: SpectralField, a: AlphaParam, p: float) -> ScalingMonitor
 def calderon_zygmund_ratio(q: SpectralField, p: float) -> float:
     """||grad(biot_savart q)||_{L^p} / ||q||_{L^p} with the pointwise
     Frobenius magnitude of the velocity gradient."""
-    from .spectral import spectral_derivative
-
     v = biot_savart(q)
     parts = [
         to_physical(spectral_derivative(comp, axis)).values

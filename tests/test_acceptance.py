@@ -124,7 +124,7 @@ def test_criterion_1_spectral_identities():
         for i2 in range(8):
             phases = np.exp(-1j * (ks[i1] * x[:, None] + ks[i2] * x[None, :]))
             slow[i1, i2] = np.sum(f8.values * phases) / 64.0
-    dft_err = np.abs(fast - slow).max()
+    dft_err = np.abs(fast - slow[:, :5]).max()  # the stored k2 >= 0 columns
 
     ok = div < 1e-12 and curl_err < 1e-12 and filt_err < 1e-12 and rt < 1e-12 and dft_err < 1e-12
     assert criterion(

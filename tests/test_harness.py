@@ -299,6 +299,7 @@ class TestSweepInvariants:
             to_physical,
         )
         from alphaeuler.harness import CSV_PS, compare_states
+        from alphaeuler.spectral import parseval_sum
 
         g = Grid(32)
         times = np.linspace(0.0, 0.2, 3)
@@ -309,7 +310,7 @@ class TestSweepInvariants:
         filt = 1.0 / (1.0 + 0.1 * g.ksq)
         for j, (qa, qb) in enumerate(zip(qs_a, qs_b)):
             diff = qa.coeffs * filt - qb.coeffs
-            expected = 2 * np.pi * np.sqrt(np.sum(np.abs(diff) ** 2 * g.inv_ksq))
+            expected = 2 * np.pi * np.sqrt(parseval_sum(np.abs(diff) ** 2 * g.inv_ksq))
             assert vel[j] == expected
         for p in CSV_PS:
             expected = [

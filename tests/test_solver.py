@@ -23,12 +23,7 @@ from alphaeuler import (
     to_spectral,
 )
 from alphaeuler.solver import AdvectionStage, velocity
-from alphaeuler.spectral import (
-    HalfSpectrum,
-    full_spectrum,
-    half_spectrum,
-    spectral_derivative,
-)
+from alphaeuler.spectral import spectral_derivative
 
 
 def scaled(field, factor):
@@ -44,16 +39,16 @@ def random_vorticity(grid, seed=0):
 
 
 def full_fft_advection(q, a, use_dealias=True):
-    """Oracle: the full-spectrum stage, four complex inverse FFTs of the
-    filtered Biot-Savart velocity and the gradient, one forward FFT.
-    Returns (-u . grad q coefficients, max speed)."""
+    """Oracle: four separate inverse transforms of the filtered Biot-Savart
+    velocity and the gradient, one full complex forward FFT.  Returns
+    (-u . grad q coefficients on the stored half columns, max speed)."""
     g = q.grid
     u = velocity(q, a)
     u1 = to_physical(u.u1).values
     u2 = to_physical(u.u2).values
     dq1 = to_physical(spectral_derivative(q, 1)).values
     dq2 = to_physical(spectral_derivative(q, 2)).values
-    coeffs = -np.fft.fft2(u1 * dq1 + u2 * dq2) / (g.n * g.n)
+    coeffs = -np.fft.fft2(u1 * dq1 + u2 * dq2)[:, : g.n // 2 + 1] / (g.n * g.n)
     if use_dealias:
         coeffs *= g.keep_mask
     coeffs[0, 0] = 0.0
@@ -65,8 +60,8 @@ def rhs_divergence_form(q, a, use_dealias=True):
     g = q.grid
     u = velocity(q, a)
     qp = to_physical(q).values
-    f1 = np.fft.fft2(to_physical(u.u1).values * qp) / (g.n * g.n)
-    f2 = np.fft.fft2(to_physical(u.u2).values * qp) / (g.n * g.n)
+    f1 = np.fft.fft2(to_physical(u.u1).values * qp)[:, : g.n // 2 + 1] / (g.n * g.n)
+    f2 = np.fft.fft2(to_physical(u.u2).values * qp)[:, : g.n // 2 + 1] / (g.n * g.n)
     coeffs = -1j * (g.k1 * f1 + g.k2 * f2)
     if use_dealias:
         coeffs *= g.keep_mask
@@ -77,7 +72,7 @@ def rhs_divergence_form(q, a, use_dealias=True):
 class TestRhs:
     def test_zero_field(self):
         g = Grid(16)
-        q = SpectralField(g, np.zeros((16, 16), dtype=np.complex128))
+        q = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
         assert np.abs(rhs(q, AlphaParam(0.3)).coeffs).max() == 0.0
 
     @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -124,8 +119,7 @@ class TestRhs:
         q = random_vorticity(g, seed=6)
 
         def euler_rhs(qf):
-            k1, k2 = g.k1, g.k2[:, : nh + 1]
-            inv = g.inv_ksq[:, : nh + 1]
+            k1, k2, inv = g.k1, g.k2, g.inv_ksq
             mult = np.stack(
                 [
                     np.broadcast_to(m, (n, nh + 1))
@@ -134,15 +128,13 @@ class TestRhs:
             )
             mult[[1, 2], nh, :] = 0.0
             mult[[0, 3], :, nh] = 0.0
-            u1, u2, dq1, dq2 = np.fft.irfft2(
-                mult * qf.coeffs[:, : nh + 1], s=(n, n), norm="forward"
-            )
+            u1, u2, dq1, dq2 = np.fft.irfft2(mult * qf.coeffs, s=(n, n), norm="forward")
             coeffs = -np.fft.rfft2(u1 * dq1 + u2 * dq2, norm="forward")
-            coeffs *= g.keep_mask[:, : nh + 1]
+            coeffs *= g.keep_mask
             coeffs[0, 0] = 0.0
             return coeffs
 
-        ours = rhs(q, AlphaParam(0.0)).coeffs[:, : nh + 1]
+        ours = rhs(q, AlphaParam(0.0)).coeffs
         assert np.array_equal(ours, euler_rhs(q))
 
     @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
@@ -153,8 +145,7 @@ class TestRhs:
         q = random_vorticity(g, seed=n)
         a = AlphaParam(alpha)
         expected, expected_speed = full_fft_advection(q, a, use_dealias)
-        coeffs, speed = AdvectionStage(g, a, use_dealias)(half_spectrum(q).coeffs)
-        got = full_spectrum(HalfSpectrum(g, coeffs)).coeffs
+        got, speed = AdvectionStage(g, a, use_dealias)(q.coeffs)
         scale = np.abs(expected).max()
         assert np.abs(got - expected).max() <= 1e-14 * scale
         assert speed == pytest.approx(expected_speed, rel=1e-14)
@@ -180,7 +171,7 @@ class TestStep:
 
     def test_zero_field_fixed(self):
         g = Grid(16)
-        q0 = SpectralField(g, np.zeros((16, 16), dtype=np.complex128))
+        q0 = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
         s = step(SimState(0.0, q0, AlphaParam(0.0)), SolverConfig(t_end=1.0))
         assert np.abs(s.q.coeffs).max() == 0.0
         assert s.t > 0  # the floor speed keeps dt finite
@@ -188,13 +179,13 @@ class TestStep:
     def test_mean_zero_along_run(self):
         g = Grid(64)
         q0 = scaled(smooth_random(1, 2.0, 5, g), 5.0)
-        sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.5, monitor_every=1))
+        sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.5))
         for s in sim.states:
             assert abs(s.q.coeffs[0, 0]) < 1e-13
 
     def test_nonfinite_velocity_aborts(self):
         g = Grid(16)
-        coeffs = np.zeros((16, 16), dtype=np.complex128)
+        coeffs = np.zeros((16, 9), dtype=np.complex128)
         coeffs[1, 0] = np.nan
         with pytest.raises(SolverError):
             step(SimState(0.0, SpectralField(g, coeffs), AlphaParam(0.0)), SolverConfig(t_end=1.0))
@@ -247,14 +238,14 @@ class TestRun:
 
     def test_rejects_nonzero_mean(self):
         g = Grid(16)
-        coeffs = np.zeros((16, 16), dtype=np.complex128)
+        coeffs = np.zeros((16, 9), dtype=np.complex128)
         coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
             run(SpectralField(g, coeffs), AlphaParam(0.0), SolverConfig(t_end=0.1))
 
     def test_zero_field_run_has_zero_drift(self):
         g = Grid(16)
-        q0 = SpectralField(g, np.zeros((16, 16), dtype=np.complex128))
+        q0 = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
         sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.1))
         assert sim.monitor.alpha_norm_drift().max() == 0.0
         assert sim.monitor.q_l2_drift().max() == 0.0
@@ -382,3 +373,37 @@ class TestCheckpoint:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError):
             load_checkpoint(path)
+
+    @staticmethod
+    def _edited(tmp_path, edits):
+        """A checkpoint of a smooth field whose full on-disk array has the
+        given entries overwritten."""
+        import struct
+
+        path = tmp_path / "state.aeul"
+        q = smooth_random(3, 2.0, 4, Grid(16))
+        save_checkpoint(SimState(0.0, q, AlphaParam(0.1)), path)
+        raw = path.read_bytes()
+        head = struct.calcsize("<4sIIdd")
+        full = np.frombuffer(raw, dtype="<c16", offset=head).reshape(16, 16).copy()
+        for index, value in edits.items():
+            full[index] = value
+        path.write_bytes(raw[:head] + full.tobytes())
+        return path
+
+    def test_rejects_nonfinite_coefficients(self, tmp_path):
+        for value in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="not finite"):
+                load_checkpoint(self._edited(tmp_path, {(2, 3): value}))
+
+    def test_rejects_nonzero_mean(self, tmp_path):
+        with pytest.raises(ValueError, match="zero mean"):
+            load_checkpoint(self._edited(tmp_path, {(0, 0): 0.5}))
+
+    def test_rejects_broken_conjugate_symmetry(self, tmp_path):
+        # (1, 13) is k = (1, -3), in the mirrored half; roundoff passes
+        raw = self._edited(tmp_path, {}).read_bytes()
+        c = np.frombuffer(raw, dtype="<c16", offset=28).reshape(16, 16)[1, 13]
+        assert load_checkpoint(self._edited(tmp_path, {(1, 13): c * (1 + 1e-15)})).grid.n == 16
+        with pytest.raises(ValueError, match="conjugate-symmetric"):
+            load_checkpoint(self._edited(tmp_path, {(1, 13): c + 0.25}))

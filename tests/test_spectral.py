@@ -1,34 +1,47 @@
+import struct
+
 import numpy as np
 import pytest
 
 from alphaeuler import (
+    AlphaParam,
     Grid,
     PhysicalField,
+    SimState,
     SpectralField,
     dealias,
     dealias_cutoff,
     dealias_mask,
+    load_checkpoint,
     restrict,
     sample,
+    save_checkpoint,
     spectral_derivative,
     to_physical,
     to_spectral,
 )
-from alphaeuler.spectral import (
-    HalfSpectrum,
-    full_spectrum,
-    half_spectrum,
-    l2_norm,
-)
+from alphaeuler.spectral import l2_norm, parseval_sum
 
 TOL = 1e-12
 
 
-def hermitian_defect(f):
-    """Max deviation from the conjugate symmetry c(-k) = conj(c(k))."""
-    c = f.coeffs
+def self_mirror_defect(f):
+    """Max deviation from c(-k1, k2) = conj(c(k1, k2)) on the columns
+    k2 = 0 and n/2, the half-spectrum columns that are their own mirror."""
+    cols = f.coeffs[:, [0, f.grid.n // 2]]
+    return float(np.max(np.abs(cols - np.conj(cols[-np.arange(f.grid.n) % f.grid.n]))))
+
+
+def hermitian_defect(c):
+    """Max deviation of a full (n, n) array from c(-k) = conj(c(k))."""
     mirrored = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
     return float(np.max(np.abs(c - np.conj(mirrored))))
+
+
+def checkpoint_payload(path, n):
+    """The full (n, n) coefficient array stored in a checkpoint file."""
+    offset = struct.calcsize("<4sIIdd")
+    return np.frombuffer(path.read_bytes(), dtype="<c16", offset=offset).reshape(n, n)
 
 
 def random_field(grid, seed=0):
@@ -86,7 +99,7 @@ class TestTransforms:
         g = Grid(8)
         f = random_field(g, seed=3)
         fast = to_spectral(f).coeffs
-        slow = direct_dft(f.values)
+        slow = direct_dft(f.values)[:, : g.n // 2 + 1]
         assert np.abs(fast - slow).max() < TOL
 
     @pytest.mark.parametrize("n", [8, 16, 32])
@@ -102,14 +115,14 @@ class TestTransforms:
         g = Grid(n)
         f = random_field(g, seed=n + 1)
         q = to_spectral(f)
-        spectral = (2 * np.pi) ** 2 * np.sum(np.abs(q.coeffs) ** 2)
+        spectral = (2 * np.pi) ** 2 * parseval_sum(np.abs(q.coeffs) ** 2)
         physical = np.sum(f.values**2) * g.cell_area
         assert spectral == pytest.approx(physical, rel=TOL)
 
     def test_hermitian_symmetry(self):
         g = Grid(16)
         q = to_spectral(random_field(g, seed=5))
-        assert hermitian_defect(q) < TOL
+        assert self_mirror_defect(q) < TOL
 
     def test_l2_norm_spectral(self):
         g = Grid(16)
@@ -118,31 +131,39 @@ class TestTransforms:
 
 
 class TestHalfSpectrum:
+    """The stored layout is the rfft2 half spectrum; checkpoints keep the
+    full array, expanded by conjugate symmetry."""
+
     @pytest.mark.parametrize("n", [8, 16, 64])
-    def test_half_full_half_round_trip_exact(self, n):
+    def test_half_full_half_round_trip_exact(self, n, tmp_path):
         g = Grid(n)
-        h = half_spectrum(to_spectral(random_field(g, seed=n)))
-        assert h.coeffs.shape == (n, n // 2 + 1)
-        assert np.array_equal(half_spectrum(full_spectrum(h)).coeffs, h.coeffs)
+        q = to_spectral(random_field(g, seed=n))
+        q.coeffs[0, 0] = 0.0
+        assert q.coeffs.shape == (n, n // 2 + 1)
+        path = tmp_path / "q.aeul"
+        save_checkpoint(SimState(0.0, q, AlphaParam(0.0)), path)
+        assert np.array_equal(load_checkpoint(path).q.coeffs, q.coeffs)
 
     @pytest.mark.parametrize("n", [8, 32])
-    def test_full_layout_is_hermitian_and_matches_fft2(self, n):
+    def test_full_layout_is_hermitian_and_matches_fft2(self, n, tmp_path):
         g = Grid(n)
-        f = to_spectral(random_field(g, seed=3))
-        back = full_spectrum(half_spectrum(f))
-        assert hermitian_defect(back) < TOL
-        assert np.abs(back.coeffs - f.coeffs).max() < TOL
+        f = random_field(g, seed=3)
+        path = tmp_path / "q.aeul"
+        save_checkpoint(SimState(0.0, to_spectral(f), AlphaParam(0.0)), path)
+        full = checkpoint_payload(path, n)
+        assert hermitian_defect(full) < TOL
+        assert np.abs(full - np.fft.fft2(f.values) / (n * n)).max() < TOL
 
     def test_matches_rfft2_layout(self):
         g = Grid(16)
         f = random_field(g, seed=5)
-        h = half_spectrum(to_spectral(f))
-        assert np.abs(h.coeffs - np.fft.rfft2(f.values, norm="forward")).max() < TOL
+        q = to_spectral(f)
+        assert np.abs(q.coeffs - np.fft.rfft2(f.values, norm="forward")).max() < TOL
 
     def test_rejects_full_shape(self):
         g = Grid(8)
         with pytest.raises(ValueError):
-            HalfSpectrum(g, np.zeros((8, 8), dtype=np.complex128))
+            SpectralField(g, np.zeros((8, 8), dtype=np.complex128))
 
 
 class TestDerivative:
@@ -213,4 +234,4 @@ class TestRestrict:
 
     def test_rejects_refinement(self):
         with pytest.raises(ValueError):
-            restrict(SpectralField(Grid(8), np.zeros((8, 8), dtype=np.complex128)), Grid(16))
+            restrict(SpectralField(Grid(8), np.zeros((8, 5), dtype=np.complex128)), Grid(16))
