@@ -293,6 +293,7 @@ def reference_run(cfg: ExperimentConfig) -> ReferenceRun:
         solver,
         on_sample=lambda s: qs.append(restrict(s.q, grid)),
         keep_states=False,
+        monitor=False,
     )
     history = VelocityHistory.from_states(
         [SimState(float(t), q, EULER) for t, q in zip(solver.sample_times, qs)]
@@ -385,7 +386,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
 
     # Same-resolution unfiltered run: its gap to the restricted reference
     # estimates the discretization error floor (Richardson consistency).
-    coarse = run(ref.omega0, EULER, ref.solver).states
+    coarse = run(ref.omega0, EULER, ref.solver, monitor=False).states
     richardson_error = max(
         _velocity_err_l2_pair(s.q, 0.0, qr, 0.0, ref.grid)
         for s, qr in zip(coarse, ref.qs)

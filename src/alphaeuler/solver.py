@@ -8,12 +8,16 @@ four-stage Runge-Kutta with a CFL-limited step.
 
 States hold q as a ``SpectralField``, the ``rfft2`` half spectrum of shape
 (n, n//2 + 1).  An ``AdvectionStage`` holds the operator tables of one
-(grid, alpha, dealias) choice as a (4, n, n//2 + 1) stack built from the
-``Grid`` tables: the filtered Biot-Savart multipliers of u1 and u2 and the
+(grid, alpha) pair as a (4, n, n//2 + 1) stack built from the ``Grid``
+tables: the filtered Biot-Savart multipliers of u1 and u2 and the
 derivatives d1, d2, each odd in some k_j and zeroed on the k_j = n/2
 Nyquist line, plus the negated dealias mask with the mean mode zeroed.
-One stage multiplies the stack by q, does one batched inverse real FFT to
-get (u1, u2, d1 q, d2 q), forms u . grad q and does one forward real FFT.
+One stage multiplies the stack by q, transforms it back to (u1, u2, d1 q,
+d2 q), forms u . grad q and transforms that forward.  Each 2-D real
+transform runs as its two per-axis passes, in the order and scaling of
+``irfft2``/``rfft2`` (so the results are bitwise theirs), each pass into a
+buffer the stage owns, the complex pass over k1 in place: ``irfft2`` would
+allocate and page in a fresh (4, n, n//2 + 1) temporary on every stage.
 ``run`` builds one stage per run and hands it to every ``step``.
 
 Checkpoints keep the full (n, n) coefficient array on disk: saving expands
@@ -58,7 +62,6 @@ class SolverError(RuntimeError):
 class SolverConfig:
     t_end: float
     cfl: float = 0.5
-    dealias: bool = True
     sample_times: np.ndarray | None = None
     fixed_dt: float | None = None  # bypass the CFL choice (convergence studies)
 
@@ -91,20 +94,20 @@ def velocity(q: SpectralField, a: AlphaParam) -> VelocityField:
 
 
 class AdvectionStage:
-    """-u . grad q for one (grid, alpha, dealias).
+    """-u . grad q for one (grid, alpha).
 
     Calling the stage with the coefficients of q returns the coefficients
-    of -u . grad q (dealiased if requested, mean exactly zero) and the
-    largest collocation speed |u|.  The work buffers make an instance
-    usable by one thread at a time: build one per run.
+    of -u . grad q (dealiased, mean exactly zero) and the largest
+    collocation speed |u|.  The returned coefficients are the one array a
+    call allocates; the work buffers make an instance usable by one thread
+    at a time: build one per run.
     """
 
-    def __init__(self, grid: Grid, a: AlphaParam, use_dealias: bool = True):
+    def __init__(self, grid: Grid, a: AlphaParam):
         n = grid.n
         nh = n // 2
         self.grid = grid
         self.alpha = a.alpha
-        self.use_dealias = use_dealias
         k1, k2 = grid.k1, grid.k2
         bs = grid.inv_ksq / (1.0 + a.alpha * grid.ksq)
         # Multipliers odd in k_j lose their k_j = n/2 line: that sine mode
@@ -118,8 +121,7 @@ class AdvectionStage:
         mult[[0, 3], :, nh] = 0.0  # u1, d2: odd in k2
         self.mult = mult
         post = np.full((n, nh + 1), -1.0)
-        if use_dealias:
-            post[~grid.keep_mask] = 0.0
+        post[~grid.keep_mask] = 0.0
         post[0, 0] = 0.0
         self.post = post
         self._spec = np.empty_like(mult)
@@ -128,23 +130,26 @@ class AdvectionStage:
 
     def __call__(self, q: np.ndarray) -> tuple[np.ndarray, float]:
         n = self.grid.n
-        np.multiply(self.mult, q, out=self._spec)
-        u1, u2, dq1, dq2 = np.fft.irfft2(
-            self._spec, s=(n, n), norm="forward", out=self._phys
+        spec = np.multiply(self.mult, q, out=self._spec)
+        np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
+        u1, u2, dq1, dq2 = np.fft.irfftn(
+            spec, s=(n,), axes=(-1,), norm="forward", out=self._phys
         )
         product = np.multiply(u1, dq1, out=self._prod)
         product += np.multiply(u2, dq2, out=dq2)
-        coeffs = np.fft.rfft2(product, norm="forward")
-        coeffs *= self.post
+        # the spectrum buffer is free again once transformed
+        half = np.fft.rfftn(product, axes=(-1,), norm="forward", out=spec[0])
+        np.fft.fftn(half, axes=(0,), norm="forward", out=half)
+        coeffs = np.multiply(half, self.post)
         speed_sq = np.multiply(u1, u1, out=dq1)
         speed_sq += np.multiply(u2, u2, out=dq2)
         return coeffs, float(np.sqrt(speed_sq.max()))
 
 
-def rhs(q: SpectralField, a: AlphaParam, use_dealias: bool = True) -> SpectralField:
+def rhs(q: SpectralField, a: AlphaParam) -> SpectralField:
     """-u^alpha . grad q, dealiased and exactly mean-free."""
     _require_mean_zero(q, "vorticity passed to the right-hand side")
-    coeffs, _ = AdvectionStage(q.grid, a, use_dealias)(q.coeffs)
+    coeffs, _ = AdvectionStage(q.grid, a)(q.coeffs)
     return SpectralField(q.grid, coeffs)
 
 
@@ -168,11 +173,9 @@ def step(
     a = state.a
     g = state.grid
     if stage is None:
-        stage = AdvectionStage(g, a, cfg.dealias)
-    elif (stage.grid, stage.alpha, stage.use_dealias) != (g, a.alpha, cfg.dealias):
-        raise ValueError(
-            "the advection stage was built for another grid, alpha or dealias"
-        )
+        stage = AdvectionStage(g, a)
+    elif (stage.grid, stage.alpha) != (g, a.alpha):
+        raise ValueError("the advection stage was built for another grid or alpha")
     _require_mean_zero(state.q, "vorticity passed to the RK4 step")
     q0 = state.q.coeffs
 
@@ -232,7 +235,7 @@ def _relative_drift(series: np.ndarray) -> np.ndarray:
 @dataclass
 class SimRun:
     states: list
-    monitor: MonitorLog
+    monitor: MonitorLog | None
 
     @property
     def final(self) -> SimState:
@@ -259,19 +262,21 @@ def run(
     cfg: SolverConfig,
     on_sample=None,
     keep_states: bool = True,
+    monitor: bool = True,
 ) -> SimRun:
     """Integrate from t = 0 to cfg.t_end, sampling monitors along the way.
 
     If cfg.sample_times is set, steps are clipped so the trajectory lands
     exactly on those times (which must start at 0 and end at t_end);
-    otherwise monitors fire after every step.  `on_sample` is invoked with
-    the state at every sample.  Setting keep_states=False keeps only the
-    final state, to save memory.
+    otherwise samples are taken after every step.  `on_sample` is invoked
+    with the state at every sample.  Setting keep_states=False keeps only
+    the final state, to save memory; monitor=False skips the monitor rows
+    and leaves SimRun.monitor None.  Neither changes the states.
     """
     _require_mean_zero(q0, "initial vorticity")
-    q_start = dealias(q0).coeffs if cfg.dealias else q0.coeffs.copy()
+    q_start = dealias(q0).coeffs
     q_start[0, 0] = 0.0
-    stage = AdvectionStage(q0.grid, a, cfg.dealias)
+    stage = AdvectionStage(q0.grid, a)
     state = SimState(0.0, SpectralField(q0.grid, q_start), a)
 
     if cfg.sample_times is not None:
@@ -289,7 +294,8 @@ def run(
     def take_sample(s: SimState):
         if keep_states:
             states.append(s)
-        rows.append(_monitor_row(s))
+        if monitor:
+            rows.append(_monitor_row(s))
         if on_sample is not None:
             on_sample(s)
 
@@ -305,11 +311,12 @@ def run(
             state = step(state, cfg, max_dt=cfg.t_end - state.t, stage=stage)
             take_sample(state)
 
-    cols = list(zip(*rows))
-    monitor = MonitorLog(*(np.asarray(c, dtype=float) for c in cols))
+    log = None
+    if monitor:
+        log = MonitorLog(*(np.asarray(c, dtype=float) for c in zip(*rows)))
     if not keep_states:
         states = [state]
-    return SimRun(states, monitor)
+    return SimRun(states, log)
 
 
 def _full_coeffs(q: SpectralField) -> np.ndarray:

@@ -141,14 +141,51 @@ class TestRhs:
     @pytest.mark.parametrize("alpha", [0.0, 0.01])
     @pytest.mark.parametrize("use_dealias", [True, False])
     def test_stage_matches_full_fft_oracle(self, n, alpha, use_dealias):
+        # the stage always dealiases: against the unmasked oracle it matches
+        # on the kept modes and zeroes the aliased ones the oracle leaves in
         g = Grid(n)
         q = random_vorticity(g, seed=n)
         a = AlphaParam(alpha)
         expected, expected_speed = full_fft_advection(q, a, use_dealias)
-        got, speed = AdvectionStage(g, a, use_dealias)(q.coeffs)
+        got, speed = AdvectionStage(g, a)(q.coeffs)
         scale = np.abs(expected).max()
+        if not use_dealias:
+            dropped = ~g.keep_mask
+            assert np.abs(expected[dropped]).max() > 1e-3 * scale
+            assert not got[dropped].any()
+            expected = expected * g.keep_mask
         assert np.abs(got - expected).max() <= 1e-14 * scale
         assert speed == pytest.approx(expected_speed, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [16, 256])
+    @pytest.mark.parametrize("alpha", [0.0, 2.0**-6])
+    def test_stage_equals_2d_transforms_bitwise(self, n, alpha):
+        # the per-axis passes into the stage's own buffers are the passes
+        # irfft2/rfft2 make, in the same order and scaling
+        g = Grid(n)
+        q = dealias(random_vorticity(g, seed=n + 1)).coeffs
+        stage = AdvectionStage(g, AlphaParam(alpha))
+        u1, u2, dq1, dq2 = np.fft.irfft2(stage.mult * q, s=(n, n), norm="forward")
+        expected = np.fft.rfft2(u1 * dq1 + u2 * dq2, norm="forward") * stage.post
+        expected_speed = float(np.sqrt((u1 * u1 + u2 * u2).max()))
+        got, speed = stage(q)
+        assert np.array_equal(got, expected)
+        assert speed == expected_speed
+
+    def test_stage_call_allocates_only_its_result(self):
+        import tracemalloc
+
+        g = Grid(256)
+        q = random_vorticity(g, seed=3).coeffs
+        stage = AdvectionStage(g, AlphaParam(0.01))
+        stage(q)
+        tracemalloc.start()
+        try:
+            coeffs, _ = stage(q)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * coeffs.nbytes
 
     def test_stage_rejects_foreign_tables(self):
         g = Grid(16)
@@ -285,6 +322,18 @@ class TestRun:
         qp = to_physical(dealias(q0))
         assert sim.monitor.q_l2[0] == pytest.approx(lp_norm(qp, 2), rel=1e-12)
         assert sim.monitor.q_linf[-1] == pytest.approx(1.0, abs=1e-9)
+
+    def test_unmonitored_run_has_the_same_states(self):
+        g = Grid(32)
+        q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
+        cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
+        watched = run(q0, AlphaParam(0.1), cfg)
+        bare = run(q0, AlphaParam(0.1), cfg, monitor=False)
+        assert bare.monitor is None
+        assert len(bare.states) == len(watched.states)
+        for a, b in zip(watched.states, bare.states):
+            assert (a.t, a.step_count) == (b.t, b.step_count)
+            assert np.array_equal(a.q.coeffs, b.q.coeffs)
 
     def test_sampled_run_equals_loop_of_public_steps(self):
         g = Grid(32)
