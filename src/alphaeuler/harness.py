@@ -1,12 +1,23 @@
 """Experiment orchestration for filter-scale convergence studies.
 
-A sweep runs the unfiltered reference once on a finer grid, every filtered
-run once on the study grid, measures velocity/vorticity/flow-map errors
-against the spectrally restricted reference at shared sample times, fits
-log-log rates, and persists a CSV table plus a JSON summary.  Runs are
-independent jobs; a bounded thread pool executes them and the assembled
-report does not depend on the worker count.  The `flows` command shares
-the two halves of that work: `reference_run` and `filtered_run`.
+A sweep runs the unfiltered reference once on a finer grid, and the
+Richardson run and every filtered run once on the study grid.  It measures
+velocity/vorticity/flow-map errors against the spectrally restricted
+reference at shared sample times, fits log-log rates, and persists a CSV
+table plus a JSON summary.
+
+The sweep is a job graph.  A filtered solve (`filtered_solve`) needs only
+the initial datum and the sample times, not the reference, so the
+reference, the Richardson run and every alpha solve go to one pool of
+`effective_workers()` threads at once, the reference first.  Each solve
+is compared with the reference as soon as both are done, in whichever of
+the two jobs finishes second.  A solve waits as little as it can: its
+particle trajectory is streamed while it runs and its samples are kept as
+their dealias bands.  On one worker the caller runs the jobs as it submits
+them: the reference, the Richardson run, then each alpha's solve and
+comparison.  The report does not depend on the worker count.  The `flows`
+command shares the two halves of that work: `reference_run` and
+`filtered_run`.
 """
 
 from __future__ import annotations
@@ -16,7 +27,8 @@ import datetime
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -26,9 +38,11 @@ from scipy.special import stdtrit
 from .bounds import BoundParams, linear_fit, velocity_rate_K
 from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
-from .lagrangian import VelocityHistory, advect_particles, seed_particles, velocity_l1_gap
-from .solver import SimRun, SimState, SolverConfig, SolverError, run
+from .lagrangian import TrajectoryStream, VelocityHistory, advect_particles, cumulative_trapezoid, seed_particles
+from .lagrangian import velocity_l1_distance
+from .solver import MonitorLog, SimState, SolverConfig, SolverError, run, velocity
 from .spectral import TWO_PI, Grid, PhysicalField, SpectralField, parseval_sum, restrict, to_physical
+from .spectral import pack_band, unpack_band
 from .vorticity import AlphaParam, biot_savart, lp_norm, torus_distance, velocity_l2
 
 CSV_COLUMNS = (
@@ -259,13 +273,32 @@ class ReferenceRun:
 
 
 @dataclass(frozen=True)
-class FilteredRun:
-    """One filtered run on the study grid, measured against the reference:
-    its initial datum, the solver output, the particle-lattice trajectories
-    and the cumulative velocity gap delta(t) to the reference."""
+class FilteredSolve:
+    """One filtered run on the study grid, before it meets the reference:
+    the dealias band of each sample (`pack_band`; the solver keeps every
+    sample dealiased, so the bands hold all of it), the monitor log, the
+    particle-lattice trajectory, the initial velocity gap gamma0 and, if
+    the reference was done when the solve began, the L1 velocity distance
+    to it at each sample (else None)."""
 
-    q0: SpectralField
-    sim: SimRun
+    alpha: float
+    bands: tuple
+    monitor: MonitorLog
+    trajectory: tuple
+    gamma0: float
+    velocity_gaps: tuple | None
+
+    def samples(self, grid: Grid):
+        """The samples as SpectralFields, expanded one at a time."""
+        return (unpack_band(band, grid) for band in self.bands)
+
+
+@dataclass(frozen=True)
+class FilteredRun:
+    """One filtered run measured against the reference: its
+    particle-lattice trajectories and the cumulative velocity gap delta(t)
+    to the reference."""
+
     trajectory: tuple
     delta: np.ndarray
 
@@ -280,15 +313,17 @@ def _trajectory(history: VelocityHistory, cfg: ExperimentConfig) -> tuple:
     return tuple(positions)
 
 
-def reference_run(cfg: ExperimentConfig) -> ReferenceRun:
+def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> ReferenceRun:
     """Run the unfiltered reference on the n_ref grid, keeping each sample
-    as its spectral restriction to the study grid."""
+    as its spectral restriction to the study grid.  `datum` is the initial
+    vorticity on the n_ref grid, built from cfg.datum when not given."""
     grid = Grid(cfg.n)
     solver = cfg.solver_config()
-    omega0_ref = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+    if datum is None:
+        datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
     qs = []
     run(
-        omega0_ref,
+        datum,
         EULER,
         solver,
         on_sample=lambda s: qs.append(restrict(s.q, grid)),
@@ -301,27 +336,78 @@ def reference_run(cfg: ExperimentConfig) -> ReferenceRun:
     return ReferenceRun(
         grid=grid,
         solver=solver,
-        omega0=restrict(omega0_ref, grid),
+        omega0=restrict(datum, grid),
         qs=tuple(qs),
         history=history,
         trajectory=_trajectory(history, cfg),
     )
 
 
-def filtered_run(alpha: float, ref: ReferenceRun, cfg: ExperimentConfig) -> FilteredRun:
-    """Solve from the approximating-family datum at this alpha on the
-    reference's sample times and follow the particle lattice through it.
-    Raises SolverError when the solve fails."""
+def _banded_run(q0: SpectralField, a: AlphaParam, cfg: ExperimentConfig, on_sample=None, monitor=True):
+    """`run` on the study's sample times, keeping each sample as its dealias
+    band; returns the bands and the monitor log."""
+    bands = []
+
+    def take(s: SimState):
+        bands.append(pack_band(s.q))
+        if on_sample is not None:
+            on_sample(s)
+
+    sim = run(q0, a, cfg.solver_config(), on_sample=take, keep_states=False, monitor=monitor)
+    return tuple(bands), sim.monitor
+
+
+def filtered_solve(
+    alpha: float, omega0: SpectralField, cfg: ExperimentConfig, ref: ReferenceRun | None = None
+) -> FilteredSolve:
+    """Solve from the approximating-family datum of omega0 at this alpha,
+    following the particle lattice as the samples arrive.  Needs nothing of
+    the reference run but its initial datum; given the finished reference,
+    it also measures each velocity sample against it, which spares
+    `_velocity_gap` making the sample again.  Raises SolverError when the
+    solve fails."""
     a = AlphaParam(alpha)
-    q0 = approximating_family(ref.omega0, a, cfg.family)
-    sim = run(q0, a, ref.solver)
-    history = VelocityHistory.from_states(sim.states)
-    return FilteredRun(
-        q0=q0,
-        sim=sim,
-        trajectory=_trajectory(history, cfg),
-        delta=velocity_l1_gap(history, ref.history),
+    grid = omega0.grid
+    q0 = approximating_family(omega0, a, cfg.family)
+    stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
+    gaps = []
+
+    def follow(s: SimState):
+        snapshot = velocity(s.q, s.a).physical()
+        stream.push(s.t, snapshot)
+        if ref is not None:
+            gaps.append(velocity_l1_distance(snapshot, ref.history.snapshots[len(gaps)], grid))
+
+    bands, monitor = _banded_run(q0, a, cfg, on_sample=follow)
+    return FilteredSolve(
+        alpha=alpha,
+        bands=bands,
+        monitor=monitor,
+        trajectory=stream.finish(),
+        gamma0=initial_velocity_gap(q0, omega0, a),
+        velocity_gaps=None if ref is None else tuple(gaps),
     )
+
+
+def _velocity_gap(solve: FilteredSolve, ref: ReferenceRun) -> np.ndarray:
+    """delta(t), the `velocity_l1_gap` of the solve to the reference; a
+    solve made before the reference was done has its velocity samples made
+    again, one at a time."""
+    gaps = solve.velocity_gaps
+    if gaps is None:
+        a = AlphaParam(solve.alpha)
+        gaps = [
+            velocity_l1_distance(velocity(q, a).physical(), snapshot, ref.grid)
+            for q, snapshot in zip(solve.samples(ref.grid), ref.history.snapshots)
+        ]
+    return cumulative_trapezoid(ref.times, gaps)
+
+
+def filtered_run(alpha: float, ref: ReferenceRun, cfg: ExperimentConfig) -> FilteredRun:
+    """The filtered solve at this alpha measured against the reference.
+    Raises SolverError when the solve fails."""
+    solve = filtered_solve(alpha, ref.omega0, cfg, ref)
+    return FilteredRun(trajectory=solve.trajectory, delta=_velocity_gap(solve, ref))
 
 
 def compare_states(
@@ -331,15 +417,16 @@ def compare_states(
     the same grid; comparing a run against itself yields exact zeros.
 
     Each sample pair is transformed once and its vorticity difference,
-    taken in physical space, serves every p."""
-    vel = np.empty(len(qs_a))
-    vort = {p: np.empty(len(qs_a)) for p in p_list}
-    for j, (qa, qb) in enumerate(zip(qs_a, qs_b)):
-        vel[j] = _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid)
+    taken in physical space, serves every p.  The samples may be produced
+    one at a time."""
+    vel = []
+    vort = {p: [] for p in p_list}
+    for qa, qb in zip(qs_a, qs_b):
+        vel.append(_velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid))
         diff = PhysicalField(grid, to_physical(qa).values - to_physical(qb).values)
         for p in p_list:
-            vort[p][j] = lp_norm(diff, p)
-    return vel, vort
+            vort[p].append(lp_norm(diff, p))
+    return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}
 
 
 def _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid) -> float:
@@ -351,54 +438,150 @@ def _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid) -> float:
     return TWO_PI * math.sqrt(parseval_sum(np.abs(diff) ** 2 * grid.inv_ksq))
 
 
-def _run_alpha(alpha: float, ref: ReferenceRun, cfg: ExperimentConfig) -> AlphaRecord:
-    try:
-        flow = filtered_run(alpha, ref, cfg)
-    except SolverError as exc:
-        return AlphaRecord(alpha=alpha, failed=True, error=str(exc))
-
-    monitor = flow.sim.monitor
-    qs = [s.q for s in flow.sim.states]
-    vel_err, vort_err = compare_states(qs, alpha, ref.qs, 0.0, ref.grid, cfg.p_list)
-    flow_dist = np.array(
-        [float(torus_distance(pa, pr).mean()) for pa, pr in zip(flow.trajectory, ref.trajectory)]
+def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig) -> AlphaRecord:
+    """The comparison half of an alpha: the solve measured against the
+    reference."""
+    vel_err, vort_err = compare_states(
+        solve.samples(ref.grid), solve.alpha, ref.qs, 0.0, ref.grid, cfg.p_list
     )
+    flow_dist = np.array(
+        [float(torus_distance(pa, pr).mean()) for pa, pr in zip(solve.trajectory, ref.trajectory)]
+    )
+    monitor = solve.monitor
     return AlphaRecord(
-        alpha=alpha,
+        alpha=solve.alpha,
         times=ref.times,
         vel_l2_err=vel_err,
         vort_err=vort_err,
         flow_dist=flow_dist,
-        delta=flow.delta,
+        delta=_velocity_gap(solve, ref),
         alphanorm_drift=monitor.alpha_norm_drift(),
         alpha_norm=monitor.alpha_norm,
         energy=monitor.energy,
         q_l2_drift=monitor.q_l2_drift(),
-        gamma0=initial_velocity_gap(flow.q0, ref.omega0, AlphaParam(alpha)),
+        gamma0=solve.gamma0,
     )
+
+
+class _SweepGraph:
+    """The jobs of one sweep and the join of each solve with the reference.
+
+    `then` runs a comparison once the reference is done: at once, in the
+    calling job, if it is done already; otherwise the comparison is parked
+    and the reference's job runs it as soon as the reference finishes.
+    Each job writes only its own result slot.
+    """
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        self.datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+        self.omega0 = restrict(self.datum, Grid(cfg.n))
+        self.records = [None] * len(cfg.alpha_list)
+        self.richardson_error = None
+        self.ref = None  # the reference run, once it is done
+        self.failed = False  # the reference raised: start no further solve
+        self._lock = threading.Lock()
+        self._parked = []
+
+    def reference(self) -> ReferenceRun:
+        try:
+            ref = reference_run(self.cfg, self.datum)
+        except BaseException:
+            self.failed = True
+            raise
+        with self._lock:
+            self.ref = ref
+            parked, self._parked = self._parked, []
+        while parked:  # popped first, so each solve is freed once compared
+            parked.pop(0)(ref)
+        return ref
+
+    def then(self, compare) -> None:
+        with self._lock:
+            if self.ref is None:
+                self._parked.append(compare)
+                return
+        compare(self.ref)
+
+    def richardson(self) -> None:
+        """Same-resolution unfiltered run: its gap to the restricted
+        reference estimates the discretization error floor (Richardson
+        consistency)."""
+        if self.failed:
+            return
+        bands, _ = _banded_run(self.omega0, EULER, self.cfg, monitor=False)
+
+        def compare(ref: ReferenceRun):
+            self.richardson_error = max(
+                _velocity_err_l2_pair(unpack_band(band, ref.grid), 0.0, qr, 0.0, ref.grid)
+                for band, qr in zip(bands, ref.qs)
+            )
+
+        self.then(compare)
+
+
+def _run_alpha(graph: _SweepGraph, i: int) -> None:
+    """Pool job of the i-th alpha: its filtered solve, then its comparison
+    with the reference, here or in the reference's job."""
+    if graph.failed:
+        return
+    alpha = graph.cfg.alpha_list[i]
+    try:
+        solve = filtered_solve(alpha, graph.omega0, graph.cfg, graph.ref)
+    except SolverError as exc:
+        graph.records[i] = AlphaRecord(alpha=alpha, failed=True, error=str(exc))
+        return
+
+    def compare(ref: ReferenceRun):
+        graph.records[i] = _alpha_record(solve, ref, graph.cfg)
+
+    graph.then(compare)
+
+
+class _InlinePool:
+    """The pool of a one-worker sweep: the caller, running each job as it
+    is submitted.  A job's exception propagates from `submit`."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return None
+
+    def submit(self, fn, /, *args) -> Future:
+        future = Future()
+        future.set_result(fn(*args))
+        return future
 
 
 def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Reference, Richardson check, one filtered run per alpha, rate fits
     and the default bound overlay (horizon max(1, t_end)); the outputs are
-    written once when cfg.output_dir is set."""
-    ref = reference_run(cfg)
+    written once when cfg.output_dir is set.
 
-    # Same-resolution unfiltered run: its gap to the restricted reference
-    # estimates the discretization error floor (Richardson consistency).
-    coarse = run(ref.omega0, EULER, ref.solver, monitor=False).states
-    richardson_error = max(
-        _velocity_err_l2_pair(s.q, 0.0, qr, 0.0, ref.grid)
-        for s, qr in zip(coarse, ref.qs)
-    )
-
+    If the reference (or any job) raises, the jobs not yet started are
+    cancelled and the exception propagates."""
+    graph = _SweepGraph(cfg)
     workers = cfg.effective_workers()
-    job = lambda alpha: _run_alpha(alpha, ref, cfg)
-    if workers == 1:
-        records = [job(alpha) for alpha in cfg.alpha_list]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(job, cfg.alpha_list))
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else _InlinePool() as pool:
+        # The reference is submitted first, so it is the first unfiltered
+        # run on the n_ref grid to start: traces tell it from the Richardson
+        # run that way.  With n == n_ref the Richardson run is on that grid
+        # too and, on two or more workers, may start first; the two runs are
+        # then the same computation.
+        reference = pool.submit(graph.reference)
+        jobs = [pool.submit(graph.richardson)]
+        jobs += [pool.submit(_run_alpha, graph, i) for i in range(len(cfg.alpha_list))]
+        try:
+            ref = reference.result()
+            for job in jobs:
+                job.result()
+        except BaseException:
+            for job in jobs:
+                job.cancel()
+            raise
+    records = graph.records
+    richardson_error = graph.richardson_error
 
     ok = [r for r in records if not r.failed]
     if not ok:

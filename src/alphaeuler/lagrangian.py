@@ -165,6 +165,48 @@ def advect_particles(
     return ParticleSet(np.mod(x, TWO_PI), t1)
 
 
+class TrajectoryStream:
+    """Positions of a particle set at each sample time of a run, advanced
+    as the velocity samples arrive (`push`), so no full VelocityHistory is
+    held: the result is bit for bit that of `advect_particles` through the
+    whole history, sample interval by sample interval.
+
+    Each interval is advanced once the sample after it has arrived, through
+    a window of those three samples: the last RK4 substep can land a
+    rounding error past the interval's end, where the whole history already
+    blends towards the next sample.  `finish` advances the last interval.
+    """
+
+    def __init__(self, grid: Grid, particles: ParticleSet, substeps: int = 4):
+        self._grid = grid
+        self._particles = particles
+        self._substeps = substeps
+        self._times = []
+        self._snapshots = []
+        self.positions = [particles.positions]
+
+    def push(self, t: float, snapshot: np.ndarray) -> None:
+        """Take the (2, n, n) velocity sample at time t."""
+        self._times.append(float(t))
+        self._snapshots.append(snapshot)
+        if len(self._times) == 3:
+            self._advance()
+            del self._times[0], self._snapshots[0]
+
+    def finish(self) -> tuple:
+        """The positions at every sample time pushed, the first included."""
+        if len(self._times) == 2:
+            self._advance()
+        return tuple(self.positions)
+
+    def _advance(self) -> None:
+        window = VelocityHistory(self._times, self._snapshots, self._grid)
+        self._particles = advect_particles(
+            self._particles, window, self._times[1], substeps=self._substeps
+        )
+        self.positions.append(self._particles.positions)
+
+
 def measure_preservation_defect(
     p0: ParticleSet, advected: ParticleSet, test_function: PhysicalField
 ) -> float:
@@ -235,12 +277,23 @@ def velocity_l1_gap(hist_a: VelocityHistory, hist_b: VelocityHistory) -> np.ndar
     the shared sample times (trapezoid rule in time)."""
     if hist_a.times.shape != hist_b.times.shape or np.any(hist_a.times != hist_b.times):
         raise ValueError("histories must share sample times")
-    cell = hist_a.grid.cell_area
-    spatial = np.empty(hist_a.times.size)
-    for j, (snap_a, snap_b) in enumerate(zip(hist_a.snapshots, hist_b.snapshots)):
-        diff = snap_a - snap_b
-        spatial[j] = np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * cell
-    out = np.zeros_like(spatial)
-    dt = np.diff(hist_a.times)
-    out[1:] = np.cumsum(0.5 * dt * (spatial[1:] + spatial[:-1]))
+    spatial = [
+        velocity_l1_distance(a, b, hist_a.grid)
+        for a, b in zip(hist_a.snapshots, hist_b.snapshots)
+    ]
+    return cumulative_trapezoid(hist_a.times, spatial)
+
+
+def velocity_l1_distance(snap_a: np.ndarray, snap_b: np.ndarray, grid: Grid) -> float:
+    """||u_a - u_b||_{L1} over the torus of two (2, n, n) velocity samples."""
+    diff = snap_a - snap_b
+    return np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * grid.cell_area
+
+
+def cumulative_trapezoid(times, values) -> np.ndarray:
+    """Trapezoid-rule integrals of the sampled values from times[0] to each
+    sample time."""
+    values = np.asarray(values, dtype=float)
+    out = np.zeros_like(values)
+    out[1:] = np.cumsum(0.5 * np.diff(times) * (values[1:] + values[:-1]))
     return out

@@ -183,7 +183,22 @@ def spectral_derivative(f: SpectralField, axis: int) -> SpectralField:
 
 
 def dealias(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * f.grid.keep_mask)
+    """The field with every coefficient outside the dealias band set to +0."""
+    return SpectralField(f.grid, np.where(f.grid.keep_mask, f.coeffs, 0.0))
+
+
+def pack_band(f: SpectralField) -> np.ndarray:
+    """The coefficients inside the dealias band, a flat array about 44 % the
+    size of the half spectrum: all that a dealiased field holds."""
+    return f.coeffs[f.grid.keep_mask]
+
+
+def unpack_band(band: np.ndarray, grid: Grid) -> SpectralField:
+    """Inverse of `pack_band` for a dealiased field: the band back in place
+    and +0 outside it."""
+    coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    coeffs[grid.keep_mask] = band
+    return SpectralField(grid, coeffs)
 
 
 def restrict(f: SpectralField, coarse: Grid) -> SpectralField:

@@ -46,6 +46,7 @@ def smooth_sweep():
         samples=32,
         particle_stride=2,
         substeps=2,
+        workers=2,
     )
     return ae.run_sweep(cfg)
 
@@ -64,6 +65,7 @@ def gentle_sweep():
         samples=32,
         particle_stride=2,
         substeps=2,
+        workers=2,
     )
     return ae.run_sweep(cfg)
 
@@ -81,6 +83,7 @@ def patch_sweep():
         samples=16,
         particle_stride=4,
         substeps=2,
+        workers=2,
     )
     return ae.run_sweep(cfg)
 

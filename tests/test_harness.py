@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -263,10 +265,19 @@ class TestSweepInvariants:
         assert a == b
 
     def test_worker_count_does_not_change_results(self, report):
-        threaded = run_sweep(smooth_config(workers=3))
-        a = sweep_csv_lines(report, timestamp="X")
-        b = sweep_csv_lines(threaded, timestamp="X")
-        assert a == b
+        # 3 workers on a 2-core machine, with frequent thread switches, so
+        # that solves finish before, during and after the reference
+        expected_csv = sweep_csv_lines(report, timestamp="X")
+        expected_summary = json.dumps(summary_dict(report), sort_keys=True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (1, 2, 3):
+                again = run_sweep(smooth_config(workers=workers))
+                assert sweep_csv_lines(again, timestamp="X") == expected_csv
+                assert json.dumps(summary_dict(again), sort_keys=True) == expected_summary
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_workers_env_override(self, monkeypatch):
         monkeypatch.setenv("AEUL_WORKERS", "2")
@@ -318,6 +329,91 @@ class TestSweepInvariants:
                 for qa, qb in zip(qs_a, qs_b)
             ]
             assert np.array_equal(vort[p], expected)
+
+
+class TestJobGraph:
+    def test_streamed_trajectory_matches_history_trajectory(self):
+        from alphaeuler import AlphaParam, Grid, VelocityHistory, approximating_family, run
+        from alphaeuler.harness import _trajectory, build_datum, filtered_solve
+
+        cfg = smooth_config(family="mollified")
+        omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
+        a = AlphaParam(cfg.alpha_list[0])
+        states = run(approximating_family(omega0, a, cfg.family), a, cfg.solver_config()).states
+        expected = _trajectory(VelocityHistory.from_states(states), cfg)
+        got = filtered_solve(a.alpha, omega0, cfg).trajectory
+        assert len(got) == len(expected) == cfg.samples + 1
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
+
+    def test_alpha_failing_while_reference_runs_keeps_its_slot(self, report, monkeypatch):
+        from alphaeuler import harness
+        from alphaeuler.solver import SolverError
+
+        failed = threading.Event()
+        solve, reference = harness.filtered_solve, harness.reference_run
+
+        def failing_solve(alpha, omega0, cfg, ref=None):
+            if alpha == 0.125:
+                failed.set()
+                raise SolverError("injected failure")
+            return solve(alpha, omega0, cfg, ref)
+
+        def late_reference(cfg, datum=None):
+            if not failed.wait(timeout=60):
+                raise AssertionError("the alpha solve never failed")
+            return reference(cfg, datum)
+
+        monkeypatch.setattr(harness, "filtered_solve", failing_solve)
+        monkeypatch.setattr(harness, "reference_run", late_reference)
+        got = run_sweep(smooth_config(workers=2))
+        assert [r.alpha for r in got.records] == [0.25, 0.125, 0.0625]
+        assert [r.failed for r in got.records] == [False, True, False]
+        assert got.records[1].error == "injected failure"
+        # the solve parked on the reference (alpha 0.25) makes its velocity
+        # samples again to compare; the serial sweep measured them as they
+        # came: the two must agree bit for bit
+        assert got.records[0].alpha == 0.25
+        for i in (0, 2):
+            assert np.array_equal(got.records[i].vel_l2_err, report.records[i].vel_l2_err)
+            assert np.array_equal(got.records[i].delta, report.records[i].delta)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_reference_failure_cancels_solves_and_propagates(self, workers, monkeypatch):
+        from alphaeuler import harness
+        from alphaeuler.solver import SolverError
+
+        solved = []
+        boom = SolverError("reference blew up")
+        solve = harness.filtered_solve
+
+        def counting_solve(alpha, omega0, cfg, ref=None):
+            solved.append(alpha)
+            return solve(alpha, omega0, cfg, ref)
+
+        def failing_reference(cfg, datum=None):
+            raise boom
+
+        monkeypatch.setattr(harness, "filtered_solve", counting_solve)
+        monkeypatch.setattr(harness, "reference_run", failing_reference)
+        alphas = tuple(2.0**-k for k in range(2, 10))
+        with pytest.raises(SolverError) as info:
+            run_sweep(smooth_config(workers=workers, alpha_list=alphas))
+        assert info.value is boom
+        assert len(solved) < len(alphas)
+
+    def test_reference_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        from alphaeuler import harness
+        from alphaeuler.cli import main
+        from alphaeuler.solver import SolverError
+
+        def failing_reference(cfg, datum=None):
+            raise SolverError("reference blew up")
+
+        monkeypatch.setattr(harness, "reference_run", failing_reference)
+        path = tmp_path / "exp.cfg"
+        path.write_text(SHEAR_CFG + "workers = 2\n")
+        assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        assert "reference blew up" in capsys.readouterr().err
 
 
 class TestRichardsonGate:

@@ -239,6 +239,53 @@ class TestHistory:
         assert np.abs(hist.snapshots[-1] - expected).max() < 1e-14
 
 
+def overshooting_times(count, substeps, seed):
+    """Increasing sample times from 0 whose intervals after the first all
+    make advect_particles' last substep end a rounding error past the
+    interval's end."""
+    rng = np.random.default_rng(seed)
+    times = [0.0, 0.05]
+    while len(times) < count:
+        a = times[-1]
+        b = a + rng.uniform(0.01, 0.2)
+        h, t = (b - a) / substeps, a
+        for _ in range(substeps - 1):
+            t += h
+        if t + h > b:
+            times.append(b)
+    return np.array(times)
+
+
+class TestTrajectoryStream:
+    def full_history_trajectory(self, times, snapshots, grid, stride, substeps):
+        """The reference: advect through the whole history, interval by
+        interval."""
+        history = VelocityHistory(times, snapshots, grid)
+        p = seed_particles(grid, stride)
+        positions = [p.positions]
+        for t1 in times[1:]:
+            p = advect_particles(p, history, float(t1), substeps=substeps)
+            positions.append(p.positions)
+        return positions
+
+    @pytest.mark.parametrize("count", [2, 3, 8])
+    def test_bitwise_equal_to_full_history(self, count):
+        # the overshooting substeps blend towards the next sample in the
+        # whole history; the stream's three-sample window must match that
+        from alphaeuler.lagrangian import TrajectoryStream
+
+        g = Grid(16)
+        times = overshooting_times(count, 4, seed=3)
+        snapshots = np.random.default_rng(4).standard_normal((count, 2, g.n, g.n))
+        stream = TrajectoryStream(g, seed_particles(g, 2), substeps=4)
+        for t, snap in zip(times, snapshots):
+            stream.push(t, snap)
+        got = stream.finish()
+        expected = self.full_history_trajectory(times, snapshots, g, 2, 4)
+        assert len(got) == count
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
 class TestVelocityL1Gap:
     def test_matches_whole_array_formula(self):
         # the gap is accumulated one sample at a time; the whole-array

@@ -224,6 +224,35 @@ class TestDealias:
         assert np.array_equal(cut.coeffs[keep], q.coeffs[keep])
 
 
+    def test_zero_outside_the_band_is_positive(self):
+        # a sharp patch has coefficients of every sign; the cut modes must
+        # still be +0, so that a field's dealias band is all of its bits
+        from alphaeuler import disc_patch
+
+        g = Grid(64)
+        cut = dealias(disc_patch((np.pi, np.pi), 1.0, 1.0, g)).coeffs[~g.keep_mask]
+        assert np.all(cut == 0)
+        assert not np.signbit(cut.real).any() and not np.signbit(cut.imag).any()
+
+
+class TestBandPacking:
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_round_trip_of_run_samples_is_bitwise(self, n):
+        from alphaeuler import SolverConfig, disc_patch, run
+        from alphaeuler.spectral import pack_band, unpack_band
+
+        g = Grid(n)
+        q0 = disc_patch((np.pi, np.pi), 1.0, 1.0, g)
+        times = np.linspace(0.0, 0.02, 3)
+        sim = run(q0, AlphaParam(0.01), SolverConfig(t_end=0.02, sample_times=times))
+        for state in sim.states:
+            band = pack_band(state.q)
+            assert band.size < 0.45 * state.q.coeffs.size
+            back = unpack_band(band, g)
+            assert back.grid == g
+            assert back.coeffs.tobytes() == state.q.coeffs.tobytes()
+
+
 class TestRestrict:
     def test_band_limited_exact(self):
         fine, coarse = Grid(64), Grid(32)
