@@ -154,6 +154,13 @@ class ExperimentConfig:
             raise ValueError("t_end must be positive")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.particle_stride < 1 or self.n % self.particle_stride != 0:
+            raise ValueError(
+                f"[sweep] particle_stride must be a positive divisor of n = {self.n}, "
+                f"got {self.particle_stride}"
+            )
+        if self.substeps < 1:
+            raise ValueError(f"[sweep] substeps must be at least 1, got {self.substeps}")
         if self.family not in ("identity", "mollified"):
             raise ValueError(f"unknown approximating family {self.family!r}")
         self.p_list = tuple(sorted(set(float(p) for p in self.p_list) | set(CSV_PS)))

@@ -203,6 +203,31 @@ class TestSharedPipeline:
         err = capsys.readouterr().err
         assert "'wavenumbr'" in err and "'shear'" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "flows"])
+    @pytest.mark.parametrize(
+        "key, value", [("substeps", 0), ("substeps", -2), ("particle_stride", 0), ("particle_stride", 3)]
+    )
+    def test_bad_particle_settings_exit_1_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, key, value
+    ):
+        # substeps < 1 froze the particles (flow_dist 0 in every row), stride
+        # 0 divided by zero, and a stride not dividing n failed only after
+        # the reference solve
+        import alphaeuler.harness as harness
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the config was checked")
+
+        monkeypatch.setattr(harness, "run", no_solve)
+        cfg = tmp_path / "bad.cfg"
+        keys = {"particle_stride": 8, "substeps": 4, key: value}
+        lines = "".join(f"{k} = {v}\n" for k, v in keys.items())
+        cfg.write_text(SHEAR_CFG.replace("particle_stride = 8\n", lines))
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"[sweep] {key}" in err
+        assert "Traceback" not in err
+
     def test_cli_import_skips_scipy_stats(self):
         proc = subprocess.run(
             [

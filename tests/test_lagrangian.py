@@ -1,12 +1,17 @@
 import csv
+import sys
+import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from alphaeuler import (
     AlphaParam,
     Grid,
     ParticleSet,
+    PhysicalField,
     SolverConfig,
     SpectralField,
     VelocityHistory,
@@ -21,7 +26,82 @@ from alphaeuler import (
     torus_distance,
     velocity_l1_gap,
 )
-from alphaeuler.lagrangian import bicubic_sample
+from alphaeuler.lagrangian import BicubicWork, TrajectoryStream, bicubic_sample
+
+
+def _catmull_rom_weights(f):
+    f2 = f * f
+    f3 = f2 * f
+    w0 = 0.5 * (-f3 + 2.0 * f2 - f)
+    w1 = 0.5 * (3.0 * f3 - 5.0 * f2 + 2.0)
+    w2 = 0.5 * (-3.0 * f3 + 4.0 * f2 + f)
+    w3 = 0.5 * (f3 - f2)
+    return w0, w1, w2, w3
+
+
+def _bicubic_stencil(positions, n, dx):
+    g = positions / dx
+    base = np.floor(g).astype(int)
+    frac = g - base
+    w1 = _catmull_rom_weights(frac[:, 0])
+    w2 = _catmull_rom_weights(frac[:, 1])
+    idx1 = [(base[:, 0] + o) % n for o in (-1, 0, 1, 2)]
+    idx2 = [(base[:, 1] + o) % n for o in (-1, 0, 1, 2)]
+    return w1, w2, idx1, idx2
+
+
+def oracle_bicubic_sample(values, positions, dx):
+    """The one-shot sampler the buffered one replaced: eight wrapped index
+    arrays and 16 gathers from the flattened field."""
+    n = values.shape[-1]
+    w1, w2, idx1, idx2 = _bicubic_stencil(positions, n, dx)
+    flat = values.reshape(values.shape[:-2] + (n * n,))
+    out = np.zeros(values.shape[:-2] + (positions.shape[0],))
+    for a in range(4):
+        row = idx1[a] * n
+        for b in range(4):
+            out += (w1[a] * w2[b]) * np.take(flat, row + idx2[b], axis=-1)
+    return out
+
+
+def oracle_advect(positions, history, t0, t1, substeps):
+    """advect_particles as the plain RK4 loop over oracle samples of
+    `grids_at`."""
+    knots = history.times
+    interior = knots[(knots > min(t0, t1) + 1e-13) & (knots < max(t0, t1) - 1e-13)]
+    times = np.concatenate([[min(t0, t1)], interior, [max(t0, t1)]])
+    if t1 < t0:
+        times = times[::-1]
+
+    def velocity(t, x):
+        return oracle_bicubic_sample(history.grids_at(t), x, history.grid.dx).T
+
+    x = positions.copy()
+    for seg0, seg1 in zip(times[:-1], times[1:]):
+        h = (seg1 - seg0) / substeps
+        t = seg0
+        for _ in range(substeps):
+            k1 = velocity(t, x)
+            k2 = velocity(t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = velocity(t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = velocity(t + h, x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+    return ParticleSet(np.mod(x, 2 * np.pi), t1)
+
+
+def nearest_sample(values, positions, dx):
+    n = values.shape[0]
+    idx = np.rint(positions / dx).astype(int) % n
+    return values[idx[:, 0], idx[:, 1]]
+
+
+def nearest_vorticity(q0, flow_back):
+    """Transport reconstruction with nearest-node sampling, which keeps the
+    jump of patch data sharp."""
+    g = q0.grid
+    vals = nearest_sample(q0.values, flow_back.positions, g.dx)
+    return PhysicalField(g, vals.reshape(g.n, g.n))
 
 
 def steady_history(u_phys, grid, t0, t1):
@@ -66,6 +146,147 @@ class TestBicubic:
         exact = np.sin(pts[:, 0] + 2 * pts[:, 1])
         # third-order kernel: error ~ h^3 |f'''| ~ 2.5e-4 at this resolution
         assert np.abs(vals - exact).max() < 2.5e-4
+
+
+# Few, reproducible examples: the suite's run time stays where it was.
+PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def sampling_cases(draw):
+    """A scalar or (2, n, n) field of odd, even or non-power-of-two size and
+    positions from far below 0 to several periods past 2 pi, grid nodes
+    among them."""
+    n = draw(st.sampled_from([5, 8, 17, 48]))
+    shape = draw(st.sampled_from([(n, n), (2, n, n)]))
+    count = draw(st.sampled_from([1, 2, 7, 24]))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
+    dx = 2 * np.pi / n
+    coordinate = st.one_of(
+        st.floats(-40.0, 40.0),
+        st.integers(-6 * n, 6 * n).map(lambda i: i * dx),
+    )
+    point = st.tuples(coordinate, coordinate)
+    positions = np.array(draw(st.lists(point, min_size=count, max_size=count)))
+    return values, positions, dx
+
+
+@PROPERTY
+@given(sampling_cases())
+def test_bicubic_sample_bitwise_equals_oracle(case):
+    values, positions, dx = case
+    expected = oracle_bicubic_sample(values, positions, dx).tobytes()
+    assert bicubic_sample(values, positions, dx).tobytes() == expected
+    work = BicubicWork(values.shape, positions.shape[0])
+    out = np.empty(values.shape[:-2] + positions.shape[:1])
+    for _ in range(2):
+        assert bicubic_sample(values, positions, dx, work, out) is out
+        assert out.tobytes() == expected
+    work.load(values)
+    assert bicubic_sample(work.field, positions, dx, work).tobytes() == expected
+
+
+def test_bicubic_work_rejects_other_shapes():
+    g = Grid(16)
+    values = np.zeros((2, g.n, g.n))
+    positions = seed_particles(g, 4).positions
+    with pytest.raises(ValueError):
+        bicubic_sample(values, positions, g.dx, BicubicWork((g.n, g.n), positions.shape[0]))
+    with pytest.raises(ValueError):
+        bicubic_sample(values, positions, g.dx, BicubicWork(values.shape, 3))
+
+
+class TestBufferedAdvection:
+    def history(self, n=32, seed=1):
+        """Fast random velocities: particles cross the torus several times
+        and the stage positions leave [0, 2 pi)."""
+        g = Grid(n)
+        times = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
+        snapshots = 10.0 * np.random.default_rng(seed).standard_normal((5, 2, n, n))
+        return VelocityHistory(times, snapshots, g)
+
+    @pytest.mark.parametrize("n, substeps", [(32, 1), (32, 4), (16, 3)])
+    def test_whole_history_bitwise_equals_oracle_rk4(self, n, substeps):
+        hist = self.history(n)
+        p0 = seed_particles(hist.grid)
+        fwd = advect_particles(p0, hist, 0.5, substeps=substeps)
+        expected = oracle_advect(p0.positions, hist, 0.0, 0.5, substeps)
+        assert fwd.positions.tobytes() == expected.positions.tobytes()
+        back = advect_particles(fwd, hist, 0.0, substeps=substeps)
+        expected = oracle_advect(fwd.positions, hist, 0.5, 0.0, substeps)
+        assert back.positions.tobytes() == expected.positions.tobytes()
+
+    def test_single_particle_and_one_sample_history(self):
+        hist = self.history(16)
+        p0 = ParticleSet(np.array([[6.2, -0.1]]), 0.1)
+        got = advect_particles(p0, hist, 0.3, substeps=2)
+        assert got.positions.tobytes() == oracle_advect(p0.positions, hist, 0.1, 0.3, 2).positions.tobytes()
+        single = VelocityHistory([0.2], hist.snapshots[1:2], hist.grid)
+        v = single.velocity_at(0.2, p0.positions)
+        expected = oracle_bicubic_sample(hist.snapshots[1], p0.positions, hist.grid.dx).T
+        assert v.tobytes() == expected.tobytes()
+
+    def test_threads_match_serial(self):
+        # each call owns its buffers: calls advecting at once, on more
+        # threads than cores and switching as often as the interpreter
+        # allows, give the serial bits
+        hist = self.history(64, seed=2)
+        p0 = seed_particles(hist.grid)
+        jobs = [(p0, 0.5), (ParticleSet(p0.positions, 0.5), 0.0), (ParticleSet(p0.positions[::-1], 0.1), 0.4)]
+        serial = [advect_particles(p, hist, target).positions for p, target in jobs]
+        results = [None] * len(jobs)
+
+        def advect(i, p, target):
+            results[i] = advect_particles(p, hist, target).positions
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=advect, args=(i, *job)) for i, job in enumerate(jobs)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert [r.tobytes() for r in results] == [s.tobytes() for s in serial]
+
+    def test_reused_evaluation_allocates_at_most_its_result(self):
+        import tracemalloc
+
+        hist = self.history(128)
+        x = seed_particles(hist.grid, 2).positions
+        work = BicubicWork((2, 128, 128), x.shape[0])
+        out = np.empty((2, x.shape[0])).T
+        hist.velocity_at(0.05, x, work, out)
+        tracemalloc.start()
+        try:
+            result = hist.velocity_at(0.2, x, work, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * result.nbytes
+
+    def test_window_refers_to_its_samples(self):
+        g = Grid(8)
+        snapshots = [np.zeros((2, 8, 8)), np.ones((2, 8, 8))]
+        hist = VelocityHistory([0.0, 1.0], snapshots, g)
+        assert all(a is b for a, b in zip(hist.snapshots, snapshots))
+
+    @pytest.mark.parametrize("substeps", [0, -2])
+    def test_substeps_below_one_rejected(self, substeps):
+        g = Grid(16)
+        hist = constant_history(1.0, 0.0, g)
+        with pytest.raises(ValueError, match="substeps"):
+            advect_particles(seed_particles(g), hist, 1.0, substeps=substeps)
+        with pytest.raises(ValueError, match="substeps"):
+            TrajectoryStream(g, seed_particles(g), substeps=substeps)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            seed_particles(Grid(16), stride)
 
 
 class TestAdvection:
@@ -162,7 +383,7 @@ class TestLagrangianVorticity:
         g = Grid(32)
         q0 = sample(g, lambda x1, x2: np.cos(x1))
         feet = seed_particles(g)
-        recon = lagrangian_vorticity(q0, feet, method="nearest")
+        recon = nearest_vorticity(q0, feet)
         assert np.array_equal(recon.values, q0.values)
 
     def test_count_mismatch_rejected(self):
@@ -272,8 +493,6 @@ class TestTrajectoryStream:
     def test_bitwise_equal_to_full_history(self, count):
         # the overshooting substeps blend towards the next sample in the
         # whole history; the stream's three-sample window must match that
-        from alphaeuler.lagrangian import TrajectoryStream
-
         g = Grid(16)
         times = overshooting_times(count, 4, seed=3)
         snapshots = np.random.default_rng(4).standard_normal((count, 2, g.n, g.n))
