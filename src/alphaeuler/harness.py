@@ -33,9 +33,8 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtrit
 
-from .bounds import BoundParams, linear_fit, velocity_rate_K
+from .bounds import BoundParams, linear_fit, t95_quantile, velocity_rate_K
 from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
 from .lagrangian import TrajectoryStream, VelocityHistory, advect_particles, cumulative_trapezoid, seed_particles
@@ -90,32 +89,34 @@ class DatumSpec:
 
 
 def build_datum(spec: DatumSpec, grid: Grid, default_seed: int = 0) -> SpectralField:
-    p = dict(spec.params)
-    scale = float(p.get("scale", 1.0))
+    def get(key, cast, default):
+        return _parse(f"[datum] {key}", spec.params.get(key, default), cast)
+
+    scale = get("scale", float, 1.0)
     if spec.kind == "smooth_random":
         datum = smooth_random(
-            seed=int(p.get("seed", default_seed)),
-            spectrum_slope=float(p.get("spectrum_slope", 2.0)),
-            k_max=int(p.get("k_max", 4)),
+            seed=get("seed", int, default_seed),
+            spectrum_slope=get("spectrum_slope", float, 2.0),
+            k_max=get("k_max", int, 4),
             grid=grid,
         )
     elif spec.kind == "disc_patch":
-        center = (float(p.get("center_x", math.pi)), float(p.get("center_y", math.pi)))
+        center = (get("center_x", float, math.pi), get("center_y", float, math.pi))
         datum = disc_patch(
             center=center,
-            radius=float(p.get("radius", 1.0)),
-            amplitude=float(p.get("amplitude", 1.0)),
+            radius=get("radius", float, 1.0),
+            amplitude=get("amplitude", float, 1.0),
             grid=grid,
         )
     elif spec.kind == "fractal_patch":
         datum, _ = fractal_patch(
-            generator=p.get("generator", "koch-like"),
-            depth=int(p.get("depth", 2)),
-            amplitude=float(p.get("amplitude", 1.0)),
+            generator=spec.params.get("generator", "koch-like"),
+            depth=get("depth", int, 2),
+            amplitude=get("amplitude", float, 1.0),
             grid=grid,
         )
     else:
-        datum = shear(grid, wavenumber=int(p.get("wavenumber", 1)))
+        datum = shear(grid, wavenumber=get("wavenumber", int, 1))
     if scale != 1.0:
         datum = SpectralField(grid, datum.coeffs * scale)
     return datum
@@ -171,7 +172,7 @@ class ExperimentConfig:
         if self.workers is not None:
             return max(1, int(self.workers))
         env = os.environ.get(WORKERS_ENV)
-        return max(1, int(env)) if env else 1
+        return max(1, _parse(WORKERS_ENV, env, int)) if env else 1
 
     def solver_config(self) -> SolverConfig:
         """Solver settings of every run of the study, sampled at samples + 1
@@ -202,7 +203,7 @@ def fit_rate(pairs) -> RateFit:
     xs = np.log([a for a, _ in pairs])
     ys = np.log([e for _, e in pairs])
     slope, intercept, r, stderr = linear_fit(xs, ys)
-    tq = float(stdtrit(len(pairs) - 2, 0.975))
+    tq = t95_quantile(len(pairs) - 2)
     return RateFit(
         slope=float(slope),
         intercept=float(intercept),
@@ -730,6 +731,25 @@ def persist_report(report: ConvergenceReport, cfg: ExperimentConfig) -> None:
 # --- configuration files -------------------------------------------------
 
 
+def _parse(name: str, raw, cast):
+    """cast(raw), or a ValueError that names the setting and its value."""
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise ValueError(f"{name} = {raw!r} is invalid: {exc}") from None
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("expected 1/yes/true/on or 0/no/false/off") from None
+
+
+def _numbers(raw: str) -> tuple:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
 def load_config(path) -> ExperimentConfig:
     """Parse a flat key-value experiment file with [section] headers."""
     path = Path(path)
@@ -751,20 +771,13 @@ def load_config(path) -> ExperimentConfig:
 
     def getval(section, key, cast, fallback=None, required=False):
         if parser.has_option(section, key):
-            return cast(parser.get(section, key))
+            return _parse(f"[{section}] {key}", parser.get(section, key), cast)
         if required:
             raise ValueError(f"config is missing [{section}] {key}")
         return fallback
 
-    alphas_raw = getval("sweep", "alphas", str, required=True)
-    alpha_list = tuple(float(tok) for tok in alphas_raw.replace(",", " ").split())
-
-    p_raw = getval("sweep", "p_list", str, fallback=None)
-    p_list = (
-        tuple(float(tok) for tok in p_raw.replace(",", " ").split())
-        if p_raw
-        else CSV_PS
-    )
+    alpha_list = getval("sweep", "alphas", _numbers, required=True)
+    p_list = getval("sweep", "p_list", _numbers, fallback=()) or CSV_PS
 
     out_raw = getval("output", "dir", str, fallback=None)
 
@@ -783,5 +796,5 @@ def load_config(path) -> ExperimentConfig:
         substeps=getval("sweep", "substeps", int, fallback=4),
         family=getval("sweep", "family", str, fallback="identity"),
         workers=getval("sweep", "workers", int, fallback=None),
-        richardson=getval("sweep", "richardson", lambda v: v.lower() in ("1", "true", "on", "yes"), fallback=True),
+        richardson=getval("sweep", "richardson", _boolean, fallback=True),
     )

@@ -22,7 +22,7 @@ from alphaeuler import (
     velocity_rate_K,
     vorticity_rate_bound,
 )
-from alphaeuler.bounds import linear_fit, osgood_M
+from alphaeuler.bounds import linear_fit, osgood_M, t95_quantile
 
 # frozen against 50-digit arithmetic (mpmath) on the closed forms
 K_001_T1 = 1.6176565479800037
@@ -297,3 +297,27 @@ class TestLinearFit:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             linear_fit([0.0, 1.0], [0.0, 1.0])
+
+
+class TestT95Quantile:
+    def test_matches_40_digit_root_of_the_incomplete_beta(self):
+        # P(|T| > t) = I_{df / (df + t^2)}(df / 2, 1 / 2) = 0.05
+        import mpmath
+
+        worst = 0.0
+        with mpmath.workdps(40):
+            for df in range(1, 201):
+                t = t95_quantile(df)
+                a, b = mpmath.mpf(df) / 2, mpmath.mpf(1) / 2
+                exact = mpmath.findroot(
+                    lambda s: mpmath.betainc(a, b, 0, df / (df + s * s), regularized=True)
+                    - mpmath.mpf("0.05"),
+                    mpmath.mpf(t),
+                )
+                worst = max(worst, float(abs(t - exact) / exact))
+        assert worst < 1e-14
+
+    @pytest.mark.parametrize("df", [0, -1, 2.5])
+    def test_rejects_non_positive_or_fractional_df(self, df):
+        with pytest.raises(ValueError, match="df must be a positive integer"):
+            t95_quantile(df)

@@ -1,11 +1,15 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from alphaeuler.cli import main
+from alphaeuler.harness import load_config
+
+DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
 SHEAR_CFG = """
 [datum]
@@ -25,6 +29,15 @@ particle_stride = 8
 """
 
 K_001_T1 = 1.6176565479800037
+
+
+def _forbid_solves(monkeypatch):
+    import alphaeuler.harness as harness
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the config was checked")
+
+    monkeypatch.setattr(harness, "run", no_solve)
 
 
 @pytest.fixture
@@ -213,12 +226,7 @@ class TestSharedPipeline:
         # substeps < 1 froze the particles (flow_dist 0 in every row), stride
         # 0 divided by zero, and a stride not dividing n failed only after
         # the reference solve
-        import alphaeuler.harness as harness
-
-        def no_solve(*args, **kwargs):
-            raise AssertionError("a solve ran before the config was checked")
-
-        monkeypatch.setattr(harness, "run", no_solve)
+        _forbid_solves(monkeypatch)
         cfg = tmp_path / "bad.cfg"
         keys = {"particle_stride": 8, "substeps": 4, key: value}
         lines = "".join(f"{k} = {v}\n" for k, v in keys.items())
@@ -229,14 +237,64 @@ class TestSharedPipeline:
         assert "Traceback" not in err
 
     def test_cli_import_skips_scipy_stats(self):
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys, alphaeuler.cli; print('scipy.stats' in sys.modules)",
-            ],
-            capture_output=True,
-            text=True,
+        # the benchmark's set-up probe imports the CLI and parses a config;
+        # neither may load scipy
+        probe = (
+            "import sys, alphaeuler.cli\n"
+            "from alphaeuler.harness import load_config\n"
+            "print('scipy.stats' in sys.modules)\n"
+            f"load_config({str(DEMO_CONFIGS / 'smooth_sweep.cfg')!r})\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
         )
+        proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        stats_loaded, scipy_modules = proc.stdout.split("\n")[:2]
+        assert stats_loaded == "False"
+        assert scipy_modules == "[]"
+
+
+class TestConfigValues:
+    @pytest.mark.parametrize("word, expected", [("off", False), ("No", False), ("0", False), ("ON", True), ("yes", True)])
+    def test_richardson_takes_configparser_booleans(self, tmp_path, word, expected):
+        cfg = tmp_path / "gate.cfg"
+        cfg.write_text(SHEAR_CFG + f"richardson = {word}\n")
+        assert load_config(cfg).richardson is expected
+
+    @pytest.mark.parametrize("command", ["sweep", "flows"])
+    def test_misspelt_richardson_exits_1(self, tmp_path, capsys, monkeypatch, command):
+        # "flase" used to switch the Richardson gate off without a word
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text(SHEAR_CFG + "richardson = flase\n")
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "[sweep] richardson" in err and "'flase'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("n = 32", "n = 3.5e1", "[grid] n = '3.5e1'"),
+            ("n_ref = 64", "n_ref = 6 4", "[grid] n_ref = '6 4'"),
+            ("t_end = 0.5", "t_end = one", "[time] t_end = 'one'"),
+            ("samples = 4", "samples = four", "[time] samples = 'four'"),
+            ("alphas = 0.5, 0.25", "alphas = 0.5, quarter", "[sweep] alphas = '0.5, quarter'"),
+            ("kind = shear", "kind = shear\nwavenumber = 1.5", "[datum] wavenumber = '1.5'"),
+            (None, None, "AEUL_WORKERS = 'two'"),
+        ],
+        ids=["n", "n_ref", "t_end", "samples", "alphas", "datum", "workers_env"],
+    )
+    def test_uncastable_value_is_named(self, tmp_path, capsys, monkeypatch, old, new, named):
+        # the message used to be only "invalid literal for int() with base 10: '3.5e1'"
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "bad.cfg"
+        if old is None:
+            monkeypatch.setenv("AEUL_WORKERS", "two")
+            cfg.write_text(SHEAR_CFG)
+        else:
+            assert old in SHEAR_CFG
+            cfg.write_text(SHEAR_CFG.replace(old, new, 1))
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err

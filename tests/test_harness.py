@@ -16,6 +16,7 @@ from alphaeuler import (
     load_config,
     run_sweep,
 )
+from alphaeuler.bounds import t95_quantile
 from alphaeuler.harness import (
     CSV_COLUMNS,
     AlphaRecord,
@@ -102,11 +103,10 @@ class TestFitRate:
             fit_rate([(0.1, 1.0), (0.1, 0.5), (0.1, 0.2)])
 
     def test_ci95_is_student_t_quantile_times_stderr(self):
-        from scipy.stats import t as student_t
-
+        # the quantile's accuracy is tested in test_bounds.TestT95Quantile
         pairs = [(0.1, 0.31), (0.05, 0.2), (0.01, 0.11), (0.005, 0.06), (0.001, 0.03)]
         fit = fit_rate(pairs)
-        assert fit.ci95 == float(student_t.ppf(0.975, len(pairs) - 2)) * fit.stderr
+        assert fit.ci95 == t95_quantile(len(pairs) - 2) * fit.stderr
 
 
 class TestConfigValidation:
