@@ -9,14 +9,18 @@ table plus a JSON summary.
 The sweep is a job graph.  A filtered solve (`filtered_solve`) needs only
 the initial datum and the sample times, not the reference, so the
 reference, the Richardson run and every alpha solve go to one pool of
-`effective_workers()` threads at once, the reference first.  Each solve
-is compared with the reference as soon as both are done, in whichever of
-the two jobs finishes second.  A solve waits as little as it can: its
-particle trajectory is streamed while it runs and its samples are kept as
-their dealias bands.  On one worker the caller runs the jobs as it submits
-them: the reference, the Richardson run, then each alpha's solve and
-comparison.  The report does not depend on the worker count.  The `flows`
-command shares the two halves of that work: `reference_run` and
+`effective_workers()` threads at once: the reference first, then the
+Richardson run, then the solves smallest alpha first.  The filter bounds
+|u|, so a smaller alpha never takes fewer CFL steps, and the costliest
+solves start first.  A solve done after the reference is compared in its
+own job.  One done before it is parked; when the reference finishes, its
+job submits the parked comparisons to the pool, behind the solves still
+queued.  A solve waits as little as it can: its particle trajectory is
+streamed while it runs and its samples are kept as their dealias bands.
+On one worker the caller runs the jobs as it submits them: the reference,
+the Richardson run, then each alpha's solve and comparison, smallest alpha
+first.  The report does not depend on the worker count or the order.  The
+`flows` command shares the two halves of that work: `reference_run` and
 `filtered_run`.
 """
 
@@ -162,6 +166,8 @@ class ExperimentConfig:
             )
         if self.substeps < 1:
             raise ValueError(f"[sweep] substeps must be at least 1, got {self.substeps}")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError(f"[sweep] workers must be at least 1, got {self.workers}")
         if self.family not in ("identity", "mollified"):
             raise ValueError(f"unknown approximating family {self.family!r}")
         self.p_list = tuple(sorted(set(float(p) for p in self.p_list) | set(CSV_PS)))
@@ -169,10 +175,14 @@ class ExperimentConfig:
             self.output_dir = Path(self.output_dir)
 
     def effective_workers(self) -> int:
+        """[sweep] workers, else AEUL_WORKERS, else 1."""
         if self.workers is not None:
-            return max(1, int(self.workers))
+            return int(self.workers)
         env = os.environ.get(WORKERS_ENV)
-        return max(1, _parse(WORKERS_ENV, env, int)) if env else 1
+        workers = _parse(WORKERS_ENV, env, int) if env else 1
+        if workers < 1:
+            raise ValueError(f"{WORKERS_ENV} must be at least 1, got {env!r}")
+        return workers
 
     def solver_config(self) -> SolverConfig:
         """Solver settings of every run of the study, sampled at samples + 1
@@ -476,12 +486,15 @@ class _SweepGraph:
 
     `then` runs a comparison once the reference is done: at once, in the
     calling job, if it is done already; otherwise the comparison is parked
-    and the reference's job runs it as soon as the reference finishes.
-    Each job writes only its own result slot.
+    and, when the reference finishes, the reference's job submits it to
+    `pool` (`comparisons` holds those jobs).  Each job writes only its own
+    result slot.
     """
 
-    def __init__(self, cfg: ExperimentConfig):
+    def __init__(self, cfg: ExperimentConfig, pool):
         self.cfg = cfg
+        self.pool = pool
+        self.comparisons = []  # the parked comparisons' jobs
         self.datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
         self.omega0 = restrict(self.datum, Grid(cfg.n))
         self.records = [None] * len(cfg.alpha_list)
@@ -500,8 +513,7 @@ class _SweepGraph:
         with self._lock:
             self.ref = ref
             parked, self._parked = self._parked, []
-        while parked:  # popped first, so each solve is freed once compared
-            parked.pop(0)(ref)
+        self.comparisons = [self.pool.submit(compare, ref) for compare in parked]
         return ref
 
     def then(self, compare) -> None:
@@ -530,7 +542,7 @@ class _SweepGraph:
 
 def _run_alpha(graph: _SweepGraph, i: int) -> None:
     """Pool job of the i-th alpha: its filtered solve, then its comparison
-    with the reference, here or in the reference's job."""
+    with the reference, here or, parked, in a job of its own."""
     if graph.failed:
         return
     alpha = graph.cfg.alpha_list[i]
@@ -567,21 +579,24 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     and the default bound overlay (horizon max(1, t_end)); the outputs are
     written once when cfg.output_dir is set.
 
-    If the reference (or any job) raises, the jobs not yet started are
-    cancelled and the exception propagates."""
-    graph = _SweepGraph(cfg)
+    If the reference (or any job, a comparison included) raises, the jobs
+    not yet started are cancelled and the exception propagates."""
     workers = cfg.effective_workers()
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else _InlinePool() as pool:
+        graph = _SweepGraph(cfg, pool)
         # The reference is submitted first, so it is the first unfiltered
         # run on the n_ref grid to start: traces tell it from the Richardson
         # run that way.  With n == n_ref the Richardson run is on that grid
         # too and, on two or more workers, may start first; the two runs are
-        # then the same computation.
+        # then the same computation.  The solves follow, costliest
+        # (smallest alpha) first.
         reference = pool.submit(graph.reference)
         jobs = [pool.submit(graph.richardson)]
-        jobs += [pool.submit(_run_alpha, graph, i) for i in range(len(cfg.alpha_list))]
+        jobs += [pool.submit(_run_alpha, graph, i) for i in reversed(range(len(cfg.alpha_list)))]
         try:
             ref = reference.result()
+            # complete now: the reference's job submitted them before it returned
+            jobs += graph.comparisons
             for job in jobs:
                 job.result()
         except BaseException:

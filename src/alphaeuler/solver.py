@@ -18,7 +18,25 @@ transform runs as its two per-axis passes, in the order and scaling of
 ``irfft2``/``rfft2`` (so the results are bitwise theirs), each pass into a
 buffer the stage owns, the complex pass over k1 in place: ``irfft2`` would
 allocate and page in a fresh (4, n, n//2 + 1) temporary on every stage.
-``run`` builds one stage per run and hands it to every ``step``.
+
+``run`` builds one stage per run and hands it to every ``step``.  At
+alpha = 0 that is the private ``_EulerStage``, which forms the term in
+Basdevant's form (Basdevant 1983, J. Comput. Phys. 50),
+
+    -u . grad q = (d2^2 - d1^2)(u1 u2) + d1 d2 (u1^2 - u2^2),
+
+dealiased and mean-free: u1 and u2 go back and two products come forward,
+4 real transforms where ``AdvectionStage`` makes 5.  The identity holds
+for the exact dealiased products, so on the dealiased states ``run``
+keeps (it dealiases the initial state, and every stage output is masked)
+the two stages agree to roundoff, which the k^2 weights scale by about
+|k|.  ``AdvectionStage`` and ``rhs`` take any input, where the two forms
+differ by the aliased products, so they keep the advective form; at
+alpha > 0 q is not the curl of u, and the identity does not apply.
+
+Each stage also owns the work arrays of ``step`` (the slope sum, the
+slope and the stage input) and writes its slope into the ``out=`` buffer
+it is given, so a step allocates only the new state.
 
 Checkpoints keep the full (n, n) coefficient array on disk: saving expands
 the half spectrum by conjugate symmetry, and loading checks that symmetry
@@ -93,14 +111,33 @@ def velocity(q: SpectralField, a: AlphaParam) -> VelocityField:
     return helmholtz_filter(biot_savart(q), a)
 
 
+def _velocity_multipliers(grid: Grid, a: AlphaParam) -> np.ndarray:
+    """(2, n, n//2 + 1) multipliers of the filtered Biot-Savart velocity
+    (u1, u2).  Each is odd in some k_j and loses its k_j = n/2 line: that
+    sine mode vanishes at the collocation points."""
+    n, nh = grid.n, grid.n // 2
+    bs = grid.inv_ksq / (1.0 + a.alpha * grid.ksq)
+    mult = np.empty((2, n, nh + 1), dtype=np.complex128)
+    mult[0] = 1j * grid.k2 * bs
+    mult[1] = -1j * grid.k1 * bs
+    mult[0, :, nh] = 0.0  # u1: odd in k2
+    mult[1, nh, :] = 0.0  # u2: odd in k1
+    return mult
+
+
+def _rk4_buffers(grid: Grid) -> np.ndarray:
+    """The work of one `step`: the slope sum, the slope and the stage input."""
+    return np.empty((3, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+
+
 class AdvectionStage:
     """-u . grad q for one (grid, alpha).
 
     Calling the stage with the coefficients of q returns the coefficients
     of -u . grad q (dealiased, mean exactly zero) and the largest
-    collocation speed |u|.  The returned coefficients are the one array a
-    call allocates; the work buffers make an instance usable by one thread
-    at a time: build one per run.
+    collocation speed |u|.  The coefficients go to `out` when given, else
+    to the one array a call allocates; the work buffers make an instance
+    usable by one thread at a time: build one per run.
     """
 
     def __init__(self, grid: Grid, a: AlphaParam):
@@ -108,17 +145,12 @@ class AdvectionStage:
         nh = n // 2
         self.grid = grid
         self.alpha = a.alpha
-        k1, k2 = grid.k1, grid.k2
-        bs = grid.inv_ksq / (1.0 + a.alpha * grid.ksq)
-        # Multipliers odd in k_j lose their k_j = n/2 line: that sine mode
-        # vanishes at the collocation points.
         mult = np.empty((4, n, nh + 1), dtype=np.complex128)
-        mult[0] = 1j * k2 * bs
-        mult[1] = -1j * k1 * bs
-        mult[2] = 1j * k1
-        mult[3] = 1j * k2
-        mult[[1, 2], nh, :] = 0.0  # u2, d1: odd in k1
-        mult[[0, 3], :, nh] = 0.0  # u1, d2: odd in k2
+        mult[:2] = _velocity_multipliers(grid, a)
+        mult[2] = 1j * grid.k1
+        mult[3] = 1j * grid.k2
+        mult[2, nh, :] = 0.0  # d1: odd in k1
+        mult[3, :, nh] = 0.0  # d2: odd in k2
         self.mult = mult
         post = np.full((n, nh + 1), -1.0)
         post[~grid.keep_mask] = 0.0
@@ -127,8 +159,9 @@ class AdvectionStage:
         self._spec = np.empty_like(mult)
         self._phys = np.empty((4, n, n))
         self._prod = np.empty((n, n))
+        self.rk4 = _rk4_buffers(grid)
 
-    def __call__(self, q: np.ndarray) -> tuple[np.ndarray, float]:
+    def __call__(self, q: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
         n = self.grid.n
         spec = np.multiply(self.mult, q, out=self._spec)
         np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
@@ -140,9 +173,50 @@ class AdvectionStage:
         # the spectrum buffer is free again once transformed
         half = np.fft.rfftn(product, axes=(-1,), norm="forward", out=spec[0])
         np.fft.fftn(half, axes=(0,), norm="forward", out=half)
-        coeffs = np.multiply(half, self.post)
+        coeffs = np.multiply(half, self.post, out=out)
         speed_sq = np.multiply(u1, u1, out=dq1)
         speed_sq += np.multiply(u2, u2, out=dq2)
+        return coeffs, float(np.sqrt(speed_sq.max()))
+
+
+class _EulerStage:
+    """-u . grad q at alpha = 0 for dealiased q, in Basdevant's form.
+
+    Equal to ``AdvectionStage(grid, AlphaParam(0.0))`` up to roundoff on
+    dealiased input, and its speed is that stage's bit for bit: u1 and u2
+    come from the same tables and the same transform passes.  The work
+    buffers make an instance usable by one thread at a time.
+    """
+
+    def __init__(self, grid: Grid):
+        n = grid.n
+        keep = grid.keep_mask
+        self.grid = grid
+        self.alpha = 0.0
+        self.mult = _velocity_multipliers(grid, AlphaParam(0.0))
+        # (k1^2 - k2^2) for F(u1 u2), -k1 k2 for F(u1^2 - u2^2); both vanish
+        # at k = 0, so the mean stays exactly zero
+        self.weights = np.stack([(grid.k1**2 - grid.k2**2) * keep, -grid.k1 * grid.k2 * keep])
+        self._spec = np.empty_like(self.mult)
+        self._phys = np.empty((2, n, n))
+        self._prod = np.empty((2, n, n))
+        self.rk4 = _rk4_buffers(grid)
+
+    def __call__(self, q: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+        n = self.grid.n
+        spec = np.multiply(self.mult, q, out=self._spec)
+        np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
+        u1, u2 = np.fft.irfftn(spec, s=(n,), axes=(-1,), norm="forward", out=self._phys)
+        cross, diff = self._prod
+        np.multiply(u1, u2, out=cross)
+        sq1 = np.multiply(u1, u1, out=u1)
+        sq2 = np.multiply(u2, u2, out=u2)
+        np.subtract(sq1, sq2, out=diff)
+        speed_sq = np.add(sq1, sq2, out=sq1)
+        np.fft.rfftn(self._prod, axes=(-1,), norm="forward", out=spec)
+        np.fft.fftn(spec, axes=(-2,), norm="forward", out=spec)
+        coeffs = np.multiply(spec[0], self.weights[0], out=out)
+        coeffs += np.multiply(spec[1], self.weights[1], out=spec[1])
         return coeffs, float(np.sqrt(speed_sq.max()))
 
 
@@ -163,12 +237,15 @@ def step(
     state: SimState,
     cfg: SolverConfig,
     max_dt: float | None = None,
-    stage: AdvectionStage | None = None,
+    stage: AdvectionStage | _EulerStage | None = None,
 ) -> SimState:
     """One RK4 step; dt is CFL-limited and optionally capped by max_dt.
 
-    `stage` passes in the AdvectionStage of the state's grid and alpha so
-    its tables are reused; by default one is built for this step.
+    `stage` passes in the stage of the state's grid and alpha so its tables
+    and work arrays are reused; by default an AdvectionStage is built for
+    this step.  The arithmetic keeps the operation order of
+    q0 + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with q0 + (dt/2) k1 etc. as the
+    stage inputs; the new state is the one array a step allocates.
     """
     a = state.a
     g = state.grid
@@ -178,8 +255,10 @@ def step(
         raise ValueError("the advection stage was built for another grid or alpha")
     _require_mean_zero(state.q, "vorticity passed to the RK4 step")
     q0 = state.q.coeffs
+    # acc gathers k1 + 2 k2 + 2 k3 + k4
+    acc, k, x = stage.rk4
 
-    k1, speed = stage(q0)
+    _, speed = stage(q0, out=acc)
     if not np.isfinite(speed):
         raise SolverError(
             f"velocity is not finite at t={state.t}, step {state.step_count}; "
@@ -191,14 +270,20 @@ def step(
     if dt <= 0.0:
         raise SolverError(f"nonpositive time step dt={dt} at t={state.t}")
 
-    k2, s2 = stage(q0 + 0.5 * dt * k1)
-    k3, s3 = stage(q0 + 0.5 * dt * k2)
-    k4, s4 = stage(q0 + dt * k3)
+    np.add(q0, np.multiply(acc, 0.5 * dt, out=x), out=x)
+    _, s2 = stage(x, out=k)
+    np.add(q0, np.multiply(k, 0.5 * dt, out=x), out=x)
+    acc += np.multiply(k, 2.0, out=k)
+    _, s3 = stage(x, out=k)
+    np.add(q0, np.multiply(k, dt, out=x), out=x)
+    acc += np.multiply(k, 2.0, out=k)
+    _, s4 = stage(x, out=k)
+    acc += k
     if not (np.isfinite(s2) and np.isfinite(s3) and np.isfinite(s4)):
         raise SolverError(
             f"velocity overflow in RK4 stage at t={state.t}, step {state.step_count}"
         )
-    q_new = q0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    q_new = np.add(q0, np.multiply(acc, dt / 6.0, out=acc))
     if not np.isfinite(q_new).all():
         raise SolverError(
             f"non-finite vorticity after the RK4 step at t={state.t}, "
@@ -271,12 +356,14 @@ def run(
     otherwise samples are taken after every step.  `on_sample` is invoked
     with the state at every sample.  Setting keep_states=False keeps only
     the final state, to save memory; monitor=False skips the monitor rows
-    and leaves SimRun.monitor None.  Neither changes the states.
+    and leaves SimRun.monitor None.  Neither changes the states.  The
+    initial vorticity is dealiased, and an alpha = 0 run steps with the
+    `_EulerStage`, which needs dealiased input.
     """
     _require_mean_zero(q0, "initial vorticity")
     q_start = dealias(q0).coeffs
     q_start[0, 0] = 0.0
-    stage = AdvectionStage(q0.grid, a)
+    stage = _EulerStage(q0.grid) if a.alpha == 0.0 else AdvectionStage(q0.grid, a)
     state = SimState(0.0, SpectralField(q0.grid, q_start), a)
 
     if cfg.sample_times is not None:

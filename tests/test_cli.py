@@ -298,3 +298,26 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "setting, value, named",
+        [
+            ("workers", "-3", "[sweep] workers must be at least 1, got -3"),
+            ("workers", "0", "[sweep] workers must be at least 1, got 0"),
+            ("AEUL_WORKERS", "0", "AEUL_WORKERS must be at least 1, got '0'"),
+            ("AEUL_WORKERS", "-2", "AEUL_WORKERS must be at least 1, got '-2'"),
+        ],
+    )
+    def test_non_positive_worker_count_exits_1(self, tmp_path, capsys, monkeypatch, setting, value, named):
+        # both used to run silently on one worker
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "workers.cfg"
+        if setting == "workers":
+            cfg.write_text(SHEAR_CFG + f"workers = {value}\n")
+        else:
+            monkeypatch.setenv(setting, value)
+            cfg.write_text(SHEAR_CFG)
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err

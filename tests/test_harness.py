@@ -351,11 +351,14 @@ class TestJobGraph:
 
         failed = threading.Event()
         solve, reference = harness.filtered_solve, harness.reference_run
+        parked = []
 
         def failing_solve(alpha, omega0, cfg, ref=None):
             if alpha == 0.125:
                 failed.set()
                 raise SolverError("injected failure")
+            if ref is None:
+                parked.append(alpha)
             return solve(alpha, omega0, cfg, ref)
 
         def late_reference(cfg, datum=None):
@@ -369,10 +372,11 @@ class TestJobGraph:
         assert [r.alpha for r in got.records] == [0.25, 0.125, 0.0625]
         assert [r.failed for r in got.records] == [False, True, False]
         assert got.records[1].error == "injected failure"
-        # the solve parked on the reference (alpha 0.25) makes its velocity
-        # samples again to compare; the serial sweep measured them as they
-        # came: the two must agree bit for bit
-        assert got.records[0].alpha == 0.25
+        # the solve parked on the reference (alpha 0.0625, solved before the
+        # failing one) makes its velocity samples again to compare; the
+        # serial sweep measured them as they came: the two must agree bit
+        # for bit
+        assert 0.0625 in parked
         for i in (0, 2):
             assert np.array_equal(got.records[i].vel_l2_err, report.records[i].vel_l2_err)
             assert np.array_equal(got.records[i].delta, report.records[i].delta)
@@ -400,6 +404,72 @@ class TestJobGraph:
             run_sweep(smooth_config(workers=workers, alpha_list=alphas))
         assert info.value is boom
         assert len(solved) < len(alphas)
+
+    def test_solves_start_smallest_alpha_first(self, monkeypatch):
+        from alphaeuler import harness
+
+        order = []
+        solve = harness.filtered_solve
+
+        def recording_solve(alpha, omega0, cfg, ref=None):
+            order.append(alpha)
+            return solve(alpha, omega0, cfg, ref)
+
+        monkeypatch.setattr(harness, "filtered_solve", recording_solve)
+        got = run_sweep(smooth_config(workers=1))
+        assert order == [0.0625, 0.125, 0.25]
+        assert [r.alpha for r in got.records] == [0.25, 0.125, 0.0625]
+
+    @staticmethod
+    def _failing_comparison(monkeypatch, workers):
+        """A sweep whose comparisons raise; on two workers every solve is
+        done before the reference, so each comparison is parked and runs in
+        a pool job of its own."""
+        from alphaeuler import harness
+        from alphaeuler.harness import SweepError
+
+        solved = threading.Event()
+        count = []
+        solve, reference = harness.filtered_solve, harness.reference_run
+        boom = SweepError("comparison blew up")
+
+        def counting_solve(alpha, omega0, cfg, ref=None):
+            out = solve(alpha, omega0, cfg, ref)
+            count.append(alpha)
+            if len(count) == len(cfg.alpha_list):
+                solved.set()
+            return out
+
+        def late_reference(cfg, datum=None):
+            if workers > 1 and not solved.wait(timeout=60):
+                raise AssertionError("the alpha solves never finished")
+            return reference(cfg, datum)
+
+        def failing_record(*args):
+            raise boom
+
+        monkeypatch.setattr(harness, "filtered_solve", counting_solve)
+        monkeypatch.setattr(harness, "reference_run", late_reference)
+        monkeypatch.setattr(harness, "_alpha_record", failing_record)
+        return boom
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_comparison_failure_propagates(self, workers, monkeypatch):
+        boom = self._failing_comparison(monkeypatch, workers)
+        with pytest.raises(type(boom)) as info:
+            run_sweep(smooth_config(workers=workers))
+        assert info.value is boom
+
+    def test_comparison_failure_exits_2(self, tmp_path, monkeypatch, capsys):
+        from alphaeuler.cli import main
+
+        self._failing_comparison(monkeypatch, workers=2)
+        path = tmp_path / "exp.cfg"
+        path.write_text(SHEAR_CFG + "workers = 2\n")
+        assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "comparison blew up" in err
+        assert "Traceback" not in err
 
     def test_reference_failure_exits_2(self, tmp_path, monkeypatch, capsys):
         from alphaeuler import harness

@@ -22,7 +22,8 @@ from alphaeuler import (
     to_physical,
     to_spectral,
 )
-from alphaeuler.solver import AdvectionStage, velocity
+from alphaeuler import solver
+from alphaeuler.solver import AdvectionStage, _EulerStage, cfl_timestep, velocity
 from alphaeuler.spectral import spectral_derivative
 
 
@@ -194,6 +195,62 @@ class TestRhs:
             step(state, SolverConfig(t_end=1.0), stage=AdvectionStage(g, AlphaParam(0.2)))
 
 
+class TestEulerStage:
+    """The alpha = 0 stage of `run`: Basdevant's form of the advection term,
+    exact on the dealiased states `run` keeps."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64, 128, 256, 512])
+    def test_matches_advection_stage_on_dealiased_fields(self, n):
+        g = Grid(n)
+        q = dealias(random_vorticity(g, seed=n + 2)).coeffs
+        expected, expected_speed = AdvectionStage(g, AlphaParam(0.0))(q)
+        got, speed = _EulerStage(g)(q)
+        assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
+        assert not got[~g.keep_mask].any()
+        assert got[0, 0] == 0.0
+        # u1 and u2 come from the same tables and transform passes
+        assert speed == expected_speed
+
+    def test_writes_into_out(self):
+        g = Grid(32)
+        q = dealias(random_vorticity(g, seed=4)).coeffs
+        stage = _EulerStage(g)
+        expected, _ = stage(q)
+        out = np.full_like(q, np.nan)
+        got, _ = stage(q, out=out)
+        assert got is out
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("alpha, expected", [(0.0, _EulerStage), (0.01, AdvectionStage)])
+    def test_run_uses_it_only_at_alpha_zero(self, monkeypatch, alpha, expected):
+        stages = []
+        real_step = solver.step
+
+        def recording_step(state, cfg, max_dt=None, stage=None):
+            stages.append(type(stage))
+            return real_step(state, cfg, max_dt, stage)
+
+        monkeypatch.setattr(solver, "step", recording_step)
+        run(scaled(smooth_random(2, 2.0, 5, Grid(32)), 5.0), AlphaParam(alpha), SolverConfig(t_end=0.1))
+        assert stages and set(stages) == {expected}
+
+    def test_euler_run_matches_advection_stage_steps(self):
+        g = Grid(64)
+        q0 = scaled(smooth_random(7, 2.0, 6, g), 5.0)
+        times = np.linspace(0.0, 0.4, 5)
+        cfg = SolverConfig(t_end=0.4, sample_times=times)
+        sim = run(q0, AlphaParam(0.0), cfg)
+        stage = AdvectionStage(g, AlphaParam(0.0))
+        s = sim.states[0]
+        for target, sampled in zip(times[1:], sim.states[1:]):
+            while s.t < target - 1e-13:
+                s = step(s, cfg, max_dt=target - s.t, stage=stage)
+            assert s.step_count == sampled.step_count
+            scale = np.abs(s.q.coeffs).max()
+            assert np.abs(sampled.q.coeffs - s.q.coeffs).max() <= 1e-12 * scale
+            s.t = target
+
+
 class TestStep:
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_steady_shear_100_steps(self, alpha):
@@ -234,14 +291,59 @@ class TestStep:
         with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"t=0\.25, step 3"):
             step(SimState(0.25, q, AlphaParam(0.1), step_count=3), SolverConfig(t_end=1.0))
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    def test_warm_step_allocates_only_the_new_state(self, alpha):
+        import tracemalloc
+
+        g = Grid(256)
+        a = AlphaParam(alpha)
+        stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
+        cfg = SolverConfig(t_end=1.0)
+        state = step(SimState(0.0, dealias(random_vorticity(g, seed=3)), a), cfg, stage=stage)
+        tracemalloc.start()
+        try:
+            new = step(state, cfg, stage=stage)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the new state, plus the (n, n/2 + 1) bool array of its finiteness check
+        assert peak <= 1.1 * new.q.coeffs.nbytes
+
+    def test_run_equals_rk4_in_the_plain_expression_order(self):
+        # a test-side RK4 that allocates every stage and combination, in the
+        # operation order q0 + (dt/6) (k1 + 2 k2 + 2 k3 + k4)
+        g = Grid(64)
+        a = AlphaParam(0.02)
+        q0 = scaled(smooth_random(9, 2.0, 6, g), 5.0)
+        times = np.linspace(0.0, 0.3, 4)
+        cfg = SolverConfig(t_end=0.3, cfl=0.5, sample_times=times)
+        stage = AdvectionStage(g, a)
+        q = dealias(q0).coeffs
+        t = 0.0
+        expected = [q]
+        for target in times[1:]:
+            while t < target - 1e-13:
+                k1, speed = stage(q)
+                dt = min(cfl_timestep(speed, g, cfg.cfl), target - t)
+                k2, _ = stage(q + 0.5 * dt * k1)
+                k3, _ = stage(q + 0.5 * dt * k2)
+                k4, _ = stage(q + dt * k3)
+                q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                t += dt
+            t = target
+            expected.append(q)
+        got = [s.q.coeffs for s in run(q0, a, cfg).states]
+        assert len(got) == len(expected)
+        assert all(np.array_equal(x, y) for x, y in zip(got, expected))
+
     def test_nonfinite_update_aborts(self, monkeypatch):
         # an inf that appears only in the last stage leaves every stage
         # speed finite; the check on the new vorticity must still catch it
         calls = []
         real_stage = AdvectionStage.__call__
 
-        def poisoned(self, qh):
-            coeffs, speed = real_stage(self, qh)
+        def poisoned(self, qh, out=None):
+            coeffs, speed = real_stage(self, qh, out=out)
             calls.append(1)
             if len(calls) == 4:
                 coeffs[1, 0] = np.inf
