@@ -23,14 +23,13 @@ from .vorticity import (
     calderon_zygmund_ratio,
     curl,
     divergence,
-    gradient_l2,
     helmholtz_filter,
     helmholtz_filter_scalar,
     helmholtz_unfilter,
     laplacian_l2,
     lp_norm,
-    scaling_monitor,
     torus_distance,
+    velocity,
     velocity_l2,
 )
 from .solver import (
@@ -44,7 +43,6 @@ from .solver import (
     run,
     save_checkpoint,
     step,
-    velocity,
 )
 from .lagrangian import (
     FlowComparison,

@@ -16,15 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import PhysicalField, SpectralField
-from .vorticity import (
-    AlphaParam,
-    VelocityField,
-    biot_savart,
-    helmholtz_filter,
-    laplacian_l2,
-    lp_norm,
-    velocity_l2,
-)
+from .vorticity import AlphaParam, laplacian_l2, lp_norm, velocity, velocity_l2_distance
 
 
 @dataclass(frozen=True)
@@ -95,14 +87,10 @@ class ModulusEstimate:
 def gamma0(
     q0_alpha: SpectralField, omega0: SpectralField, a: AlphaParam
 ) -> float:
-    """Initial-data gap ||u^alpha_0 - u_0||_{L2} + alpha ||lap u^alpha_0||_{L2}."""
-    u_alpha = helmholtz_filter(biot_savart(q0_alpha), a)
-    u0 = biot_savart(omega0)
-    diff = VelocityField(
-        SpectralField(u0.grid, u_alpha.u1.coeffs - u0.u1.coeffs),
-        SpectralField(u0.grid, u_alpha.u2.coeffs - u0.u2.coeffs),
-    )
-    return velocity_l2(diff) + a.alpha * laplacian_l2(u_alpha)
+    """Initial-data gap ||u^alpha_0 - u_0||_{L2} + alpha ||lap u^alpha_0||_{L2},
+    the first term by `velocity_l2_distance`."""
+    gap = velocity_l2_distance(q0_alpha, a, omega0, AlphaParam(0.0))
+    return gap + a.alpha * laplacian_l2(velocity(q0_alpha, a))
 
 
 def velocity_rate_K(a: AlphaParam, t: float, p: BoundParams) -> float:
@@ -127,13 +115,6 @@ def max_admissible_alpha(p: BoundParams) -> float | None:
     if numerator <= 0.0:
         return None
     return min(p.alpha_bar, numerator / (p.c1 * p.horizon) ** 2)
-
-
-def osgood_M(x: float) -> float:
-    """M(x) = int_x^1 dr / (r (2 - log r)) = log(2 - log x) - log 2."""
-    if not 0.0 < x < math.e**2:
-        raise ValueError("M(x) is defined for 0 < x < e^2")
-    return math.log(2.0 - math.log(x)) - math.log(2.0)
 
 
 def osgood_bound(eta: float, c2: float, t: float) -> float:

@@ -201,24 +201,36 @@ def cmd_bounds(args) -> int:
     return 0
 
 
+REPORT_COLUMNS = ("alpha", "vel_l2_err", "vort_l2_err", "flow_dist", "delta")
+
+
 def _read_csv(path: Path):
+    """The header and rows of a sweep CSV with every REPORT_COLUMNS column;
+    anything else raises ValueError naming the file."""
     rows = []
     header = None
-    for line in path.read_text().splitlines():
+    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
         if not line or line.startswith("#"):
             continue
+        cells = line.split(",")
         if header is None:
-            header = line.split(",")
+            header = cells
             continue
-        rows.append(line.split(","))
+        if len(cells) != len(header):
+            raise ValueError(f"{path} line {lineno} holds {len(cells)} cells, the header {len(header)}")
+        rows.append(cells)
     if header is None:
         raise ValueError(f"{path} holds no CSV header")
+    missing = [name for name in REPORT_COLUMNS if name not in header]
+    if missing:
+        raise ValueError(f"{path} is not a sweep CSV: no column {', '.join(missing)}")
+    if not rows:
+        raise ValueError(f"{path} holds no data rows")
     return header, rows
 
 
 def cmd_report(args) -> int:
     out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     merged = [f"# generated {_timestamp()}"]
     summary: dict[tuple[str, str], dict[str, float]] = {}
     header_out = None
@@ -227,8 +239,10 @@ def cmd_report(args) -> int:
         header, rows = _read_csv(path)
         cols = {name: i for i, name in enumerate(header)}
         if header_out is None:
-            header_out = "source," + ",".join(header)
-            merged.append(header_out)
+            header_out = header
+            merged.append("source," + ",".join(header))
+        elif header != header_out:
+            raise ValueError(f"{path} has other columns than {args.inputs[0]}")
         for row in rows:
             merged.append(f"{path.stem}," + ",".join(row))
             key = (path.stem, row[cols["alpha"]])
@@ -241,6 +255,7 @@ def cmd_report(args) -> int:
             )
             entry["final_flow"] = float(row[cols["flow_dist"]])
             entry["final_delta"] = float(row[cols["delta"]])
+    out.mkdir(parents=True, exist_ok=True)
     (out / "merged.csv").write_text("\n".join(merged) + "\n")
 
     lines = ["source,alpha,sup_vel_l2_err,sup_vort_l2_err,final_flow_dist,final_delta"]

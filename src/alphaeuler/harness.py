@@ -17,11 +17,12 @@ own job.  One done before it is parked; when the reference finishes, its
 job submits the parked comparisons to the pool, behind the solves still
 queued.  A solve waits as little as it can: its particle trajectory is
 streamed while it runs and its samples are kept as their dealias bands.
-On one worker the caller runs the jobs as it submits them: the reference,
-the Richardson run, then each alpha's solve and comparison, smallest alpha
-first.  The report does not depend on the worker count or the order.  The
-`flows` command shares the two halves of that work: `reference_run` and
-`filtered_run`.
+Every worker count takes the same path; a one-thread pool runs its jobs
+first in, first out, so the reference is done before any solve starts,
+nothing is parked, and each alpha is solved and compared in one job,
+smallest alpha first.  The report does not depend on the worker count or
+the order.  The `flows` command shares the two halves of that work:
+`reference_run` and `filtered_run`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import json
 import math
 import os
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
@@ -43,10 +44,11 @@ from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
 from .lagrangian import TrajectoryStream, VelocityHistory, advect_particles, cumulative_trapezoid, seed_particles
 from .lagrangian import velocity_l1_distance
-from .solver import MonitorLog, SimState, SolverConfig, SolverError, run, velocity
-from .spectral import TWO_PI, Grid, PhysicalField, SpectralField, parseval_sum, restrict, to_physical
+from .solver import MonitorLog, SimState, SolverConfig, SolverError, run
+from .spectral import Grid, PhysicalField, SpectralField, restrict, to_physical
 from .spectral import pack_band, unpack_band
-from .vorticity import AlphaParam, biot_savart, lp_norm, torus_distance, velocity_l2
+from .vorticity import AlphaParam, biot_savart, lp_norm, torus_distance, velocity, velocity_l2
+from .vorticity import velocity_l2_distance
 
 CSV_COLUMNS = (
     "alpha,t,vel_l2_err,vort_l1_err,vort_l2_err,vort_l4_err,"
@@ -170,6 +172,9 @@ class ExperimentConfig:
             raise ValueError(f"[sweep] workers must be at least 1, got {self.workers}")
         if self.family not in ("identity", "mollified"):
             raise ValueError(f"unknown approximating family {self.family!r}")
+        bad = [p for p in map(float, self.p_list) if not p >= 1.0]  # NaN included
+        if bad:
+            raise ValueError(f"[sweep] p_list entries must be >= 1 (or inf), got {bad[0]!r}")
         self.p_list = tuple(sorted(set(float(p) for p in self.p_list) | set(CSV_PS)))
         if self.output_dir is not None:
             self.output_dir = Path(self.output_dir)
@@ -439,21 +444,13 @@ def compare_states(
     one at a time."""
     vel = []
     vort = {p: [] for p in p_list}
+    a, b = AlphaParam(alpha_a), AlphaParam(alpha_b)
     for qa, qb in zip(qs_a, qs_b):
-        vel.append(_velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid))
+        vel.append(velocity_l2_distance(qa, a, qb, b))
         diff = PhysicalField(grid, to_physical(qa).values - to_physical(qb).values)
         for p in p_list:
             vort[p].append(lp_norm(diff, p))
     return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}
-
-
-def _velocity_err_l2_pair(qa, alpha_a, qb, alpha_b, grid) -> float:
-    """||u^alpha_a - u^alpha_b||_{L2} straight from the vorticity
-    coefficients; alpha = 0 filters by exactly 1.0."""
-    fa = 1.0 / (1.0 + alpha_a * grid.ksq)
-    fb = 1.0 / (1.0 + alpha_b * grid.ksq)
-    diff = qa.coeffs * fa - qb.coeffs * fb
-    return TWO_PI * math.sqrt(parseval_sum(np.abs(diff) ** 2 * grid.inv_ksq))
 
 
 def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig) -> AlphaRecord:
@@ -533,7 +530,7 @@ class _SweepGraph:
 
         def compare(ref: ReferenceRun):
             self.richardson_error = max(
-                _velocity_err_l2_pair(unpack_band(band, ref.grid), 0.0, qr, 0.0, ref.grid)
+                velocity_l2_distance(unpack_band(band, ref.grid), EULER, qr, EULER)
                 for band, qr in zip(bands, ref.qs)
             )
 
@@ -558,22 +555,6 @@ def _run_alpha(graph: _SweepGraph, i: int) -> None:
     graph.then(compare)
 
 
-class _InlinePool:
-    """The pool of a one-worker sweep: the caller, running each job as it
-    is submitted.  A job's exception propagates from `submit`."""
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        return None
-
-    def submit(self, fn, /, *args) -> Future:
-        future = Future()
-        future.set_result(fn(*args))
-        return future
-
-
 def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Reference, Richardson check, one filtered run per alpha, rate fits
     and the default bound overlay (horizon max(1, t_end)); the outputs are
@@ -582,7 +563,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     If the reference (or any job, a comparison included) raises, the jobs
     not yet started are cancelled and the exception propagates."""
     workers = cfg.effective_workers()
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else _InlinePool() as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         graph = _SweepGraph(cfg, pool)
         # The reference is submitted first, so it is the first unfiltered
         # run on the n_ref grid to start: traces tell it from the Richardson

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import TWO_PI, Grid, PhysicalField
-from .vorticity import torus_distance
+from .vorticity import torus_distance, velocity
 
 
 @dataclass
@@ -213,13 +213,12 @@ class VelocityHistory:
 
     @classmethod
     def from_states(cls, states) -> "VelocityHistory":
-        """Build a history from solver samples."""
-        from .solver import velocity as solver_velocity
-
+        """Build a history from solver samples, written into one array:
+        stacking them would hold a second copy of the history."""
         grid = states[0].grid
         snaps = np.empty((len(states), 2, grid.n, grid.n))
         for snap, s in zip(snaps, states):
-            snap[:] = solver_velocity(s.q, s.a).physical()
+            snap[:] = velocity(s.q, s.a).physical()
         return cls(np.asarray([s.t for s in states]), snaps, grid)
 
     def span(self) -> tuple[float, float]:
@@ -239,15 +238,10 @@ class VelocityHistory:
         t0, t1 = self.times[j], self.times[j + 1]
         return j, (t - t0) / (t1 - t0)
 
-    def grids_at(self, t: float) -> np.ndarray:
-        j, theta = self._bracket(t)
-        if theta is None:
-            return self.snapshots[0]
-        return (1.0 - theta) * self.snapshots[j] + theta * self.snapshots[j + 1]
-
     def load(self, t: float, work: BicubicWork) -> None:
-        """Blend the velocity at time t into work's field, as `grids_at`
-        does, unless work holds it already."""
+        """Blend the velocity at time t, (1 - theta) u_j + theta u_{j+1}
+        between the samples around t, into work's field, unless work holds
+        it already."""
         if work.held == (self, t):
             return
         j, theta = self._bracket(t)

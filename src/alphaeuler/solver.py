@@ -8,10 +8,10 @@ four-stage Runge-Kutta with a CFL-limited step.
 
 States hold q as a ``SpectralField``, the ``rfft2`` half spectrum of shape
 (n, n//2 + 1).  An ``AdvectionStage`` holds the operator tables of one
-(grid, alpha) pair as a (4, n, n//2 + 1) stack built from the ``Grid``
-tables: the filtered Biot-Savart multipliers of u1 and u2 and the
-derivatives d1, d2, each odd in some k_j and zeroed on the k_j = n/2
-Nyquist line, plus the negated dealias mask with the mean mode zeroed.
+(grid, alpha) pair as a (4, n, n//2 + 1) stack: the velocity table of
+``vorticity.velocity`` (u1, u2) and the derivatives d1, d2, each odd in
+some k_j and zeroed on the k_j = n/2 Nyquist line, plus the negated
+dealias mask with the mean mode zeroed.
 One stage multiplies the stack by q, transforms it back to (u1, u2, d1 q,
 d2 q), forms u . grad q and transforms that forward.  Each 2-D real
 transform runs as its two per-axis passes, in the order and scaling of
@@ -53,12 +53,11 @@ import numpy as np
 from .spectral import Grid, SpectralField, dealias, to_physical
 from .vorticity import (
     AlphaParam,
-    VelocityField,
     _require_mean_zero,
+    _velocity_multipliers,
     alpha_norm,
-    biot_savart,
-    helmholtz_filter,
     lp_norm,
+    velocity,
     velocity_l2,
 )
 
@@ -104,25 +103,6 @@ class SimState:
     @property
     def grid(self) -> Grid:
         return self.q.grid
-
-
-def velocity(q: SpectralField, a: AlphaParam) -> VelocityField:
-    """Advecting velocity: Helmholtz-filtered Biot-Savart field of q."""
-    return helmholtz_filter(biot_savart(q), a)
-
-
-def _velocity_multipliers(grid: Grid, a: AlphaParam) -> np.ndarray:
-    """(2, n, n//2 + 1) multipliers of the filtered Biot-Savart velocity
-    (u1, u2).  Each is odd in some k_j and loses its k_j = n/2 line: that
-    sine mode vanishes at the collocation points."""
-    n, nh = grid.n, grid.n // 2
-    bs = grid.inv_ksq / (1.0 + a.alpha * grid.ksq)
-    mult = np.empty((2, n, nh + 1), dtype=np.complex128)
-    mult[0] = 1j * grid.k2 * bs
-    mult[1] = -1j * grid.k1 * bs
-    mult[0, :, nh] = 0.0  # u1: odd in k2
-    mult[1, nh, :] = 0.0  # u2: odd in k1
-    return mult
 
 
 def _rk4_buffers(grid: Grid) -> np.ndarray:

@@ -1,9 +1,10 @@
 """Elliptic machinery on the torus.
 
-Biot-Savart inversion of the vorticity, the Helmholtz low-pass filter and
-its inverse, collocation L^p norms, the filtered energy norm, the torus
-distance, and the gradient/Laplacian scaling monitors used by the
-convergence studies.
+The filtered Biot-Savart velocity u^alpha = K^alpha * q, defined once by
+the multiplier table that `velocity` and the solver's stages use, the
+Helmholtz filter and its inverse, collocation L^p norms, the filtered
+energy norm, L2 velocity distances (by Parseval, without the table), and
+the torus distance.
 """
 
 from __future__ import annotations
@@ -53,8 +54,12 @@ class VelocityField:
         return self.u1.grid
 
     def physical(self) -> np.ndarray:
-        """Collocation samples stacked as an array of shape (2, n, n)."""
-        return np.stack([to_physical(self.u1).values, to_physical(self.u2).values])
+        """Collocation samples stacked as an array of shape (2, n, n): the
+        per-axis passes of one ``irfft2``, bitwise `to_physical` per plane."""
+        n = self.grid.n
+        spec = np.stack([self.u1.coeffs, self.u2.coeffs])
+        np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
+        return np.fft.irfftn(spec, s=(n,), axes=(-1,), norm="forward")
 
 
 def _require_mean_zero(q: SpectralField, what: str) -> None:
@@ -65,6 +70,30 @@ def _require_mean_zero(q: SpectralField, what: str) -> None:
         raise ValueError(f"{what} must have zero mean on the torus")
 
 
+def _velocity_multipliers(grid: Grid, a: AlphaParam) -> np.ndarray:
+    """(2, n, n//2 + 1) multipliers of the filtered Biot-Savart velocity
+    (u1, u2).  Each is odd in some k_j and loses its k_j = n/2 line: that
+    sine mode vanishes at the collocation points."""
+    n, nh = grid.n, grid.n // 2
+    bs = grid.inv_ksq / (1.0 + a.alpha * grid.ksq)
+    mult = np.empty((2, n, nh + 1), dtype=np.complex128)
+    mult[0] = 1j * grid.k2 * bs
+    mult[1] = -1j * grid.k1 * bs
+    mult[0, :, nh] = 0.0  # u1: odd in k2
+    mult[1, nh, :] = 0.0  # u2: odd in k1
+    return mult
+
+
+def velocity(q: SpectralField, a: AlphaParam) -> VelocityField:
+    """The advecting velocity u^alpha = K^alpha * q: the Helmholtz-filtered
+    Biot-Savart field of q, the multiplier table times q; requires the mean
+    of q to vanish."""
+    _require_mean_zero(q, "vorticity passed to the Biot-Savart solve")
+    u = _velocity_multipliers(q.grid, a)
+    u *= q.coeffs
+    return VelocityField(SpectralField(q.grid, u[0]), SpectralField(q.grid, u[1]))
+
+
 def biot_savart(q: SpectralField) -> VelocityField:
     """Divergence-free velocity with curl v = q (curl = d1 v2 - d2 v1).
 
@@ -73,11 +102,7 @@ def biot_savart(q: SpectralField) -> VelocityField:
     `spectral_derivative`, so v is the velocity of the collocation field;
     requires the mean of q to vanish.
     """
-    _require_mean_zero(q, "vorticity passed to the Biot-Savart solve")
-    g = q.grid
-    psi = SpectralField(g, q.coeffs * g.inv_ksq)
-    u2 = spectral_derivative(psi, 1)
-    return VelocityField(spectral_derivative(psi, 2), SpectralField(g, -u2.coeffs))
+    return velocity(q, AlphaParam(0.0))
 
 
 def helmholtz_factor(grid: Grid, a: AlphaParam) -> np.ndarray:
@@ -132,10 +157,6 @@ def velocity_l2(u: VelocityField) -> float:
     return TWO_PI * math.sqrt(_coeff_weighted_sq(u, 1.0))
 
 
-def gradient_l2(u: VelocityField) -> float:
-    return TWO_PI * math.sqrt(_coeff_weighted_sq(u, u.grid.ksq))
-
-
 def laplacian_l2(u: VelocityField) -> float:
     return TWO_PI * math.sqrt(_coeff_weighted_sq(u, u.grid.ksq**2))
 
@@ -143,6 +164,15 @@ def laplacian_l2(u: VelocityField) -> float:
 def alpha_norm(u: VelocityField, a: AlphaParam) -> float:
     """sqrt(||u||_{L2}^2 + alpha ||grad u||_{L2}^2), evaluated spectrally."""
     return TWO_PI * math.sqrt(_coeff_weighted_sq(u, 1.0 + a.alpha * u.grid.ksq))
+
+
+def velocity_l2_distance(qa: SpectralField, a: AlphaParam, qb: SpectralField, b: AlphaParam) -> float:
+    """||K^a * qa - K^b * qb||_{L2} by Parseval, |u_hat|^2 = |q_hat|^2 / |k|^2;
+    exact for fields without the Nyquist-line modes `velocity` drops, as
+    dealiased fields are."""
+    g = qa.grid
+    diff = qa.coeffs * helmholtz_factor(g, a) - qb.coeffs * helmholtz_factor(g, b)
+    return TWO_PI * math.sqrt(parseval_sum(np.abs(diff) ** 2 * g.inv_ksq))
 
 
 def torus_distance(x, y):
@@ -155,33 +185,6 @@ def torus_distance(x, y):
     wrapped = (diff + np.pi) % TWO_PI - np.pi
     dist = np.hypot(wrapped[..., 0], wrapped[..., 1])
     return float(dist) if dist.ndim == 0 else dist
-
-
-@dataclass(frozen=True)
-class ScalingMonitor:
-    """Gradient/Laplacian norms of the filtered velocity with the exponents
-    their alpha-scaling is expected to follow."""
-
-    grad_u_l2: float
-    lap_u_l2: float
-    grad_exponent: float
-    lap_exponent: float
-
-
-def scaling_monitor(q: SpectralField, a: AlphaParam, p: float) -> ScalingMonitor:
-    """Evaluate ||grad u^alpha||_{L2} and ||lap u^alpha||_{L2} for the
-    filtered Biot-Savart velocity of q, plus the predicted alpha-exponents
-    (1/2 - 1/p and -1/p for p <= 2, 0 and -1/2 for p >= 2)."""
-    if a.alpha <= 0:
-        raise ValueError("the scaling monitor requires alpha > 0")
-    if p <= 1:
-        raise ValueError("scaling exponents are defined for p > 1")
-    u = helmholtz_filter(biot_savart(q), a)
-    if p <= 2:
-        grad_exp, lap_exp = 0.5 - 1.0 / p, -1.0 / p
-    else:
-        grad_exp, lap_exp = 0.0, -0.5
-    return ScalingMonitor(gradient_l2(u), laplacian_l2(u), grad_exp, lap_exp)
 
 
 def calderon_zygmund_ratio(q: SpectralField, p: float) -> float:

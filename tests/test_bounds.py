@@ -22,7 +22,15 @@ from alphaeuler import (
     velocity_rate_K,
     vorticity_rate_bound,
 )
-from alphaeuler.bounds import linear_fit, osgood_M, t95_quantile
+from alphaeuler.bounds import linear_fit, t95_quantile
+
+
+def osgood_M(x: float) -> float:
+    """M(x) = int_x^1 dr / (r (2 - log r)) = log(2 - log x) - log 2."""
+    if not 0.0 < x < math.e**2:
+        raise ValueError("M(x) is defined for 0 < x < e^2")
+    return math.log(2.0 - math.log(x)) - math.log(2.0)
+
 
 # frozen against 50-digit arithmetic (mpmath) on the closed forms
 K_001_T1 = 1.6176565479800037

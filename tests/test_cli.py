@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from alphaeuler.cli import main
-from alphaeuler.harness import load_config
+from alphaeuler.harness import CSV_COLUMNS, load_config
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -139,6 +139,30 @@ class TestReportCommand:
         rates = (report_out / "rates.csv").read_text().splitlines()
         assert len(rates) == 1 + 2  # two alphas
         assert (report_out / "plot.gp").read_text().startswith("set logscale xy")
+
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            (
+                "t,mean_distance,l2_distance,g_delta,delta,log_bound\n0.0,0.0,0.0,0.0,0.0,nan\n",
+                "no column alpha, vel_l2_err, vort_l2_err, flow_dist",
+            ),
+            (CSV_COLUMNS + "\n", "holds no data rows"),
+            (CSV_COLUMNS + "\n0.5,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n0.5,0.1,1.0\n", "line 4"),
+        ],
+        ids=["flows_csv", "header_only", "short_row"],
+    )
+    def test_bad_input_exits_1(self, tmp_path, capsys, body, named):
+        # a flows CSV ended in KeyError: 'alpha' and a short row in an
+        # IndexError, each with a traceback
+        path = tmp_path / "input.csv"
+        path.write_text("# generated 2026-01-01\n" + body)
+        report_out = tmp_path / "report"
+        assert main(["report", "--inputs", str(path), "--output", str(report_out)]) == 1
+        err = capsys.readouterr().err
+        assert str(path) in err and named in err
+        assert "Traceback" not in err
+        assert not report_out.exists()
 
 
 class TestUsageErrors:
@@ -298,6 +322,24 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "value, named", [("0.5", "got 0.5"), ("nan", "got nan"), ("2, 0", "got 0.0"), ("-inf", "got -inf")]
+    )
+    def test_p_list_below_one_exits_1_before_any_solve(self, tmp_path, capsys, monkeypatch, value, named):
+        # p = 0.5 used to fail only in the first comparison, after every solve
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "norms.cfg"
+        cfg.write_text(SHEAR_CFG + f"p_list = {value}\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "[sweep] p_list" in err and named in err
+        assert "Traceback" not in err
+
+    def test_p_list_takes_inf(self, tmp_path):
+        cfg = tmp_path / "norms.cfg"
+        cfg.write_text(SHEAR_CFG + "p_list = 1, inf\n")
+        assert load_config(cfg).p_list == (1.0, 2.0, 4.0, float("inf"))
 
     @pytest.mark.parametrize(
         "setting, value, named",

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
@@ -15,15 +17,54 @@ from alphaeuler import (
     helmholtz_unfilter,
     lp_norm,
     sample,
-    scaling_monitor,
     to_physical,
     to_spectral,
     torus_distance,
     velocity_l2,
 )
-from alphaeuler.initial_data import smooth_random
+from alphaeuler.bounds import gamma0
+from alphaeuler.initial_data import approximating_family, disc_patch, smooth_random
+from alphaeuler.spectral import parseval_sum, restrict, spectral_derivative
+from alphaeuler.vorticity import (
+    VelocityField,
+    laplacian_l2,
+    velocity,
+    velocity_l2_distance,
+)
 
 TOL = 1e-12
+
+
+def gradient_l2(u: VelocityField) -> float:
+    density = u.grid.ksq * (np.abs(u.u1.coeffs) ** 2 + np.abs(u.u2.coeffs) ** 2)
+    return 2 * np.pi * np.sqrt(parseval_sum(density))
+
+
+@dataclass(frozen=True)
+class ScalingMonitor:
+    """Gradient/Laplacian norms of the filtered velocity with the exponents
+    their alpha-scaling is expected to follow."""
+
+    grad_u_l2: float
+    lap_u_l2: float
+    grad_exponent: float
+    lap_exponent: float
+
+
+def scaling_monitor(q: SpectralField, a: AlphaParam, p: float) -> ScalingMonitor:
+    """Evaluate ||grad u^alpha||_{L2} and ||lap u^alpha||_{L2} for the
+    filtered Biot-Savart velocity of q, plus the predicted alpha-exponents
+    (1/2 - 1/p and -1/p for p <= 2, 0 and -1/2 for p >= 2)."""
+    if a.alpha <= 0:
+        raise ValueError("the scaling monitor requires alpha > 0")
+    if p <= 1:
+        raise ValueError("scaling exponents are defined for p > 1")
+    u = velocity(q, a)
+    if p <= 2:
+        grad_exp, lap_exp = 0.5 - 1.0 / p, -1.0 / p
+    else:
+        grad_exp, lap_exp = 0.0, -0.5
+    return ScalingMonitor(gradient_l2(u), laplacian_l2(u), grad_exp, lap_exp)
 
 
 def random_vorticity(grid, seed=0, scale=1.0):
@@ -68,6 +109,120 @@ class TestBiotSavart:
         coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
             biot_savart(SpectralField(g, coeffs))
+
+
+def oracle_biot_savart(q):
+    """The Biot-Savart velocity through the stream function q / |k|^2 and
+    `spectral_derivative`: u = (d2 psi, -d1 psi)."""
+    g = q.grid
+    psi = SpectralField(g, q.coeffs * g.inv_ksq)
+    u2 = spectral_derivative(psi, 1)
+    return VelocityField(spectral_derivative(psi, 2), SpectralField(g, -u2.coeffs))
+
+
+def oracle_velocity(q, a):
+    """The filtered velocity as two operators: `helmholtz_filter` of the
+    oracle Biot-Savart field."""
+    return helmholtz_filter(oracle_biot_savart(q), a)
+
+
+def oracle_velocity_gap(qa, alpha_a, qb, alpha_b):
+    """||u^alpha_a - u^alpha_b||_{L2} spelt out as in the sweep's error
+    columns: the filter factors, then Parseval with 1/|k|^2."""
+    g = qa.grid
+    fa = 1.0 / (1.0 + alpha_a * g.ksq)
+    fb = 1.0 / (1.0 + alpha_b * g.ksq)
+    diff = qa.coeffs * fa - qb.coeffs * fb
+    return 2 * np.pi * np.sqrt(parseval_sum(np.abs(diff) ** 2 * g.inv_ksq))
+
+
+def oracle_gamma0(q0_alpha, omega0, a):
+    """gamma0 from the difference of the two velocity fields."""
+    u_alpha = oracle_velocity(q0_alpha, a)
+    u0 = oracle_biot_savart(omega0)
+    diff = VelocityField(
+        SpectralField(u0.grid, u_alpha.u1.coeffs - u0.u1.coeffs),
+        SpectralField(u0.grid, u_alpha.u2.coeffs - u0.u2.coeffs),
+    )
+    return velocity_l2(diff) + a.alpha * laplacian_l2(u_alpha)
+
+
+def white_vorticity(grid, seed):
+    """Mean-free white noise: every coefficient nonzero, the Nyquist lines
+    included."""
+    rng = np.random.default_rng(seed)
+    q = to_spectral(PhysicalField(grid, rng.standard_normal((grid.n, grid.n))))
+    q.coeffs[0, 0] = 0.0
+    return q
+
+
+class TestVelocityTable:
+    """`velocity` and `biot_savart` are one multiply by the stage's table."""
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    @pytest.mark.parametrize("alpha", [0.0, 2.0**-6])
+    def test_matches_filtered_biot_savart(self, n, alpha):
+        g = Grid(n)
+        a = AlphaParam(alpha)
+        for q in (white_vorticity(g, n), random_vorticity(g, seed=n)):
+            expected = oracle_velocity(q, a)
+            scale = max(np.abs(expected.u1.coeffs).max(), np.abs(expected.u2.coeffs).max())
+            got = [velocity(q, a)]
+            if alpha == 0.0:
+                got.append(biot_savart(q))
+            for u in got:
+                assert np.abs(u.u1.coeffs - expected.u1.coeffs).max() <= 1e-15 * scale
+                assert np.abs(u.u2.coeffs - expected.u2.coeffs).max() <= 1e-15 * scale
+                # the sine modes of the Nyquist lines are dropped exactly
+                assert np.all(u.u1.coeffs[:, n // 2] == 0.0)
+                assert np.all(u.u2.coeffs[n // 2, :] == 0.0)
+
+    @pytest.mark.parametrize("n", [8, 64, 256])
+    def test_physical_is_per_component_to_physical(self, n):
+        g = Grid(n)
+        u = velocity(white_vorticity(g, 3), AlphaParam(0.1))
+        got = u.physical()
+        assert got.shape == (2, n, n)
+        assert np.array_equal(got[0], to_physical(u.u1).values)
+        assert np.array_equal(got[1], to_physical(u.u2).values)
+
+    @pytest.mark.parametrize("alpha_a, alpha_b", [(0.1, 0.0), (0.0, 0.0), (2.0**-6, 0.25), (0.0, 0.5)])
+    def test_l2_distance_is_the_error_column_formula(self, alpha_a, alpha_b):
+        g = Grid(32)
+        qa, qb = random_vorticity(g, seed=1), white_vorticity(g, 2)
+        got = velocity_l2_distance(qa, AlphaParam(alpha_a), qb, AlphaParam(alpha_b))
+        assert got == oracle_velocity_gap(qa, alpha_a, qb, alpha_b)
+
+    def test_l2_distance_is_the_field_distance_for_dealiased_fields(self):
+        g = Grid(32)
+        qa, qb = random_vorticity(g, seed=5), random_vorticity(g, seed=6)
+        a, b = AlphaParam(0.05), AlphaParam(0.0)
+        ua, ub = velocity(qa, a), velocity(qb, b)
+        diff = VelocityField(
+            SpectralField(g, ua.u1.coeffs - ub.u1.coeffs),
+            SpectralField(g, ua.u2.coeffs - ub.u2.coeffs),
+        )
+        assert velocity_l2_distance(qa, a, qb, b) == pytest.approx(velocity_l2(diff), rel=1e-14)
+
+    @pytest.mark.parametrize("family", ["identity", "mollified"])
+    @pytest.mark.parametrize("kind", ["smooth", "disc"])
+    def test_gamma0_matches_the_field_difference(self, family, kind):
+        # The gap term subtracts two nearly equal velocities; the two
+        # formulas round them differently, so their difference is a few
+        # ulps of ||u_0|| at every alpha: 1e-15 relative to gamma0 down to
+        # alpha = 2^-8, the smallest of the demo sweeps (2.3e-15 at 2^-11).
+        g = Grid(64)
+        fine = Grid(128)
+        datum = smooth_random(11, 2.0, 4, fine) if kind == "smooth" else disc_patch((np.pi, np.pi), 1.0, 1.0, fine)
+        omega0 = restrict(datum, g)
+        u0 = velocity_l2(biot_savart(omega0))
+        for k in range(1, 21):
+            a = AlphaParam(2.0**-k)
+            q0 = approximating_family(omega0, a, family)
+            got, expected = gamma0(q0, omega0, a), oracle_gamma0(q0, omega0, a)
+            assert abs(got - expected) <= 1e-15 * u0
+            if k <= 8:
+                assert abs(got - expected) <= 1e-15 * expected
 
 
 class TestHelmholtzFilter:
