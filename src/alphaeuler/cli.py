@@ -20,10 +20,11 @@ from .bounds import BoundParams, ModulusEstimate, flow_rate_bound, velocity_rate
 from .harness import (
     SweepError,
     build_datum,
-    filtered_run,
+    filtered_solve,
     load_config,
     reference_run,
     run_sweep,
+    velocity_gap,
 )
 from .lagrangian import ParticleSet, flow_distance
 from .solver import SolverError, run, save_checkpoint
@@ -143,8 +144,9 @@ def cmd_flows(args) -> int:
     cfg = load_config(args.config)
     alpha = args.alpha if args.alpha is not None else cfg.alpha_list[0]
     ref = reference_run(cfg)
-    flow = filtered_run(alpha, ref, cfg)
-    delta_total = float(flow.delta[-1])
+    solve = filtered_solve(alpha, ref.omega0, cfg, ref)
+    delta = velocity_gap(solve, ref)
+    delta_total = float(delta[-1])
 
     out = _resolve_output(cfg.output_dir, args.output, "flows_output")
     out.mkdir(parents=True, exist_ok=True)
@@ -154,14 +156,14 @@ def cmd_flows(args) -> int:
     ]
     for j, t in enumerate(ref.times):
         comp = flow_distance(
-            ParticleSet(flow.trajectory[j], float(t)),
+            ParticleSet(solve.trajectory[j], float(t)),
             ParticleSet(ref.trajectory[j], float(t)),
             delta=max(delta_total, 1e-300),
             c_cal=args.c_cal,
         )
         lines.append(
             _csv_row(
-                (t, comp.mean_distance, comp.l2_distance, comp.g_delta, flow.delta[j], comp.log_bound)
+                (t, comp.mean_distance, comp.l2_distance, comp.g_delta, delta[j], comp.log_bound)
             )
         )
     (out / "flows.csv").write_text("\n".join(lines) + "\n")
@@ -205,8 +207,9 @@ REPORT_COLUMNS = ("alpha", "vel_l2_err", "vort_l2_err", "flow_dist", "delta")
 
 
 def _read_csv(path: Path):
-    """The header and rows of a sweep CSV with every REPORT_COLUMNS column;
-    anything else raises ValueError naming the file."""
+    """The header and the (line number, cells) rows of a sweep CSV with
+    every REPORT_COLUMNS column; anything else raises ValueError naming the
+    file."""
     rows = []
     header = None
     for lineno, line in enumerate(path.read_text().splitlines(), start=1):
@@ -218,7 +221,7 @@ def _read_csv(path: Path):
             continue
         if len(cells) != len(header):
             raise ValueError(f"{path} line {lineno} holds {len(cells)} cells, the header {len(header)}")
-        rows.append(cells)
+        rows.append((lineno, cells))
     if header is None:
         raise ValueError(f"{path} holds no CSV header")
     missing = [name for name in REPORT_COLUMNS if name not in header]
@@ -227,6 +230,13 @@ def _read_csv(path: Path):
     if not rows:
         raise ValueError(f"{path} holds no data rows")
     return header, rows
+
+
+def _number(path: Path, lineno: int, column: str, cell: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise ValueError(f"{path} line {lineno}, column {column}: {cell!r} is not a number") from None
 
 
 def cmd_report(args) -> int:
@@ -243,18 +253,17 @@ def cmd_report(args) -> int:
             merged.append("source," + ",".join(header))
         elif header != header_out:
             raise ValueError(f"{path} has other columns than {args.inputs[0]}")
-        for row in rows:
+        for lineno, row in rows:
             merged.append(f"{path.stem}," + ",".join(row))
+            value = {name: _number(path, lineno, name, row[cols[name]]) for name in REPORT_COLUMNS}
             key = (path.stem, row[cols["alpha"]])
             entry = summary.setdefault(
                 key, {"sup_vel": 0.0, "sup_vort_l2": 0.0, "final_flow": 0.0, "final_delta": 0.0}
             )
-            entry["sup_vel"] = max(entry["sup_vel"], float(row[cols["vel_l2_err"]]))
-            entry["sup_vort_l2"] = max(
-                entry["sup_vort_l2"], float(row[cols["vort_l2_err"]])
-            )
-            entry["final_flow"] = float(row[cols["flow_dist"]])
-            entry["final_delta"] = float(row[cols["delta"]])
+            entry["sup_vel"] = max(entry["sup_vel"], value["vel_l2_err"])
+            entry["sup_vort_l2"] = max(entry["sup_vort_l2"], value["vort_l2_err"])
+            entry["final_flow"] = value["flow_dist"]
+            entry["final_delta"] = value["delta"]
     out.mkdir(parents=True, exist_ok=True)
     (out / "merged.csv").write_text("\n".join(merged) + "\n")
 

@@ -21,8 +21,15 @@ Every worker count takes the same path; a one-thread pool runs its jobs
 first in, first out, so the reference is done before any solve starts,
 nothing is parked, and each alpha is solved and compared in one job,
 smallest alpha first.  The report does not depend on the worker count or
-the order.  The `flows` command shares the two halves of that work:
-`reference_run` and `filtered_run`.
+the order.
+
+Each sample's filtered velocity is made once, by `run` from its stage's
+table, and serves the monitor row, the particle trajectory and the
+velocity gap to the reference.  The reference traces its lattice with the
+same `TrajectoryStream` as the solves, after its run, from the velocities
+of its restricted samples, which it keeps for the gaps.  The `flows`
+command makes the same calls as a sweep's alpha: `reference_run`,
+`filtered_solve` and `velocity_gap`.
 """
 
 from __future__ import annotations
@@ -42,13 +49,12 @@ import numpy as np
 from .bounds import BoundParams, linear_fit, t95_quantile, velocity_rate_K
 from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
-from .lagrangian import TrajectoryStream, VelocityHistory, advect_particles, cumulative_trapezoid, seed_particles
-from .lagrangian import velocity_l1_distance
+from .lagrangian import TrajectoryStream, cumulative_trapezoid, seed_particles, velocity_l1_distance
 from .solver import MonitorLog, SimState, SolverConfig, SolverError, run
 from .spectral import Grid, PhysicalField, SpectralField, restrict, to_physical
 from .spectral import pack_band, unpack_band
-from .vorticity import AlphaParam, biot_savart, lp_norm, torus_distance, velocity, velocity_l2
-from .vorticity import velocity_l2_distance
+from .vorticity import AlphaParam, _velocity_multipliers, biot_savart, lp_norm, torus_distance, velocity
+from .vorticity import velocity_l2, velocity_l2_distance
 
 CSV_COLUMNS = (
     "alpha,t,vel_l2_err,vort_l1_err,vort_l2_err,vort_l4_err,"
@@ -98,27 +104,27 @@ def build_datum(spec: DatumSpec, grid: Grid, default_seed: int = 0) -> SpectralF
     def get(key, cast, default):
         return _parse(f"[datum] {key}", spec.params.get(key, default), cast)
 
-    scale = get("scale", float, 1.0)
+    scale = get("scale", _finite, 1.0)
     if spec.kind == "smooth_random":
         datum = smooth_random(
             seed=get("seed", int, default_seed),
-            spectrum_slope=get("spectrum_slope", float, 2.0),
+            spectrum_slope=get("spectrum_slope", _finite, 2.0),
             k_max=get("k_max", int, 4),
             grid=grid,
         )
     elif spec.kind == "disc_patch":
-        center = (get("center_x", float, math.pi), get("center_y", float, math.pi))
+        center = (get("center_x", _finite, math.pi), get("center_y", _finite, math.pi))
         datum = disc_patch(
             center=center,
-            radius=get("radius", float, 1.0),
-            amplitude=get("amplitude", float, 1.0),
+            radius=get("radius", _finite, 1.0),
+            amplitude=get("amplitude", _finite, 1.0),
             grid=grid,
         )
     elif spec.kind == "fractal_patch":
         datum, _ = fractal_patch(
             generator=spec.params.get("generator", "koch-like"),
             depth=get("depth", int, 2),
-            amplitude=get("amplitude", float, 1.0),
+            amplitude=get("amplitude", _finite, 1.0),
             grid=grid,
         )
     else:
@@ -126,6 +132,18 @@ def build_datum(spec: DatumSpec, grid: Grid, default_seed: int = 0) -> SpectralF
     if scale != 1.0:
         datum = SpectralField(grid, datum.coeffs * scale)
     return datum
+
+
+def _study_restriction(datum: SpectralField, grid: Grid) -> SpectralField:
+    """The datum restricted to the study grid, which must keep some of it:
+    a restriction that is identically zero would give a table of zeros."""
+    omega0 = restrict(datum, grid)
+    if not omega0.coeffs.any():
+        raise ValueError(
+            f"the [datum] vorticity has no mode in the dealias band |k| <= "
+            f"{grid.kmax_dealias} of the n = {grid.n} study grid"
+        )
+    return omega0
 
 
 @dataclass
@@ -280,14 +298,15 @@ class ConvergenceReport:
 @dataclass(frozen=True)
 class ReferenceRun:
     """The unfiltered reference of a study, run on the n_ref grid and kept
-    on the study grid: the restricted initial datum and samples, their
-    velocity history and the particle-lattice trajectories it drives."""
+    on the study grid: the restricted initial datum and samples, the
+    physical (2, n, n) velocity of each sample and the particle-lattice
+    trajectories they drive."""
 
     grid: Grid
     solver: SolverConfig
     omega0: SpectralField
     qs: tuple
-    history: VelocityHistory
+    velocities: tuple
     trajectory: tuple
 
     @property
@@ -316,53 +335,38 @@ class FilteredSolve:
         return (unpack_band(band, grid) for band in self.bands)
 
 
-@dataclass(frozen=True)
-class FilteredRun:
-    """One filtered run measured against the reference: its
-    particle-lattice trajectories and the cumulative velocity gap delta(t)
-    to the reference."""
-
-    trajectory: tuple
-    delta: np.ndarray
-
-
-def _trajectory(history: VelocityHistory, cfg: ExperimentConfig) -> tuple:
-    """Positions of the particle lattice at each sample time of history."""
-    p = seed_particles(history.grid, cfg.particle_stride)
-    positions = [p.positions]
-    for t1 in history.times[1:]:
-        p = advect_particles(p, history, float(t1), substeps=cfg.substeps)
-        positions.append(p.positions)
-    return tuple(positions)
-
-
 def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> ReferenceRun:
     """Run the unfiltered reference on the n_ref grid, keeping each sample
     as its spectral restriction to the study grid.  `datum` is the initial
-    vorticity on the n_ref grid, built from cfg.datum when not given."""
+    vorticity on the n_ref grid, built from cfg.datum when not given.  The
+    lattice is traced after the run: during it, the velocities would be
+    held next to the n_ref stage's buffers, and peak memory would grow."""
     grid = Grid(cfg.n)
     solver = cfg.solver_config()
     if datum is None:
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+    omega0 = _study_restriction(datum, grid)
     qs = []
     run(
         datum,
         EULER,
         solver,
-        on_sample=lambda s: qs.append(restrict(s.q, grid)),
+        on_sample=lambda s, u: qs.append(restrict(s.q, grid)),
         keep_states=False,
         monitor=False,
     )
-    history = VelocityHistory.from_states(
-        [SimState(float(t), q, EULER) for t, q in zip(solver.sample_times, qs)]
-    )
+    table = _velocity_multipliers(grid, EULER)
+    velocities = tuple(velocity(q, EULER, table).physical() for q in qs)
+    stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
+    for t, snapshot in zip(solver.sample_times, velocities):
+        stream.push(t, snapshot)
     return ReferenceRun(
         grid=grid,
         solver=solver,
-        omega0=restrict(datum, grid),
+        omega0=omega0,
         qs=tuple(qs),
-        history=history,
-        trajectory=_trajectory(history, cfg),
+        velocities=velocities,
+        trajectory=stream.finish(),
     )
 
 
@@ -371,10 +375,10 @@ def _banded_run(q0: SpectralField, a: AlphaParam, cfg: ExperimentConfig, on_samp
     band; returns the bands and the monitor log."""
     bands = []
 
-    def take(s: SimState):
+    def take(s: SimState, u):
         bands.append(pack_band(s.q))
         if on_sample is not None:
-            on_sample(s)
+            on_sample(s, u)
 
     sim = run(q0, a, cfg.solver_config(), on_sample=take, keep_states=False, monitor=monitor)
     return tuple(bands), sim.monitor
@@ -387,7 +391,7 @@ def filtered_solve(
     following the particle lattice as the samples arrive.  Needs nothing of
     the reference run but its initial datum; given the finished reference,
     it also measures each velocity sample against it, which spares
-    `_velocity_gap` making the sample again.  Raises SolverError when the
+    `velocity_gap` making the sample again.  Raises SolverError when the
     solve fails."""
     a = AlphaParam(alpha)
     grid = omega0.grid
@@ -395,11 +399,11 @@ def filtered_solve(
     stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
     gaps = []
 
-    def follow(s: SimState):
-        snapshot = velocity(s.q, s.a).physical()
+    def follow(s: SimState, u):
+        snapshot = u.physical()
         stream.push(s.t, snapshot)
         if ref is not None:
-            gaps.append(velocity_l1_distance(snapshot, ref.history.snapshots[len(gaps)], grid))
+            gaps.append(velocity_l1_distance(snapshot, ref.velocities[len(gaps)], grid))
 
     bands, monitor = _banded_run(q0, a, cfg, on_sample=follow)
     return FilteredSolve(
@@ -412,25 +416,19 @@ def filtered_solve(
     )
 
 
-def _velocity_gap(solve: FilteredSolve, ref: ReferenceRun) -> np.ndarray:
+def velocity_gap(solve: FilteredSolve, ref: ReferenceRun) -> np.ndarray:
     """delta(t), the `velocity_l1_gap` of the solve to the reference; a
     solve made before the reference was done has its velocity samples made
-    again, one at a time."""
+    again, one at a time, from one table."""
     gaps = solve.velocity_gaps
     if gaps is None:
         a = AlphaParam(solve.alpha)
+        table = _velocity_multipliers(ref.grid, a)
         gaps = [
-            velocity_l1_distance(velocity(q, a).physical(), snapshot, ref.grid)
-            for q, snapshot in zip(solve.samples(ref.grid), ref.history.snapshots)
+            velocity_l1_distance(velocity(q, a, table).physical(), snapshot, ref.grid)
+            for q, snapshot in zip(solve.samples(ref.grid), ref.velocities)
         ]
     return cumulative_trapezoid(ref.times, gaps)
-
-
-def filtered_run(alpha: float, ref: ReferenceRun, cfg: ExperimentConfig) -> FilteredRun:
-    """The filtered solve at this alpha measured against the reference.
-    Raises SolverError when the solve fails."""
-    solve = filtered_solve(alpha, ref.omega0, cfg, ref)
-    return FilteredRun(trajectory=solve.trajectory, delta=_velocity_gap(solve, ref))
 
 
 def compare_states(
@@ -469,7 +467,7 @@ def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig
         vel_l2_err=vel_err,
         vort_err=vort_err,
         flow_dist=flow_dist,
-        delta=_velocity_gap(solve, ref),
+        delta=velocity_gap(solve, ref),
         alphanorm_drift=monitor.alpha_norm_drift(),
         alpha_norm=monitor.alpha_norm,
         energy=monitor.energy,
@@ -493,7 +491,7 @@ class _SweepGraph:
         self.pool = pool
         self.comparisons = []  # the parked comparisons' jobs
         self.datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-        self.omega0 = restrict(self.datum, Grid(cfg.n))
+        self.omega0 = _study_restriction(self.datum, Grid(cfg.n))
         self.records = [None] * len(cfg.alpha_list)
         self.richardson_error = None
         self.ref = None  # the reference run, once it is done
@@ -735,6 +733,13 @@ def _parse(name: str, raw, cast):
         raise ValueError(f"{name} = {raw!r} is invalid: {exc}") from None
 
 
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
 def _boolean(raw: str) -> bool:
     try:
         return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
@@ -751,9 +756,13 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    # no interpolation: a `%` in a value, as in a directory name, is literal
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     parser.optionxform = str
-    parser.read(path, encoding="utf-8")
+    try:
+        parser.read(str(path), encoding="utf-8")
+    except configparser.Error as exc:
+        raise ValueError(f"config file {path} is malformed: {exc}") from None
 
     if "datum" not in parser:
         raise ValueError("config requires a [datum] section")

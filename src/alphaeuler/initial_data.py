@@ -241,8 +241,14 @@ def approximating_family(
 
 
 def shear(grid: Grid, wavenumber: int = 1) -> SpectralField:
-    """The steady shear mode cos(wavenumber * x1)."""
+    """The steady shear mode cos(wavenumber * x1), for a wavenumber in the
+    dealias band of the grid."""
     n = grid.n
+    if not 1 <= wavenumber <= dealias_cutoff(n):
+        raise ValueError(
+            f"wavenumber={wavenumber} lies outside 1..{dealias_cutoff(n)}, "
+            f"the dealias band of an n={n} grid"
+        )
     coeffs = np.zeros((n, n // 2 + 1), dtype=np.complex128)
     coeffs[wavenumber % n, 0] = 0.5
     coeffs[-wavenumber % n, 0] = 0.5

@@ -53,6 +53,7 @@ import numpy as np
 from .spectral import Grid, SpectralField, dealias, to_physical
 from .vorticity import (
     AlphaParam,
+    VelocityField,
     _require_mean_zero,
     _velocity_multipliers,
     alpha_norm,
@@ -307,8 +308,7 @@ class SimRun:
         return self.states[-1]
 
 
-def _monitor_row(state: SimState):
-    u = velocity(state.q, state.a)
+def _monitor_row(state: SimState, u: VelocityField):
     qp = to_physical(state.q)
     return (
         state.t,
@@ -333,10 +333,12 @@ def run(
 
     If cfg.sample_times is set, steps are clipped so the trajectory lands
     exactly on those times (which must start at 0 and end at t_end);
-    otherwise samples are taken after every step.  `on_sample` is invoked
-    with the state at every sample.  Setting keep_states=False keeps only
-    the final state, to save memory; monitor=False skips the monitor rows
-    and leaves SimRun.monitor None.  Neither changes the states.  The
+    otherwise samples are taken after every step.  `on_sample(state, u)`
+    is invoked at every sample with the state and its filtered velocity,
+    made once per sample from the stage's table and shared with the
+    monitor row.  Setting keep_states=False keeps only the final state, to
+    save memory; monitor=False skips the monitor rows and leaves
+    SimRun.monitor None.  Neither changes the states.  The
     initial vorticity is dealiased, and an alpha = 0 run steps with the
     `_EulerStage`, which needs dealiased input.
     """
@@ -361,10 +363,11 @@ def run(
     def take_sample(s: SimState):
         if keep_states:
             states.append(s)
+        u = velocity(s.q, a, table=stage.mult[:2])
         if monitor:
-            rows.append(_monitor_row(s))
+            rows.append(_monitor_row(s, u))
         if on_sample is not None:
-            on_sample(s)
+            on_sample(s, u)
 
     take_sample(state)
     if targets is not None:

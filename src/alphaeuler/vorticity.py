@@ -84,12 +84,14 @@ def _velocity_multipliers(grid: Grid, a: AlphaParam) -> np.ndarray:
     return mult
 
 
-def velocity(q: SpectralField, a: AlphaParam) -> VelocityField:
+def velocity(q: SpectralField, a: AlphaParam, table: np.ndarray | None = None) -> VelocityField:
     """The advecting velocity u^alpha = K^alpha * q: the Helmholtz-filtered
     Biot-Savart field of q, the multiplier table times q; requires the mean
-    of q to vanish."""
+    of q to vanish.  `table` passes in the `_velocity_multipliers` of
+    (q.grid, a) when the caller holds them, as a run's stage does, so they
+    are not built again."""
     _require_mean_zero(q, "vorticity passed to the Biot-Savart solve")
-    u = _velocity_multipliers(q.grid, a)
+    u = _velocity_multipliers(q.grid, a) if table is None else table.copy()
     u *= q.coeffs
     return VelocityField(SpectralField(q.grid, u[0]), SpectralField(q.grid, u[1]))
 

@@ -149,8 +149,13 @@ class TestReportCommand:
             ),
             (CSV_COLUMNS + "\n", "holds no data rows"),
             (CSV_COLUMNS + "\n0.5,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n0.5,0.1,1.0\n", "line 4"),
+            (
+                CSV_COLUMNS + "\n0.5,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n0.5,0.1,abc,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n",
+                "line 4, column vel_l2_err: 'abc' is not a number",
+            ),
+            (CSV_COLUMNS + "\nhalf,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n", "line 3, column alpha: 'half' is not a number"),
         ],
-        ids=["flows_csv", "header_only", "short_row"],
+        ids=["flows_csv", "header_only", "short_row", "not_a_number", "alpha_not_a_number"],
     )
     def test_bad_input_exits_1(self, tmp_path, capsys, body, named):
         # a flows CSV ended in KeyError: 'alpha' and a short row in an
@@ -363,3 +368,62 @@ class TestConfigValues:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+
+class TestConfigSyntax:
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (SHEAR_CFG.replace("n = 32", "n = 32\nn = 64"), "option 'n' in section 'grid' already exists"),
+            (SHEAR_CFG + "\n[grid]\nn = 64\n", "section 'grid' already exists"),
+            ("kind = shear\n" + SHEAR_CFG, "no section headers"),
+            (SHEAR_CFG.replace("kind = shear", "kind = shear\nthis line has no value"), "parsing errors"),
+        ],
+        ids=["duplicate_key", "duplicate_section", "no_section_header", "no_value"],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "flows", "simulate"])
+    def test_malformed_file_exits_1(self, tmp_path, capsys, monkeypatch, command, text, named):
+        # each ended in a configparser traceback
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "malformed.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"config file {cfg} is malformed" in err and named in err
+        assert "Traceback" not in err
+
+    def test_percent_sign_is_literal(self, tmp_path):
+        # it used to end in an InterpolationSyntaxError
+        cfg = tmp_path / "percent.cfg"
+        cfg.write_text(SHEAR_CFG + "\n[output]\ndir = out%x\n")
+        assert load_config(cfg).output_dir == Path("out%x")
+
+
+class TestDatumValues:
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("kind = shear", "kind = shear\nwavenumber = 15", "no mode in the dealias band |k| <= 10 of the n = 32"),
+            ("kind = shear", "kind = shear\nwavenumber = 40", "wavenumber=40 lies outside 1..21"),
+            ("kind = shear", "kind = shear\nwavenumber = 0", "wavenumber=0 lies outside 1..21"),
+            ("kind = shear", "kind = shear\nscale = 0", "no mode in the dealias band"),
+            ("kind = shear", "kind = shear\nscale = nan", "[datum] scale = 'nan' is invalid"),
+            ("kind = shear", "kind = shear\nscale = -inf", "[datum] scale = '-inf' is invalid"),
+            ("kind = shear", "kind = disc_patch\namplitude = inf", "[datum] amplitude = 'inf' is invalid"),
+        ],
+        ids=["outside_study_band", "aliased", "zero_wavenumber", "zero_scale", "nan_scale", "inf_scale", "inf_amplitude"],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "flows"])
+    def test_empty_or_non_finite_datum_exits_1_before_any_solve(
+        self, tmp_path, capsys, monkeypatch, command, old, new, named
+    ):
+        # wavenumber 15 and 40 wrote a table of zeros and exited 0; a
+        # non-finite scale exited 2 once the solves had started
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "datum.cfg"
+        cfg.write_text(SHEAR_CFG.replace(old, new, 1))
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()

@@ -59,6 +59,20 @@ def _self_errors(times, p_list):
     )
 
 
+def whole_history_trajectory(history, cfg):
+    """The oracle of a streamed trajectory: the particle lattice advected
+    through the whole velocity history, sample interval by sample
+    interval."""
+    from alphaeuler import advect_particles, seed_particles
+
+    p = seed_particles(history.grid, cfg.particle_stride)
+    positions = [p.positions]
+    for t1 in history.times[1:]:
+        p = advect_particles(p, history, float(t1), substeps=cfg.substeps)
+        positions.append(p.positions)
+    return tuple(positions)
+
+
 def smooth_config(**overrides):
     base = dict(
         datum=DatumSpec("smooth_random", {"seed": 11, "spectrum_slope": 2.0, "k_max": 4}),
@@ -334,16 +348,61 @@ class TestSweepInvariants:
 class TestJobGraph:
     def test_streamed_trajectory_matches_history_trajectory(self):
         from alphaeuler import AlphaParam, Grid, VelocityHistory, approximating_family, run
-        from alphaeuler.harness import _trajectory, build_datum, filtered_solve
+        from alphaeuler.harness import build_datum, filtered_solve
 
         cfg = smooth_config(family="mollified")
         omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
         a = AlphaParam(cfg.alpha_list[0])
         states = run(approximating_family(omega0, a, cfg.family), a, cfg.solver_config()).states
-        expected = _trajectory(VelocityHistory.from_states(states), cfg)
+        expected = whole_history_trajectory(VelocityHistory.from_states(states), cfg)
         got = filtered_solve(a.alpha, omega0, cfg).trajectory
         assert len(got) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
+
+    def test_reference_trajectory_matches_history_trajectory(self):
+        from alphaeuler import SimState, VelocityHistory
+        from alphaeuler.harness import EULER, reference_run
+
+        cfg = smooth_config()
+        ref = reference_run(cfg)
+        states = [SimState(float(t), q, EULER) for t, q in zip(ref.times, ref.qs)]
+        expected = whole_history_trajectory(VelocityHistory.from_states(states), cfg)
+        assert len(ref.trajectory) == len(expected) == cfg.samples + 1
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(ref.trajectory, expected))
+
+    def test_reference_keeps_the_velocity_of_each_sample(self):
+        from alphaeuler import velocity
+        from alphaeuler.harness import EULER, reference_run
+
+        ref = reference_run(smooth_config())
+        assert len(ref.velocities) == len(ref.qs) == len(ref.times)
+        for q, snapshot in zip(ref.qs, ref.velocities):
+            assert snapshot.tobytes() == velocity(q, EULER).physical().tobytes()
+
+    @pytest.mark.parametrize("with_reference", [False, True])
+    def test_filtered_solve_builds_no_velocity_table_per_sample(self, monkeypatch, with_reference):
+        # the run's stage builds the table, and gamma0 one for the
+        # Laplacian of the initial velocity; the monitor row and the
+        # trajectory used to build it again at every sample, 2 + 2 x
+        # (samples + 1) builds in all
+        from alphaeuler import Grid, solver, vorticity
+        from alphaeuler.harness import build_datum, filtered_solve, reference_run
+
+        cfg = smooth_config()
+        ref = reference_run(cfg) if with_reference else None
+        omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
+        builds = []
+        build = vorticity._velocity_multipliers
+
+        def counting(grid, a):
+            builds.append((grid.n, a.alpha))
+            return build(grid, a)
+
+        monkeypatch.setattr(vorticity, "_velocity_multipliers", counting)
+        monkeypatch.setattr(solver, "_velocity_multipliers", counting)
+        solve = filtered_solve(cfg.alpha_list[0], omega0, cfg, ref)
+        assert builds == [(cfg.n, cfg.alpha_list[0])] * 2
+        assert len(solve.bands) == cfg.samples + 1
 
     def test_alpha_failing_while_reference_runs_keeps_its_slot(self, report, monkeypatch):
         from alphaeuler import harness

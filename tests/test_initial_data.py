@@ -154,6 +154,20 @@ class TestBoxCounting:
         assert cells[7, :].all() and cells[15, :].all()
 
 
+class TestShear:
+    def test_is_cos_of_the_wavenumber(self):
+        g = Grid(32)
+        values = to_physical(shear(g, 10)).values
+        np.testing.assert_allclose(values, np.cos(10 * g.mesh[0]), atol=1e-14)
+
+    @pytest.mark.parametrize("wavenumber", [0, -1, 11, 32])
+    def test_outside_the_dealias_band_rejected(self, wavenumber):
+        # 11 and beyond were dealiased away by the run, 32 aliased to the
+        # mean and 0 failed later as a nonzero mean
+        with pytest.raises(ValueError, match=f"wavenumber={wavenumber} lies outside 1..10"):
+            shear(Grid(32), wavenumber)
+
+
 class TestApproximatingFamily:
     def test_identity_returns_same_field(self):
         g = Grid(32)

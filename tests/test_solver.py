@@ -437,6 +437,25 @@ class TestRun:
             assert (a.t, a.step_count) == (b.t, b.step_count)
             assert np.array_equal(a.q.coeffs, b.q.coeffs)
 
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_on_sample_gets_the_velocity_of_the_state(self, alpha):
+        # made once per sample from the stage's table, it must be bit for
+        # bit the velocity of the state, and it is the one the monitor reads
+        from alphaeuler import alpha_norm, velocity_l2
+
+        g = Grid(32)
+        q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
+        cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
+        seen = []
+        sim = run(q0, AlphaParam(alpha), cfg, on_sample=lambda s, u: seen.append((s, u)))
+        assert [s for s, _ in seen] == sim.states
+        for j, (s, u) in enumerate(seen):
+            expected = velocity(s.q, s.a)
+            assert u.u1.coeffs.tobytes() == expected.u1.coeffs.tobytes()
+            assert u.u2.coeffs.tobytes() == expected.u2.coeffs.tobytes()
+            assert sim.monitor.energy[j] == velocity_l2(expected)
+            assert sim.monitor.alpha_norm[j] == alpha_norm(expected, s.a)
+
     def test_sampled_run_equals_loop_of_public_steps(self):
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
