@@ -10,8 +10,8 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
-import datetime
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,11 @@ import numpy as np
 from .bounds import BoundParams, ModulusEstimate, flow_rate_bound, velocity_rate_K, vorticity_rate_bound
 from .harness import (
     SweepError,
+    _finite_list,
+    _parse,
     build_datum,
+    csv_lines,
+    csv_row,
     filtered_solve,
     load_config,
     reference_run,
@@ -66,13 +70,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_flows.set_defaults(func=cmd_flows)
 
     p_bounds = sub.add_parser("bounds", help="tabulate the closed-form bounds")
-    p_bounds.add_argument("--c1", type=float, default=1.0)
-    p_bounds.add_argument("--c2", type=float, default=1.0)
-    p_bounds.add_argument("--c", type=float, default=1.0)
-    p_bounds.add_argument("--T", type=float, default=1.0, dest="horizon")
-    p_bounds.add_argument("--gamma0", type=float, default=0.0)
-    p_bounds.add_argument("--alpha-bar", type=float, default=1.0)
-    p_bounds.add_argument("--m", type=float, default=1.0)
+    for f in fields(BoundParams):  # --c1 ... --alpha-bar, and --T for the horizon
+        flag = "--T" if f.name == "horizon" else "--" + f.name.replace("_", "-")
+        p_bounds.add_argument(flag, type=float, default=f.default, dest=f.name)
     p_bounds.add_argument("--p", type=float, default=2.0)
     p_bounds.add_argument("--besov-s", type=float, default=0.5)
     p_bounds.add_argument("--alphas", required=True, help="comma-separated list")
@@ -89,20 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_output(cfg_dir, flag_dir, fallback: str) -> Path:
-    if flag_dir is not None:
-        return Path(flag_dir)
-    if cfg_dir is not None:
-        return Path(cfg_dir)
-    return Path(fallback)
-
-
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _csv_row(values) -> str:
-    """Floats rendered as their shortest round-trip decimals."""
-    return ",".join(repr(float(v)) for v in values)
+    """--output, else [output] dir, else the command's own directory."""
+    return Path(flag_dir if flag_dir is not None else cfg_dir or fallback)
 
 
 def cmd_simulate(args) -> int:
@@ -113,12 +101,8 @@ def cmd_simulate(args) -> int:
     out = _resolve_output(cfg.output_dir, args.output, "simulate_output")
     out.mkdir(parents=True, exist_ok=True)
     mon = sim.monitor
-    lines = [
-        f"# generated {_timestamp()}",
-        "t,energy,alpha_norm,q_l1,q_l2,q_l4,q_linf",
-    ]
     columns = (mon.times, mon.energy, mon.alpha_norm, mon.q_l1, mon.q_l2, mon.q_l4, mon.q_linf)
-    lines += [_csv_row(row) for row in zip(*columns)]
+    lines = csv_lines("t,energy,alpha_norm,q_l1,q_l2,q_l4,q_linf", zip(*columns))
     (out / "monitor.csv").write_text("\n".join(lines) + "\n")
     save_checkpoint(sim.final, out / "checkpoint.aeul")
     drift = float(np.max(mon.alpha_norm_drift()))
@@ -150,10 +134,7 @@ def cmd_flows(args) -> int:
 
     out = _resolve_output(cfg.output_dir, args.output, "flows_output")
     out.mkdir(parents=True, exist_ok=True)
-    lines = [
-        f"# generated {_timestamp()}",
-        "t,mean_distance,l2_distance,g_delta,delta,log_bound",
-    ]
+    rows = []
     for j, t in enumerate(ref.times):
         comp = flow_distance(
             ParticleSet(solve.trajectory[j], float(t)),
@@ -161,11 +142,8 @@ def cmd_flows(args) -> int:
             delta=max(delta_total, 1e-300),
             c_cal=args.c_cal,
         )
-        lines.append(
-            _csv_row(
-                (t, comp.mean_distance, comp.l2_distance, comp.g_delta, delta[j], comp.log_bound)
-            )
-        )
+        rows.append((t, comp.mean_distance, comp.l2_distance, comp.g_delta, delta[j], comp.log_bound))
+    lines = csv_lines("t,mean_distance,l2_distance,g_delta,delta,log_bound", rows)
     (out / "flows.csv").write_text("\n".join(lines) + "\n")
     print(f"flows: alpha={alpha} delta={delta_total:.3e}")
     print(f"wrote {out / 'flows.csv'}")
@@ -173,18 +151,12 @@ def cmd_flows(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    alphas = [float(tok) for tok in args.alphas.replace(",", " ").split()]
+    alphas = _parse("--alphas", args.alphas, _finite_list)
     if not alphas:
         raise ValueError("--alphas must name at least one value")
-    params = BoundParams(
-        c1=args.c1,
-        c2=args.c2,
-        c=args.c,
-        m=args.m,
-        gamma0=args.gamma0,
-        alpha_bar=args.alpha_bar,
-        horizon=args.horizon,
-    )
+    if args.nt < 1:
+        raise ValueError(f"--nt must be at least 1, got {args.nt}")
+    params = BoundParams(**{f.name: getattr(args, f.name) for f in fields(BoundParams)})
     modulus = ModulusEstimate(kind="besov", s=args.besov_s)
     ts = np.linspace(0.0, args.horizon, args.nt)
     lines = ["alpha,t,K,flow_bound,vort_bound"]
@@ -193,7 +165,7 @@ def cmd_bounds(args) -> int:
             k_val = velocity_rate_K(AlphaParam(alpha), float(t), params)
             fb = flow_rate_bound(k_val, float(t), 0.0, args.c, args.horizon)
             vb = vorticity_rate_bound(k_val, modulus, args.p, params)
-            lines.append(_csv_row((alpha, t, k_val, fb, vb)))
+            lines.append(csv_row((alpha, t, k_val, fb, vb)))
     text = "\n".join(lines) + "\n"
     if args.output is None or args.output == "-":
         sys.stdout.write(text)
@@ -241,38 +213,31 @@ def _number(path: Path, lineno: int, column: str, cell: str) -> float:
 
 def cmd_report(args) -> int:
     out = Path(args.output)
-    merged = [f"# generated {_timestamp()}"]
-    summary: dict[tuple[str, str], dict[str, float]] = {}
-    header_out = None
+    merged = []
+    # (source, alpha) -> (sup vel_l2_err, sup vort_l2_err, last flow_dist, last delta)
+    summary: dict[tuple[str, str], tuple] = {}
     for raw in args.inputs:
         path = Path(raw)
         header, rows = _read_csv(path)
         cols = {name: i for i, name in enumerate(header)}
-        if header_out is None:
-            header_out = header
-            merged.append("source," + ",".join(header))
-        elif header != header_out:
+        merged_header = "source," + ",".join(header)
+        if not merged:
+            merged = csv_lines(merged_header, ())
+        elif merged_header != merged[1]:
             raise ValueError(f"{path} has other columns than {args.inputs[0]}")
         for lineno, row in rows:
             merged.append(f"{path.stem}," + ",".join(row))
             value = {name: _number(path, lineno, name, row[cols[name]]) for name in REPORT_COLUMNS}
             key = (path.stem, row[cols["alpha"]])
-            entry = summary.setdefault(
-                key, {"sup_vel": 0.0, "sup_vort_l2": 0.0, "final_flow": 0.0, "final_delta": 0.0}
-            )
-            entry["sup_vel"] = max(entry["sup_vel"], value["vel_l2_err"])
-            entry["sup_vort_l2"] = max(entry["sup_vort_l2"], value["vort_l2_err"])
-            entry["final_flow"] = value["flow_dist"]
-            entry["final_delta"] = value["delta"]
+            sup_vel, sup_vort, _, _ = summary.get(key, (0.0, 0.0, 0.0, 0.0))
+            summary[key] = (max(sup_vel, value["vel_l2_err"]), max(sup_vort, value["vort_l2_err"]),
+                            value["flow_dist"], value["delta"])
     out.mkdir(parents=True, exist_ok=True)
     (out / "merged.csv").write_text("\n".join(merged) + "\n")
 
     lines = ["source,alpha,sup_vel_l2_err,sup_vort_l2_err,final_flow_dist,final_delta"]
     for (source, alpha), entry in sorted(summary.items()):
-        lines.append(
-            f"{source},{alpha},{entry['sup_vel']!r},{entry['sup_vort_l2']!r},"
-            f"{entry['final_flow']!r},{entry['final_delta']!r}"
-        )
+        lines.append(f"{source},{alpha}," + csv_row(entry))
     (out / "rates.csv").write_text("\n".join(lines) + "\n")
 
     gp = [

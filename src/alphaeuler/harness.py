@@ -41,7 +41,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -70,65 +70,128 @@ RICHARDSON_FACTOR = 0.1
 
 EULER = AlphaParam(0.0)
 
-# Accepted [datum] keys per kind; every kind takes an amplitude `scale`.
-_DATUM_KEYS = {
-    "smooth_random": ("seed", "spectrum_slope", "k_max", "scale"),
-    "disc_patch": ("center_x", "center_y", "radius", "amplitude", "scale"),
-    "fractal_patch": ("generator", "depth", "amplitude", "scale"),
-    "shear": ("wavenumber", "scale"),
-}
-
 
 class SweepError(RuntimeError):
     """Sweep-level failure (e.g. the reference failed its consistency check)."""
 
 
+# --- configuration schema ------------------------------------------------
+
+
+def _parse(name: str, raw, cast):
+    """cast(raw), or a ValueError that names the setting and its value."""
+    try:
+        return cast(raw)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name} = {raw!r} is invalid: {exc}") from None
+
+
+def _finite(raw) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("expected a finite number")
+    return value
+
+
+def _boolean(raw: str) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
+    except KeyError:
+        raise ValueError("expected 1/yes/true/on or 0/no/false/off") from None
+
+
+def _unknown(what: str, accepted) -> ValueError:
+    return ValueError(f"unknown {what} (accepted: {', '.join(accepted)})")
+
+
+def _list_of(cast):
+    """The cast of a comma- or blank-separated list, entry by entry."""
+    return lambda raw: tuple(cast(tok) for tok in raw.replace(",", " ").split())
+
+
+_finite_list = _list_of(_finite)
+_real_list = _list_of(float)
+
+# The default of a [datum] seed: the [sweep] seed.
+SWEEP_SEED = "[sweep] seed"
+
+# Every [datum] kind: its builder, called with the grid and the kind's keys,
+# and those keys as {key: (cast, default)}.  Each builder looks its
+# generator up when called, so a wrapper installed on the module sees it.
+DATUM_KINDS = {
+    "smooth_random": (
+        lambda grid, **keys: smooth_random(grid=grid, **keys),
+        {"seed": (int, SWEEP_SEED), "spectrum_slope": (_finite, 2.0), "k_max": (int, 4)},
+    ),
+    "disc_patch": (
+        lambda grid, center_x, center_y, **keys: disc_patch((center_x, center_y), grid=grid, **keys),
+        {"center_x": (_finite, math.pi), "center_y": (_finite, math.pi), "radius": (_finite, 1.0),
+         "amplitude": (_finite, 1.0)},
+    ),
+    "fractal_patch": (
+        lambda grid, **keys: fractal_patch(grid=grid, **keys)[0],
+        {"generator": (str, "koch-like"), "depth": (int, 2), "amplitude": (_finite, 1.0)},
+    ),
+    "shear": (lambda grid, **keys: shear(grid, **keys), {"wavenumber": (int, 1)}),
+}
+
+# The [datum] key of every kind: a factor applied to the whole field.
+DATUM_SCALE = {"scale": (_finite, 1.0)}
+
+# Each [section] key but the [datum] ones: its ExperimentConfig field and
+# its cast.  The defaults are the dataclass's: a key whose field has none is
+# required, except that [grid] n_ref falls back to n.
+CONFIG_KEYS = {
+    "grid": {"n": ("n", int), "n_ref": ("n_ref", int)},
+    "time": {"t_end": ("t_end", _finite), "cfl": ("cfl", _finite), "samples": ("samples", int)},
+    "sweep": {
+        "alphas": ("alpha_list", _finite_list),
+        "p_list": ("p_list", _real_list),
+        "seed": ("seed", int),
+        "particle_stride": ("particle_stride", int),
+        "substeps": ("substeps", int),
+        "family": ("family", str),
+        "workers": ("workers", int),
+        "richardson": ("richardson", _boolean),
+    },
+    "output": {"dir": ("output_dir", str)},
+}
+
+
+def _datum_keys(kind: str) -> dict:
+    """{key: (cast, default)} of every key a [datum] kind takes."""
+    return {**DATUM_KINDS[kind][1], **DATUM_SCALE}
+
+
 @dataclass(frozen=True)
 class DatumSpec:
+    """A [datum] kind and its keys, each checked and cast on construction."""
+
     kind: str
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in _DATUM_KEYS:
-            raise ValueError(f"unknown datum kind {self.kind!r}")
-        accepted = _DATUM_KEYS[self.kind]
-        for key in self.params:
+        if self.kind not in DATUM_KINDS:
+            raise _unknown(f"datum kind {self.kind!r}", DATUM_KINDS)
+        accepted = _datum_keys(self.kind)
+        params = {}
+        for key, raw in self.params.items():
             if key not in accepted:
-                raise ValueError(
-                    f"unknown [datum] key {key!r} for kind {self.kind!r} "
-                    f"(accepted: {', '.join(accepted)})"
-                )
+                raise _unknown(f"[datum] key {key!r} for kind {self.kind!r}", accepted)
+            params[key] = _parse(f"[datum] {key}", raw, accepted[key][0])
+        object.__setattr__(self, "params", params)
 
 
 def build_datum(spec: DatumSpec, grid: Grid, default_seed: int = 0) -> SpectralField:
-    def get(key, cast, default):
-        return _parse(f"[datum] {key}", spec.params.get(key, default), cast)
-
-    scale = get("scale", _finite, 1.0)
-    if spec.kind == "smooth_random":
-        datum = smooth_random(
-            seed=get("seed", int, default_seed),
-            spectrum_slope=get("spectrum_slope", _finite, 2.0),
-            k_max=get("k_max", int, 4),
-            grid=grid,
-        )
-    elif spec.kind == "disc_patch":
-        center = (get("center_x", _finite, math.pi), get("center_y", _finite, math.pi))
-        datum = disc_patch(
-            center=center,
-            radius=get("radius", _finite, 1.0),
-            amplitude=get("amplitude", _finite, 1.0),
-            grid=grid,
-        )
-    elif spec.kind == "fractal_patch":
-        datum, _ = fractal_patch(
-            generator=spec.params.get("generator", "koch-like"),
-            depth=get("depth", int, 2),
-            amplitude=get("amplitude", _finite, 1.0),
-            grid=grid,
-        )
-    else:
-        datum = shear(grid, wavenumber=get("wavenumber", int, 1))
+    """The kind's builder on `grid`, each key the spec's value or its
+    default, times `scale`."""
+    values = {
+        key: default_seed if default is SWEEP_SEED else default
+        for key, (_, default) in _datum_keys(spec.kind).items()
+    }
+    values.update(spec.params)
+    scale = values.pop("scale")
+    datum = DATUM_KINDS[spec.kind][0](grid, **values)
     if scale != 1.0:
         datum = SpectralField(grid, datum.coeffs * scale)
     return datum
@@ -168,15 +231,15 @@ class ExperimentConfig:
         alphas = tuple(float(a) for a in self.alpha_list)
         if len(alphas) == 0:
             raise ValueError("alpha_list must not be empty")
-        if any(a <= 0 for a in alphas):
-            raise ValueError("alpha_list entries must be positive")
+        if not all(0 < a < math.inf for a in alphas):  # NaN included
+            raise ValueError("alpha_list entries must be positive and finite")
         if any(b >= a for a, b in zip(alphas, alphas[1:])):
             raise ValueError("alpha_list must be strictly decreasing")
         self.alpha_list = alphas
         if self.n_ref < self.n:
             raise ValueError("the reference grid must be at least as fine")
-        if self.t_end <= 0:
-            raise ValueError("t_end must be positive")
+        if not 0 < self.t_end < math.inf:
+            raise ValueError("t_end must be positive and finite")
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.particle_stride < 1 or self.n % self.particle_stride != 0:
@@ -194,8 +257,7 @@ class ExperimentConfig:
         if bad:
             raise ValueError(f"[sweep] p_list entries must be >= 1 (or inf), got {bad[0]!r}")
         self.p_list = tuple(sorted(set(float(p) for p in self.p_list) | set(CSV_PS)))
-        if self.output_dir is not None:
-            self.output_dir = Path(self.output_dir)
+        self.output_dir = Path(self.output_dir) if self.output_dir else None  # "" included
 
     def effective_workers(self) -> int:
         """[sweep] workers, else AEUL_WORKERS, else 1."""
@@ -666,18 +728,30 @@ def compare_bounds(report: ConvergenceReport, params: BoundParams) -> Convergenc
     return report
 
 
-def sweep_csv_lines(report: ConvergenceReport, timestamp: str | None = None) -> list:
-    """CSV rows, floats rendered as their shortest round-trip decimals."""
+def csv_row(values) -> str:
+    """One CSV row of numbers, each rendered as its shortest round-trip
+    decimal."""
+    return ",".join(repr(float(v)) for v in values)
+
+
+def csv_lines(header: str, rows, timestamp: str | None = None) -> list:
+    """The lines of a CSV file the package writes: `# generated` and the
+    UTC time (or `timestamp`), the header, then a `csv_row` per row."""
     if timestamp is None:
         timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    lines = [f"# generated {timestamp}", CSV_COLUMNS]
-    for rec in report.ok_records():
-        for j, t in enumerate(rec.times):
-            cells = (rec.alpha, t, rec.vel_l2_err[j])
-            cells += tuple(rec.vort_err[p][j] for p in CSV_PS)
-            cells += (rec.flow_dist[j], rec.delta[j], rec.alphanorm_drift[j], rec.energy[j])
-            lines.append(",".join(repr(float(v)) for v in cells))
-    return lines
+    return [f"# generated {timestamp}", header] + [csv_row(row) for row in rows]
+
+
+def sweep_csv_lines(report: ConvergenceReport, timestamp: str | None = None) -> list:
+    """The lines of `sweep.csv`: a row per sample time of each run that
+    did not fail."""
+    rows = [
+        (rec.alpha, t, rec.vel_l2_err[j], *(rec.vort_err[p][j] for p in CSV_PS),
+         rec.flow_dist[j], rec.delta[j], rec.alphanorm_drift[j], rec.energy[j])
+        for rec in report.ok_records()
+        for j, t in enumerate(rec.times)
+    ]
+    return csv_lines(CSV_COLUMNS, rows, timestamp)
 
 
 def _ratefit_dict(fit: RateFit | None):
@@ -725,39 +799,16 @@ def persist_report(report: ConvergenceReport, cfg: ExperimentConfig) -> None:
 # --- configuration files -------------------------------------------------
 
 
-def _parse(name: str, raw, cast):
-    """cast(raw), or a ValueError that names the setting and its value."""
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ValueError(f"{name} = {raw!r} is invalid: {exc}") from None
-
-
-def _finite(raw) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("expected a finite number")
-    return value
-
-
-def _boolean(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError("expected 1/yes/true/on or 0/no/false/off") from None
-
-
-def _numbers(raw: str) -> tuple:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
-
-
 def load_config(path) -> ExperimentConfig:
-    """Parse a flat key-value experiment file with [section] headers."""
+    """Parse a flat key-value experiment file with [section] headers; an
+    unknown section or key is a ValueError naming it."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
-    # no interpolation: a `%` in a value, as in a directory name, is literal
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    # no interpolation: a `%` in a value, as in a directory name, is literal;
+    # no default section: `[DEFAULT]` is an unknown section like any other,
+    # not one whose keys are copied into every section
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     parser.optionxform = str
     try:
         parser.read(str(path), encoding="utf-8")
@@ -766,40 +817,23 @@ def load_config(path) -> ExperimentConfig:
 
     if "datum" not in parser:
         raise ValueError("config requires a [datum] section")
-    datum_kind = parser.get("datum", "kind", fallback=None)
-    if datum_kind is None:
+    params = dict(parser["datum"])
+    if "kind" not in params:
         raise ValueError("[datum] requires a 'kind' key")
-    params = {
-        key: value for key, value in parser["datum"].items() if key != "kind"
-    }
-    datum = DatumSpec(datum_kind, params)
+    values = {"datum": DatumSpec(params.pop("kind"), params)}
+    for section in (s for s in parser.sections() if s != "datum"):
+        keys = CONFIG_KEYS.get(section)
+        if keys is None:
+            raise _unknown(f"config section [{section}]", (f"[{s}]" for s in ("datum", *CONFIG_KEYS)))
+        for key, raw in parser[section].items():
+            if key not in keys:
+                raise _unknown(f"[{section}] key {key!r}", keys)
+            name, cast = keys[key]
+            values[name] = _parse(f"[{section}] {key}", raw, cast)
 
-    def getval(section, key, cast, fallback=None, required=False):
-        if parser.has_option(section, key):
-            return _parse(f"[{section}] {key}", parser.get(section, key), cast)
-        if required:
-            raise ValueError(f"config is missing [{section}] {key}")
-        return fallback
-
-    alpha_list = getval("sweep", "alphas", _numbers, required=True)
-    p_list = getval("sweep", "p_list", _numbers, fallback=()) or CSV_PS
-
-    out_raw = getval("output", "dir", str, fallback=None)
-
-    return ExperimentConfig(
-        datum=datum,
-        alpha_list=alpha_list,
-        n=getval("grid", "n", int, required=True),
-        n_ref=getval("grid", "n_ref", int, fallback=getval("grid", "n", int, required=True)),
-        t_end=getval("time", "t_end", float, required=True),
-        p_list=p_list,
-        seed=getval("sweep", "seed", int, fallback=0),
-        output_dir=Path(out_raw) if out_raw else None,
-        cfl=getval("time", "cfl", float, fallback=0.5),
-        samples=getval("time", "samples", int, fallback=32),
-        particle_stride=getval("sweep", "particle_stride", int, fallback=1),
-        substeps=getval("sweep", "substeps", int, fallback=4),
-        family=getval("sweep", "family", str, fallback="identity"),
-        workers=getval("sweep", "workers", int, fallback=None),
-        richardson=getval("sweep", "richardson", _boolean, fallback=True),
-    )
+    values.setdefault("n_ref", values.get("n"))  # with no n either, n is reported missing first
+    labels = {name: f"[{section}] {key}" for section, keys in CONFIG_KEYS.items() for key, (name, _) in keys.items()}
+    for f in fields(ExperimentConfig):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"config is missing {labels[f.name]}")
+    return ExperimentConfig(**values)

@@ -32,12 +32,14 @@ K_001_T1 = 1.6176565479800037
 
 
 def _forbid_solves(monkeypatch):
+    import alphaeuler.cli as cli
     import alphaeuler.harness as harness
 
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the config was checked")
 
     monkeypatch.setattr(harness, "run", no_solve)
+    monkeypatch.setattr(cli, "run", no_solve)
 
 
 @pytest.fixture
@@ -75,6 +77,24 @@ class TestBoundsCommand:
 
     def test_empty_alphas_rejected(self, capsys):
         assert main(["bounds", "--alphas", " "]) == 1
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--alphas", "0.1,abc"], "--alphas = '0.1,abc' is invalid: could not convert string to float: 'abc'"),
+            (["--alphas", "0.1 nan"], "--alphas = '0.1 nan' is invalid: expected a finite number"),
+            (["--alphas", "0.1", "--nt", "-1"], "--nt must be at least 1, got -1"),
+            (["--alphas", "0.1", "--nt", "0"], "--nt must be at least 1, got 0"),
+        ],
+        ids=["alphas_token", "alphas_nan", "nt_negative", "nt_zero"],
+    )
+    def test_bad_flag_value_is_named(self, capsys, flags, named):
+        # "could not convert string to float: 'abc'" named no flag, and
+        # --nt -1 ended in numpy's "Number of samples, -1, must be non-negative."
+        assert main(["bounds", *flags]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
 
 
 class TestSweepCommand:
@@ -310,8 +330,16 @@ class TestConfigValues:
             ("alphas = 0.5, 0.25", "alphas = 0.5, quarter", "[sweep] alphas = '0.5, quarter'"),
             ("kind = shear", "kind = shear\nwavenumber = 1.5", "[datum] wavenumber = '1.5'"),
             (None, None, "AEUL_WORKERS = 'two'"),
+            ("t_end = 0.5", "t_end = nan", "[time] t_end = 'nan' is invalid: expected a finite number"),
+            ("t_end = 0.5", "t_end = inf", "[time] t_end = 'inf' is invalid: expected a finite number"),
+            ("samples = 4", "samples = 4\ncfl = nan", "[time] cfl = 'nan' is invalid: expected a finite number"),
+            ("alphas = 0.5, 0.25", "alphas = 0.5, nan, 0.1", "[sweep] alphas = '0.5, nan, 0.1' is invalid"),
+            ("alphas = 0.5, 0.25", "alphas = inf, 0.5, 0.1", "[sweep] alphas = 'inf, 0.5, 0.1' is invalid"),
         ],
-        ids=["n", "n_ref", "t_end", "samples", "alphas", "datum", "workers_env"],
+        ids=[
+            "n", "n_ref", "t_end", "samples", "alphas", "datum", "workers_env",
+            "t_end_nan", "t_end_inf", "cfl_nan", "alphas_nan", "alphas_inf",
+        ],
     )
     def test_uncastable_value_is_named(self, tmp_path, capsys, monkeypatch, old, new, named):
         # the message used to be only "invalid literal for int() with base 10: '3.5e1'"
@@ -391,6 +419,32 @@ class TestConfigSyntax:
         err = capsys.readouterr().err
         assert f"config file {cfg} is malformed" in err and named in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            (SHEAR_CFG + "\n[bogus]\nx = 1\n", "unknown config section [bogus] (accepted: [datum], [grid], [time]"),
+            (SHEAR_CFG + "\n[outptu]\ndir = o\n", "unknown config section [outptu]"),
+            ("[DEFAULT]\nsamples = 4\n" + SHEAR_CFG, "unknown config section [DEFAULT]"),
+            (SHEAR_CFG.replace("n_ref = 64", "nref = 64"), "unknown [grid] key 'nref' (accepted: n, n_ref)"),
+            (SHEAR_CFG.replace("samples = 4", "sample = 4"), "unknown [time] key 'sample' (accepted: t_end, cfl, samples)"),
+            (SHEAR_CFG + "worker = 2\n", "unknown [sweep] key 'worker' (accepted: alphas, p_list, seed,"),
+            (SHEAR_CFG + "particle_strde = 4\n", "unknown [sweep] key 'particle_strde'"),
+            (SHEAR_CFG + "\n[output]\ndirectory = o\n", "unknown [output] key 'directory' (accepted: dir)"),
+        ],
+        ids=["section", "misspelt_section", "default_section", "grid", "time", "sweep", "sweep_stride", "output"],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "flows", "simulate"])
+    def test_unknown_section_or_key_exits_1(self, tmp_path, capsys, monkeypatch, command, text, named):
+        # each loaded without a word, and the run used the default in its place
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "unknown.cfg"
+        cfg.write_text(text)
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_percent_sign_is_literal(self, tmp_path):
         # it used to end in an InterpolationSyntaxError

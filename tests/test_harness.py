@@ -1,6 +1,8 @@
 import json
+import re
 import sys
 import threading
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -11,15 +13,19 @@ from alphaeuler import (
     ConvergenceReport,
     DatumSpec,
     ExperimentConfig,
+    Grid,
     compare_bounds,
     fit_rate,
     load_config,
     run_sweep,
 )
+from alphaeuler import harness
 from alphaeuler.bounds import t95_quantile
 from alphaeuler.harness import (
     CSV_COLUMNS,
+    DATUM_KINDS,
     AlphaRecord,
+    build_datum,
     sweep_csv_lines,
     summary_dict,
 )
@@ -136,6 +142,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             smooth_config(alpha_list=(0.1, 0.0))
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"alpha_list": (0.5, float("nan"), 0.1)},
+            {"alpha_list": (float("inf"), 0.5)},
+            {"t_end": float("nan")},
+            {"t_end": float("inf")},
+        ],
+        ids=["alpha_nan", "alpha_inf", "t_end_nan", "t_end_inf"],
+    )
+    def test_non_finite_alphas_and_t_end_rejected(self, overrides):
+        # a NaN alpha passed every comparison and failed only after the reference had run
+        with pytest.raises(ValueError, match="positive and finite"):
+            smooth_config(**overrides)
+
     def test_reference_grid_not_coarser(self):
         with pytest.raises(ValueError):
             smooth_config(n=64, n_ref=32)
@@ -190,11 +211,82 @@ class TestConfigFile:
         for path in configs:
             load_config(path)
 
+    def test_required_keys_alone_load_the_dataclass_defaults(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text("[datum]\nkind = shear\n[grid]\nn = 32\n[time]\nt_end = 0.5\n[sweep]\nalphas = 0.5\n")
+        expected = ExperimentConfig(datum=DatumSpec("shear"), alpha_list=(0.5,), n=32, n_ref=32, t_end=0.5)
+        assert load_config(path) == expected
+
+    def test_every_key_reaches_its_field(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(
+            "[datum]\nkind = smooth_random\nk_max = 3\n"
+            "[grid]\nn = 32\nn_ref = 64\n"
+            "[time]\nt_end = 0.25\ncfl = 0.4\nsamples = 4\n"
+            "[sweep]\nalphas = 0.5 0.25\np_list = 3\nseed = 5\nparticle_stride = 4\n"
+            "substeps = 2\nfamily = mollified\nworkers = 2\nrichardson = off\n"
+            "[output]\ndir = out\n"
+        )
+        expected = ExperimentConfig(
+            datum=DatumSpec("smooth_random", {"k_max": 3}),
+            alpha_list=(0.5, 0.25),
+            n=32,
+            n_ref=64,
+            t_end=0.25,
+            p_list=(3.0,),
+            seed=5,
+            output_dir=Path("out"),
+            cfl=0.4,
+            samples=4,
+            particle_stride=4,
+            substeps=2,
+            family="mollified",
+            workers=2,
+            richardson=False,
+        )
+        assert load_config(path) == expected
+
+    def test_empty_p_list_and_dir_take_the_defaults(self, tmp_path):
+        path = tmp_path / "exp.cfg"
+        path.write_text(SHEAR_CFG + "p_list =\n[output]\ndir =\n")
+        cfg = load_config(path)
+        assert cfg.p_list == (1.0, 2.0, 4.0)
+        assert cfg.output_dir is None
+
 
 class TestDatumSpec:
     def test_scale_accepted_for_every_kind(self):
         for kind in ("smooth_random", "disc_patch", "fractal_patch", "shear"):
-            assert DatumSpec(kind, {"scale": "2.0"}).params == {"scale": "2.0"}
+            assert DatumSpec(kind, {"scale": "2.0"}).params == {"scale": 2.0}
+
+    @pytest.mark.parametrize(
+        "kind, key, raw",
+        [
+            ("smooth_random", "k_max", "4.0"),
+            ("smooth_random", "seed", "one"),
+            ("shear", "scale", "nan"),
+            ("disc_patch", "radius", "inf"),
+            ("fractal_patch", "depth", None),
+        ],
+    )
+    def test_bad_value_raises_at_construction(self, kind, key, raw):
+        with pytest.raises(ValueError, match=re.escape(f"[datum] {key} = {raw!r} is invalid")):
+            DatumSpec(kind, {key: raw})
+
+    @pytest.mark.parametrize("kind", sorted(DATUM_KINDS))
+    def test_every_kind_builds_with_its_defaults(self, kind):
+        grid = Grid(32)
+        datum = build_datum(DatumSpec(kind), grid)
+        assert datum.grid is grid
+        assert np.all(np.isfinite(datum.coeffs)) and datum.coeffs.any()
+        assert datum.coeffs[0, 0] == 0.0
+
+    def test_datum_seed_defaults_to_the_sweep_seed(self):
+        grid = Grid(32)
+        spec = DatumSpec("smooth_random")
+        seeded = build_datum(DatumSpec("smooth_random", {"seed": 7}), grid, default_seed=3)
+        assert np.array_equal(build_datum(spec, grid, default_seed=7).coeffs, seeded.coeffs)
+        assert not np.array_equal(build_datum(spec, grid, default_seed=3).coeffs, seeded.coeffs)
 
     def test_unknown_key_names_key_and_kind(self):
         with pytest.raises(ValueError, match="'seed'.*'shear'"):
@@ -203,6 +295,52 @@ class TestDatumSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown datum kind"):
             DatumSpec("vortex_sheet")
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# The README's name for each cast of the schema.
+TYPE_NAMES = {
+    int: "integer",
+    str: "text",
+    harness._finite: "finite real",
+    harness._boolean: "boolean",
+    harness._finite_list: "finite reals",
+    harness._real_list: "reals",
+}
+
+
+def _default_cell(default) -> str:
+    if default is MISSING:
+        return "required"
+    if isinstance(default, tuple):
+        return "`" + ", ".join(map(repr, default)) + "`"
+    return f"`{default}`" if isinstance(default, str) else f"`{default!r}`"
+
+
+def config_reference_tables() -> tuple:
+    """The README's two tables as the schema defines them: every [section]
+    key of ExperimentConfig, then every [datum] kind's keys."""
+    defaults = {
+        f.name: f.default if f.default_factory is MISSING else f.default_factory()
+        for f in fields(ExperimentConfig)
+    }
+    defaults["n_ref"] = "[grid] n"
+    sections = ["| section | key | type | default |", "| --- | --- | --- | --- |"]
+    for section, keys in harness.CONFIG_KEYS.items():
+        for key, (name, cast) in keys.items():
+            sections.append(f"| `[{section}]` | `{key}` | {TYPE_NAMES[cast]} | {_default_cell(defaults[name])} |")
+    kinds = ["| kind | key | type | default |", "| --- | --- | --- | --- |"]
+    rows = [(f"`{kind}`", keys) for kind, (_, keys) in DATUM_KINDS.items()]
+    for label, keys in rows + [("every kind", harness.DATUM_SCALE)]:
+        for i, (key, (cast, default)) in enumerate(keys.items()):
+            kinds.append(f"| {label if i == 0 else ''} | `{key}` | {TYPE_NAMES[cast]} | {_default_cell(default)} |")
+    return "\n".join(sections), "\n".join(kinds)
+
+
+@pytest.mark.parametrize("table", config_reference_tables(), ids=["sections", "datum_kinds"])
+def test_readme_config_reference_matches_the_schema(table):
+    assert table in README.read_text()
 
 
 @pytest.fixture(scope="module")
