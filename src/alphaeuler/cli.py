@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 validation error, 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -127,6 +128,9 @@ def cmd_sweep(args) -> int:
 def cmd_flows(args) -> int:
     cfg = load_config(args.config)
     alpha = args.alpha if args.alpha is not None else cfg.alpha_list[0]
+    for flag, value in (("--alpha", alpha), ("--c-cal", args.c_cal)):
+        if not 0.0 < value < math.inf:  # NaN included
+            raise ValueError(f"{flag} must be positive and finite, got {value}")
     ref = reference_run(cfg)
     solve = filtered_solve(alpha, ref.omega0, cfg, ref)
     delta = velocity_gap(solve, ref)

@@ -100,6 +100,12 @@ def _boolean(raw: str) -> bool:
         raise ValueError("expected 1/yes/true/on or 0/no/false/off") from None
 
 
+def _family(raw: str) -> str:
+    if raw not in ("identity", "mollified"):
+        raise ValueError("expected one of identity, mollified")
+    return raw
+
+
 def _unknown(what: str, accepted) -> ValueError:
     return ValueError(f"unknown {what} (accepted: {', '.join(accepted)})")
 
@@ -150,7 +156,7 @@ CONFIG_KEYS = {
         "seed": ("seed", int),
         "particle_stride": ("particle_stride", int),
         "substeps": ("substeps", int),
-        "family": ("family", str),
+        "family": ("family", _family),
         "workers": ("workers", int),
         "richardson": ("richardson", _boolean),
     },
@@ -251,8 +257,7 @@ class ExperimentConfig:
             raise ValueError(f"[sweep] substeps must be at least 1, got {self.substeps}")
         if self.workers is not None and self.workers < 1:
             raise ValueError(f"[sweep] workers must be at least 1, got {self.workers}")
-        if self.family not in ("identity", "mollified"):
-            raise ValueError(f"unknown approximating family {self.family!r}")
+        _parse("[sweep] family", self.family, _family)
         bad = [p for p in map(float, self.p_list) if not p >= 1.0]  # NaN included
         if bad:
             raise ValueError(f"[sweep] p_list entries must be >= 1 (or inf), got {bad[0]!r}")

@@ -12,14 +12,21 @@ its first two after it.  The 16 taps of a particle then sit at constant
 offsets from one start index, so the stencil takes one `% n` per axis and
 each tap gathers every component with one `take`.  The copy and the
 stencil, weight, index and tap arrays live in a `BicubicWork`;
-`advect_particles` builds one per call and hands it to every velocity
-evaluation, `VelocityHistory.load` blends the two time samples straight
-into it, and the RK4 stage positions go into buffers of the call too.
-Made afresh on every evaluation, those 128-256 KB temporaries cost about
-1.15 M minor page faults inside `advect_particles` on the `flows_dense`
-benchmark (16,384 particles at n = 128, 2,048 evaluations); reused, about
-11 k.  Every result is bit for bit that of the one-shot sampler: the same
-values, weights and products, summed in the same order.
+`advect_particles` builds one per call, blends the two samples around each
+segment straight into it, and keeps the RK4 stage positions in buffers of
+the call too.  Made afresh on every evaluation, those 128-256 KB
+temporaries cost about 1.15 M minor page faults inside `advect_particles`
+on the `flows_dense` benchmark (16,384 particles at n = 128, 2,048
+evaluations); reused, about 11 k.  Every result is bit for bit that of the
+one-shot sampler: the same values, weights and products, summed in the
+same order.
+
+A segment of `advect_particles` runs between consecutive history times, and
+all its stage times blend the same two samples, the pair around the
+segment.  A stage time that rounding puts a hair outside the segment
+extrapolates within that pair, so advecting across one interval never reads
+a third sample: `TrajectoryStream` advances each interval through a window
+of its two samples and gets the bits of the whole history.
 """
 
 from __future__ import annotations
@@ -66,10 +73,8 @@ class BicubicWork:
     """The buffers of `bicubic_sample` for one field shape (..., n, n) and
     particle count.
 
-    `field` is the interior of the halo-padded planes, filled by `load`;
-    `held` names the (history, time) whose velocity `VelocityHistory.load`
-    left there.  The buffers make an instance usable by one thread at a
-    time.
+    `field` is the interior of the halo-padded planes, filled by `load` or
+    `blend`.  The buffers make an instance usable by one thread at a time.
     """
 
     def __init__(self, shape: tuple, count: int):
@@ -96,7 +101,6 @@ class BicubicWork:
         self.pair = np.empty(count)
         self.gathered = np.empty((c, count))
         self._blend = None
-        self.held = None
 
     def load(self, values: np.ndarray) -> None:
         """Copy values into `field` and fill the halo around it."""
@@ -106,7 +110,6 @@ class BicubicWork:
         p[:, n + 1 :, 1 : n + 1] = p[:, 1:3, 1 : n + 1]
         p[:, :, 0] = p[:, :, n]
         p[:, :, n + 1 :] = p[:, :, 1:3]
-        self.held = None
 
     def blend(self, a: np.ndarray, b: np.ndarray, theta: float) -> None:
         """Load (1 - theta) a + theta b, rounded as that expression is.  The
@@ -224,49 +227,6 @@ class VelocityHistory:
     def span(self) -> tuple[float, float]:
         return float(self.times[0]), float(self.times[-1])
 
-    def _bracket(self, t: float):
-        """The sample j before t and t's fraction of the way to sample j+1;
-        (0, None) for a one-sample history."""
-        lo, hi = self.span()
-        if t < lo - 1e-10 or t > hi + 1e-10:
-            raise ValueError(f"time {t} outside the sampled history [{lo}, {hi}]")
-        if self.times.size == 1:
-            return 0, None
-        t = min(max(t, lo), hi)
-        j = int(np.searchsorted(self.times, t, side="right")) - 1
-        j = min(max(j, 0), self.times.size - 2)
-        t0, t1 = self.times[j], self.times[j + 1]
-        return j, (t - t0) / (t1 - t0)
-
-    def load(self, t: float, work: BicubicWork) -> None:
-        """Blend the velocity at time t, (1 - theta) u_j + theta u_{j+1}
-        between the samples around t, into work's field, unless work holds
-        it already."""
-        if work.held == (self, t):
-            return
-        j, theta = self._bracket(t)
-        if theta is None:
-            work.load(self.snapshots[0])
-        else:
-            work.blend(self.snapshots[j], self.snapshots[j + 1], theta)
-        work.held = (self, t)
-
-    def velocity_at(
-        self,
-        t: float,
-        positions: np.ndarray,
-        work: BicubicWork | None = None,
-        out: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """The (count, 2) velocities at time t of the (count, 2) positions.
-        `work` passes in a BicubicWork of shape (2, n, n) and this count,
-        and `out` a (count, 2) array for the result."""
-        if work is None:
-            work = BicubicWork((2, self.grid.n, self.grid.n), positions.shape[0])
-        self.load(t, work)
-        rows = None if out is None else out.T
-        return bicubic_sample(work.field, positions, self.grid.dx, work, rows).T
-
 
 def advect_particles(
     p: ParticleSet,
@@ -278,7 +238,10 @@ def advect_particles(
     direction); steps are aligned with the history sample times so the
     in-step velocity is smooth in time.
 
-    One BicubicWork serves every velocity evaluation of the call, and the
+    Each segment between knots blends the pair of samples around it,
+    (1 - theta) u_j + theta u_{j+1} with theta = (t - t_j) / (t_{j+1} - t_j),
+    into one BicubicWork at its start, at each substep's midpoint (k2 and
+    k3) and at each substep's end (k4, and the next substep's k1).  The
     stage positions and slopes live in buffers of the call; the RK4
     arithmetic keeps the operation order of x + h/6 (k1 + 2 k2 + 2 k3 + k4).
     """
@@ -290,32 +253,42 @@ def advect_particles(
         raise ValueError("requested interval is outside the sampled history")
     if t1 == t0:
         return ParticleSet(p.positions.copy(), t1)
-
     knots = history.times
+    if knots.size < 2:
+        raise ValueError("advecting needs a history of at least two samples")
+
     interior = knots[(knots > min(t0, t1) + 1e-13) & (knots < max(t0, t1) - 1e-13)]
     times = np.concatenate([[min(t0, t1)], interior, [max(t0, t1)]])
     if t1 < t0:
         times = times[::-1]
 
-    n = history.grid.n
+    n, dx = history.grid.n, history.grid.dx
     work = BicubicWork((2, n, n), p.count)
     # (count, 2) views of (2, count) rows, the layout of the samples
     x, stage, acc, k = np.empty((4, 2, p.count)).transpose(0, 2, 1)
     np.copyto(x, p.positions)
     for seg0, seg1 in zip(times[:-1], times[1:]):
+        # the pair around the segment: the one its midpoint falls in
+        j = int(np.searchsorted(knots, 0.5 * (seg0 + seg1), side="right")) - 1
+        j = min(max(j, 0), knots.size - 2)
+        ta, tb = knots[j], knots[j + 1]
+        ua, ub = history.snapshots[j], history.snapshots[j + 1]
         h = (seg1 - seg0) / substeps
         t = seg0
+        work.blend(ua, ub, (t - ta) / (tb - ta))
         for _ in range(substeps):
             # acc gathers k1 + 2 k2 + 2 k3 + k4
-            history.velocity_at(t, x, work, acc)
+            bicubic_sample(work.field, x, dx, work, acc.T)
             np.add(x, np.multiply(acc, 0.5 * h, out=stage), out=stage)
-            history.velocity_at(t + 0.5 * h, stage, work, k)
+            work.blend(ua, ub, (t + 0.5 * h - ta) / (tb - ta))
+            bicubic_sample(work.field, stage, dx, work, k.T)
             np.add(x, np.multiply(k, 0.5 * h, out=stage), out=stage)
             acc += np.multiply(k, 2.0, out=k)
-            history.velocity_at(t + 0.5 * h, stage, work, k)
+            bicubic_sample(work.field, stage, dx, work, k.T)
             np.add(x, np.multiply(k, h, out=stage), out=stage)
             acc += np.multiply(k, 2.0, out=k)
-            history.velocity_at(t + h, stage, work, k)
+            work.blend(ua, ub, (t + h - ta) / (tb - ta))
+            bicubic_sample(work.field, stage, dx, work, k.T)
             acc += k
             x += np.multiply(acc, h / 6.0, out=acc)
             t += h
@@ -328,10 +301,9 @@ class TrajectoryStream:
     held: the result is bit for bit that of `advect_particles` through the
     whole history, sample interval by sample interval.
 
-    Each interval is advanced once the sample after it has arrived, through
-    a window of those three samples: the last RK4 substep can land a
-    rounding error past the interval's end, where the whole history already
-    blends towards the next sample.  `finish` advances the last interval.
+    Only the last sample is kept.  Each later one advances the particles
+    across the interval between the two, through a window of just those
+    samples: `advect_particles` reads no other sample for that interval.
     """
 
     def __init__(self, grid: Grid, particles: ParticleSet, substeps: int = 4):
@@ -340,30 +312,28 @@ class TrajectoryStream:
         self._grid = grid
         self._particles = particles
         self._substeps = substeps
-        self._times = []
-        self._snapshots = []
+        self._last = None
         self.positions = [particles.positions]
 
     def push(self, t: float, snapshot: np.ndarray) -> None:
-        """Take the (2, n, n) velocity sample at time t."""
-        self._times.append(float(t))
-        self._snapshots.append(snapshot)
-        if len(self._times) == 3:
-            self._advance()
-            del self._times[0], self._snapshots[0]
+        """Take the (2, n, n) velocity sample at time t, later than the
+        last one pushed, and advance the particles to t."""
+        t = float(t)
+        n = self._grid.n
+        if np.shape(snapshot) != (2, n, n):
+            raise ValueError(f"a velocity sample must have shape (2, {n}, {n}), got {np.shape(snapshot)}")
+        if self._last is not None:
+            t_prev, u_prev = self._last
+            if not t > t_prev:
+                raise ValueError(f"sample times must increase: {t} follows {t_prev}")
+            window = VelocityHistory([t_prev, t], [u_prev, snapshot], self._grid)
+            self._particles = advect_particles(self._particles, window, t, substeps=self._substeps)
+            self.positions.append(self._particles.positions)
+        self._last = (t, snapshot)
 
     def finish(self) -> tuple:
         """The positions at every sample time pushed, the first included."""
-        if len(self._times) == 2:
-            self._advance()
         return tuple(self.positions)
-
-    def _advance(self) -> None:
-        window = VelocityHistory(self._times, self._snapshots, self._grid)
-        self._particles = advect_particles(
-            self._particles, window, self._times[1], substeps=self._substeps
-        )
-        self.positions.append(self._particles.positions)
 
 
 def measure_preservation_defect(
@@ -414,6 +384,8 @@ def flow_distance(
         raise ValueError("particle sets must have matching counts")
     if delta <= 0.0:
         raise ValueError("delta must be positive")
+    if not 0.0 < c_cal < math.inf:  # NaN included
+        raise ValueError(f"c_cal must be positive and finite, got {c_cal}")
     d = torus_distance(pa.positions, pb.positions)
     mean_distance = float(d.mean())
     l2_distance = float(np.sqrt((d**2).mean()))

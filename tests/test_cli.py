@@ -144,6 +144,22 @@ class TestFlowsCommand:
         final = lines[-1].split(",")
         assert float(final[1]) > 0  # the filtered shear lags the reference
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--c-cal", "nan"), ("--c-cal", "inf"), ("--c-cal", "0"), ("--c-cal", "-2"),
+         ("--alpha", "nan"), ("--alpha", "inf"), ("--alpha", "0"), ("--alpha", "-1")],
+    )
+    def test_bad_flag_exits_1_before_any_solve(self, shear_cfg, tmp_path, capsys, monkeypatch, flag, value):
+        # a NaN --c-cal used to write a log_bound column of nan, and a NaN
+        # --alpha failed only after the reference had run
+        _forbid_solves(monkeypatch)
+        out = tmp_path / "flows"
+        assert main(["flows", "--config", str(shear_cfg), flag, value, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"{flag} must be positive and finite, got {float(value)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestReportCommand:
     def test_merges_and_emits_gnuplot(self, shear_cfg, tmp_path):
@@ -335,10 +351,15 @@ class TestConfigValues:
             ("samples = 4", "samples = 4\ncfl = nan", "[time] cfl = 'nan' is invalid: expected a finite number"),
             ("alphas = 0.5, 0.25", "alphas = 0.5, nan, 0.1", "[sweep] alphas = '0.5, nan, 0.1' is invalid"),
             ("alphas = 0.5, 0.25", "alphas = inf, 0.5, 0.1", "[sweep] alphas = 'inf, 0.5, 0.1' is invalid"),
+            (
+                "particle_stride = 8",
+                "particle_stride = 8\nfamily = mollifed",
+                "[sweep] family = 'mollifed' is invalid: expected one of identity, mollified",
+            ),
         ],
         ids=[
             "n", "n_ref", "t_end", "samples", "alphas", "datum", "workers_env",
-            "t_end_nan", "t_end_inf", "cfl_nan", "alphas_nan", "alphas_inf",
+            "t_end_nan", "t_end_inf", "cfl_nan", "alphas_nan", "alphas_inf", "family",
         ],
     )
     def test_uncastable_value_is_named(self, tmp_path, capsys, monkeypatch, old, new, named):

@@ -157,6 +157,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="positive and finite"):
             smooth_config(**overrides)
 
+    def test_unknown_family_names_the_key_and_the_families(self):
+        with pytest.raises(ValueError, match=r"\[sweep\] family = 'mollifed' is invalid: expected one of identity, mollified"):
+            smooth_config(family="mollifed")
+
     def test_reference_grid_not_coarser(self):
         with pytest.raises(ValueError):
             smooth_config(n=64, n_ref=32)
@@ -306,6 +310,7 @@ TYPE_NAMES = {
     harness._finite: "finite real",
     harness._boolean: "boolean",
     harness._finite_list: "finite reals",
+    harness._family: "`identity` or `mollified`",
     harness._real_list: "reals",
 }
 

@@ -64,35 +64,37 @@ def oracle_bicubic_sample(values, positions, dx):
     return out
 
 
-def grids_at(history, t):
-    """The history's velocity at time t, blended as one expression."""
-    j, theta = history._bracket(t)
-    if theta is None:
-        return history.snapshots[0]
+def grids_at(history, j, t):
+    """The velocity at time t blended from samples j and j + 1 as one
+    expression."""
+    t0, t1 = history.times[j], history.times[j + 1]
+    theta = (t - t0) / (t1 - t0)
     return (1.0 - theta) * history.snapshots[j] + theta * history.snapshots[j + 1]
 
 
 def oracle_advect(positions, history, t0, t1, substeps):
     """advect_particles as the plain RK4 loop over oracle samples of
-    `grids_at`."""
+    `grids_at`: each segment blends the last sample at or before its lower
+    end and the next one."""
     knots = history.times
     interior = knots[(knots > min(t0, t1) + 1e-13) & (knots < max(t0, t1) - 1e-13)]
     times = np.concatenate([[min(t0, t1)], interior, [max(t0, t1)]])
     if t1 < t0:
         times = times[::-1]
 
-    def velocity(t, x):
-        return oracle_bicubic_sample(grids_at(history, t), x, history.grid.dx).T
+    def velocity(j, t, x):
+        return oracle_bicubic_sample(grids_at(history, j, t), x, history.grid.dx).T
 
     x = positions.copy()
     for seg0, seg1 in zip(times[:-1], times[1:]):
+        j = max(i for i in range(knots.size - 1) if knots[i] <= min(seg0, seg1))
         h = (seg1 - seg0) / substeps
         t = seg0
         for _ in range(substeps):
-            k1 = velocity(t, x)
-            k2 = velocity(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = velocity(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = velocity(t + h, x + h * k3)
+            k1 = velocity(j, t, x)
+            k2 = velocity(j, t + 0.5 * h, x + 0.5 * h * k1)
+            k3 = velocity(j, t + 0.5 * h, x + 0.5 * h * k2)
+            k4 = velocity(j, t + h, x + h * k3)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t += h
     return ParticleSet(np.mod(x, 2 * np.pi), t1)
@@ -229,10 +231,19 @@ class TestBufferedAdvection:
         p0 = ParticleSet(np.array([[6.2, -0.1]]), 0.1)
         got = advect_particles(p0, hist, 0.3, substeps=2)
         assert got.positions.tobytes() == oracle_advect(p0.positions, hist, 0.1, 0.3, 2).positions.tobytes()
+        # a one-sample history holds a velocity but no interval to advect
+        # through; blended with itself at theta = 0 it is that sample
         single = VelocityHistory([0.2], hist.snapshots[1:2], hist.grid)
-        v = single.velocity_at(0.2, p0.positions)
-        expected = oracle_bicubic_sample(hist.snapshots[1], p0.positions, hist.grid.dx).T
+        work = BicubicWork((2, 16, 16), 1)
+        work.blend(hist.snapshots[0], hist.snapshots[2], 0.3)
+        work.blend(single.snapshots[0], single.snapshots[0], 0.0)
+        v = bicubic_sample(work.field, p0.positions, hist.grid.dx, work)
+        expected = oracle_bicubic_sample(hist.snapshots[1], p0.positions, hist.grid.dx)
         assert v.tobytes() == expected.tobytes()
+        at = ParticleSet(p0.positions, 0.2)
+        assert advect_particles(at, single, 0.2).positions.tobytes() == at.positions.tobytes()
+        with pytest.raises(ValueError, match="two samples"):
+            advect_particles(at, single, 0.2 + 1e-11)
 
     def test_threads_match_serial(self):
         # each call owns its buffers: calls advecting at once, on more
@@ -265,16 +276,38 @@ class TestBufferedAdvection:
 
         hist = self.history(128)
         x = seed_particles(hist.grid, 2).positions
+        a, b, c = hist.snapshots[:3]
         work = BicubicWork((2, 128, 128), x.shape[0])
-        out = np.empty((2, x.shape[0])).T
-        hist.velocity_at(0.05, x, work, out)
+        out = np.empty((2, x.shape[0]))
+        work.blend(a, b, 0.5)
+        bicubic_sample(work.field, x, hist.grid.dx, work, out)
         tracemalloc.start()
         try:
-            result = hist.velocity_at(0.2, x, work, out)
+            work.blend(b, c, 2.0 / 3.0)
+            result = bicubic_sample(work.field, x, hist.grid.dx, work, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 2 * result.nbytes
+
+    @pytest.mark.parametrize("backward", [False, True])
+    def test_one_interval_reads_only_its_two_samples(self, backward):
+        # the last substep lands a rounding error past the interval's end
+        # (or before its start, backward); it extrapolates within the pair
+        # instead of reading the sample beyond
+        g = Grid(16)
+        times = overshooting_times(4, 4, seed=3)
+        snapshots = np.random.default_rng(4).standard_normal((4, 2, g.n, g.n))
+        j = 1
+        beyond = j - 1 if backward else j + 2
+        snapshots[beyond] = np.nan
+        hist = VelocityHistory(times, snapshots, g)
+        window = VelocityHistory(times[j : j + 2], snapshots[j : j + 2], g)
+        start, end = (times[j + 1], times[j]) if backward else (times[j], times[j + 1])
+        p0 = seed_particles(g, 2, t=float(start))
+        got = advect_particles(p0, hist, float(end))
+        assert np.isfinite(got.positions).all()
+        assert got.positions.tobytes() == advect_particles(p0, window, float(end)).positions.tobytes()
 
     def test_window_refers_to_its_samples(self):
         g = Grid(8)
@@ -415,6 +448,12 @@ class TestFlowDistance:
         comp = flow_distance(p, p, delta=np.exp(-10.0), c_cal=1.0)
         assert comp.log_bound == pytest.approx(0.1, rel=1e-12)
 
+    @pytest.mark.parametrize("c_cal", [np.nan, np.inf, 0.0, -2.0])
+    def test_c_cal_not_positive_and_finite_rejected(self, c_cal):
+        p = seed_particles(Grid(16))
+        with pytest.raises(ValueError, match="c_cal"):
+            flow_distance(p, p, delta=0.5, c_cal=c_cal)
+
     def test_constant_offset(self):
         g = Grid(16)
         p = seed_particles(g)
@@ -440,6 +479,8 @@ class TestFlowDistance:
 
 class TestHistory:
     def test_linear_time_interpolation(self):
+        # u = t / 2 from the samples 0 and 1 at t = 0 and 2: the particles
+        # move by the integral, 1, which RK4 integrates exactly
         g = Grid(16)
         snaps = np.stack(
             [
@@ -448,14 +489,18 @@ class TestHistory:
             ]
         )
         hist = VelocityHistory([0.0, 2.0], snaps, g)
-        mid = grids_at(hist, 1.0)
-        assert np.all(mid == 0.5)
+        p0 = seed_particles(g, 4)
+        p1 = advect_particles(p0, hist, 2.0, substeps=3)
+        assert torus_distance(p1.positions, p0.positions + 1.0).max() < 1e-14
 
     def test_outside_rejected(self):
+        # an origin or a target outside the history, in either direction
         g = Grid(16)
         hist = constant_history(1.0, 0.0, g, t0=0.0, t1=1.0)
-        with pytest.raises(ValueError):
-            grids_at(hist, 1.5)
+        with pytest.raises(ValueError, match="outside"):
+            advect_particles(seed_particles(g, 4, t=1.5), hist, 0.5)
+        with pytest.raises(ValueError, match="outside"):
+            advect_particles(seed_particles(g, 4, t=0.5), hist, -0.5)
 
     def test_from_states_matches_solver_velocity(self):
         g = Grid(32)
@@ -499,8 +544,9 @@ class TestTrajectoryStream:
 
     @pytest.mark.parametrize("count", [2, 3, 8])
     def test_bitwise_equal_to_full_history(self, count):
-        # the overshooting substeps blend towards the next sample in the
-        # whole history; the stream's three-sample window must match that
+        # the overshooting substeps extrapolate within their interval's
+        # pair in the whole history; the stream's two-sample window must
+        # match that
         g = Grid(16)
         times = overshooting_times(count, 4, seed=3)
         snapshots = np.random.default_rng(4).standard_normal((count, 2, g.n, g.n))
@@ -511,6 +557,33 @@ class TestTrajectoryStream:
         expected = self.full_history_trajectory(times, snapshots, g, 2, 4)
         assert len(got) == count
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+
+    def stream(self):
+        g = Grid(8)
+        stream = TrajectoryStream(g, seed_particles(g, 4), substeps=2)
+        stream.push(0.0, np.zeros((2, 8, 8)))
+        return stream
+
+    @pytest.mark.parametrize("t", [0.0, -0.5, np.nan])
+    def test_time_not_after_the_last_rejected_at_push(self, t):
+        stream = self.stream()
+        with pytest.raises(ValueError, match="increase"):
+            stream.push(t, np.ones((2, 8, 8)))
+        stream.push(0.5, np.ones((2, 8, 8)))
+        assert len(stream.finish()) == 2
+
+    @pytest.mark.parametrize("shape", [(2, 16, 16), (8, 8), (3, 8, 8)])
+    def test_wrong_shape_rejected_at_push(self, shape):
+        g = Grid(8)
+        fresh = TrajectoryStream(g, seed_particles(g, 4))
+        with pytest.raises(ValueError, match="shape"):
+            fresh.push(0.0, np.zeros(shape))
+        stream = self.stream()
+        with pytest.raises(ValueError, match="shape"):
+            stream.push(0.5, np.zeros(shape))
+        stream.push(0.5, np.ones((2, 8, 8)))
+        assert len(stream.finish()) == 2
 
 
 class TestVelocityL1Gap:
