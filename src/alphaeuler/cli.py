@@ -97,6 +97,8 @@ def _resolve_output(cfg_dir, flag_dir, fallback: str) -> Path:
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     alpha = args.alpha if args.alpha is not None else cfg.alpha_list[0]
+    if not 0.0 <= alpha < math.inf:  # NaN included
+        raise ValueError(f"--alpha must be finite and >= 0, got {alpha}")
     q0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
     sim = run(q0, AlphaParam(alpha), cfg.solver_config(), keep_states=False)
     out = _resolve_output(cfg.output_dir, args.output, "simulate_output")

@@ -6,22 +6,22 @@ velocity/vorticity/flow-map errors against the spectrally restricted
 reference at shared sample times, fits log-log rates, and persists a CSV
 table plus a JSON summary.
 
-The sweep is a job graph.  A filtered solve (`filtered_solve`) needs only
-the initial datum and the sample times, not the reference, so the
-reference, the Richardson run and every alpha solve go to one pool of
-`effective_workers()` threads at once: the reference first, then the
-Richardson run, then the solves smallest alpha first.  The filter bounds
-|u|, so a smaller alpha never takes fewer CFL steps, and the costliest
-solves start first.  A solve done after the reference is compared in its
-own job.  One done before it is parked; when the reference finishes, its
-job submits the parked comparisons to the pool, behind the solves still
-queued.  A solve waits as little as it can: its particle trajectory is
-streamed while it runs and its samples are kept as their dealias bands.
-Every worker count takes the same path; a one-thread pool runs its jobs
-first in, first out, so the reference is done before any solve starts,
-nothing is parked, and each alpha is solved and compared in one job,
-smallest alpha first.  The report does not depend on the worker count or
-the order.
+A filtered solve (`filtered_solve`) needs only the initial datum and the
+sample times, not the reference, so the reference, the Richardson run and
+every alpha solve go to one pool of `effective_workers()` threads at once:
+the reference first, then the Richardson run, then the solves smallest
+alpha first.  The filter bounds |u|, so a smaller alpha never takes fewer
+CFL steps, and the costliest solves start first.  `run_sweep`'s own thread
+is the one place a solve meets the reference: it waits for the reference,
+takes the Richardson gap, then compares each solve in the order they were
+submitted, while the pool runs the next.  A solve that starts after the
+reference is done measures its velocity gaps as it runs; one that starts
+before has them made again when it is compared.  A solve waits as little
+as it can: its particle trajectory is streamed while it runs and its
+samples are kept as their dealias bands.  Every worker count takes the
+same path; a one-thread pool runs its jobs first in, first out, so every
+solve starts after the reference.  The report does not depend on the
+worker count or the order.
 
 Each sample's filtered velocity is made once, by `run` from its stage's
 table, and serves the monitor row, the particle trajectory and the
@@ -39,7 +39,6 @@ import datetime
 import json
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -543,114 +542,54 @@ def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig
     )
 
 
-class _SweepGraph:
-    """The jobs of one sweep and the join of each solve with the reference.
-
-    `then` runs a comparison once the reference is done: at once, in the
-    calling job, if it is done already; otherwise the comparison is parked
-    and, when the reference finishes, the reference's job submits it to
-    `pool` (`comparisons` holds those jobs).  Each job writes only its own
-    result slot.
-    """
-
-    def __init__(self, cfg: ExperimentConfig, pool):
-        self.cfg = cfg
-        self.pool = pool
-        self.comparisons = []  # the parked comparisons' jobs
-        self.datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-        self.omega0 = _study_restriction(self.datum, Grid(cfg.n))
-        self.records = [None] * len(cfg.alpha_list)
-        self.richardson_error = None
-        self.ref = None  # the reference run, once it is done
-        self.failed = False  # the reference raised: start no further solve
-        self._lock = threading.Lock()
-        self._parked = []
-
-    def reference(self) -> ReferenceRun:
-        try:
-            ref = reference_run(self.cfg, self.datum)
-        except BaseException:
-            self.failed = True
-            raise
-        with self._lock:
-            self.ref = ref
-            parked, self._parked = self._parked, []
-        self.comparisons = [self.pool.submit(compare, ref) for compare in parked]
-        return ref
-
-    def then(self, compare) -> None:
-        with self._lock:
-            if self.ref is None:
-                self._parked.append(compare)
-                return
-        compare(self.ref)
-
-    def richardson(self) -> None:
-        """Same-resolution unfiltered run: its gap to the restricted
-        reference estimates the discretization error floor (Richardson
-        consistency)."""
-        if self.failed:
-            return
-        bands, _ = _banded_run(self.omega0, EULER, self.cfg, monitor=False)
-
-        def compare(ref: ReferenceRun):
-            self.richardson_error = max(
-                velocity_l2_distance(unpack_band(band, ref.grid), EULER, qr, EULER)
-                for band, qr in zip(bands, ref.qs)
-            )
-
-        self.then(compare)
-
-
-def _run_alpha(graph: _SweepGraph, i: int) -> None:
-    """Pool job of the i-th alpha: its filtered solve, then its comparison
-    with the reference, here or, parked, in a job of its own."""
-    if graph.failed:
-        return
-    alpha = graph.cfg.alpha_list[i]
-    try:
-        solve = filtered_solve(alpha, graph.omega0, graph.cfg, graph.ref)
-    except SolverError as exc:
-        graph.records[i] = AlphaRecord(alpha=alpha, failed=True, error=str(exc))
-        return
-
-    def compare(ref: ReferenceRun):
-        graph.records[i] = _alpha_record(solve, ref, graph.cfg)
-
-    graph.then(compare)
-
-
 def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     """Reference, Richardson check, one filtered run per alpha, rate fits
     and the default bound overlay (horizon max(1, t_end)); the outputs are
     written once when cfg.output_dir is set.
 
-    If the reference (or any job, a comparison included) raises, the jobs
-    not yet started are cancelled and the exception propagates."""
+    If the reference, a solve or a comparison raises, the jobs not yet
+    started are cancelled and the exception propagates."""
     workers = cfg.effective_workers()
+    datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+    omega0 = _study_restriction(datum, Grid(cfg.n))
+    alphas = cfg.alpha_list
+    records = [None] * len(alphas)
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        graph = _SweepGraph(cfg, pool)
         # The reference is submitted first, so it is the first unfiltered
         # run on the n_ref grid to start: traces tell it from the Richardson
         # run that way.  With n == n_ref the Richardson run is on that grid
         # too and, on two or more workers, may start first; the two runs are
         # then the same computation.  The solves follow, costliest
-        # (smallest alpha) first.
-        reference = pool.submit(graph.reference)
-        jobs = [pool.submit(graph.richardson)]
-        jobs += [pool.submit(_run_alpha, graph, i) for i in reversed(range(len(cfg.alpha_list)))]
+        # (smallest alpha) first; each measures its velocity gaps as it
+        # runs if the reference is done when it starts.
+        reference = pool.submit(reference_run, cfg, datum)
+
+        def solve(alpha: float) -> FilteredSolve:
+            return filtered_solve(alpha, omega0, cfg, reference.result() if reference.done() else None)
+
+        jobs = [pool.submit(_banded_run, omega0, EULER, cfg, monitor=False)]
+        jobs += [pool.submit(solve, alpha) for alpha in reversed(alphas)]
         try:
             ref = reference.result()
-            # complete now: the reference's job submitted them before it returned
-            jobs += graph.comparisons
-            for job in jobs:
-                job.result()
+            # Same-resolution unfiltered run: its gap to the restricted
+            # reference estimates the discretization error floor
+            # (Richardson consistency).
+            richardson_error = max(
+                velocity_l2_distance(unpack_band(band, ref.grid), EULER, qr, EULER)
+                for band, qr in zip(jobs.pop(0).result()[0], ref.qs)
+            )
+            # Each job is dropped once taken, and no name holds a compared
+            # solve, so it is freed before the next solve is waited for.
+            for i in reversed(range(len(alphas))):
+                job = jobs.pop(0)
+                if isinstance(job.exception(), SolverError):
+                    records[i] = AlphaRecord(alpha=alphas[i], failed=True, error=str(job.exception()))
+                else:
+                    records[i] = _alpha_record(job.result(), ref, cfg)
         except BaseException:
             for job in jobs:
                 job.cancel()
             raise
-    records = graph.records
-    richardson_error = graph.richardson_error
 
     ok = [r for r in records if not r.failed]
     if not ok:

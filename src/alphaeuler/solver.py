@@ -45,6 +45,7 @@ and keeps the stored half.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -86,10 +87,10 @@ class SolverConfig:
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if self.t_end < 0.0:
-            raise ValueError("t_end must be nonnegative")
-        if self.fixed_dt is not None and self.fixed_dt <= 0.0:
-            raise ValueError("fixed_dt must be positive")
+        if not 0.0 <= self.t_end < math.inf:  # NaN included
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
+        if self.fixed_dt is not None and not self.fixed_dt > 0.0:  # inf stays: max_dt caps it
+            raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
 
 
 @dataclass

@@ -132,6 +132,27 @@ class TestSimulateCommand:
         assert state.t == pytest.approx(0.5)
 
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+    def test_bad_alpha_exits_1_before_the_datum_is_built(self, shear_cfg, tmp_path, capsys, monkeypatch, value):
+        # the message used to come from AlphaParam and did not name --alpha
+        import alphaeuler.cli as cli
+
+        def no_datum(*args, **kwargs):
+            raise AssertionError("the datum was built before --alpha was checked")
+
+        _forbid_solves(monkeypatch)
+        monkeypatch.setattr(cli, "build_datum", no_datum)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", str(shear_cfg), "--alpha", value, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert f"--alpha must be finite and >= 0, got {float(value)}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_alpha_zero_is_valid(self, shear_cfg, tmp_path):
+        assert main(["simulate", "--config", str(shear_cfg), "--alpha", "0", "--output", str(tmp_path / "sim")]) == 0
+
+
 class TestFlowsCommand:
     def test_flows_csv(self, shear_cfg, tmp_path):
         out = tmp_path / "flows"

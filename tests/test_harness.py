@@ -553,14 +553,14 @@ class TestJobGraph:
 
         failed = threading.Event()
         solve, reference = harness.filtered_solve, harness.reference_run
-        parked = []
+        solved_first = []  # solved before the reference was done
 
         def failing_solve(alpha, omega0, cfg, ref=None):
             if alpha == 0.125:
                 failed.set()
                 raise SolverError("injected failure")
             if ref is None:
-                parked.append(alpha)
+                solved_first.append(alpha)
             return solve(alpha, omega0, cfg, ref)
 
         def late_reference(cfg, datum=None):
@@ -574,11 +574,11 @@ class TestJobGraph:
         assert [r.alpha for r in got.records] == [0.25, 0.125, 0.0625]
         assert [r.failed for r in got.records] == [False, True, False]
         assert got.records[1].error == "injected failure"
-        # the solve parked on the reference (alpha 0.0625, solved before the
-        # failing one) makes its velocity samples again to compare; the
+        # the solve done before the reference (alpha 0.0625, solved before
+        # the failing one) makes its velocity samples again to compare; the
         # serial sweep measured them as they came: the two must agree bit
         # for bit
-        assert 0.0625 in parked
+        assert 0.0625 in solved_first
         for i in (0, 2):
             assert np.array_equal(got.records[i].vel_l2_err, report.records[i].vel_l2_err)
             assert np.array_equal(got.records[i].delta, report.records[i].delta)
@@ -622,11 +622,39 @@ class TestJobGraph:
         assert order == [0.0625, 0.125, 0.25]
         assert [r.alpha for r in got.records] == [0.25, 0.125, 0.0625]
 
+    def test_compared_solves_are_released(self, monkeypatch):
+        # a join that kept its jobs would hold every solve until the sweep
+        # ends; on one worker, a comparison meets at most the solve it
+        # compares and the one solved meanwhile
+        import weakref
+
+        from alphaeuler import harness
+
+        solves = []
+        live = []
+        solve, record = harness.filtered_solve, harness._alpha_record
+
+        def tracked_solve(alpha, omega0, cfg, ref=None):
+            out = solve(alpha, omega0, cfg, ref)
+            solves.append(weakref.ref(out))
+            return out
+
+        def counting_record(solve, ref, cfg):
+            live.append(sum(r() is not None for r in solves))
+            return record(solve, ref, cfg)
+
+        monkeypatch.setattr(harness, "filtered_solve", tracked_solve)
+        monkeypatch.setattr(harness, "_alpha_record", counting_record)
+        alphas = tuple(2.0**-k for k in range(2, 8))
+        run_sweep(smooth_config(workers=1, alpha_list=alphas, richardson=False))
+        assert len(live) == len(alphas)
+        assert max(live) <= 2
+
     @staticmethod
     def _failing_comparison(monkeypatch, workers):
         """A sweep whose comparisons raise; on two workers every solve is
-        done before the reference, so each comparison is parked and runs in
-        a pool job of its own."""
+        done before the reference, so each is solved without its velocity
+        gaps and compared once the reference is done."""
         from alphaeuler import harness
         from alphaeuler.harness import SweepError
 

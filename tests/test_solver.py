@@ -366,6 +366,33 @@ class TestStep:
             step(SimState(0.0, q, AlphaParam(0.0)), SolverConfig(t_end=1.0))
 
 
+class TestSolverConfig:
+    @pytest.mark.parametrize(
+        "kwargs, named",
+        [
+            # t_end = nan ran to t = 0 and returned one sample; t_end = inf
+            # without sample times stepped forever; fixed_dt = nan failed
+            # late, as a velocity overflow
+            (dict(t_end=float("nan")), "t_end must be finite and nonnegative, got nan"),
+            (dict(t_end=float("inf")), "t_end must be finite and nonnegative, got inf"),
+            (dict(t_end=-1.0), "t_end must be finite and nonnegative, got -1.0"),
+            (dict(t_end=1.0, fixed_dt=float("nan")), "fixed_dt must be positive, got nan"),
+            (dict(t_end=1.0, fixed_dt=0.0), "fixed_dt must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_time_is_named(self, kwargs, named):
+        with pytest.raises(ValueError) as info:
+            SolverConfig(**kwargs)
+        assert str(info.value) == named
+
+    def test_infinite_fixed_dt_is_capped_by_the_sample_times(self):
+        times = np.linspace(0.0, 0.2, 3)
+        cfg = SolverConfig(t_end=0.2, fixed_dt=float("inf"), sample_times=times)
+        sim = run(shear(Grid(16)), AlphaParam(0.1), cfg)
+        assert [s.t for s in sim.states] == list(times)
+        assert sim.final.step_count == 2
+
+
 class TestRun:
     def test_t_end_zero_returns_initial_state(self):
         g = Grid(16)
