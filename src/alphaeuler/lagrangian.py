@@ -180,14 +180,15 @@ def bicubic_sample(
     w3 *= 0.5
 
     # summed from +0.0 in the one-shot order, so the signs of zeros match
-    # too; the indices are in range, and mode="raise" would copy `out`
+    # too; the indices are in range, and mode="raise" would copy `out`.
+    # The array method skips np.take's Python dispatch
     gathered = work.gathered
     term = gathered.reshape(out.shape)
     out[...] = 0.0
     taps = iter(work.taps)
     for wa in work.weights[:, 0]:
         for wb in work.weights[:, 1]:
-            np.take(next(taps), start, axis=1, out=gathered, mode="clip")
+            next(taps).take(start, axis=1, out=gathered, mode="clip")
             out += np.multiply(term, np.multiply(wa, wb, out=work.pair), out=term)
     return out
 

@@ -18,6 +18,11 @@ transform runs as its two per-axis passes, in the order and scaling of
 ``irfft2``/``rfft2`` (so the results are bitwise theirs), each pass into a
 buffer the stage owns, the complex pass over k1 in place: ``irfft2`` would
 allocate and page in a fresh (4, n, n//2 + 1) temporary on every stage.
+The complex passes cover the dealias band's columns k2 <= kmax only where
+the others are empty or unread: the inverse one when its input is
+band-limited, as the states ``run`` keeps are (``spectral.irfft2_passes``
+decides from the input), the forward one always, since the stage's output
+mask zeroes every column past the band.
 
 ``run`` builds one stage per run and hands it to every ``step``.  At
 alpha = 0 that is the private ``_EulerStage``, which forms the term in
@@ -36,7 +41,10 @@ alpha > 0 q is not the curl of u, and the identity does not apply.
 
 Each stage also owns the work arrays of ``step`` (the slope sum, the
 slope and the stage input) and writes its slope into the ``out=`` buffer
-it is given, so a step allocates only the new state.
+it is given, so a step allocates only the new state.  ``slope`` makes the
+coefficients and ``speed`` the largest |u| from the buffers the last
+``slope`` left; ``step`` reads the speed of its first stage only, the one
+the CFL time step needs.
 
 Checkpoints keep the full (n, n) coefficient array on disk: saving expands
 the half spectrum by conjugate symmetry, and loading checks that symmetry
@@ -51,7 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Grid, SpectralField, dealias, to_physical
+from .spectral import Grid, SpectralField, dealias, irfft2_passes, to_physical
 from .vorticity import (
     AlphaParam,
     VelocityField,
@@ -117,9 +125,11 @@ class AdvectionStage:
 
     Calling the stage with the coefficients of q returns the coefficients
     of -u . grad q (dealiased, mean exactly zero) and the largest
-    collocation speed |u|.  The coefficients go to `out` when given, else
-    to the one array a call allocates; the work buffers make an instance
-    usable by one thread at a time: build one per run.
+    collocation speed |u|: `slope`, then `speed`.  The coefficients go to
+    `out` when given, else to the one array a call allocates; the work
+    buffers make an instance usable by one thread at a time: build one per
+    run.  The inverse column pass covers the band columns only when q is
+    dealiased; any q is transformed exactly.
     """
 
     def __init__(self, grid: Grid, a: AlphaParam):
@@ -144,21 +154,26 @@ class AdvectionStage:
         self.rk4 = _rk4_buffers(grid)
 
     def __call__(self, q: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        n = self.grid.n
+        return self.slope(q, out), self.speed()
+
+    def slope(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The coefficients of -u . grad q."""
         spec = np.multiply(self.mult, q, out=self._spec)
-        np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
-        u1, u2, dq1, dq2 = np.fft.irfftn(
-            spec, s=(n,), axes=(-1,), norm="forward", out=self._phys
-        )
+        u1, u2, dq1, dq2 = irfft2_passes(spec, out=self._phys)
         product = np.multiply(u1, dq1, out=self._prod)
         product += np.multiply(u2, dq2, out=dq2)
         # the spectrum buffer is free again once transformed
-        half = np.fft.rfftn(product, axes=(-1,), norm="forward", out=spec[0])
-        np.fft.fftn(half, axes=(0,), norm="forward", out=half)
-        coeffs = np.multiply(half, self.post, out=out)
-        speed_sq = np.multiply(u1, u1, out=dq1)
-        speed_sq += np.multiply(u2, u2, out=dq2)
-        return coeffs, float(np.sqrt(speed_sq.max()))
+        half = np.fft.rfft(product, axis=-1, norm="forward", out=spec[0])
+        band = half[:, : self.grid.kmax_dealias + 1]
+        np.fft.fft(band, axis=0, norm="forward", out=band)
+        return np.multiply(half, self.post, out=out)
+
+    def speed(self) -> float:
+        """The largest collocation speed |u| of the last `slope`'s input."""
+        u1, u2, sq1, sq2 = self._phys
+        speed_sq = np.multiply(u1, u1, out=sq1)
+        speed_sq += np.multiply(u2, u2, out=sq2)
+        return float(np.sqrt(speed_sq.max()))
 
 
 class _EulerStage:
@@ -166,8 +181,9 @@ class _EulerStage:
 
     Equal to ``AdvectionStage(grid, AlphaParam(0.0))`` up to roundoff on
     dealiased input, and its speed is that stage's bit for bit: u1 and u2
-    come from the same tables and the same transform passes.  The work
-    buffers make an instance usable by one thread at a time.
+    come from the same tables and the same transform passes.  `slope` and
+    `speed` split a call as in that stage.  The work buffers make an
+    instance usable by one thread at a time.
     """
 
     def __init__(self, grid: Grid):
@@ -185,21 +201,29 @@ class _EulerStage:
         self.rk4 = _rk4_buffers(grid)
 
     def __call__(self, q: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        n = self.grid.n
+        return self.slope(q, out), self.speed()
+
+    def slope(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """The coefficients of -u . grad q, for dealiased q."""
         spec = np.multiply(self.mult, q, out=self._spec)
-        np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
-        u1, u2 = np.fft.irfftn(spec, s=(n,), axes=(-1,), norm="forward", out=self._phys)
+        u1, u2 = irfft2_passes(spec, out=self._phys)
         cross, diff = self._prod
         np.multiply(u1, u2, out=cross)
         sq1 = np.multiply(u1, u1, out=u1)
         sq2 = np.multiply(u2, u2, out=u2)
         np.subtract(sq1, sq2, out=diff)
-        speed_sq = np.add(sq1, sq2, out=sq1)
-        np.fft.rfftn(self._prod, axes=(-1,), norm="forward", out=spec)
-        np.fft.fftn(spec, axes=(-2,), norm="forward", out=spec)
+        np.fft.rfft(self._prod, axis=-1, norm="forward", out=spec)
+        band = spec[..., : self.grid.kmax_dealias + 1]
+        np.fft.fft(band, axis=-2, norm="forward", out=band)
         coeffs = np.multiply(spec[0], self.weights[0], out=out)
         coeffs += np.multiply(spec[1], self.weights[1], out=spec[1])
-        return coeffs, float(np.sqrt(speed_sq.max()))
+        return coeffs
+
+    def speed(self) -> float:
+        """The largest collocation speed |u| of the last `slope`'s input,
+        from the squares it left in place of u1 and u2."""
+        sq1, sq2 = self._phys
+        return float(np.sqrt(np.add(sq1, sq2, out=self._prod[0]).max()))
 
 
 def rhs(q: SpectralField, a: AlphaParam) -> SpectralField:
@@ -228,6 +252,13 @@ def step(
     this step.  The arithmetic keeps the operation order of
     q0 + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with q0 + (dt/2) k1 etc. as the
     stage inputs; the new state is the one array a step allocates.
+
+    Only the first stage makes its speed, the one dt needs; a non-finite
+    speed raises `SolverError` with t and the step count.  Stages 2-4 make
+    their slopes only: a non-finite velocity there makes the new vorticity
+    non-finite, which raises the same way in the same step.  A finite
+    velocity whose square overflows can leave the slope finite; the next
+    step's first stage then reads an infinite speed and raises.
     """
     a = state.a
     g = state.grid
@@ -253,18 +284,14 @@ def step(
         raise SolverError(f"nonpositive time step dt={dt} at t={state.t}")
 
     np.add(q0, np.multiply(acc, 0.5 * dt, out=x), out=x)
-    _, s2 = stage(x, out=k)
+    stage.slope(x, out=k)
     np.add(q0, np.multiply(k, 0.5 * dt, out=x), out=x)
     acc += np.multiply(k, 2.0, out=k)
-    _, s3 = stage(x, out=k)
+    stage.slope(x, out=k)
     np.add(q0, np.multiply(k, dt, out=x), out=x)
     acc += np.multiply(k, 2.0, out=k)
-    _, s4 = stage(x, out=k)
+    stage.slope(x, out=k)
     acc += k
-    if not (np.isfinite(s2) and np.isfinite(s3) and np.isfinite(s4)):
-        raise SolverError(
-            f"velocity overflow in RK4 stage at t={state.t}, step {state.step_count}"
-        )
     q_new = np.add(q0, np.multiply(acc, dt / 6.0, out=acc))
     if not np.isfinite(q_new).all():
         raise SolverError(

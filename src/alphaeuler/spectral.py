@@ -12,10 +12,13 @@ k = (0, 0) coefficient is the mean of the field.
 A real field satisfies c(-k) = conj(c(k)), so only the ``rfft2`` half
 spectrum is stored: shape (n, n//2 + 1), rows k1 in FFT order and columns
 k2 = 0 .. n/2.  The ``Grid`` wavenumber tables have the same layout, and
-``to_spectral``/``to_physical`` are one ``rfft2``/``irfft2`` each with
-``norm="forward"``, which is the coefficient convention exactly because the
-power-of-two scaling is exact.  Sums over the whole lattice of a quantity
-even in k go through ``parseval_sum``, which owns the column weights.
+``to_spectral`` is one ``rfft2`` with ``norm="forward"``, which is the
+coefficient convention exactly because the power-of-two scaling is exact.
+Every inverse transform in the package, ``to_physical`` included, goes
+through ``irfft2_passes``: the two per-axis passes of ``irfft2``, with the
+complex one over the dealias band's columns only when the columns past it
+are empty.  Sums over the whole lattice of a quantity even in k go through
+``parseval_sum``, which owns the column weights.
 """
 
 from __future__ import annotations
@@ -158,9 +161,27 @@ def to_spectral(f: PhysicalField) -> SpectralField:
     return SpectralField(f.grid, np.fft.rfft2(f.values, norm="forward"))
 
 
+def irfft2_passes(spec: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Collocation samples of a stack of half spectra (..., n, n//2 + 1),
+    bitwise ``irfft2(spec, s=(n, n), norm="forward")``: its two per-axis
+    passes in its order and scaling, the complex pass over k1 in place in
+    `spec` (which it overwrites), the real pass over k2 into `out` when
+    given.
+
+    When every coefficient past the dealias band's columns k2 <= kmax is
+    zero, as in every state `run` keeps, the complex pass covers the band
+    columns only: the transform of a zero column is zero.  The width comes
+    from the input, so any other input is transformed at full width.
+    """
+    n = spec.shape[-2]
+    band = dealias_cutoff(n) + 1
+    cols = spec if spec[..., band:].any() else spec[..., :band]
+    np.fft.ifft(cols, axis=-2, norm="forward", out=cols)
+    return np.fft.irfft(spec, n=n, axis=-1, norm="forward", out=out)
+
+
 def to_physical(f: SpectralField) -> PhysicalField:
-    n = f.grid.n
-    return PhysicalField(f.grid, np.fft.irfft2(f.coeffs, s=(n, n), norm="forward"))
+    return PhysicalField(f.grid, irfft2_passes(f.coeffs.copy()))
 
 
 def spectral_derivative(f: SpectralField, axis: int) -> SpectralField:

@@ -19,6 +19,7 @@ from .spectral import (
     Grid,
     PhysicalField,
     SpectralField,
+    irfft2_passes,
     parseval_sum,
     spectral_derivative,
     to_physical,
@@ -54,12 +55,11 @@ class VelocityField:
         return self.u1.grid
 
     def physical(self) -> np.ndarray:
-        """Collocation samples stacked as an array of shape (2, n, n): the
-        per-axis passes of one ``irfft2``, bitwise `to_physical` per plane."""
-        n = self.grid.n
-        spec = np.stack([self.u1.coeffs, self.u2.coeffs])
-        np.fft.ifftn(spec, axes=(-2,), norm="forward", out=spec)
-        return np.fft.irfftn(spec, s=(n,), axes=(-1,), norm="forward")
+        """Collocation samples stacked as an array of shape (2, n, n): one
+        `irfft2_passes` over the stacked coefficients, bitwise `to_physical`
+        per plane, with the column pass over the dealias band only when both
+        components are dealiased, as the velocities of a run's states are."""
+        return irfft2_passes(np.stack([self.u1.coeffs, self.u2.coeffs]))
 
 
 def _require_mean_zero(q: SpectralField, what: str) -> None:

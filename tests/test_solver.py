@@ -251,6 +251,54 @@ class TestEulerStage:
             s.t = target
 
 
+class TestBandColumns:
+    """A warm step on a dealiased state: every transform one `numpy.fft`
+    call along one axis, the complex ones over the dealias band only."""
+
+    ONE_AXIS = ("fft", "ifft", "rfft", "irfft")
+    N_D = ("fft2", "ifft2", "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+    def count_calls(self, monkeypatch):
+        """Wrap the one-axis and 2-D/n-D entry points of numpy.fft; the
+        returned list gets (name, input shape) per call."""
+        seen = []
+        for name in self.ONE_AXIS + self.N_D:
+            real = getattr(np.fft, name)
+
+            def counted(a, *args, _name=name, _real=real, **kwargs):
+                seen.append((_name, np.shape(a)))
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.fft, name, counted)
+        return seen
+
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    def test_warm_step_makes_four_one_axis_passes_per_stage(self, monkeypatch, n, alpha):
+        g = Grid(n)
+        a = AlphaParam(alpha)
+        stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
+        cfg = SolverConfig(t_end=1.0)
+        state = step(SimState(0.0, dealias(random_vorticity(g, seed=5)), a), cfg, stage=stage)
+        seen = self.count_calls(monkeypatch)
+        step(state, cfg, stage=stage)
+        names = [name for name, _ in seen]
+        assert all(names.count(name) == 4 for name in self.ONE_AXIS)
+        assert len(names) == 16
+        # each column pass sees the band's kmax + 1 columns
+        columns = {shape[-1] for name, shape in seen if name in ("fft", "ifft")}
+        assert columns == {g.kmax_dealias + 1}
+
+    def test_stage_on_input_past_the_band_transforms_every_column(self, monkeypatch):
+        g = Grid(32)
+        q = random_vorticity(g, seed=6).coeffs
+        stage = AdvectionStage(g, AlphaParam(0.01))
+        seen = self.count_calls(monkeypatch)
+        stage.slope(q)
+        assert [shape[-1] for name, shape in seen if name == "ifft"] == [g.n // 2 + 1]
+        assert [shape[-1] for name, shape in seen if name == "fft"] == [g.kmax_dealias + 1]
+
+
 class TestStep:
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
     def test_steady_shear_100_steps(self, alpha):
@@ -338,24 +386,53 @@ class TestStep:
 
     def test_nonfinite_update_aborts(self, monkeypatch):
         # an inf that appears only in the last stage leaves every stage
-        # speed finite; the check on the new vorticity must still catch it
+        # speed finite; the check on the new vorticity must still catch it.
+        # All four stages make their slope with `slope`; the first one goes
+        # through `__call__`, which also makes the speed
         calls = []
-        real_stage = AdvectionStage.__call__
+        real_slope = AdvectionStage.slope
 
         def poisoned(self, qh, out=None):
-            coeffs, speed = real_stage(self, qh, out=out)
+            coeffs = real_slope(self, qh, out=out)
             calls.append(1)
             if len(calls) == 4:
                 coeffs[1, 0] = np.inf
-            return coeffs, speed
+            return coeffs
 
-        monkeypatch.setattr(AdvectionStage, "__call__", poisoned)
+        monkeypatch.setattr(AdvectionStage, "slope", poisoned)
         g = Grid(16)
         state = SimState(0.5, shear(g), AlphaParam(0.0), step_count=7)
         with np.errstate(all="ignore"), pytest.raises(
             SolverError, match=r"non-finite vorticity .* t=0\.5, step 7"
         ):
             step(state, SolverConfig(t_end=1.0))
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    @pytest.mark.parametrize("poisoned_stage", [2, 3])
+    def test_nan_velocity_in_a_later_stage_aborts_in_that_step(self, monkeypatch, alpha, poisoned_stage):
+        # stages 2-4 make no speed; a NaN velocity there reaches the slope,
+        # and the check on the new vorticity names the step
+        calls = []
+        real_passes = solver.irfft2_passes
+
+        def poisoned(spec, out=None):
+            phys = real_passes(spec, out=out)
+            calls.append(1)
+            if len(calls) == poisoned_stage:
+                phys[0, 3, 5] = np.nan
+            return phys
+
+        g = Grid(32)
+        a = AlphaParam(alpha)
+        stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
+        q = dealias(scaled(smooth_random(3, 2.0, 5, g), 5.0))
+        monkeypatch.setattr(solver, "irfft2_passes", poisoned)
+        state = SimState(0.5, q, a, step_count=7)
+        with np.errstate(all="ignore"), pytest.raises(
+            SolverError, match=r"non-finite vorticity .* t=0\.5, step 7"
+        ):
+            step(state, SolverConfig(t_end=1.0), stage=stage)
         assert len(calls) == 4
 
     def test_rejects_nonzero_mean(self):

@@ -20,7 +20,7 @@ from alphaeuler import (
     to_physical,
     to_spectral,
 )
-from alphaeuler.spectral import l2_norm, parseval_sum
+from alphaeuler.spectral import irfft2_passes, l2_norm, parseval_sum
 
 TOL = 1e-12
 
@@ -128,6 +128,67 @@ class TestTransforms:
         g = Grid(16)
         q = to_spectral(sample(g, lambda x1, x2: np.sin(x1)))
         assert l2_norm(q) == pytest.approx(np.pi * np.sqrt(2), rel=TOL)
+
+
+def band_limited_stack(n, seed, count=3):
+    """Random half spectra, zero past the dealias band's columns."""
+    rng = np.random.default_rng(seed)
+    shape = (count, n, n // 2 + 1)
+    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    coeffs[..., dealias_cutoff(n) + 1 :] = 0.0
+    return coeffs
+
+
+class TestInversePasses:
+    """`irfft2_passes`, the one inverse transform: bitwise irfft2, with the
+    complex pass over the band columns only when the others are empty."""
+
+    def column_passes(self, monkeypatch):
+        widths = []
+        real = np.fft.ifft
+
+        def counted(a, *args, **kwargs):
+            widths.append(a.shape[-1])
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifft", counted)
+        return widths
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_band_limited_stack_equals_irfft2_bitwise(self, monkeypatch, n):
+        coeffs = band_limited_stack(n, seed=n)
+        expected = np.fft.irfft2(coeffs, s=(n, n), norm="forward")
+        widths = self.column_passes(monkeypatch)
+        got = irfft2_passes(coeffs.copy())
+        assert np.array_equal(got, expected)
+        assert widths == [dealias_cutoff(n) + 1]
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64, 128, 256, 512])
+    def test_one_coefficient_past_the_band_takes_every_column(self, monkeypatch, n):
+        coeffs = band_limited_stack(n, seed=n + 1)
+        coeffs[1, 3, dealias_cutoff(n) + 1] = 1e-3
+        expected = np.fft.irfft2(coeffs, s=(n, n), norm="forward")
+        widths = self.column_passes(monkeypatch)
+        got = irfft2_passes(coeffs.copy())
+        assert np.array_equal(got, expected)
+        assert widths == [n // 2 + 1]
+
+    def test_writes_into_out_and_overwrites_only_its_input(self):
+        coeffs = band_limited_stack(16, seed=2, count=2)
+        out = np.full((2, 16, 16), np.nan)
+        assert irfft2_passes(coeffs.copy(), out=out) is out
+        assert np.array_equal(out, np.fft.irfft2(coeffs, s=(16, 16), norm="forward"))
+
+    @pytest.mark.parametrize("dealiased", [True, False])
+    def test_to_physical_is_irfft2_and_keeps_its_input(self, dealiased):
+        g = Grid(64)
+        q = to_spectral(random_field(g, seed=7))
+        if dealiased:
+            q = dealias(q)
+        before = q.coeffs.copy()
+        got = to_physical(q).values
+        assert np.array_equal(got, np.fft.irfft2(before, s=(64, 64), norm="forward"))
+        assert np.array_equal(q.coeffs, before)
 
 
 class TestHalfSpectrum:
