@@ -53,7 +53,6 @@ from .lagrangian import (
     lagrangian_vorticity,
     measure_preservation_defect,
     seed_particles,
-    velocity_l1_gap,
 )
 from .bounds import (
     BoundParams,

@@ -100,7 +100,7 @@ def cmd_simulate(args) -> int:
     if not 0.0 <= alpha < math.inf:  # NaN included
         raise ValueError(f"--alpha must be finite and >= 0, got {alpha}")
     q0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
-    sim = run(q0, AlphaParam(alpha), cfg.solver_config(), keep_states=False)
+    sim = run(q0, AlphaParam(alpha), cfg.solver_config())
     out = _resolve_output(cfg.output_dir, args.output, "simulate_output")
     out.mkdir(parents=True, exist_ok=True)
     mon = sim.monitor

@@ -413,14 +413,7 @@ def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> 
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
     omega0 = _study_restriction(datum, grid)
     qs = []
-    run(
-        datum,
-        EULER,
-        solver,
-        on_sample=lambda s, u: qs.append(restrict(s.q, grid)),
-        keep_states=False,
-        monitor=False,
-    )
+    run(datum, EULER, solver, on_sample=lambda s, u: qs.append(restrict(s.q, grid)), monitor=False)
     table = _velocity_multipliers(grid, EULER)
     velocities = tuple(velocity(q, EULER, table).physical() for q in qs)
     stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
@@ -446,7 +439,7 @@ def _banded_run(q0: SpectralField, a: AlphaParam, cfg: ExperimentConfig, on_samp
         if on_sample is not None:
             on_sample(s, u)
 
-    sim = run(q0, a, cfg.solver_config(), on_sample=take, keep_states=False, monitor=monitor)
+    sim = run(q0, a, cfg.solver_config(), on_sample=take, monitor=monitor)
     return tuple(bands), sim.monitor
 
 
@@ -483,9 +476,9 @@ def filtered_solve(
 
 
 def velocity_gap(solve: FilteredSolve, ref: ReferenceRun) -> np.ndarray:
-    """delta(t), the `velocity_l1_gap` of the solve to the reference; a
-    solve made before the reference was done has its velocity samples made
-    again, one at a time, from one table."""
+    """delta(t), the L1 velocity distance of the solve to the reference
+    integrated in time (trapezoid rule); a solve made before the reference
+    was done makes its velocity samples again, one at a time, from one table."""
     gaps = solve.velocity_gaps
     if gaps is None:
         a = AlphaParam(solve.alpha)
@@ -564,10 +557,18 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         # runs if the reference is done when it starts.
         reference = pool.submit(reference_run, cfg, datum)
 
-        def solve(alpha: float) -> FilteredSolve:
-            return filtered_solve(alpha, omega0, cfg, reference.result() if reference.done() else None)
+        def done_reference() -> ReferenceRun | None:
+            # a job that starts after the reference failed fails at once
+            return reference.result() if reference.done() else None
 
-        jobs = [pool.submit(_banded_run, omega0, EULER, cfg, monitor=False)]
+        def richardson():
+            done_reference()
+            return _banded_run(omega0, EULER, cfg, monitor=False)
+
+        def solve(alpha: float) -> FilteredSolve:
+            return filtered_solve(alpha, omega0, cfg, done_reference())
+
+        jobs = [pool.submit(richardson)]
         jobs += [pool.submit(solve, alpha) for alpha in reversed(alphas)]
         try:
             ref = reference.result()

@@ -4,7 +4,8 @@ Particles follow dx/dt = u(t, x) with the velocity interpolated bicubically
 in space (Catmull-Rom kernel, periodic wrap) and linearly in time between
 trajectory samples.  Backward integration is supported, so both the forward
 flow map and the back-trajectory foot points used for vorticity transport
-reconstruction come from the same integrator.
+reconstruction come from the same integrator, and a `TrajectoryStream`
+traces either way, one pushed sample at a time.
 
 `bicubic_sample` reads the field from a halo-padded copy: (c, n+3, n+3)
 planes that repeat the periodic field's last row and column before it and
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import TWO_PI, Grid, PhysicalField
-from .vorticity import torus_distance, velocity
+from .vorticity import torus_distance
 
 
 @dataclass
@@ -196,17 +197,14 @@ def bicubic_sample(
 class VelocityHistory:
     """Velocity snapshots (2, n, n) at increasing times, blended linearly.
 
-    The snapshots are one (count, 2, n, n) array or a sequence of (2, n, n)
-    arrays, kept as given: a `TrajectoryStream` window refers to its
-    samples without copying them.
+    The snapshots, a sequence of (2, n, n) arrays or one (count, 2, n, n)
+    array, are kept without a copy: a `TrajectoryStream` window refers to
+    its samples.
     """
 
     def __init__(self, times, snapshots, grid: Grid):
         self.times = np.asarray(times, dtype=float)
-        if isinstance(snapshots, np.ndarray):
-            self.snapshots = np.asarray(snapshots, dtype=float)
-        else:
-            self.snapshots = tuple(np.asarray(s, dtype=float) for s in snapshots)
+        self.snapshots = tuple(np.asarray(s, dtype=float) for s in snapshots)
         self.grid = grid
         if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
             raise ValueError("history times must be strictly increasing")
@@ -214,19 +212,6 @@ class VelocityHistory:
             s.shape != (2, grid.n, grid.n) for s in self.snapshots
         ):
             raise ValueError("snapshot array shape does not match times/grid")
-
-    @classmethod
-    def from_states(cls, states) -> "VelocityHistory":
-        """Build a history from solver samples, written into one array:
-        stacking them would hold a second copy of the history."""
-        grid = states[0].grid
-        snaps = np.empty((len(states), 2, grid.n, grid.n))
-        for snap, s in zip(snaps, states):
-            snap[:] = velocity(s.q, s.a).physical()
-        return cls(np.asarray([s.t for s in states]), snaps, grid)
-
-    def span(self) -> tuple[float, float]:
-        return float(self.times[0]), float(self.times[-1])
 
 
 def advect_particles(
@@ -248,7 +233,7 @@ def advect_particles(
     """
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
-    lo, hi = history.span()
+    lo, hi = history.times[0], history.times[-1]
     t0, t1 = p.t_origin, s_target
     if min(t0, t1) < lo - 1e-10 or max(t0, t1) > hi + 1e-10:
         raise ValueError("requested interval is outside the sampled history")
@@ -302,9 +287,11 @@ class TrajectoryStream:
     held: the result is bit for bit that of `advect_particles` through the
     whole history, sample interval by sample interval.
 
-    Only the last sample is kept.  Each later one advances the particles
-    across the interval between the two, through a window of just those
-    samples: `advect_particles` reads no other sample for that interval.
+    The first sample is at the particles' `t_origin`; the second sets the
+    direction, forward or back, which every later one must keep.  Only the
+    last sample is kept.  Each later one advances the particles across the
+    interval between the two, through a window of just those samples:
+    `advect_particles` reads no other sample for that interval.
     """
 
     def __init__(self, grid: Grid, particles: ParticleSet, substeps: int = 4):
@@ -314,20 +301,31 @@ class TrajectoryStream:
         self._particles = particles
         self._substeps = substeps
         self._last = None
+        self._sign = 0.0
         self.positions = [particles.positions]
 
     def push(self, t: float, snapshot: np.ndarray) -> None:
-        """Take the (2, n, n) velocity sample at time t, later than the
-        last one pushed, and advance the particles to t."""
+        """Take the (2, n, n) velocity sample at time t and advance the
+        particles to t; a rejected sample leaves the stream as it was."""
         t = float(t)
         n = self._grid.n
         if np.shape(snapshot) != (2, n, n):
             raise ValueError(f"a velocity sample must have shape (2, {n}, {n}), got {np.shape(snapshot)}")
-        if self._last is not None:
+        if math.isinf(t):
+            raise ValueError(f"a sample time must be finite, got {t}")
+        if self._last is None:
+            t_prev = self._particles.t_origin
+            if not t == t_prev:  # NaN included
+                raise ValueError(f"the first sample must be at the particles' time {t_prev}, got {t}")
+        else:
             t_prev, u_prev = self._last
-            if not t > t_prev:
-                raise ValueError(f"sample times must increase: {t} follows {t_prev}")
-            window = VelocityHistory([t_prev, t], [u_prev, snapshot], self._grid)
+            sign = self._sign or math.copysign(1.0, t - t_prev)
+            if not (t - t_prev) * sign > 0:  # NaN included
+                way = {1.0: "increase", -1.0: "decrease", 0.0: "increase or decrease"}[self._sign]
+                raise ValueError(f"sample times must {way}: {t} follows {t_prev}")
+            self._sign = sign
+            times, samples = ([t_prev, t], [u_prev, snapshot]) if sign > 0 else ([t, t_prev], [snapshot, u_prev])
+            window = VelocityHistory(times, samples, self._grid)
             self._particles = advect_particles(self._particles, window, t, substeps=self._substeps)
             self.positions.append(self._particles.positions)
         self._last = (t, snapshot)
@@ -394,18 +392,6 @@ def flow_distance(
     applicable = delta < 1.0
     log_bound = c_cal / abs(np.log(delta)) if applicable else float("nan")
     return FlowComparison(mean_distance, l2_distance, delta, g_delta, log_bound, applicable)
-
-
-def velocity_l1_gap(hist_a: VelocityHistory, hist_b: VelocityHistory) -> np.ndarray:
-    """Cumulative L^1-in-time, L^1-in-space gap between two histories at
-    the shared sample times (trapezoid rule in time)."""
-    if hist_a.times.shape != hist_b.times.shape or np.any(hist_a.times != hist_b.times):
-        raise ValueError("histories must share sample times")
-    spatial = [
-        velocity_l1_distance(a, b, hist_a.grid)
-        for a, b in zip(hist_a.snapshots, hist_b.snapshots)
-    ]
-    return cumulative_trapezoid(hist_a.times, spatial)
 
 
 def velocity_l1_distance(snap_a: np.ndarray, snap_b: np.ndarray, grid: Grid) -> float:

@@ -328,12 +328,11 @@ def _relative_drift(series: np.ndarray) -> np.ndarray:
 
 @dataclass
 class SimRun:
-    states: list
-    monitor: MonitorLog | None
+    """The last state of a run and its monitor log; the states along the
+    way go to the run's `on_sample`."""
 
-    @property
-    def final(self) -> SimState:
-        return self.states[-1]
+    final: SimState
+    monitor: MonitorLog | None
 
 
 def _monitor_row(state: SimState, u: VelocityField):
@@ -354,7 +353,6 @@ def run(
     a: AlphaParam,
     cfg: SolverConfig,
     on_sample=None,
-    keep_states: bool = True,
     monitor: bool = True,
 ) -> SimRun:
     """Integrate from t = 0 to cfg.t_end, sampling monitors along the way.
@@ -364,11 +362,10 @@ def run(
     otherwise samples are taken after every step.  `on_sample(state, u)`
     is invoked at every sample with the state and its filtered velocity,
     made once per sample from the stage's table and shared with the
-    monitor row.  Setting keep_states=False keeps only the final state, to
-    save memory; monitor=False skips the monitor rows and leaves
-    SimRun.monitor None.  Neither changes the states.  The
-    initial vorticity is dealiased, and an alpha = 0 run steps with the
-    `_EulerStage`, which needs dealiased input.
+    monitor row; the run keeps no state but the last.  monitor=False skips
+    the monitor rows and leaves SimRun.monitor None, without changing the
+    states.  The initial vorticity is dealiased, and an alpha = 0 run
+    steps with the `_EulerStage`, which needs dealiased input.
     """
     _require_mean_zero(q0, "initial vorticity")
     q_start = dealias(q0).coeffs
@@ -385,12 +382,9 @@ def run(
     else:
         targets = None
 
-    states: list[SimState] = []
     rows = []
 
     def take_sample(s: SimState):
-        if keep_states:
-            states.append(s)
         u = velocity(s.q, a, table=stage.mult[:2])
         if monitor:
             rows.append(_monitor_row(s, u))
@@ -409,12 +403,8 @@ def run(
             state = step(state, cfg, max_dt=cfg.t_end - state.t, stage=stage)
             take_sample(state)
 
-    log = None
-    if monitor:
-        log = MonitorLog(*(np.asarray(c, dtype=float) for c in zip(*rows)))
-    if not keep_states:
-        states = [state]
-    return SimRun(states, log)
+    log = MonitorLog(*(np.asarray(c, dtype=float) for c in zip(*rows))) if monitor else None
+    return SimRun(state, log)
 
 
 def _full_coeffs(q: SpectralField) -> np.ndarray:

@@ -23,7 +23,7 @@ from alphaeuler import (
     SpectralField,
     SimState,
 )
-from alphaeuler.lagrangian import advect_particles, seed_particles
+from alphaeuler.lagrangian import ParticleSet, TrajectoryStream, seed_particles
 from alphaeuler.solver import step
 
 ALPHAS = tuple(2.0**-k for k in range(4, 11))
@@ -90,12 +90,30 @@ def patch_sweep():
 
 @pytest.fixture(scope="module")
 def transport_run():
+    """A filtered run that traces the particle lattice forward as its
+    samples arrive, and keeps the velocity samples for the back-traces."""
     g = Grid(128)
     q0 = SpectralField(g, ae.smooth_random(grid=g, **SMOOTH).coeffs * 10.0)
     times = np.linspace(0.0, 1.0, 65)
-    sim = ae.run(q0, AlphaParam(0.1), SolverConfig(t_end=1.0, sample_times=times))
-    history = ae.VelocityHistory.from_states(sim.states)
-    return g, q0, sim, history
+    forward = TrajectoryStream(g, seed_particles(g), substeps=4)
+    velocities = []
+
+    def follow(s, u):
+        velocities.append(u.physical())
+        forward.push(s.t, velocities[-1])
+
+    sim = ae.run(q0, AlphaParam(0.1), SolverConfig(t_end=1.0, sample_times=times), on_sample=follow)
+    return g, q0, sim, ParticleSet(forward.finish()[-1], 1.0), (times, velocities)
+
+
+def trace_back(particles, grid, samples):
+    """The particles, at the last sample time, traced back to the first
+    through the samples pushed last to first."""
+    times, velocities = samples
+    stream = TrajectoryStream(grid, particles, substeps=4)
+    for t, snapshot in zip(times[::-1], velocities[::-1]):
+        stream.push(t, snapshot)
+    return ParticleSet(stream.finish()[-1], float(times[0]))
 
 
 def test_criterion_1_spectral_identities():
@@ -259,9 +277,9 @@ def test_criterion_6_energy_of_limit(smooth_sweep):
 
 
 def test_criterion_7_lagrangian_consistency(transport_run):
-    g, q0, sim, history = transport_run
+    g, q0, sim, forward, samples = transport_run
 
-    feet = advect_particles(seed_particles(g, t=1.0), history, 0.0, substeps=4)
+    feet = trace_back(seed_particles(g, t=1.0), g, samples)
     recon = ae.lagrangian_vorticity(ae.to_physical(q0), feet)
     q_end = ae.to_physical(sim.final.q)
     rel_l1 = ae.lp_norm(PhysicalField(g, recon.values - q_end.values), 1) / ae.lp_norm(
@@ -269,11 +287,10 @@ def test_criterion_7_lagrangian_consistency(transport_run):
     )
 
     p0 = seed_particles(g)
-    forward = advect_particles(p0, history, 1.0, substeps=4)
     defect = ae.measure_preservation_defect(
         p0, forward, ae.sample(g, lambda x1, x2: np.cos(x2))
     )
-    back = advect_particles(forward, history, 0.0, substeps=4)
+    back = trace_back(forward, g, samples)
     comp = float(ae.torus_distance(back.positions, p0.positions).mean())
 
     ok = rel_l1 <= 0.05 and defect <= 1e-4 and comp <= 1e-6

@@ -29,6 +29,7 @@ from alphaeuler.harness import (
     sweep_csv_lines,
     summary_dict,
 )
+from sampled import history_of, run_states
 
 SHEAR_CFG = """
 [datum]
@@ -441,14 +442,14 @@ class TestSweepInvariants:
         assert smooth_config().effective_workers() == 2
 
     def test_self_comparison_yields_zero(self):
-        from alphaeuler import AlphaParam, Grid, SolverConfig, run, smooth_random
+        from alphaeuler import AlphaParam, Grid, SolverConfig, smooth_random
         from alphaeuler.harness import compare_states
 
         g = Grid(32)
         q0 = smooth_random(3, 2.0, 5, g)
         times = np.linspace(0.0, 0.2, 3)
-        sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.2, sample_times=times))
-        qs = [s.q for s in sim.states]
+        _, states = run_states(q0, AlphaParam(0.1), SolverConfig(t_end=0.2, sample_times=times))
+        qs = [s.q for s in states]
         vel, vort = compare_states(qs, 0.1, qs, 0.1, g)
         assert vel.max() == 0.0
         assert all(arr.max() == 0.0 for arr in vort.values())
@@ -462,7 +463,6 @@ class TestSweepInvariants:
             PhysicalField,
             SolverConfig,
             lp_norm,
-            run,
             smooth_random,
             to_physical,
         )
@@ -472,8 +472,8 @@ class TestSweepInvariants:
         g = Grid(32)
         times = np.linspace(0.0, 0.2, 3)
         cfg = SolverConfig(t_end=0.2, sample_times=times)
-        qs_a = [s.q for s in run(smooth_random(3, 2.0, 5, g), AlphaParam(0.1), cfg).states]
-        qs_b = [s.q for s in run(smooth_random(3, 2.0, 5, g), AlphaParam(0.0), cfg).states]
+        qs_a = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), AlphaParam(0.1), cfg)[1]]
+        qs_b = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), AlphaParam(0.0), cfg)[1]]
         vel, vort = compare_states(qs_a, 0.1, qs_b, 0.0, g)
         filt = 1.0 / (1.0 + 0.1 * g.ksq)
         for j, (qa, qb) in enumerate(zip(qs_a, qs_b)):
@@ -490,26 +490,26 @@ class TestSweepInvariants:
 
 class TestJobGraph:
     def test_streamed_trajectory_matches_history_trajectory(self):
-        from alphaeuler import AlphaParam, Grid, VelocityHistory, approximating_family, run
+        from alphaeuler import AlphaParam, Grid, approximating_family
         from alphaeuler.harness import build_datum, filtered_solve
 
         cfg = smooth_config(family="mollified")
         omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
         a = AlphaParam(cfg.alpha_list[0])
-        states = run(approximating_family(omega0, a, cfg.family), a, cfg.solver_config()).states
-        expected = whole_history_trajectory(VelocityHistory.from_states(states), cfg)
+        _, states = run_states(approximating_family(omega0, a, cfg.family), a, cfg.solver_config())
+        expected = whole_history_trajectory(history_of(states), cfg)
         got = filtered_solve(a.alpha, omega0, cfg).trajectory
         assert len(got) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
 
     def test_reference_trajectory_matches_history_trajectory(self):
-        from alphaeuler import SimState, VelocityHistory
+        from alphaeuler import SimState
         from alphaeuler.harness import EULER, reference_run
 
         cfg = smooth_config()
         ref = reference_run(cfg)
         states = [SimState(float(t), q, EULER) for t, q in zip(ref.times, ref.qs)]
-        expected = whole_history_trajectory(VelocityHistory.from_states(states), cfg)
+        expected = whole_history_trajectory(history_of(states), cfg)
         assert len(ref.trajectory) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(ref.trajectory, expected))
 
@@ -606,6 +606,32 @@ class TestJobGraph:
             run_sweep(smooth_config(workers=workers, alpha_list=alphas))
         assert info.value is boom
         assert len(solved) < len(alphas)
+
+    def test_failed_reference_runs_no_richardson_run(self, monkeypatch):
+        # on one worker the pool takes the Richardson job as soon as the
+        # reference raises; it must fail at once, as the solves do
+        import time
+
+        from alphaeuler import harness
+
+        boom = RuntimeError("reference blew up late")
+        banded = []
+        banded_run = harness._banded_run
+
+        def late_failing_reference(cfg, datum=None):
+            time.sleep(0.05)
+            raise boom
+
+        def counting_banded_run(*args, **kwargs):
+            banded.append(args[1].alpha)
+            return banded_run(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reference_run", late_failing_reference)
+        monkeypatch.setattr(harness, "_banded_run", counting_banded_run)
+        with pytest.raises(RuntimeError) as info:
+            run_sweep(smooth_config(workers=1))
+        assert info.value is boom
+        assert banded == []
 
     def test_solves_start_smallest_alpha_first(self, monkeypatch):
         from alphaeuler import harness

@@ -12,21 +12,24 @@ from alphaeuler import (
     Grid,
     ParticleSet,
     PhysicalField,
-    SolverConfig,
     SpectralField,
     VelocityHistory,
     advect_particles,
     flow_distance,
     lagrangian_vorticity,
     measure_preservation_defect,
-    run,
     sample,
     seed_particles,
     smooth_random,
     torus_distance,
-    velocity_l1_gap,
 )
-from alphaeuler.lagrangian import BicubicWork, TrajectoryStream, bicubic_sample
+from alphaeuler.lagrangian import (
+    BicubicWork,
+    TrajectoryStream,
+    bicubic_sample,
+    cumulative_trapezoid,
+    velocity_l1_distance,
+)
 
 
 def _catmull_rom_weights(f):
@@ -502,16 +505,6 @@ class TestHistory:
         with pytest.raises(ValueError, match="outside"):
             advect_particles(seed_particles(g, 4, t=0.5), hist, -0.5)
 
-    def test_from_states_matches_solver_velocity(self):
-        g = Grid(32)
-        q0 = SpectralField(g, smooth_random(4, 2.0, 5, g).coeffs * 5.0)
-        sim = run(q0, AlphaParam(0.2), SolverConfig(t_end=0.2, sample_times=np.linspace(0, 0.2, 3)))
-        hist = VelocityHistory.from_states(sim.states)
-        from alphaeuler.solver import velocity
-
-        expected = velocity(sim.states[-1].q, AlphaParam(0.2)).physical()
-        assert np.abs(hist.snapshots[-1] - expected).max() < 1e-14
-
 
 def overshooting_times(count, substeps, seed):
     """Increasing sample times from 0 whose intervals after the first all
@@ -533,14 +526,20 @@ def overshooting_times(count, substeps, seed):
 class TestTrajectoryStream:
     def full_history_trajectory(self, times, snapshots, grid, stride, substeps):
         """The reference: advect through the whole history, interval by
-        interval."""
-        history = VelocityHistory(times, snapshots, grid)
-        p = seed_particles(grid, stride)
+        interval, in the order of `times`, from the first of them."""
+        history = VelocityHistory(sorted(times), snapshots if times[0] < times[-1] else snapshots[::-1], grid)
+        p = seed_particles(grid, stride, t=float(times[0]))
         positions = [p.positions]
         for t1 in times[1:]:
             p = advect_particles(p, history, float(t1), substeps=substeps)
             positions.append(p.positions)
         return positions
+
+    def streamed(self, times, snapshots, grid, stride, substeps):
+        stream = TrajectoryStream(grid, seed_particles(grid, stride, t=float(times[0])), substeps=substeps)
+        for t, snap in zip(times, snapshots):
+            stream.push(t, snap)
+        return stream.finish()
 
     @pytest.mark.parametrize("count", [2, 3, 8])
     def test_bitwise_equal_to_full_history(self, count):
@@ -550,28 +549,85 @@ class TestTrajectoryStream:
         g = Grid(16)
         times = overshooting_times(count, 4, seed=3)
         snapshots = np.random.default_rng(4).standard_normal((count, 2, g.n, g.n))
-        stream = TrajectoryStream(g, seed_particles(g, 2), substeps=4)
-        for t, snap in zip(times, snapshots):
-            stream.push(t, snap)
-        got = stream.finish()
+        got = self.streamed(times, snapshots, g, 2, 4)
         expected = self.full_history_trajectory(times, snapshots, g, 2, 4)
         assert len(got) == count
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
+    @pytest.mark.parametrize("count", [2, 3, 8])
+    def test_reversed_stream_bitwise_equal_to_backward_advection(self, count):
+        # a back-trace: the particles start at the last sample time and the
+        # samples are pushed last to first
+        g = Grid(16)
+        times = overshooting_times(count, 4, seed=5)[::-1]
+        snapshots = np.random.default_rng(6).standard_normal((count, 2, g.n, g.n))
+        got = self.streamed(times, snapshots, g, 2, 4)
+        expected = self.full_history_trajectory(times, snapshots, g, 2, 4)
+        assert len(got) == count
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
 
-    def stream(self):
+    def test_round_trip_returns_to_the_start(self):
+        g = Grid(16)
+        x1, _ = g.mesh
+        u = np.stack([np.zeros_like(x1), np.sin(x1)])
+        times = np.linspace(0.0, 1.0, 5)
+        forward = self.streamed(times, [u] * 5, g, 2, 4)
+        stream = TrajectoryStream(g, ParticleSet(forward[-1], 1.0), substeps=4)
+        for t in times[::-1]:
+            stream.push(t, u)
+        back = stream.finish()[-1]
+        assert torus_distance(back, forward[0]).max() < 1e-12
+
+    def stream(self, *times):
         g = Grid(8)
-        stream = TrajectoryStream(g, seed_particles(g, 4), substeps=2)
-        stream.push(0.0, np.zeros((2, 8, 8)))
+        stream = TrajectoryStream(g, seed_particles(g, 4, t=times[0]), substeps=2)
+        for t in times:
+            stream.push(t, np.full((2, 8, 8), t))
         return stream
 
     @pytest.mark.parametrize("t", [0.0, -0.5, np.nan])
     def test_time_not_after_the_last_rejected_at_push(self, t):
-        stream = self.stream()
+        # after one push, a repeated or NaN time sets no direction; after
+        # a forward interval, an earlier time reverses it
+        stream = self.stream(0.0, 0.25) if t < 0 else self.stream(0.0)
+        before = list(stream.positions)
         with pytest.raises(ValueError, match="increase"):
             stream.push(t, np.ones((2, 8, 8)))
+        assert stream.positions == before
         stream.push(0.5, np.ones((2, 8, 8)))
-        assert len(stream.finish()) == 2
+        assert len(stream.finish()) == len(before) + 1
+
+    @pytest.mark.parametrize("t", [0.75, 1.0, np.nan])
+    def test_backward_stream_rejects_a_time_not_before_the_last(self, t):
+        stream = self.stream(1.0, 0.75)
+        with pytest.raises(ValueError, match="decrease"):
+            stream.push(t, np.ones((2, 8, 8)))
+        stream.push(0.5, np.ones((2, 8, 8)))
+        expected = self.stream(1.0, 0.75)
+        expected.push(0.5, np.ones((2, 8, 8)))
+        assert [x.tobytes() for x in stream.finish()] == [x.tobytes() for x in expected.finish()]
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, np.nan])
+    def test_first_time_other_than_the_particles_rejected(self, t):
+        # particles at 0.3 traced from a first sample at t would be
+        # moved over the wrong interval
+        g = Grid(8)
+        stream = TrajectoryStream(g, seed_particles(g, 4, t=0.3))
+        with pytest.raises(ValueError, match=f"particles' time 0.3, got {t}"):
+            stream.push(t, np.ones((2, 8, 8)))
+        stream.push(0.3, np.ones((2, 8, 8)))
+        stream.push(1.3, np.ones((2, 8, 8)))
+        first, last = stream.finish()
+        assert torus_distance(last, first + 1.0).max() < 1e-14
+
+    @pytest.mark.parametrize("t", [np.inf, -np.inf])
+    def test_infinite_time_rejected(self, t):
+        # an infinite interval would leave every position NaN
+        for stream in (self.stream(0.0), self.stream(0.0, 0.25), self.stream(1.0, 0.75)):
+            before = list(stream.positions)
+            with pytest.raises(ValueError, match="finite"):
+                stream.push(t, np.ones((2, 8, 8)))
+            assert stream.positions == before
 
     @pytest.mark.parametrize("shape", [(2, 16, 16), (8, 8), (3, 8, 8)])
     def test_wrong_shape_rejected_at_push(self, shape):
@@ -579,7 +635,7 @@ class TestTrajectoryStream:
         fresh = TrajectoryStream(g, seed_particles(g, 4))
         with pytest.raises(ValueError, match="shape"):
             fresh.push(0.0, np.zeros(shape))
-        stream = self.stream()
+        stream = self.stream(0.0)
         with pytest.raises(ValueError, match="shape"):
             stream.push(0.5, np.zeros(shape))
         stream.push(0.5, np.ones((2, 8, 8)))
@@ -593,20 +649,14 @@ class TestVelocityL1Gap:
         g = Grid(16)
         rng = np.random.default_rng(7)
         times = np.array([0.0, 0.1, 0.25, 0.5])
-        a = VelocityHistory(times, rng.standard_normal((4, 2, 16, 16)), g)
-        b = VelocityHistory(times, rng.standard_normal((4, 2, 16, 16)), g)
-        diff = a.snapshots - b.snapshots
+        a = rng.standard_normal((4, 2, 16, 16))
+        b = rng.standard_normal((4, 2, 16, 16))
+        diff = a - b
         spatial = np.sqrt(diff[:, 0] ** 2 + diff[:, 1] ** 2).sum(axis=(1, 2)) * g.cell_area
         expected = np.zeros_like(spatial)
         expected[1:] = np.cumsum(0.5 * np.diff(times) * (spatial[1:] + spatial[:-1]))
-        assert np.array_equal(velocity_l1_gap(a, b), expected)
-
-    def test_rejects_mismatched_times(self):
-        g = Grid(8)
-        a = constant_history(1.0, 0.0, g, t0=0.0, t1=1.0)
-        b = constant_history(1.0, 0.0, g, t0=0.0, t1=2.0)
-        with pytest.raises(ValueError):
-            velocity_l1_gap(a, b)
+        got = cumulative_trapezoid(times, [velocity_l1_distance(x, y, g) for x, y in zip(a, b)])
+        assert np.array_equal(got, expected)
 
 
 def test_particles_csv_export(tmp_path):

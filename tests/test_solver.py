@@ -25,6 +25,7 @@ from alphaeuler import (
 from alphaeuler import solver
 from alphaeuler.solver import AdvectionStage, _EulerStage, cfl_timestep, velocity
 from alphaeuler.spectral import spectral_derivative
+from sampled import run_states
 
 
 def scaled(field, factor):
@@ -239,10 +240,10 @@ class TestEulerStage:
         q0 = scaled(smooth_random(7, 2.0, 6, g), 5.0)
         times = np.linspace(0.0, 0.4, 5)
         cfg = SolverConfig(t_end=0.4, sample_times=times)
-        sim = run(q0, AlphaParam(0.0), cfg)
+        _, states = run_states(q0, AlphaParam(0.0), cfg)
         stage = AdvectionStage(g, AlphaParam(0.0))
-        s = sim.states[0]
-        for target, sampled in zip(times[1:], sim.states[1:]):
+        s = states[0]
+        for target, sampled in zip(times[1:], states[1:]):
             while s.t < target - 1e-13:
                 s = step(s, cfg, max_dt=target - s.t, stage=stage)
             assert s.step_count == sampled.step_count
@@ -321,8 +322,8 @@ class TestStep:
     def test_mean_zero_along_run(self):
         g = Grid(64)
         q0 = scaled(smooth_random(1, 2.0, 5, g), 5.0)
-        sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.5))
-        for s in sim.states:
+        _, states = run_states(q0, AlphaParam(0.1), SolverConfig(t_end=0.5))
+        for s in states:
             assert abs(s.q.coeffs[0, 0]) < 1e-13
 
     def test_nonfinite_velocity_aborts(self):
@@ -380,7 +381,7 @@ class TestStep:
                 t += dt
             t = target
             expected.append(q)
-        got = [s.q.coeffs for s in run(q0, a, cfg).states]
+        got = [s.q.coeffs for s in run_states(q0, a, cfg)[1]]
         assert len(got) == len(expected)
         assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
@@ -465,8 +466,8 @@ class TestSolverConfig:
     def test_infinite_fixed_dt_is_capped_by_the_sample_times(self):
         times = np.linspace(0.0, 0.2, 3)
         cfg = SolverConfig(t_end=0.2, fixed_dt=float("inf"), sample_times=times)
-        sim = run(shear(Grid(16)), AlphaParam(0.1), cfg)
-        assert [s.t for s in sim.states] == list(times)
+        sim, states = run_states(shear(Grid(16)), AlphaParam(0.1), cfg)
+        assert [s.t for s in states] == list(times)
         assert sim.final.step_count == 2
 
 
@@ -474,8 +475,9 @@ class TestRun:
     def test_t_end_zero_returns_initial_state(self):
         g = Grid(16)
         q0 = shear(g)
-        sim = run(q0, AlphaParam(0.2), SolverConfig(t_end=0.0))
-        assert len(sim.states) == 1
+        sim, states = run_states(q0, AlphaParam(0.2), SolverConfig(t_end=0.0))
+        assert len(states) == 1
+        assert states[0] is sim.final
         assert sim.final.t == 0.0
         assert np.array_equal(sim.final.q.coeffs, dealias(q0).coeffs)
 
@@ -533,11 +535,11 @@ class TestRun:
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
-        watched = run(q0, AlphaParam(0.1), cfg)
-        bare = run(q0, AlphaParam(0.1), cfg, monitor=False)
-        assert bare.monitor is None
-        assert len(bare.states) == len(watched.states)
-        for a, b in zip(watched.states, bare.states):
+        _, watched = run_states(q0, AlphaParam(0.1), cfg)
+        bare_run, bare = run_states(q0, AlphaParam(0.1), cfg, monitor=False)
+        assert bare_run.monitor is None
+        assert len(bare) == len(watched)
+        for a, b in zip(watched, bare):
             assert (a.t, a.step_count) == (b.t, b.step_count)
             assert np.array_equal(a.q.coeffs, b.q.coeffs)
 
@@ -552,7 +554,8 @@ class TestRun:
         cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
         seen = []
         sim = run(q0, AlphaParam(alpha), cfg, on_sample=lambda s, u: seen.append((s, u)))
-        assert [s for s, _ in seen] == sim.states
+        assert [s.t for s, _ in seen] == list(cfg.sample_times)
+        assert seen[-1][0] is sim.final
         for j, (s, u) in enumerate(seen):
             expected = velocity(s.q, s.a)
             assert u.u1.coeffs.tobytes() == expected.u1.coeffs.tobytes()
@@ -565,9 +568,9 @@ class TestRun:
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         times = np.linspace(0.0, 0.3, 4)
         cfg = SolverConfig(t_end=0.3, sample_times=times)
-        sim = run(q0, AlphaParam(0.1), cfg)
-        s = sim.states[0]
-        for target, sampled in zip(times[1:], sim.states[1:]):
+        _, states = run_states(q0, AlphaParam(0.1), cfg)
+        s = states[0]
+        for target, sampled in zip(times[1:], states[1:]):
             while s.t < target - 1e-13:
                 s = step(s, cfg, max_dt=target - s.t)
             s.t = target
@@ -584,8 +587,8 @@ class TestRun:
         alphas = (0.05, 0.02)
 
         def job(alpha):
-            sim = run(q0, AlphaParam(alpha), cfg)
-            return [s.q.coeffs for s in sim.states], sim.monitor.alpha_norm
+            sim, states = run_states(q0, AlphaParam(alpha), cfg)
+            return [s.q.coeffs for s in states], sim.monitor.alpha_norm
 
         serial = [job(alpha) for alpha in alphas]
         interval = sys.getswitchinterval()

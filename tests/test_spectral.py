@@ -21,6 +21,7 @@ from alphaeuler import (
     to_spectral,
 )
 from alphaeuler.spectral import irfft2_passes, l2_norm, parseval_sum
+from sampled import run_states
 
 TOL = 1e-12
 
@@ -299,14 +300,14 @@ class TestDealias:
 class TestBandPacking:
     @pytest.mark.parametrize("n", [64, 256])
     def test_round_trip_of_run_samples_is_bitwise(self, n):
-        from alphaeuler import SolverConfig, disc_patch, run
+        from alphaeuler import SolverConfig, disc_patch
         from alphaeuler.spectral import pack_band, unpack_band
 
         g = Grid(n)
         q0 = disc_patch((np.pi, np.pi), 1.0, 1.0, g)
         times = np.linspace(0.0, 0.02, 3)
-        sim = run(q0, AlphaParam(0.01), SolverConfig(t_end=0.02, sample_times=times))
-        for state in sim.states:
+        _, states = run_states(q0, AlphaParam(0.01), SolverConfig(t_end=0.02, sample_times=times))
+        for state in states:
             band = pack_band(state.q)
             assert band.size < 0.45 * state.q.coeffs.size
             back = unpack_band(band, g)
