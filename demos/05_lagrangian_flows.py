@@ -33,7 +33,7 @@ cfg = ae.ExperimentConfig(
     samples=32,
 )
 ref = reference_run(cfg)
-solve = filtered_solve(alpha, ref.omega0, cfg, ref)
+solve = filtered_solve(alpha, ref.omega0, cfg)
 g, times = ref.grid, ref.times
 
 # Measure preservation: the flow of a divergence-free field keeps cell

@@ -134,7 +134,7 @@ def cmd_flows(args) -> int:
         if not 0.0 < value < math.inf:  # NaN included
             raise ValueError(f"{flag} must be positive and finite, got {value}")
     ref = reference_run(cfg)
-    solve = filtered_solve(alpha, ref.omega0, cfg, ref)
+    solve = filtered_solve(alpha, ref.omega0, cfg)
     delta = velocity_gap(solve, ref)
     delta_total = float(delta[-1])
 

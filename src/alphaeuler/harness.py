@@ -14,22 +14,22 @@ alpha first.  The filter bounds |u|, so a smaller alpha never takes fewer
 CFL steps, and the costliest solves start first.  `run_sweep`'s own thread
 is the one place a solve meets the reference: it waits for the reference,
 takes the Richardson gap, then compares each solve in the order they were
-submitted, while the pool runs the next.  A solve that starts after the
-reference is done measures its velocity gaps as it runs; one that starts
-before has them made again when it is compared.  A solve waits as little
-as it can: its particle trajectory is streamed while it runs and its
-samples are kept as their dealias bands.  Every worker count takes the
-same path; a one-thread pool runs its jobs first in, first out, so every
-solve starts after the reference.  The report does not depend on the
-worker count or the order.
+submitted, while the pool runs the next.  A solve waits as little as it
+can: its particle trajectory is streamed while it runs and its samples are
+kept as their dealias bands.  Every worker count takes the same path; a
+one-thread pool runs its jobs first in, first out, so every solve starts
+after the reference.  The report does not depend on the worker count or
+the order.
 
 Each sample's filtered velocity is made once, by `run` from its stage's
-table, and serves the monitor row, the particle trajectory and the
-velocity gap to the reference.  The reference traces its lattice with the
-same `TrajectoryStream` as the solves, after its run, from the velocities
-of its restricted samples, which it keeps for the gaps.  The `flows`
-command makes the same calls as a sweep's alpha: `reference_run`,
-`filtered_solve` and `velocity_gap`.
+table, and serves the monitor row and the particle trajectory.  The
+reference keeps its samples as the dealias bands of their restrictions
+too, and traces its lattice with the same `TrajectoryStream` as the
+solves, after its run, making each velocity from its band as it pushes.
+The velocity gap of a solve to the reference has one path, taken when the
+two meet (`velocity_gap`): one inverse transform per sample of the
+spectral velocity difference.  The `flows` command makes the same calls
+as a sweep's alpha: `reference_run`, `filtered_solve` and `velocity_gap`.
 """
 
 from __future__ import annotations
@@ -48,10 +48,10 @@ import numpy as np
 from .bounds import BoundParams, linear_fit, t95_quantile, velocity_rate_K
 from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
-from .lagrangian import TrajectoryStream, cumulative_trapezoid, seed_particles, velocity_l1_distance
+from .lagrangian import TrajectoryStream, cumulative_trapezoid, seed_particles
 from .solver import MonitorLog, SimState, SolverConfig, SolverError, run
 from .spectral import Grid, PhysicalField, SpectralField, restrict, to_physical
-from .spectral import pack_band, unpack_band
+from .spectral import irfft2_passes, pack_band, unpack_band
 from .vorticity import AlphaParam, _velocity_multipliers, biot_savart, lp_norm, torus_distance, velocity
 from .vorticity import velocity_l2, velocity_l2_distance
 
@@ -364,20 +364,23 @@ class ConvergenceReport:
 @dataclass(frozen=True)
 class ReferenceRun:
     """The unfiltered reference of a study, run on the n_ref grid and kept
-    on the study grid: the restricted initial datum and samples, the
-    physical (2, n, n) velocity of each sample and the particle-lattice
-    trajectories they drive."""
+    on the study grid: the restricted initial datum, the dealias band of
+    each restricted sample (`pack_band`; restriction keeps the band only,
+    so the bands hold all of it) and the particle-lattice trajectories."""
 
     grid: Grid
     solver: SolverConfig
     omega0: SpectralField
-    qs: tuple
-    velocities: tuple
+    bands: tuple
     trajectory: tuple
 
     @property
     def times(self) -> np.ndarray:
         return self.solver.sample_times
+
+    def samples(self):
+        """The restricted samples as SpectralFields, expanded one at a time."""
+        return (unpack_band(band, self.grid) for band in self.bands)
 
 
 @dataclass(frozen=True)
@@ -385,16 +388,13 @@ class FilteredSolve:
     """One filtered run on the study grid, before it meets the reference:
     the dealias band of each sample (`pack_band`; the solver keeps every
     sample dealiased, so the bands hold all of it), the monitor log, the
-    particle-lattice trajectory, the initial velocity gap gamma0 and, if
-    the reference was done when the solve began, the L1 velocity distance
-    to it at each sample (else None)."""
+    particle-lattice trajectory and the initial velocity gap gamma0."""
 
     alpha: float
     bands: tuple
     monitor: MonitorLog
     trajectory: tuple
     gamma0: float
-    velocity_gaps: tuple | None
 
     def samples(self, grid: Grid):
         """The samples as SpectralFields, expanded one at a time."""
@@ -403,28 +403,27 @@ class FilteredSolve:
 
 def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> ReferenceRun:
     """Run the unfiltered reference on the n_ref grid, keeping each sample
-    as its spectral restriction to the study grid.  `datum` is the initial
-    vorticity on the n_ref grid, built from cfg.datum when not given.  The
-    lattice is traced after the run: during it, the velocities would be
-    held next to the n_ref stage's buffers, and peak memory would grow."""
+    as the dealias band of its spectral restriction to the study grid.
+    `datum` is the initial vorticity on the n_ref grid, built from
+    cfg.datum when not given.  The lattice is traced after the run, each
+    velocity made from its band as it is pushed, so at most two are alive:
+    during the run they would sit next to the n_ref stage's buffers."""
     grid = Grid(cfg.n)
     solver = cfg.solver_config()
     if datum is None:
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
     omega0 = _study_restriction(datum, grid)
-    qs = []
-    run(datum, EULER, solver, on_sample=lambda s, u: qs.append(restrict(s.q, grid)), monitor=False)
+    bands = []
+    run(datum, EULER, solver, on_sample=lambda s, u: bands.append(pack_band(restrict(s.q, grid))), monitor=False)
     table = _velocity_multipliers(grid, EULER)
-    velocities = tuple(velocity(q, EULER, table).physical() for q in qs)
     stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
-    for t, snapshot in zip(solver.sample_times, velocities):
-        stream.push(t, snapshot)
+    for t, band in zip(solver.sample_times, bands):
+        stream.push(t, velocity(unpack_band(band, grid), EULER, table).physical())
     return ReferenceRun(
         grid=grid,
         solver=solver,
         omega0=omega0,
-        qs=tuple(qs),
-        velocities=velocities,
+        bands=tuple(bands),
         trajectory=stream.finish(),
     )
 
@@ -443,50 +442,45 @@ def _banded_run(q0: SpectralField, a: AlphaParam, cfg: ExperimentConfig, on_samp
     return tuple(bands), sim.monitor
 
 
-def filtered_solve(
-    alpha: float, omega0: SpectralField, cfg: ExperimentConfig, ref: ReferenceRun | None = None
-) -> FilteredSolve:
+def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig) -> FilteredSolve:
     """Solve from the approximating-family datum of omega0 at this alpha,
     following the particle lattice as the samples arrive.  Needs nothing of
-    the reference run but its initial datum; given the finished reference,
-    it also measures each velocity sample against it, which spares
-    `velocity_gap` making the sample again.  Raises SolverError when the
+    the reference run but its initial datum.  Raises SolverError when the
     solve fails."""
     a = AlphaParam(alpha)
     grid = omega0.grid
     q0 = approximating_family(omega0, a, cfg.family)
     stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
-    gaps = []
-
-    def follow(s: SimState, u):
-        snapshot = u.physical()
-        stream.push(s.t, snapshot)
-        if ref is not None:
-            gaps.append(velocity_l1_distance(snapshot, ref.velocities[len(gaps)], grid))
-
-    bands, monitor = _banded_run(q0, a, cfg, on_sample=follow)
+    bands, monitor = _banded_run(q0, a, cfg, on_sample=lambda s, u: stream.push(s.t, u.physical()))
     return FilteredSolve(
         alpha=alpha,
         bands=bands,
         monitor=monitor,
         trajectory=stream.finish(),
         gamma0=initial_velocity_gap(q0, omega0, a),
-        velocity_gaps=None if ref is None else tuple(gaps),
     )
 
 
 def velocity_gap(solve: FilteredSolve, ref: ReferenceRun) -> np.ndarray:
     """delta(t), the L1 velocity distance of the solve to the reference
-    integrated in time (trapezoid rule); a solve made before the reference
-    was done makes its velocity samples again, one at a time, from one table."""
-    gaps = solve.velocity_gaps
-    if gaps is None:
-        a = AlphaParam(solve.alpha)
-        table = _velocity_multipliers(ref.grid, a)
-        gaps = [
-            velocity_l1_distance(velocity(q, a, table).physical(), snapshot, ref.grid)
-            for q, snapshot in zip(solve.samples(ref.grid), ref.velocities)
-        ]
+    integrated in time (trapezoid rule).  Per sample, the spectral velocity
+    difference K^alpha q_alpha - K^0 q_ref is formed on the dealias band
+    from the two bands and the band entries of the two velocity tables,
+    built once per call, and made physical by one inverse transform."""
+    grid = ref.grid
+    width = grid.kmax_dealias + 1
+    # a band lists the rows of the band's k1 in order, each over k2 <= kmax
+    rows = np.flatnonzero(grid.keep_mask[:, 0])
+    block = (rows.size, width)
+    k_alpha = _velocity_multipliers(grid, AlphaParam(solve.alpha))[:, rows, :width]
+    k_ref = _velocity_multipliers(grid, EULER)[:, rows, :width]
+    spec = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    gaps = []
+    for band, band_ref in zip(solve.bands, ref.bands):
+        spec[..., :width] = 0.0  # the inverse passes overwrote these columns
+        spec[:, rows, :width] = k_alpha * band.reshape(block) - k_ref * band_ref.reshape(block)
+        diff = irfft2_passes(spec)
+        gaps.append(np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * grid.cell_area)
     return cumulative_trapezoid(ref.times, gaps)
 
 
@@ -514,7 +508,7 @@ def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig
     """The comparison half of an alpha: the solve measured against the
     reference."""
     vel_err, vort_err = compare_states(
-        solve.samples(ref.grid), solve.alpha, ref.qs, 0.0, ref.grid, cfg.p_list
+        solve.samples(ref.grid), solve.alpha, ref.samples(), 0.0, ref.grid, cfg.p_list
     )
     flow_dist = np.array(
         [float(torus_distance(pa, pr).mean()) for pa, pr in zip(solve.trajectory, ref.trajectory)]
@@ -553,20 +547,21 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         # run that way.  With n == n_ref the Richardson run is on that grid
         # too and, on two or more workers, may start first; the two runs are
         # then the same computation.  The solves follow, costliest
-        # (smallest alpha) first; each measures its velocity gaps as it
-        # runs if the reference is done when it starts.
+        # (smallest alpha) first.
         reference = pool.submit(reference_run, cfg, datum)
 
-        def done_reference() -> ReferenceRun | None:
+        def done_reference() -> None:
             # a job that starts after the reference failed fails at once
-            return reference.result() if reference.done() else None
+            if reference.done():
+                reference.result()
 
         def richardson():
             done_reference()
             return _banded_run(omega0, EULER, cfg, monitor=False)
 
         def solve(alpha: float) -> FilteredSolve:
-            return filtered_solve(alpha, omega0, cfg, done_reference())
+            done_reference()
+            return filtered_solve(alpha, omega0, cfg)
 
         jobs = [pool.submit(richardson)]
         jobs += [pool.submit(solve, alpha) for alpha in reversed(alphas)]
@@ -577,7 +572,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
             # (Richardson consistency).
             richardson_error = max(
                 velocity_l2_distance(unpack_band(band, ref.grid), EULER, qr, EULER)
-                for band, qr in zip(jobs.pop(0).result()[0], ref.qs)
+                for band, qr in zip(jobs.pop(0).result()[0], ref.samples())
             )
             # Each job is dropped once taken, and no name holds a compared
             # solve, so it is freed before the next solve is waited for.

@@ -394,12 +394,6 @@ def flow_distance(
     return FlowComparison(mean_distance, l2_distance, delta, g_delta, log_bound, applicable)
 
 
-def velocity_l1_distance(snap_a: np.ndarray, snap_b: np.ndarray, grid: Grid) -> float:
-    """||u_a - u_b||_{L1} over the torus of two (2, n, n) velocity samples."""
-    diff = snap_a - snap_b
-    return np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * grid.cell_area
-
-
 def cumulative_trapezoid(times, values) -> np.ndarray:
     """Trapezoid-rule integrals of the sampled values from times[0] to each
     sample time."""

@@ -363,9 +363,10 @@ def run(
     is invoked at every sample with the state and its filtered velocity,
     made once per sample from the stage's table and shared with the
     monitor row; the run keeps no state but the last.  monitor=False skips
-    the monitor rows and leaves SimRun.monitor None, without changing the
-    states.  The initial vorticity is dealiased, and an alpha = 0 run
-    steps with the `_EulerStage`, which needs dealiased input.
+    the monitor rows and the velocities, passes u=None to `on_sample` and
+    leaves SimRun.monitor None, without changing the states.  The initial
+    vorticity is dealiased, and an alpha = 0 run steps with the
+    `_EulerStage`, which needs dealiased input.
     """
     _require_mean_zero(q0, "initial vorticity")
     q_start = dealias(q0).coeffs
@@ -385,8 +386,9 @@ def run(
     rows = []
 
     def take_sample(s: SimState):
-        u = velocity(s.q, a, table=stage.mult[:2])
+        u = None
         if monitor:
+            u = velocity(s.q, a, table=stage.mult[:2])
             rows.append(_monitor_row(s, u))
         if on_sample is not None:
             on_sample(s, u)

@@ -63,10 +63,6 @@ class Grid:
             raise ValueError(f"grid size must be a power of two >= 8, got {self.n}")
 
     @property
-    def period(self) -> float:
-        return TWO_PI
-
-    @property
     def dx(self) -> float:
         return TWO_PI / self.n
 
@@ -79,7 +75,7 @@ class Grid:
         """Collocation points along one axis."""
         return TWO_PI * np.arange(self.n) / self.n
 
-    @cached_property
+    @property
     def mesh(self) -> tuple[np.ndarray, np.ndarray]:
         """(X1, X2) meshes with values[i, j] = f(x[i], x[j]) indexing."""
         return np.meshgrid(self.x, self.x, indexing="ij")
@@ -209,8 +205,9 @@ def dealias(f: SpectralField) -> SpectralField:
 
 
 def pack_band(f: SpectralField) -> np.ndarray:
-    """The coefficients inside the dealias band, a flat array about 44 % the
-    size of the half spectrum: all that a dealiased field holds."""
+    """The coefficients inside the dealias band, row by row, a flat array
+    about 44 % the size of the half spectrum: all that a dealiased field
+    holds."""
     return f.coeffs[f.grid.keep_mask]
 
 

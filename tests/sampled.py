@@ -1,6 +1,7 @@
 """What the tests keep of a run that `run` itself streams away: every
 sampled state, collected through `on_sample`, and the whole velocity
-history of sampled states."""
+history of sampled states; and the L1 velocity distance of two physical
+samples, the oracle of `harness.velocity_gap`."""
 
 import numpy as np
 
@@ -22,3 +23,9 @@ def history_of(states) -> VelocityHistory:
     for snap, s in zip(snaps, states):
         snap[:] = velocity(s.q, s.a).physical()
     return VelocityHistory([s.t for s in states], snaps, grid)
+
+
+def velocity_l1_distance(snap_a, snap_b, grid) -> float:
+    """||u_a - u_b||_{L1} over the torus of two (2, n, n) velocity samples."""
+    diff = snap_a - snap_b
+    return np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * grid.cell_area

@@ -29,7 +29,7 @@ from alphaeuler.harness import (
     sweep_csv_lines,
     summary_dict,
 )
-from sampled import history_of, run_states
+from sampled import history_of, run_states, velocity_l1_distance
 
 SHEAR_CFG = """
 [datum]
@@ -508,31 +508,78 @@ class TestJobGraph:
 
         cfg = smooth_config()
         ref = reference_run(cfg)
-        states = [SimState(float(t), q, EULER) for t, q in zip(ref.times, ref.qs)]
+        states = [SimState(float(t), q, EULER) for t, q in zip(ref.times, ref.samples())]
         expected = whole_history_trajectory(history_of(states), cfg)
         assert len(ref.trajectory) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(ref.trajectory, expected))
 
-    def test_reference_keeps_the_velocity_of_each_sample(self):
-        from alphaeuler import velocity
+    def test_reference_keeps_the_band_of_each_sample(self):
+        # the samples are the restrictions of the reference's states, bit
+        # for bit, kept as their dealias bands
+        from alphaeuler import restrict
         from alphaeuler.harness import EULER, reference_run
+        from alphaeuler.spectral import pack_band
+
+        cfg = smooth_config()
+        ref = reference_run(cfg)
+        datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+        _, states = run_states(datum, EULER, cfg.solver_config(), monitor=False)
+        expected = [restrict(s.q, ref.grid) for s in states]
+        got = list(ref.samples())
+        assert len(ref.bands) == len(got) == len(expected) == len(ref.times)
+        for band, q, e in zip(ref.bands, got, expected):
+            assert q.grid == ref.grid
+            assert q.coeffs.tobytes() == e.coeffs.tobytes()
+            assert band.tobytes() == pack_band(e).tobytes()
+
+    def test_reference_holds_no_physical_sample(self):
+        # the reference used to keep each sample's (2, n, n) velocity and its
+        # full half spectrum; the bands are all it keeps of a sample now
+        from alphaeuler.harness import reference_run
 
         ref = reference_run(smooth_config())
-        assert len(ref.velocities) == len(ref.qs) == len(ref.times)
-        for q, snapshot in zip(ref.qs, ref.velocities):
-            assert snapshot.tobytes() == velocity(q, EULER).physical().tobytes()
+        n = ref.grid.n
+        arrays = []
+        for f in fields(ref):
+            value = getattr(ref, f.name)
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, np.ndarray):
+                    arrays.append(item)
+        assert not any(x.shape == (2, n, n) for x in arrays)
+        assert all(band.ndim == 1 for band in ref.bands)
+        half_spectra = len(ref.times) * n * (n // 2 + 1) * 16
+        assert sum(band.nbytes for band in ref.bands) == pytest.approx(0.44 * half_spectra, rel=0.05)
 
-    @pytest.mark.parametrize("with_reference", [False, True])
-    def test_filtered_solve_builds_no_velocity_table_per_sample(self, monkeypatch, with_reference):
+    def test_velocity_gap_matches_physical_formula(self):
+        # one inverse transform of the spectral velocity difference; the
+        # oracle subtracts the two physical velocities
+        from alphaeuler import AlphaParam, velocity
+        from alphaeuler.harness import EULER, filtered_solve, reference_run, velocity_gap
+        from alphaeuler.lagrangian import cumulative_trapezoid
+
+        cfg = smooth_config(family="mollified")
+        ref = reference_run(cfg)
+        for alpha in cfg.alpha_list:
+            solve = filtered_solve(alpha, ref.omega0, cfg)
+            a = AlphaParam(alpha)
+            gaps = [
+                velocity_l1_distance(velocity(q, a).physical(), velocity(qr, EULER).physical(), ref.grid)
+                for q, qr in zip(solve.samples(ref.grid), ref.samples())
+            ]
+            expected = cumulative_trapezoid(ref.times, gaps)
+            got = velocity_gap(solve, ref)
+            assert expected[-1] > 0.0
+            np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
+
+    def test_filtered_solve_builds_no_velocity_table_per_sample(self, monkeypatch):
         # the run's stage builds the table, and gamma0 one for the
         # Laplacian of the initial velocity; the monitor row and the
         # trajectory used to build it again at every sample, 2 + 2 x
         # (samples + 1) builds in all
         from alphaeuler import Grid, solver, vorticity
-        from alphaeuler.harness import build_datum, filtered_solve, reference_run
+        from alphaeuler.harness import build_datum, filtered_solve
 
         cfg = smooth_config()
-        ref = reference_run(cfg) if with_reference else None
         omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
         builds = []
         build = vorticity._velocity_multipliers
@@ -543,7 +590,7 @@ class TestJobGraph:
 
         monkeypatch.setattr(vorticity, "_velocity_multipliers", counting)
         monkeypatch.setattr(solver, "_velocity_multipliers", counting)
-        solve = filtered_solve(cfg.alpha_list[0], omega0, cfg, ref)
+        solve = filtered_solve(cfg.alpha_list[0], omega0, cfg)
         assert builds == [(cfg.n, cfg.alpha_list[0])] * 2
         assert len(solve.bands) == cfg.samples + 1
 
@@ -552,21 +599,24 @@ class TestJobGraph:
         from alphaeuler.solver import SolverError
 
         failed = threading.Event()
+        reference_done = threading.Event()
         solve, reference = harness.filtered_solve, harness.reference_run
         solved_first = []  # solved before the reference was done
 
-        def failing_solve(alpha, omega0, cfg, ref=None):
+        def failing_solve(alpha, omega0, cfg):
             if alpha == 0.125:
                 failed.set()
                 raise SolverError("injected failure")
-            if ref is None:
+            if not reference_done.is_set():
                 solved_first.append(alpha)
-            return solve(alpha, omega0, cfg, ref)
+            return solve(alpha, omega0, cfg)
 
         def late_reference(cfg, datum=None):
             if not failed.wait(timeout=60):
                 raise AssertionError("the alpha solve never failed")
-            return reference(cfg, datum)
+            out = reference(cfg, datum)
+            reference_done.set()
+            return out
 
         monkeypatch.setattr(harness, "filtered_solve", failing_solve)
         monkeypatch.setattr(harness, "reference_run", late_reference)
@@ -575,9 +625,8 @@ class TestJobGraph:
         assert [r.failed for r in got.records] == [False, True, False]
         assert got.records[1].error == "injected failure"
         # the solve done before the reference (alpha 0.0625, solved before
-        # the failing one) makes its velocity samples again to compare; the
-        # serial sweep measured them as they came: the two must agree bit
-        # for bit
+        # the failing one) is compared as the serial sweep's solves are,
+        # after the reference: the two must agree bit for bit
         assert 0.0625 in solved_first
         for i in (0, 2):
             assert np.array_equal(got.records[i].vel_l2_err, report.records[i].vel_l2_err)
@@ -639,9 +688,9 @@ class TestJobGraph:
         order = []
         solve = harness.filtered_solve
 
-        def recording_solve(alpha, omega0, cfg, ref=None):
+        def recording_solve(alpha, omega0, cfg):
             order.append(alpha)
-            return solve(alpha, omega0, cfg, ref)
+            return solve(alpha, omega0, cfg)
 
         monkeypatch.setattr(harness, "filtered_solve", recording_solve)
         got = run_sweep(smooth_config(workers=1))
@@ -660,8 +709,8 @@ class TestJobGraph:
         live = []
         solve, record = harness.filtered_solve, harness._alpha_record
 
-        def tracked_solve(alpha, omega0, cfg, ref=None):
-            out = solve(alpha, omega0, cfg, ref)
+        def tracked_solve(alpha, omega0, cfg):
+            out = solve(alpha, omega0, cfg)
             solves.append(weakref.ref(out))
             return out
 
@@ -679,8 +728,8 @@ class TestJobGraph:
     @staticmethod
     def _failing_comparison(monkeypatch, workers):
         """A sweep whose comparisons raise; on two workers every solve is
-        done before the reference, so each is solved without its velocity
-        gaps and compared once the reference is done."""
+        done before the reference, and each is compared once the reference
+        is done."""
         from alphaeuler import harness
         from alphaeuler.harness import SweepError
 
@@ -689,8 +738,8 @@ class TestJobGraph:
         solve, reference = harness.filtered_solve, harness.reference_run
         boom = SweepError("comparison blew up")
 
-        def counting_solve(alpha, omega0, cfg, ref=None):
-            out = solve(alpha, omega0, cfg, ref)
+        def counting_solve(alpha, omega0, cfg):
+            out = solve(alpha, omega0, cfg)
             count.append(alpha)
             if len(count) == len(cfg.alpha_list):
                 solved.set()

@@ -28,8 +28,8 @@ from alphaeuler.lagrangian import (
     TrajectoryStream,
     bicubic_sample,
     cumulative_trapezoid,
-    velocity_l1_distance,
 )
+from sampled import velocity_l1_distance
 
 
 def _catmull_rom_weights(f):

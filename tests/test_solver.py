@@ -543,6 +543,23 @@ class TestRun:
             assert (a.t, a.step_count) == (b.t, b.step_count)
             assert np.array_equal(a.q.coeffs, b.q.coeffs)
 
+    def test_unmonitored_run_makes_no_velocity(self, monkeypatch):
+        # no monitor row reads it, so on_sample gets None in its place
+        from alphaeuler import solver
+
+        made = []
+        make = solver.velocity
+        monkeypatch.setattr(solver, "velocity", lambda *args, **kwargs: made.append(1) or make(*args, **kwargs))
+        g = Grid(32)
+        q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
+        cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
+        seen = []
+        run(q0, AlphaParam(0.1), cfg, on_sample=lambda s, u: seen.append(u), monitor=False)
+        assert seen == [None] * 4
+        assert made == []
+        run(q0, AlphaParam(0.1), cfg)
+        assert len(made) == 4
+
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
     def test_on_sample_gets_the_velocity_of_the_state(self, alpha):
         # made once per sample from the stage's table, it must be bit for

@@ -76,7 +76,6 @@ class TestGrid:
 
     def test_geometry(self):
         g = Grid(16)
-        assert g.period == pytest.approx(2 * np.pi)
         assert g.dx == pytest.approx(2 * np.pi / 16)
         assert g.k1.min() == -8 and g.k1.max() == 7
 
