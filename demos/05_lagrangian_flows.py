@@ -4,7 +4,7 @@ and the logarithmic flow-distance estimate.
 The demo makes the calls of the `flows` command: the unfiltered reference
 (`reference_run`), one filtered solve (`filtered_solve`), each tracing its
 particle lattice forward as its samples arrive, and the time-integrated L1
-velocity gap delta between them (`velocity_gap`).  Back-trajectory foot
+velocity gap delta between them (`compare_bands`).  Back-trajectory foot
 points, traced through the solve's velocity samples from the last to the
 first, rebuild the vorticity by composition with the initial datum, and
 the distance between the filtered and unfiltered flow maps is compared
@@ -16,8 +16,9 @@ Run:  python3 demos/05_lagrangian_flows.py
 import numpy as np
 
 import alphaeuler as ae
-from alphaeuler.harness import filtered_solve, reference_run, velocity_gap
+from alphaeuler.harness import compare_bands, filtered_solve, reference_run
 from alphaeuler.lagrangian import TrajectoryStream, seed_particles
+from alphaeuler.spectral import unpack_band
 
 # gentle amplitude keeps delta = ||u^alpha - u||_{L1 L1} below one, the
 # regime where the logarithmic estimate applies
@@ -45,7 +46,7 @@ print(f"measure-preservation defect: {ae.measure_preservation_defect(p0, fwd, f)
 
 # Back-trajectories reconstruct the transported vorticity: the solve's
 # velocity samples, made again from its samples, pushed last to first.
-qs = list(solve.samples(g))
+qs = [unpack_band(band, g) for band in solve.bands]
 back = TrajectoryStream(g, seed_particles(g, t=1.0), substeps=4)
 for t, q in zip(times[::-1], qs[::-1]):
     back.push(t, ae.velocity(q, ae.AlphaParam(alpha)).physical())
@@ -56,7 +57,7 @@ rel = ae.lp_norm(ae.PhysicalField(g, recon.values - q_end.values), 1) / ae.lp_no
 print(f"transport reconstruction, relative L1 gap: {rel:.2e}")
 
 # Flow distance vs the logarithmic bound.
-delta = float(velocity_gap(solve, ref)[-1])
+delta = float(compare_bands(solve.bands, alpha, ref.bands, 0.0, g, times)[2][-1])
 comp = ae.flow_distance(fwd, ae.ParticleSet(ref.trajectory[-1], 1.0), delta=delta, c_cal=1.0)
 print(f"\ndelta = ||u^alpha - u||_L1L1 = {comp.delta:.4f} (bound applies: {comp.applicable})")
 print(f"mean flow distance: {comp.mean_distance:.5f}")

@@ -23,13 +23,13 @@ from .harness import (
     _finite_list,
     _parse,
     build_datum,
+    compare_bands,
     csv_lines,
     csv_row,
     filtered_solve,
     load_config,
     reference_run,
     run_sweep,
-    velocity_gap,
 )
 from .lagrangian import ParticleSet, flow_distance
 from .solver import SolverError, run, save_checkpoint
@@ -135,7 +135,7 @@ def cmd_flows(args) -> int:
             raise ValueError(f"{flag} must be positive and finite, got {value}")
     ref = reference_run(cfg)
     solve = filtered_solve(alpha, ref.omega0, cfg)
-    delta = velocity_gap(solve, ref)
+    delta = compare_bands(solve.bands, alpha, ref.bands, 0.0, ref.grid, ref.times)[2]
     delta_total = float(delta[-1])
 
     out = _resolve_output(cfg.output_dir, args.output, "flows_output")

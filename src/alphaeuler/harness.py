@@ -26,10 +26,10 @@ table, and serves the monitor row and the particle trajectory.  The
 reference keeps its samples as the dealias bands of their restrictions
 too, and traces its lattice with the same `TrajectoryStream` as the
 solves, after its run, making each velocity from its band as it pushes.
-The velocity gap of a solve to the reference has one path, taken when the
-two meet (`velocity_gap`): one inverse transform per sample of the
-spectral velocity difference.  The `flows` command makes the same calls
-as a sweep's alpha: `reference_run`, `filtered_solve` and `velocity_gap`.
+Two sampled runs meet in one place, `compare_bands`, band to band: a
+solve and the reference, the Richardson run and the reference, and the
+`flows` command, which makes the same calls as a sweep's alpha:
+`reference_run`, `filtered_solve` and `compare_bands`.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
 from .lagrangian import TrajectoryStream, cumulative_trapezoid, seed_particles
 from .solver import MonitorLog, SimState, SolverConfig, SolverError, run
-from .spectral import Grid, PhysicalField, SpectralField, restrict, to_physical
+from .spectral import Grid, PhysicalField, SpectralField, restrict
 from .spectral import irfft2_passes, pack_band, unpack_band
 from .vorticity import AlphaParam, _velocity_multipliers, biot_savart, lp_norm, torus_distance, velocity
 from .vorticity import velocity_l2, velocity_l2_distance
@@ -378,10 +378,6 @@ class ReferenceRun:
     def times(self) -> np.ndarray:
         return self.solver.sample_times
 
-    def samples(self):
-        """The restricted samples as SpectralFields, expanded one at a time."""
-        return (unpack_band(band, self.grid) for band in self.bands)
-
 
 @dataclass(frozen=True)
 class FilteredSolve:
@@ -395,10 +391,6 @@ class FilteredSolve:
     monitor: MonitorLog
     trajectory: tuple
     gamma0: float
-
-    def samples(self, grid: Grid):
-        """The samples as SpectralFields, expanded one at a time."""
-        return (unpack_band(band, grid) for band in self.bands)
 
 
 def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> ReferenceRun:
@@ -461,54 +453,52 @@ def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig) -
     )
 
 
-def velocity_gap(solve: FilteredSolve, ref: ReferenceRun) -> np.ndarray:
-    """delta(t), the L1 velocity distance of the solve to the reference
-    integrated in time (trapezoid rule).  Per sample, the spectral velocity
-    difference K^alpha q_alpha - K^0 q_ref is formed on the dealias band
-    from the two bands and the band entries of the two velocity tables,
-    built once per call, and made physical by one inverse transform."""
-    grid = ref.grid
+def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, times, p_list=CSV_PS):
+    """The gaps between two sampled runs on `grid`, given as the dealias
+    bands of their samples (`pack_band`): per sample the L2 velocity
+    distance and the L^p vorticity distance for each p in `p_list`, and
+    delta(t), the L1 velocity distance integrated over `times` (trapezoid
+    rule).  Comparing a run against itself yields exact zeros.
+
+    Per sample one two-plane half-spectrum stack, written on the band's
+    rows and columns, is transformed twice: first the two components of
+    K^a q_a - K^b q_b, from the band entries of the two velocity tables
+    (built once per call); then q_a and q_b, whose L2 velocity distance is
+    taken by Parseval before the transform, and whose difference in
+    physical space serves every p."""
     width = grid.kmax_dealias + 1
     # a band lists the rows of the band's k1 in order, each over k2 <= kmax
     rows = np.flatnonzero(grid.keep_mask[:, 0])
     block = (rows.size, width)
-    k_alpha = _velocity_multipliers(grid, AlphaParam(solve.alpha))[:, rows, :width]
-    k_ref = _velocity_multipliers(grid, EULER)[:, rows, :width]
-    spec = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
-    gaps = []
-    for band, band_ref in zip(solve.bands, ref.bands):
-        spec[..., :width] = 0.0  # the inverse passes overwrote these columns
-        spec[:, rows, :width] = k_alpha * band.reshape(block) - k_ref * band_ref.reshape(block)
-        diff = irfft2_passes(spec)
-        gaps.append(np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * grid.cell_area)
-    return cumulative_trapezoid(ref.times, gaps)
-
-
-def compare_states(
-    qs_a, alpha_a: float, qs_b, alpha_b: float, grid: Grid, p_list=CSV_PS
-):
-    """Per-sample velocity and vorticity errors between two sampled runs on
-    the same grid; comparing a run against itself yields exact zeros.
-
-    Each sample pair is transformed once and its vorticity difference,
-    taken in physical space, serves every p.  The samples may be produced
-    one at a time."""
-    vel = []
-    vort = {p: [] for p in p_list}
     a, b = AlphaParam(alpha_a), AlphaParam(alpha_b)
-    for qa, qb in zip(qs_a, qs_b):
-        vel.append(velocity_l2_distance(qa, a, qb, b))
-        diff = PhysicalField(grid, to_physical(qa).values - to_physical(qb).values)
+    k_a = _velocity_multipliers(grid, a)[:, rows, :width]
+    k_b = _velocity_multipliers(grid, b)[:, rows, :width]
+    spec = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    phys = np.empty((2, grid.n, grid.n))
+    vel, gaps = [], []
+    vort = {p: [] for p in p_list}
+    for band_a, band_b in zip(bands_a, bands_b):
+        qa, qb = band_a.reshape(block), band_b.reshape(block)
+        spec[..., :width] = 0.0  # the inverse passes overwrite these columns
+        spec[:, rows, :width] = k_a * qa - k_b * qb
+        irfft2_passes(spec, out=phys)
+        gaps.append(np.sqrt(phys[0] ** 2 + phys[1] ** 2).sum() * grid.cell_area)
+        spec[..., :width] = 0.0
+        spec[0, rows, :width] = qa
+        spec[1, rows, :width] = qb
+        vel.append(velocity_l2_distance(SpectralField(grid, spec[0]), a, SpectralField(grid, spec[1]), b))
+        irfft2_passes(spec, out=phys)
+        diff = PhysicalField(grid, phys[0] - phys[1])
         for p in p_list:
             vort[p].append(lp_norm(diff, p))
-    return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}
+    return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}, cumulative_trapezoid(times, gaps)
 
 
 def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig) -> AlphaRecord:
     """The comparison half of an alpha: the solve measured against the
     reference."""
-    vel_err, vort_err = compare_states(
-        solve.samples(ref.grid), solve.alpha, ref.samples(), 0.0, ref.grid, cfg.p_list
+    vel_err, vort_err, delta = compare_bands(
+        solve.bands, solve.alpha, ref.bands, 0.0, ref.grid, ref.times, cfg.p_list
     )
     flow_dist = np.array(
         [float(torus_distance(pa, pr).mean()) for pa, pr in zip(solve.trajectory, ref.trajectory)]
@@ -520,7 +510,7 @@ def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig
         vel_l2_err=vel_err,
         vort_err=vort_err,
         flow_dist=flow_dist,
-        delta=velocity_gap(solve, ref),
+        delta=delta,
         alphanorm_drift=monitor.alpha_norm_drift(),
         alpha_norm=monitor.alpha_norm,
         energy=monitor.energy,
@@ -570,10 +560,9 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
             # Same-resolution unfiltered run: its gap to the restricted
             # reference estimates the discretization error floor
             # (Richardson consistency).
-            richardson_error = max(
-                velocity_l2_distance(unpack_band(band, ref.grid), EULER, qr, EULER)
-                for band, qr in zip(jobs.pop(0).result()[0], ref.samples())
-            )
+            richardson_error = float(compare_bands(
+                jobs.pop(0).result()[0], 0.0, ref.bands, 0.0, ref.grid, ref.times
+            )[0].max())
             # Each job is dropped once taken, and no name holds a compared
             # solve, so it is freed before the next solve is waited for.
             for i in reversed(range(len(alphas))):

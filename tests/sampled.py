@@ -1,11 +1,12 @@
 """What the tests keep of a run that `run` itself streams away: every
 sampled state, collected through `on_sample`, and the whole velocity
-history of sampled states; and the L1 velocity distance of two physical
-samples, the oracle of `harness.velocity_gap`."""
+history of sampled states; and the oracles of `harness.compare_bands`:
+the L1 velocity distance of two physical samples, behind delta, and the
+L^p distance of two vorticity samples made physical one at a time."""
 
 import numpy as np
 
-from alphaeuler import VelocityHistory, run, velocity
+from alphaeuler import PhysicalField, VelocityHistory, lp_norm, run, to_physical, velocity
 
 
 def run_states(q0, a, cfg, **kwargs):
@@ -29,3 +30,9 @@ def velocity_l1_distance(snap_a, snap_b, grid) -> float:
     """||u_a - u_b||_{L1} over the torus of two (2, n, n) velocity samples."""
     diff = snap_a - snap_b
     return np.sqrt(diff[0] ** 2 + diff[1] ** 2).sum() * grid.cell_area
+
+
+def vorticity_lp_distance(qa, qb, p: float) -> float:
+    """||qa - qb||_{L^p} of two spectral samples, each made physical on its
+    own and subtracted at the collocation points."""
+    return lp_norm(PhysicalField(qa.grid, to_physical(qa).values - to_physical(qb).values), p)

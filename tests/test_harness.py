@@ -29,7 +29,8 @@ from alphaeuler.harness import (
     sweep_csv_lines,
     summary_dict,
 )
-from sampled import history_of, run_states, velocity_l1_distance
+from alphaeuler.spectral import unpack_band
+from sampled import history_of, run_states, velocity_l1_distance, vorticity_lp_distance
 
 SHEAR_CFG = """
 [datum]
@@ -443,49 +444,63 @@ class TestSweepInvariants:
 
     def test_self_comparison_yields_zero(self):
         from alphaeuler import AlphaParam, Grid, SolverConfig, smooth_random
-        from alphaeuler.harness import compare_states
+        from alphaeuler.harness import compare_bands
+        from alphaeuler.spectral import pack_band
 
         g = Grid(32)
         q0 = smooth_random(3, 2.0, 5, g)
         times = np.linspace(0.0, 0.2, 3)
         _, states = run_states(q0, AlphaParam(0.1), SolverConfig(t_end=0.2, sample_times=times))
-        qs = [s.q for s in states]
-        vel, vort = compare_states(qs, 0.1, qs, 0.1, g)
-        assert vel.max() == 0.0
-        assert all(arr.max() == 0.0 for arr in vort.values())
+        bands = [pack_band(s.q) for s in states]
+        vel, vort, delta = compare_bands(bands, 0.1, bands, 0.1, g, times)
+        assert not vel.any()
+        assert not any(arr.any() for arr in vort.values())
+        assert not delta.any()
 
-    def test_compare_states_matches_per_p_formula(self):
+    def test_compare_bands_matches_per_p_formula(self):
         # one transform per sample, reused for every p, must reproduce the
         # per-p evaluation bit for bit
-        from alphaeuler import (
-            AlphaParam,
-            Grid,
-            PhysicalField,
-            SolverConfig,
-            lp_norm,
-            smooth_random,
-            to_physical,
-        )
-        from alphaeuler.harness import CSV_PS, compare_states
-        from alphaeuler.spectral import parseval_sum
+        from alphaeuler import AlphaParam, Grid, SolverConfig, smooth_random
+        from alphaeuler.harness import CSV_PS, compare_bands
+        from alphaeuler.spectral import pack_band, parseval_sum
+        from alphaeuler.vorticity import velocity_l2_distance
 
         g = Grid(32)
         times = np.linspace(0.0, 0.2, 3)
         cfg = SolverConfig(t_end=0.2, sample_times=times)
-        qs_a = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), AlphaParam(0.1), cfg)[1]]
-        qs_b = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), AlphaParam(0.0), cfg)[1]]
-        vel, vort = compare_states(qs_a, 0.1, qs_b, 0.0, g)
+        a, b = AlphaParam(0.1), AlphaParam(0.0)
+        qs_a = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), a, cfg)[1]]
+        qs_b = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), b, cfg)[1]]
+        vel, vort, _ = compare_bands(
+            [pack_band(q) for q in qs_a], 0.1, [pack_band(q) for q in qs_b], 0.0, g, times
+        )
         filt = 1.0 / (1.0 + 0.1 * g.ksq)
         for j, (qa, qb) in enumerate(zip(qs_a, qs_b)):
             diff = qa.coeffs * filt - qb.coeffs
             expected = 2 * np.pi * np.sqrt(parseval_sum(np.abs(diff) ** 2 * g.inv_ksq))
             assert vel[j] == expected
+            assert vel[j] == velocity_l2_distance(qa, a, qb, b)
         for p in CSV_PS:
-            expected = [
-                lp_norm(PhysicalField(g, to_physical(qa).values - to_physical(qb).values), p)
-                for qa, qb in zip(qs_a, qs_b)
-            ]
+            expected = [vorticity_lp_distance(qa, qb, p) for qa, qb in zip(qs_a, qs_b)]
             assert np.array_equal(vort[p], expected)
+
+    def test_richardson_error_is_the_gap_to_the_restricted_reference(self, cfg, report):
+        # the gate reads the sup-in-time L2 velocity distance of the
+        # same-grid Euler run to the restricted reference, bit for bit
+        from alphaeuler import restrict
+        from alphaeuler.harness import EULER
+        from alphaeuler.vorticity import velocity_l2_distance
+
+        grid = Grid(cfg.n)
+        datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+        _, ref_states = run_states(datum, EULER, cfg.solver_config(), monitor=False)
+        _, states = run_states(restrict(datum, grid), EULER, cfg.solver_config(), monitor=False)
+        assert len(states) == len(ref_states) == cfg.samples + 1
+        expected = max(
+            velocity_l2_distance(s.q, EULER, restrict(r.q, grid), EULER) for s, r in zip(states, ref_states)
+        )
+        assert expected > 0.0
+        assert report.richardson_error == expected
 
 
 class TestJobGraph:
@@ -508,7 +523,7 @@ class TestJobGraph:
 
         cfg = smooth_config()
         ref = reference_run(cfg)
-        states = [SimState(float(t), q, EULER) for t, q in zip(ref.times, ref.samples())]
+        states = [SimState(float(t), unpack_band(band, ref.grid), EULER) for t, band in zip(ref.times, ref.bands)]
         expected = whole_history_trajectory(history_of(states), cfg)
         assert len(ref.trajectory) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(ref.trajectory, expected))
@@ -525,7 +540,7 @@ class TestJobGraph:
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
         _, states = run_states(datum, EULER, cfg.solver_config(), monitor=False)
         expected = [restrict(s.q, ref.grid) for s in states]
-        got = list(ref.samples())
+        got = [unpack_band(band, ref.grid) for band in ref.bands]
         assert len(ref.bands) == len(got) == len(expected) == len(ref.times)
         for band, q, e in zip(ref.bands, got, expected):
             assert q.grid == ref.grid
@@ -554,7 +569,7 @@ class TestJobGraph:
         # one inverse transform of the spectral velocity difference; the
         # oracle subtracts the two physical velocities
         from alphaeuler import AlphaParam, velocity
-        from alphaeuler.harness import EULER, filtered_solve, reference_run, velocity_gap
+        from alphaeuler.harness import EULER, compare_bands, filtered_solve, reference_run
         from alphaeuler.lagrangian import cumulative_trapezoid
 
         cfg = smooth_config(family="mollified")
@@ -563,11 +578,15 @@ class TestJobGraph:
             solve = filtered_solve(alpha, ref.omega0, cfg)
             a = AlphaParam(alpha)
             gaps = [
-                velocity_l1_distance(velocity(q, a).physical(), velocity(qr, EULER).physical(), ref.grid)
-                for q, qr in zip(solve.samples(ref.grid), ref.samples())
+                velocity_l1_distance(
+                    velocity(unpack_band(band, ref.grid), a).physical(),
+                    velocity(unpack_band(band_ref, ref.grid), EULER).physical(),
+                    ref.grid,
+                )
+                for band, band_ref in zip(solve.bands, ref.bands)
             ]
             expected = cumulative_trapezoid(ref.times, gaps)
-            got = velocity_gap(solve, ref)
+            got = compare_bands(solve.bands, alpha, ref.bands, 0.0, ref.grid, ref.times)[2]
             assert expected[-1] > 0.0
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
@@ -634,6 +653,10 @@ class TestJobGraph:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reference_failure_cancels_solves_and_propagates(self, workers, monkeypatch):
+        # on one worker the reference raises once every job is queued, so
+        # the pool takes each queued solve after the failure: none may run
+        import time
+
         from alphaeuler import harness
         from alphaeuler.solver import SolverError
 
@@ -641,11 +664,13 @@ class TestJobGraph:
         boom = SolverError("reference blew up")
         solve = harness.filtered_solve
 
-        def counting_solve(alpha, omega0, cfg, ref=None):
+        def counting_solve(alpha, omega0, cfg):
             solved.append(alpha)
-            return solve(alpha, omega0, cfg, ref)
+            return solve(alpha, omega0, cfg)
 
         def failing_reference(cfg, datum=None):
+            if workers == 1:
+                time.sleep(0.05)
             raise boom
 
         monkeypatch.setattr(harness, "filtered_solve", counting_solve)
@@ -654,7 +679,10 @@ class TestJobGraph:
         with pytest.raises(SolverError) as info:
             run_sweep(smooth_config(workers=workers, alpha_list=alphas))
         assert info.value is boom
-        assert len(solved) < len(alphas)
+        if workers == 1:
+            assert solved == []
+        else:
+            assert len(solved) < len(alphas)
 
     def test_failed_reference_runs_no_richardson_run(self, monkeypatch):
         # on one worker the pool takes the Richardson job as soon as the
