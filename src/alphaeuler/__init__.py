@@ -39,7 +39,6 @@ from .solver import (
     SolverConfig,
     SolverError,
     load_checkpoint,
-    rhs,
     run,
     save_checkpoint,
     step,
@@ -47,7 +46,6 @@ from .solver import (
 from .lagrangian import (
     FlowComparison,
     ParticleSet,
-    VelocityHistory,
     advect_particles,
     flow_distance,
     lagrangian_vorticity,

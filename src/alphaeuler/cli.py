@@ -135,7 +135,7 @@ def cmd_flows(args) -> int:
             raise ValueError(f"{flag} must be positive and finite, got {value}")
     ref = reference_run(cfg)
     solve = filtered_solve(alpha, ref.omega0, cfg)
-    delta = compare_bands(solve.bands, alpha, ref.bands, 0.0, ref.grid, ref.times)[2]
+    delta = compare_bands(solve.bands, alpha, ref.bands, 0.0, ref.grid, ref.times, p_list=())[2]
     delta_total = float(delta[-1])
 
     out = _resolve_output(cfg.output_dir, args.output, "flows_output")
@@ -277,4 +277,7 @@ def main(argv=None) -> int:
         return 1
     except (SolverError, SweepError) as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"runtime failure: out of memory: {exc}", file=sys.stderr)
         return 2

@@ -465,7 +465,8 @@ def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, 
     K^a q_a - K^b q_b, from the band entries of the two velocity tables
     (built once per call); then q_a and q_b, whose L2 velocity distance is
     taken by Parseval before the transform, and whose difference in
-    physical space serves every p."""
+    physical space serves every p; an empty `p_list` skips that second
+    transform."""
     width = grid.kmax_dealias + 1
     # a band lists the rows of the band's k1 in order, each over k2 <= kmax
     rows = np.flatnonzero(grid.keep_mask[:, 0])
@@ -487,6 +488,8 @@ def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, 
         spec[0, rows, :width] = qa
         spec[1, rows, :width] = qb
         vel.append(velocity_l2_distance(SpectralField(grid, spec[0]), a, SpectralField(grid, spec[1]), b))
+        if not p_list:
+            continue
         irfft2_passes(spec, out=phys)
         diff = PhysicalField(grid, phys[0] - phys[1])
         for p in p_list:
@@ -561,7 +564,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
             # reference estimates the discretization error floor
             # (Richardson consistency).
             richardson_error = float(compare_bands(
-                jobs.pop(0).result()[0], 0.0, ref.bands, 0.0, ref.grid, ref.times
+                jobs.pop(0).result()[0], 0.0, ref.bands, 0.0, ref.grid, ref.times, p_list=()
             )[0].max())
             # Each job is dropped once taken, and no name holds a compared
             # solve, so it is freed before the next solve is waited for.

@@ -13,21 +13,19 @@ its first two after it.  The 16 taps of a particle then sit at constant
 offsets from one start index, so the stencil takes one `% n` per axis and
 each tap gathers every component with one `take`.  The copy and the
 stencil, weight, index and tap arrays live in a `BicubicWork`;
-`advect_particles` builds one per call, blends the two samples around each
-segment straight into it, and keeps the RK4 stage positions in buffers of
-the call too.  Made afresh on every evaluation, those 128-256 KB
+`advect_particles` builds one per call, blends the interval's two samples
+straight into it, and keeps the RK4 stage positions in buffers of the
+call too.  Made afresh on every evaluation, those 128-256 KB
 temporaries cost about 1.15 M minor page faults inside `advect_particles`
 on the `flows_dense` benchmark (16,384 particles at n = 128, 2,048
 evaluations); reused, about 11 k.  Every result is bit for bit that of the
 one-shot sampler: the same values, weights and products, summed in the
 same order.
 
-A segment of `advect_particles` runs between consecutive history times, and
-all its stage times blend the same two samples, the pair around the
-segment.  A stage time that rounding puts a hair outside the segment
-extrapolates within that pair, so advecting across one interval never reads
-a third sample: `TrajectoryStream` advances each interval through a window
-of its two samples and gets the bits of the whole history.
+`advect_particles` advances across one sample interval, and
+`TrajectoryStream.push` calls it once per interval with the interval's
+two samples.  A stage time that rounding puts a hair outside the interval
+extrapolates within that pair.
 """
 
 from __future__ import annotations
@@ -194,104 +192,74 @@ def bicubic_sample(
     return out
 
 
-class VelocityHistory:
-    """Velocity snapshots (2, n, n) at increasing times, blended linearly.
-
-    The snapshots, a sequence of (2, n, n) arrays or one (count, 2, n, n)
-    array, are kept without a copy: a `TrajectoryStream` window refers to
-    its samples.
-    """
-
-    def __init__(self, times, snapshots, grid: Grid):
-        self.times = np.asarray(times, dtype=float)
-        self.snapshots = tuple(np.asarray(s, dtype=float) for s in snapshots)
-        self.grid = grid
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0):
-            raise ValueError("history times must be strictly increasing")
-        if len(self.snapshots) != self.times.size or any(
-            s.shape != (2, grid.n, grid.n) for s in self.snapshots
-        ):
-            raise ValueError("snapshot array shape does not match times/grid")
-
-
 def advect_particles(
     p: ParticleSet,
-    history: VelocityHistory,
+    times: tuple,
+    samples: tuple,
     s_target: float,
     substeps: int = 4,
 ) -> ParticleSet:
     """RK4 particle integration from p.t_origin to s_target (either
-    direction); steps are aligned with the history sample times so the
-    in-step velocity is smooth in time.
+    direction), both inside the sample interval times = (ta, tb), ta < tb,
+    of the (2, n, n) velocity samples = (ua, ub).
 
-    Each segment between knots blends the pair of samples around it,
-    (1 - theta) u_j + theta u_{j+1} with theta = (t - t_j) / (t_{j+1} - t_j),
-    into one BicubicWork at its start, at each substep's midpoint (k2 and
-    k3) and at each substep's end (k4, and the next substep's k1).  The
-    stage positions and slopes live in buffers of the call; the RK4
-    arithmetic keeps the operation order of x + h/6 (k1 + 2 k2 + 2 k3 + k4).
+    The velocity blends (1 - theta) ua + theta ub with
+    theta = (t - ta) / (tb - ta) into one BicubicWork at the start, at each
+    substep's midpoint (k2 and k3) and at each substep's end (k4, and the
+    next substep's k1).  The stage positions and slopes live in buffers of
+    the call; the RK4 arithmetic keeps the operation order of
+    x + h/6 (k1 + 2 k2 + 2 k3 + k4).
     """
     if substeps < 1:
         raise ValueError("substeps must be at least 1")
-    lo, hi = history.times[0], history.times[-1]
+    (ta, tb), (ua, ub) = times, samples
+    if not -math.inf < ta < tb < math.inf:  # NaN included
+        raise ValueError(f"sample times must be finite and strictly increasing, got {ta} and {tb}")
+    shape = np.shape(ua)
+    if len(shape) != 3 or shape[0] != 2 or shape[1] != shape[2] or np.shape(ub) != shape:
+        raise ValueError(f"velocity samples must both have shape (2, n, n), got {shape} and {np.shape(ub)}")
     t0, t1 = p.t_origin, s_target
-    if min(t0, t1) < lo - 1e-10 or max(t0, t1) > hi + 1e-10:
-        raise ValueError("requested interval is outside the sampled history")
-    if t1 == t0:
-        return ParticleSet(p.positions.copy(), t1)
-    knots = history.times
-    if knots.size < 2:
-        raise ValueError("advecting needs a history of at least two samples")
+    lo, hi = ta - 1e-10, tb + 1e-10
+    if not (lo <= t0 <= hi and lo <= t1 <= hi):  # NaN included
+        raise ValueError(f"advecting from {t0} to {t1} reaches outside the sample interval [{ta}, {tb}]")
 
-    interior = knots[(knots > min(t0, t1) + 1e-13) & (knots < max(t0, t1) - 1e-13)]
-    times = np.concatenate([[min(t0, t1)], interior, [max(t0, t1)]])
-    if t1 < t0:
-        times = times[::-1]
-
-    n, dx = history.grid.n, history.grid.dx
-    work = BicubicWork((2, n, n), p.count)
+    dx = TWO_PI / shape[-1]
+    work = BicubicWork(shape, p.count)
     # (count, 2) views of (2, count) rows, the layout of the samples
     x, stage, acc, k = np.empty((4, 2, p.count)).transpose(0, 2, 1)
     np.copyto(x, p.positions)
-    for seg0, seg1 in zip(times[:-1], times[1:]):
-        # the pair around the segment: the one its midpoint falls in
-        j = int(np.searchsorted(knots, 0.5 * (seg0 + seg1), side="right")) - 1
-        j = min(max(j, 0), knots.size - 2)
-        ta, tb = knots[j], knots[j + 1]
-        ua, ub = history.snapshots[j], history.snapshots[j + 1]
-        h = (seg1 - seg0) / substeps
-        t = seg0
-        work.blend(ua, ub, (t - ta) / (tb - ta))
-        for _ in range(substeps):
-            # acc gathers k1 + 2 k2 + 2 k3 + k4
-            bicubic_sample(work.field, x, dx, work, acc.T)
-            np.add(x, np.multiply(acc, 0.5 * h, out=stage), out=stage)
-            work.blend(ua, ub, (t + 0.5 * h - ta) / (tb - ta))
-            bicubic_sample(work.field, stage, dx, work, k.T)
-            np.add(x, np.multiply(k, 0.5 * h, out=stage), out=stage)
-            acc += np.multiply(k, 2.0, out=k)
-            bicubic_sample(work.field, stage, dx, work, k.T)
-            np.add(x, np.multiply(k, h, out=stage), out=stage)
-            acc += np.multiply(k, 2.0, out=k)
-            work.blend(ua, ub, (t + h - ta) / (tb - ta))
-            bicubic_sample(work.field, stage, dx, work, k.T)
-            acc += k
-            x += np.multiply(acc, h / 6.0, out=acc)
-            t += h
+    h = (t1 - t0) / substeps
+    t = t0
+    work.blend(ua, ub, (t - ta) / (tb - ta))
+    for _ in range(substeps):
+        # acc gathers k1 + 2 k2 + 2 k3 + k4
+        bicubic_sample(work.field, x, dx, work, acc.T)
+        np.add(x, np.multiply(acc, 0.5 * h, out=stage), out=stage)
+        work.blend(ua, ub, (t + 0.5 * h - ta) / (tb - ta))
+        bicubic_sample(work.field, stage, dx, work, k.T)
+        np.add(x, np.multiply(k, 0.5 * h, out=stage), out=stage)
+        acc += np.multiply(k, 2.0, out=k)
+        bicubic_sample(work.field, stage, dx, work, k.T)
+        np.add(x, np.multiply(k, h, out=stage), out=stage)
+        acc += np.multiply(k, 2.0, out=k)
+        work.blend(ua, ub, (t + h - ta) / (tb - ta))
+        bicubic_sample(work.field, stage, dx, work, k.T)
+        acc += k
+        x += np.multiply(acc, h / 6.0, out=acc)
+        t += h
     return ParticleSet(np.mod(x, TWO_PI, order="C"), t1)
 
 
 class TrajectoryStream:
     """Positions of a particle set at each sample time of a run, advanced
-    as the velocity samples arrive (`push`), so no full VelocityHistory is
-    held: the result is bit for bit that of `advect_particles` through the
-    whole history, sample interval by sample interval.
+    as the velocity samples arrive (`push`), so no run's velocities are
+    held whole.
 
     The first sample is at the particles' `t_origin`; the second sets the
     direction, forward or back, which every later one must keep.  Only the
     last sample is kept.  Each later one advances the particles across the
-    interval between the two, through a window of just those samples:
-    `advect_particles` reads no other sample for that interval.
+    interval between the two with `advect_particles`, which reads just
+    those two samples.
     """
 
     def __init__(self, grid: Grid, particles: ParticleSet, substeps: int = 4):
@@ -324,9 +292,8 @@ class TrajectoryStream:
                 way = {1.0: "increase", -1.0: "decrease", 0.0: "increase or decrease"}[self._sign]
                 raise ValueError(f"sample times must {way}: {t} follows {t_prev}")
             self._sign = sign
-            times, samples = ([t_prev, t], [u_prev, snapshot]) if sign > 0 else ([t, t_prev], [snapshot, u_prev])
-            window = VelocityHistory(times, samples, self._grid)
-            self._particles = advect_particles(self._particles, window, t, substeps=self._substeps)
+            times, samples = ((t_prev, t), (u_prev, snapshot)) if sign > 0 else ((t, t_prev), (snapshot, u_prev))
+            self._particles = advect_particles(self._particles, times, samples, t, substeps=self._substeps)
             self.positions.append(self._particles.positions)
         self._last = (t, snapshot)
 

@@ -35,9 +35,9 @@ dealiased and mean-free: u1 and u2 go back and two products come forward,
 for the exact dealiased products, so on the dealiased states ``run``
 keeps (it dealiases the initial state, and every stage output is masked)
 the two stages agree to roundoff, which the k^2 weights scale by about
-|k|.  ``AdvectionStage`` and ``rhs`` take any input, where the two forms
-differ by the aliased products, so they keep the advective form; at
-alpha > 0 q is not the curl of u, and the identity does not apply.
+|k|.  ``AdvectionStage`` takes any input, where the two forms differ by
+the aliased products, so it keeps the advective form; at alpha > 0 q is
+not the curl of u, and the identity does not apply.
 
 Each stage also owns the work arrays of ``step`` (the slope sum, the
 slope and the stage input) and writes its slope into the ``out=`` buffer
@@ -224,13 +224,6 @@ class _EulerStage:
         from the squares it left in place of u1 and u2."""
         sq1, sq2 = self._phys
         return float(np.sqrt(np.add(sq1, sq2, out=self._prod[0]).max()))
-
-
-def rhs(q: SpectralField, a: AlphaParam) -> SpectralField:
-    """-u^alpha . grad q, dealiased and exactly mean-free."""
-    _require_mean_zero(q, "vorticity passed to the right-hand side")
-    coeffs, _ = AdvectionStage(q.grid, a)(q.coeffs)
-    return SpectralField(q.grid, coeffs)
 
 
 def cfl_timestep(speed: float, grid: Grid, cfl: float) -> float:

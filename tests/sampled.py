@@ -1,12 +1,14 @@
 """What the tests keep of a run that `run` itself streams away: every
-sampled state, collected through `on_sample`, and the whole velocity
-history of sampled states; and the oracles of `harness.compare_bands`:
-the L1 velocity distance of two physical samples, behind delta, and the
-L^p distance of two vorticity samples made physical one at a time."""
+sampled state, collected through `on_sample`, and the particle trajectory
+through the velocities of sampled states; and the oracles of
+`harness.compare_bands`: the L1 velocity distance of two physical
+samples, behind delta, and the L^p distance of two vorticity samples made
+physical one at a time."""
 
 import numpy as np
 
-from alphaeuler import PhysicalField, VelocityHistory, lp_norm, run, to_physical, velocity
+from alphaeuler import PhysicalField, lp_norm, run, seed_particles, to_physical, velocity
+from alphaeuler.lagrangian import TrajectoryStream
 
 
 def run_states(q0, a, cfg, **kwargs):
@@ -16,14 +18,14 @@ def run_states(q0, a, cfg, **kwargs):
     return sim, states
 
 
-def history_of(states) -> VelocityHistory:
-    """The velocity history of sampled states, each velocity made afresh
-    from its state and written into one array."""
+def trajectory_of(states, stride, substeps) -> tuple:
+    """The particle lattice streamed through the velocities of sampled
+    states, each made afresh from its state."""
     grid = states[0].grid
-    snaps = np.empty((len(states), 2, grid.n, grid.n))
-    for snap, s in zip(snaps, states):
-        snap[:] = velocity(s.q, s.a).physical()
-    return VelocityHistory([s.t for s in states], snaps, grid)
+    stream = TrajectoryStream(grid, seed_particles(grid, stride, t=states[0].t), substeps)
+    for s in states:
+        stream.push(s.t, velocity(s.q, s.a).physical())
+    return stream.finish()
 
 
 def velocity_l1_distance(snap_a, snap_b, grid) -> float:

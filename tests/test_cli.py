@@ -108,6 +108,17 @@ class TestSweepCommand:
         assert (out / "sweep.csv").exists()
         assert (out / "summary.json").exists()
 
+    def test_out_of_memory_exits_2_without_traceback(self, shear_cfg, tmp_path, capsys, monkeypatch):
+        import alphaeuler.cli as cli
+
+        def no_memory(cfg):
+            raise MemoryError("Unable to allocate 8.00 TiB for an array")
+
+        monkeypatch.setattr(cli, "run_sweep", no_memory)
+        assert main(["sweep", "--config", str(shear_cfg), "--output", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err == "runtime failure: out of memory: Unable to allocate 8.00 TiB for an array\n"
+
 
 class TestSimulateCommand:
     def test_monitor_csv_constant_alpha_norm(self, shear_cfg, tmp_path):

@@ -30,7 +30,7 @@ from alphaeuler.harness import (
     summary_dict,
 )
 from alphaeuler.spectral import unpack_band
-from sampled import history_of, run_states, velocity_l1_distance, vorticity_lp_distance
+from sampled import run_states, trajectory_of, velocity_l1_distance, vorticity_lp_distance
 
 SHEAR_CFG = """
 [datum]
@@ -65,20 +65,6 @@ def _self_errors(times, p_list):
         q_l2_drift=zeros.copy(),
         gamma0=0.0,
     )
-
-
-def whole_history_trajectory(history, cfg):
-    """The oracle of a streamed trajectory: the particle lattice advected
-    through the whole velocity history, sample interval by sample
-    interval."""
-    from alphaeuler import advect_particles, seed_particles
-
-    p = seed_particles(history.grid, cfg.particle_stride)
-    positions = [p.positions]
-    for t1 in history.times[1:]:
-        p = advect_particles(p, history, float(t1), substeps=cfg.substeps)
-        positions.append(p.positions)
-    return tuple(positions)
 
 
 def smooth_config(**overrides):
@@ -484,6 +470,26 @@ class TestSweepInvariants:
             expected = [vorticity_lp_distance(qa, qb, p) for qa, qb in zip(qs_a, qs_b)]
             assert np.array_equal(vort[p], expected)
 
+    def test_empty_p_list_skips_only_the_vorticity_gaps(self):
+        # the Richardson gate and `flows` ask for no vorticity gap; the
+        # velocity gaps and delta are those of the full comparison
+        from alphaeuler import AlphaParam, Grid, SolverConfig, smooth_random
+        from alphaeuler.harness import compare_bands
+        from alphaeuler.spectral import pack_band
+
+        g = Grid(32)
+        times = np.linspace(0.0, 0.2, 3)
+        cfg = SolverConfig(t_end=0.2, sample_times=times)
+        bands = [
+            [pack_band(s.q) for s in run_states(smooth_random(3, 2.0, 5, g), AlphaParam(alpha), cfg)[1]]
+            for alpha in (0.1, 0.0)
+        ]
+        vel, vort, delta = compare_bands(bands[0], 0.1, bands[1], 0.0, g, times)
+        vel_only, vort_none, delta_only = compare_bands(bands[0], 0.1, bands[1], 0.0, g, times, p_list=())
+        assert vort and vort_none == {}
+        assert vel_only.tobytes() == vel.tobytes()
+        assert delta_only.tobytes() == delta.tobytes()
+
     def test_richardson_error_is_the_gap_to_the_restricted_reference(self, cfg, report):
         # the gate reads the sup-in-time L2 velocity distance of the
         # same-grid Euler run to the restricted reference, bit for bit
@@ -512,7 +518,7 @@ class TestJobGraph:
         omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
         a = AlphaParam(cfg.alpha_list[0])
         _, states = run_states(approximating_family(omega0, a, cfg.family), a, cfg.solver_config())
-        expected = whole_history_trajectory(history_of(states), cfg)
+        expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
         got = filtered_solve(a.alpha, omega0, cfg).trajectory
         assert len(got) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
@@ -524,7 +530,7 @@ class TestJobGraph:
         cfg = smooth_config()
         ref = reference_run(cfg)
         states = [SimState(float(t), unpack_band(band, ref.grid), EULER) for t, band in zip(ref.times, ref.bands)]
-        expected = whole_history_trajectory(history_of(states), cfg)
+        expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
         assert len(ref.trajectory) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(ref.trajectory, expected))
 

@@ -13,7 +13,6 @@ from alphaeuler import (
     ParticleSet,
     PhysicalField,
     SpectralField,
-    VelocityHistory,
     advect_particles,
     flow_distance,
     lagrangian_vorticity,
@@ -68,39 +67,43 @@ def oracle_bicubic_sample(values, positions, dx):
 
 
 def grids_at(history, j, t):
-    """The velocity at time t blended from samples j and j + 1 as one
-    expression."""
-    t0, t1 = history.times[j], history.times[j + 1]
+    """The velocity at time t blended from samples j and j + 1 of a history
+    (times, snapshots) as one expression."""
+    times, snapshots = history
+    t0, t1 = times[j], times[j + 1]
     theta = (t - t0) / (t1 - t0)
-    return (1.0 - theta) * history.snapshots[j] + theta * history.snapshots[j + 1]
+    return (1.0 - theta) * snapshots[j] + theta * snapshots[j + 1]
 
 
 def oracle_advect(positions, history, t0, t1, substeps):
     """advect_particles as the plain RK4 loop over oracle samples of
-    `grids_at`: each segment blends the last sample at or before its lower
-    end and the next one."""
-    knots = history.times
-    interior = knots[(knots > min(t0, t1) + 1e-13) & (knots < max(t0, t1) - 1e-13)]
-    times = np.concatenate([[min(t0, t1)], interior, [max(t0, t1)]])
-    if t1 < t0:
-        times = times[::-1]
+    `grids_at`, from t0 to t1 inside one interval of the history: the one
+    starting at the last sample time at or before both."""
+    times, snapshots = history
+    j = max(i for i in range(len(times) - 1) if times[i] <= min(t0, t1))
+    dx = 2 * np.pi / snapshots[j].shape[-1]
 
-    def velocity(j, t, x):
-        return oracle_bicubic_sample(grids_at(history, j, t), x, history.grid.dx).T
+    def velocity(t, x):
+        return oracle_bicubic_sample(grids_at(history, j, t), x, dx).T
 
     x = positions.copy()
-    for seg0, seg1 in zip(times[:-1], times[1:]):
-        j = max(i for i in range(knots.size - 1) if knots[i] <= min(seg0, seg1))
-        h = (seg1 - seg0) / substeps
-        t = seg0
-        for _ in range(substeps):
-            k1 = velocity(j, t, x)
-            k2 = velocity(j, t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = velocity(j, t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = velocity(j, t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
+    h = (t1 - t0) / substeps
+    t = t0
+    for _ in range(substeps):
+        k1 = velocity(t, x)
+        k2 = velocity(t + 0.5 * h, x + 0.5 * h * k1)
+        k3 = velocity(t + 0.5 * h, x + 0.5 * h * k2)
+        k4 = velocity(t + h, x + h * k3)
+        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t += h
     return ParticleSet(np.mod(x, 2 * np.pi), t1)
+
+
+def pair(history, j):
+    """Interval j of a history (times, snapshots): its two times and its
+    two samples, the arguments of advect_particles."""
+    times, snapshots = history
+    return (times[j], times[j + 1]), (snapshots[j], snapshots[j + 1])
 
 
 def nearest_sample(values, positions, dx):
@@ -117,9 +120,10 @@ def nearest_vorticity(q0, flow_back):
     return PhysicalField(g, vals.reshape(g.n, g.n))
 
 
-def steady_history(u_phys, grid, t0, t1):
-    """History holding one time-independent field over [t0, t1]."""
-    return VelocityHistory([t0, t1], np.stack([u_phys, u_phys]), grid)
+def steady_pair(u_phys, t0, t1):
+    """One time-independent field over [t0, t1], as advect_particles takes
+    it."""
+    return (t0, t1), (u_phys, u_phys)
 
 
 def export_particles_csv(p, path):
@@ -131,15 +135,15 @@ def export_particles_csv(p, path):
             writer.writerow([repr(float(x1)), repr(float(x2)), i])
 
 
-def constant_history(u1, u2, grid, t0=0.0, t1=10.0):
+def constant_pair(u1, u2, grid, t0=0.0, t1=10.0):
     field = np.stack([np.full((grid.n, grid.n), u1), np.full((grid.n, grid.n), u2)])
-    return steady_history(field, grid, t0, t1)
+    return steady_pair(field, t0, t1)
 
 
-def shear_history(grid, t0=0.0, t1=10.0):
+def shear_pair(grid, t0=0.0, t1=10.0):
     x1, _ = grid.mesh
     field = np.stack([np.zeros_like(x1), np.sin(x1)])
-    return steady_history(field, grid, t0, t1)
+    return steady_pair(field, t0, t1)
 
 
 class TestBicubic:
@@ -213,58 +217,61 @@ class TestBufferedAdvection:
     def history(self, n=32, seed=1):
         """Fast random velocities: particles cross the torus several times
         and the stage positions leave [0, 2 pi)."""
-        g = Grid(n)
         times = np.array([0.0, 0.1, 0.25, 0.3, 0.5])
         snapshots = 10.0 * np.random.default_rng(seed).standard_normal((5, 2, n, n))
-        return VelocityHistory(times, snapshots, g)
+        return Grid(n), (times, snapshots)
 
     @pytest.mark.parametrize("n, substeps", [(32, 1), (32, 4), (16, 3)])
     def test_whole_history_bitwise_equals_oracle_rk4(self, n, substeps):
-        hist = self.history(n)
-        p0 = seed_particles(hist.grid)
-        fwd = advect_particles(p0, hist, 0.5, substeps=substeps)
-        expected = oracle_advect(p0.positions, hist, 0.0, 0.5, substeps)
-        assert fwd.positions.tobytes() == expected.positions.tobytes()
-        back = advect_particles(fwd, hist, 0.0, substeps=substeps)
-        expected = oracle_advect(fwd.positions, hist, 0.5, 0.0, substeps)
-        assert back.positions.tobytes() == expected.positions.tobytes()
+        # every interval of the history, forward and back
+        g, hist = self.history(n)
+        times = hist[0]
+        p = seed_particles(g)
+        for j in range(times.size - 1):
+            fwd = advect_particles(p, *pair(hist, j), times[j + 1], substeps=substeps)
+            expected = oracle_advect(p.positions, hist, times[j], times[j + 1], substeps)
+            assert fwd.positions.tobytes() == expected.positions.tobytes()
+            back = advect_particles(fwd, *pair(hist, j), times[j], substeps=substeps)
+            expected = oracle_advect(fwd.positions, hist, times[j + 1], times[j], substeps)
+            assert back.positions.tobytes() == expected.positions.tobytes()
+            p = fwd
 
-    def test_single_particle_and_one_sample_history(self):
-        hist = self.history(16)
-        p0 = ParticleSet(np.array([[6.2, -0.1]]), 0.1)
-        got = advect_particles(p0, hist, 0.3, substeps=2)
-        assert got.positions.tobytes() == oracle_advect(p0.positions, hist, 0.1, 0.3, 2).positions.tobytes()
-        # a one-sample history holds a velocity but no interval to advect
-        # through; blended with itself at theta = 0 it is that sample
-        single = VelocityHistory([0.2], hist.snapshots[1:2], hist.grid)
-        work = BicubicWork((2, 16, 16), 1)
-        work.blend(hist.snapshots[0], hist.snapshots[2], 0.3)
-        work.blend(single.snapshots[0], single.snapshots[0], 0.0)
-        v = bicubic_sample(work.field, p0.positions, hist.grid.dx, work)
-        expected = oracle_bicubic_sample(hist.snapshots[1], p0.positions, hist.grid.dx)
-        assert v.tobytes() == expected.tobytes()
-        at = ParticleSet(p0.positions, 0.2)
-        assert advect_particles(at, single, 0.2).positions.tobytes() == at.positions.tobytes()
-        with pytest.raises(ValueError, match="two samples"):
-            advect_particles(at, single, 0.2 + 1e-11)
+    def test_single_particle_between_sample_times(self):
+        # neither end of the advection need be a sample time
+        g, hist = self.history(16)
+        p0 = ParticleSet(np.array([[6.2, -0.1]]), 0.12)
+        got = advect_particles(p0, *pair(hist, 1), 0.2, substeps=2)
+        assert got.t_origin == 0.2
+        assert got.positions.tobytes() == oracle_advect(p0.positions, hist, 0.12, 0.2, 2).positions.tobytes()
 
     def test_threads_match_serial(self):
-        # each call owns its buffers: calls advecting at once, on more
-        # threads than cores and switching as often as the interpreter
-        # allows, give the serial bits
-        hist = self.history(64, seed=2)
-        p0 = seed_particles(hist.grid)
-        jobs = [(p0, 0.5), (ParticleSet(p0.positions, 0.5), 0.0), (ParticleSet(p0.positions[::-1], 0.1), 0.4)]
-        serial = [advect_particles(p, hist, target).positions for p, target in jobs]
+        # each stream and each of its calls owns its buffers: streams
+        # advecting at once, on more threads than cores and switching as
+        # often as the interpreter allows, give the serial bits
+        g, (times, snapshots) = self.history(64, seed=2)
+        p0 = seed_particles(g)
+        jobs = [
+            (p0, times, snapshots),
+            (ParticleSet(p0.positions, 0.5), times[::-1], snapshots[::-1]),
+            (ParticleSet(p0.positions[::-1], 0.0), times, snapshots),
+        ]
+
+        def trace(p, times, snapshots):
+            stream = TrajectoryStream(g, p)
+            for t, u in zip(times, snapshots):
+                stream.push(t, u)
+            return stream.finish()
+
+        serial = [trace(*job) for job in jobs]
         results = [None] * len(jobs)
 
-        def advect(i, p, target):
-            results[i] = advect_particles(p, hist, target).positions
+        def advect(i, job):
+            results[i] = trace(*job)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            threads = [threading.Thread(target=advect, args=(i, *job)) for i, job in enumerate(jobs)]
+            threads = [threading.Thread(target=advect, args=(i, job)) for i, job in enumerate(jobs)]
             for th in threads:
                 th.start()
             for th in threads:
@@ -272,22 +279,23 @@ class TestBufferedAdvection:
         finally:
             sys.setswitchinterval(interval)
         assert not any(th.is_alive() for th in threads)
-        assert [r.tobytes() for r in results] == [s.tobytes() for s in serial]
+        for got, expected in zip(results, serial):
+            assert [x.tobytes() for x in got] == [x.tobytes() for x in expected]
 
     def test_reused_evaluation_allocates_at_most_its_result(self):
         import tracemalloc
 
-        hist = self.history(128)
-        x = seed_particles(hist.grid, 2).positions
-        a, b, c = hist.snapshots[:3]
+        g, (_, snapshots) = self.history(128)
+        x = seed_particles(g, 2).positions
+        a, b, c = snapshots[:3]
         work = BicubicWork((2, 128, 128), x.shape[0])
         out = np.empty((2, x.shape[0]))
         work.blend(a, b, 0.5)
-        bicubic_sample(work.field, x, hist.grid.dx, work, out)
+        bicubic_sample(work.field, x, g.dx, work, out)
         tracemalloc.start()
         try:
             work.blend(b, c, 2.0 / 3.0)
-            result = bicubic_sample(work.field, x, hist.grid.dx, work, out)
+            result = bicubic_sample(work.field, x, g.dx, work, out)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -297,35 +305,42 @@ class TestBufferedAdvection:
     def test_one_interval_reads_only_its_two_samples(self, backward):
         # the last substep lands a rounding error past the interval's end
         # (or before its start, backward); it extrapolates within the pair
-        # instead of reading the sample beyond
+        # and stays finite
         g = Grid(16)
         times = overshooting_times(4, 4, seed=3)
         snapshots = np.random.default_rng(4).standard_normal((4, 2, g.n, g.n))
         j = 1
-        beyond = j - 1 if backward else j + 2
-        snapshots[beyond] = np.nan
-        hist = VelocityHistory(times, snapshots, g)
-        window = VelocityHistory(times[j : j + 2], snapshots[j : j + 2], g)
         start, end = (times[j + 1], times[j]) if backward else (times[j], times[j + 1])
         p0 = seed_particles(g, 2, t=float(start))
-        got = advect_particles(p0, hist, float(end))
+        got = advect_particles(p0, *pair((times, snapshots), j), float(end))
         assert np.isfinite(got.positions).all()
-        assert got.positions.tobytes() == advect_particles(p0, window, float(end)).positions.tobytes()
-
-    def test_window_refers_to_its_samples(self):
-        g = Grid(8)
-        snapshots = [np.zeros((2, 8, 8)), np.ones((2, 8, 8))]
-        hist = VelocityHistory([0.0, 1.0], snapshots, g)
-        assert all(a is b for a, b in zip(hist.snapshots, snapshots))
+        expected = oracle_advect(p0.positions, (times, snapshots), float(start), float(end), 4)
+        assert got.positions.tobytes() == expected.positions.tobytes()
 
     @pytest.mark.parametrize("substeps", [0, -2])
     def test_substeps_below_one_rejected(self, substeps):
         g = Grid(16)
-        hist = constant_history(1.0, 0.0, g)
         with pytest.raises(ValueError, match="substeps"):
-            advect_particles(seed_particles(g), hist, 1.0, substeps=substeps)
+            advect_particles(seed_particles(g), *constant_pair(1.0, 0.0, g), 1.0, substeps=substeps)
         with pytest.raises(ValueError, match="substeps"):
             TrajectoryStream(g, seed_particles(g), substeps=substeps)
+
+    @pytest.mark.parametrize(
+        "times", [(1.0, 1.0), (1.0, 0.0), (0.0, np.nan), (np.nan, 1.0), (-np.inf, 1.0), (0.0, np.inf)]
+    )
+    def test_times_not_finite_and_increasing_rejected(self, times):
+        u = np.zeros((2, 8, 8))
+        with pytest.raises(ValueError, match="increasing"):
+            advect_particles(seed_particles(Grid(8), 4, t=0.5), times, (u, u), 0.5)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b",
+        [((2, 8, 8), (2, 16, 16)), ((8, 8), (8, 8)), ((3, 8, 8), (3, 8, 8)), ((2, 8, 4), (2, 8, 4))],
+    )
+    def test_samples_not_a_matching_2nn_pair_rejected(self, shape_a, shape_b):
+        samples = (np.zeros(shape_a), np.zeros(shape_b))
+        with pytest.raises(ValueError, match="shape"):
+            advect_particles(seed_particles(Grid(8), 4, t=0.5), (0.0, 1.0), samples, 0.5)
 
     @pytest.mark.parametrize("stride", [0, -1])
     def test_stride_below_one_rejected(self, stride):
@@ -337,23 +352,20 @@ class TestAdvection:
     def test_zero_velocity(self):
         g = Grid(16)
         p0 = seed_particles(g)
-        hist = constant_history(0.0, 0.0, g)
-        p1 = advect_particles(p0, hist, 3.0)
+        p1 = advect_particles(p0, *constant_pair(0.0, 0.0, g), 3.0)
         assert np.abs(p1.positions - p0.positions).max() == 0.0
 
     def test_constant_velocity_exact_shift(self):
         g = Grid(16)
         p0 = seed_particles(g)
-        hist = constant_history(1.0, 0.0, g)
-        p1 = advect_particles(p0, hist, np.pi)
+        p1 = advect_particles(p0, *constant_pair(1.0, 0.0, g), np.pi)
         expected = np.mod(p0.positions + [np.pi, 0.0], 2 * np.pi)
         assert torus_distance(p1.positions, expected).max() < 1e-10
 
     def test_shear_single_particle(self):
         g = Grid(64)
-        hist = shear_history(g)
         p0 = ParticleSet(np.array([[np.pi / 2, 0.0]]), 0.0)
-        p1 = advect_particles(p0, hist, 1.0)
+        p1 = advect_particles(p0, *shear_pair(g), 1.0)
         # x1 frozen, x2' = sin(pi/2) = 1
         assert p1.positions[0, 0] == pytest.approx(np.pi / 2, abs=1e-12)
         assert p1.positions[0, 1] == pytest.approx(1.0, abs=1e-10)
@@ -363,17 +375,16 @@ class TestAdvection:
         from alphaeuler.solver import velocity
 
         q = SpectralField(g, smooth_random(11, 2.0, 5, g).coeffs * 8.0)
-        hist = steady_history(velocity(q, AlphaParam(0.1)).physical(), g, 0.0, 1.0)
+        steady = steady_pair(velocity(q, AlphaParam(0.1)).physical(), 0.0, 1.0)
         p0 = seed_particles(g)
-        fwd = advect_particles(p0, hist, 1.0, substeps=8)
-        back = advect_particles(fwd, hist, 0.0, substeps=8)
+        fwd = advect_particles(p0, *steady, 1.0, substeps=8)
+        back = advect_particles(fwd, *steady, 0.0, substeps=8)
         assert torus_distance(back.positions, p0.positions).mean() < 1e-6
 
     def test_outside_history_rejected(self):
         g = Grid(16)
-        hist = constant_history(1.0, 0.0, g, t0=0.0, t1=1.0)
         with pytest.raises(ValueError):
-            advect_particles(seed_particles(g), hist, 2.0)
+            advect_particles(seed_particles(g), *constant_pair(1.0, 0.0, g, t0=0.0, t1=1.0), 2.0)
 
 
 class TestMeasurePreservation:
@@ -392,9 +403,8 @@ class TestMeasurePreservation:
 
     def test_steady_shear_defect(self):
         g = Grid(64)
-        hist = shear_history(g)
         p0 = seed_particles(g)
-        p1 = advect_particles(p0, hist, 1.0, substeps=8)
+        p1 = advect_particles(p0, *shear_pair(g), 1.0, substeps=8)
         f = sample(g, lambda x1, x2: np.cos(x2))
         assert measure_preservation_defect(p0, p1, f) < 1e-4
 
@@ -416,9 +426,8 @@ class TestLagrangianVorticity:
 
     def test_shear_preserves_cos_x1(self):
         g = Grid(64)
-        hist = shear_history(g)
         pT = seed_particles(g, t=1.0)
-        feet = advect_particles(pT, hist, 0.0, substeps=8)
+        feet = advect_particles(pT, *shear_pair(g), 0.0, substeps=8)
         q0 = sample(g, lambda x1, x2: np.cos(x1))
         recon = lagrangian_vorticity(q0, feet)
         assert np.abs(recon.values - q0.values).max() < 1e-9
@@ -491,19 +500,18 @@ class TestHistory:
                 np.ones((2, g.n, g.n)),
             ]
         )
-        hist = VelocityHistory([0.0, 2.0], snaps, g)
         p0 = seed_particles(g, 4)
-        p1 = advect_particles(p0, hist, 2.0, substeps=3)
+        p1 = advect_particles(p0, (0.0, 2.0), snaps, 2.0, substeps=3)
         assert torus_distance(p1.positions, p0.positions + 1.0).max() < 1e-14
 
     def test_outside_rejected(self):
-        # an origin or a target outside the history, in either direction
+        # an origin or a target outside the sample interval, in either
+        # direction, or NaN
         g = Grid(16)
-        hist = constant_history(1.0, 0.0, g, t0=0.0, t1=1.0)
-        with pytest.raises(ValueError, match="outside"):
-            advect_particles(seed_particles(g, 4, t=1.5), hist, 0.5)
-        with pytest.raises(ValueError, match="outside"):
-            advect_particles(seed_particles(g, 4, t=0.5), hist, -0.5)
+        steady = constant_pair(1.0, 0.0, g, t0=0.0, t1=1.0)
+        for t0, t1 in [(1.5, 0.5), (0.5, -0.5), (0.5, np.nan), (np.nan, 0.5)]:
+            with pytest.raises(ValueError, match="outside"):
+                advect_particles(seed_particles(g, 4, t=t0), *steady, t1)
 
 
 def overshooting_times(count, substeps, seed):
@@ -525,13 +533,14 @@ def overshooting_times(count, substeps, seed):
 
 class TestTrajectoryStream:
     def full_history_trajectory(self, times, snapshots, grid, stride, substeps):
-        """The reference: advect through the whole history, interval by
-        interval, in the order of `times`, from the first of them."""
-        history = VelocityHistory(sorted(times), snapshots if times[0] < times[-1] else snapshots[::-1], grid)
+        """The reference: the oracle RK4 loop through the whole history,
+        interval by interval, in the order of `times`, from the first of
+        them."""
+        history = (sorted(times), snapshots if times[0] < times[-1] else snapshots[::-1])
         p = seed_particles(grid, stride, t=float(times[0]))
         positions = [p.positions]
-        for t1 in times[1:]:
-            p = advect_particles(p, history, float(t1), substeps=substeps)
+        for t0, t1 in zip(times[:-1], times[1:]):
+            p = oracle_advect(p.positions, history, float(t0), float(t1), substeps)
             positions.append(p.positions)
         return positions
 
@@ -544,8 +553,7 @@ class TestTrajectoryStream:
     @pytest.mark.parametrize("count", [2, 3, 8])
     def test_bitwise_equal_to_full_history(self, count):
         # the overshooting substeps extrapolate within their interval's
-        # pair in the whole history; the stream's two-sample window must
-        # match that
+        # pair, as in the oracle
         g = Grid(16)
         times = overshooting_times(count, 4, seed=3)
         snapshots = np.random.default_rng(4).standard_normal((count, 2, g.n, g.n))

@@ -68,3 +68,54 @@ def test_imports_only_lower_layers(path):
 def test_the_check_sees_a_function_level_import():
     tree = ast.parse("def f():\n    from .solver import velocity\n    return velocity\n")
     assert function_level_imports(tree) == [(2, "f")]
+
+
+DEMOS = PACKAGE.parent.parent / "demos"
+
+# Documented in the README with no caller yet; ROADMAP item 7 gives it one.
+UNCALLED = {"load_checkpoint"}
+
+
+def public_definitions(tree):
+    """The module-level public functions and classes of a module."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    return [node for node in tree.body if isinstance(node, kinds) and not node.name.startswith("_")]
+
+
+def referenced_names(node):
+    """Every name a node reads, plain (`f`) or as an attribute (`ae.f`)."""
+    return {
+        inner.id if isinstance(inner, ast.Name) else inner.attr
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Name, ast.Attribute))
+    }
+
+
+def uncalled_names(sources):
+    """The public module-level names of the package modules among
+    `sources` (path -> tree) that no top-level statement of any source
+    reads, other than the definition itself."""
+    parts = [(path, node) for path, tree in sources.items() for node in tree.body]
+    reads = {part: referenced_names(part[1]) for part in parts}
+    return sorted(
+        node.name
+        for path, tree in sources.items()
+        if path.parent == PACKAGE
+        for node in public_definitions(tree)
+        if not any(node.name in names for part, names in reads.items() if part != (path, node))
+    )
+
+
+def test_every_package_name_has_a_caller():
+    # the package holds no code that only tests use: every public function
+    # and class is read elsewhere in the package (its `__init__` aside) or
+    # by a demo
+    paths = [p for p in MODULES if p.name != "__init__.py"] + sorted(DEMOS.glob("*.py"))
+    sources = {path: _tree(path) for path in paths}
+    assert set(uncalled_names(sources)) == UNCALLED
+
+
+def test_the_caller_check_sees_an_uncalled_name():
+    path = PACKAGE / "m.py"
+    tree = ast.parse("def f():\n    return f()\n\ndef g():\n    return 1\n\nclass C:\n    x = g()\n")
+    assert uncalled_names({path: tree}) == ["C", "f"]
