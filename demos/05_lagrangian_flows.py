@@ -2,9 +2,11 @@
 and the logarithmic flow-distance estimate.
 
 The demo makes the calls of the `flows` command: the unfiltered reference
-(`reference_run`), one filtered solve (`filtered_solve`), each tracing its
-particle lattice forward as its samples arrive, and the time-integrated L1
-velocity gap delta between them (`compare_bands`).  Back-trajectory foot
+(`reference_run`), one filtered solve (`filtered_solve`), each particle
+lattice traced forward from its run's samples (`trace_bands`), and the
+time-integrated L1 velocity gap delta between them (`compare_bands`).
+Each trace yields the lattice one sample at a time; only the last
+positions are kept.  Back-trajectory foot
 points, traced through the solve's velocity samples from the last to the
 first, rebuild the vorticity by composition with the initial datum, and
 the distance between the filtered and unfiltered flow maps is compared
@@ -16,7 +18,7 @@ Run:  python3 demos/05_lagrangian_flows.py
 import numpy as np
 
 import alphaeuler as ae
-from alphaeuler.harness import compare_bands, filtered_solve, reference_run
+from alphaeuler.harness import compare_bands, filtered_solve, reference_run, trace_bands
 from alphaeuler.lagrangian import TrajectoryStream, seed_particles
 from alphaeuler.spectral import unpack_band
 
@@ -37,10 +39,17 @@ ref = reference_run(cfg)
 solve = filtered_solve(alpha, ref.omega0, cfg)
 g, times = ref.grid, ref.times
 
+
+def flow_map(bands, alpha):
+    """The lattice at t = 1, traced from a run's samples."""
+    for positions in trace_bands(bands, alpha, g, cfg):
+        pass
+    return ae.ParticleSet(positions, 1.0)
+
 # Measure preservation: the flow of a divergence-free field keeps cell
 # averages of any observable.
 p0 = seed_particles(g)
-fwd = ae.ParticleSet(solve.trajectory[-1], 1.0)
+fwd = flow_map(solve.bands, alpha)
 f = ae.sample(g, lambda x1, x2: np.cos(x2))
 print(f"measure-preservation defect: {ae.measure_preservation_defect(p0, fwd, f):.2e}")
 
@@ -49,8 +58,8 @@ print(f"measure-preservation defect: {ae.measure_preservation_defect(p0, fwd, f)
 qs = [unpack_band(band, g) for band in solve.bands]
 back = TrajectoryStream(g, seed_particles(g, t=1.0), substeps=4)
 for t, q in zip(times[::-1], qs[::-1]):
-    back.push(t, ae.velocity(q, ae.AlphaParam(alpha)).physical())
-feet = ae.ParticleSet(back.finish()[-1], 0.0)
+    foot = back.push(t, ae.velocity(q, ae.AlphaParam(alpha)).physical())
+feet = ae.ParticleSet(foot, 0.0)
 recon = ae.lagrangian_vorticity(ae.to_physical(ref.omega0), feet)
 q_end = ae.to_physical(qs[-1])
 rel = ae.lp_norm(ae.PhysicalField(g, recon.values - q_end.values), 1) / ae.lp_norm(q_end, 1)
@@ -58,7 +67,7 @@ print(f"transport reconstruction, relative L1 gap: {rel:.2e}")
 
 # Flow distance vs the logarithmic bound.
 delta = float(compare_bands(solve.bands, alpha, ref.bands, 0.0, g, times)[2][-1])
-comp = ae.flow_distance(fwd, ae.ParticleSet(ref.trajectory[-1], 1.0), delta=delta, c_cal=1.0)
+comp = ae.flow_distance(fwd, flow_map(ref.bands, 0.0), delta=delta, c_cal=1.0)
 print(f"\ndelta = ||u^alpha - u||_L1L1 = {comp.delta:.4f} (bound applies: {comp.applicable})")
 print(f"mean flow distance: {comp.mean_distance:.5f}")
 print(f"rms flow distance:  {comp.l2_distance:.5f}")

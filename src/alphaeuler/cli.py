@@ -30,6 +30,7 @@ from .harness import (
     load_config,
     reference_run,
     run_sweep,
+    trace_bands,
 )
 from .lagrangian import ParticleSet, flow_distance
 from .solver import SolverError, run, save_checkpoint
@@ -141,10 +142,12 @@ def cmd_flows(args) -> int:
     out = _resolve_output(cfg.output_dir, args.output, "flows_output")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
-    for j, t in enumerate(ref.times):
+    # the two lattices advance in lockstep, one sample's positions at a time
+    traces = zip(trace_bands(solve.bands, alpha, ref.grid, cfg), trace_bands(ref.bands, 0.0, ref.grid, cfg))
+    for j, (t, (pa, pr)) in enumerate(zip(ref.times, traces)):
         comp = flow_distance(
-            ParticleSet(solve.trajectory[j], float(t)),
-            ParticleSet(ref.trajectory[j], float(t)),
+            ParticleSet(pa, float(t)),
+            ParticleSet(pr, float(t)),
             delta=max(delta_total, 1e-300),
             c_cal=args.c_cal,
         )

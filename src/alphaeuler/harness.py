@@ -14,22 +14,23 @@ alpha first.  The filter bounds |u|, so a smaller alpha never takes fewer
 CFL steps, and the costliest solves start first.  `run_sweep`'s own thread
 is the one place a solve meets the reference: it waits for the reference,
 takes the Richardson gap, then compares each solve in the order they were
-submitted, while the pool runs the next.  A solve waits as little as it
-can: its particle trajectory is streamed while it runs and its samples are
-kept as their dealias bands.  Every worker count takes the same path; a
-one-thread pool runs its jobs first in, first out, so every solve starts
-after the reference.  The report does not depend on the worker count or
-the order.
+submitted, while the pool runs the next.  A solve waiting for its
+comparison holds little: its samples are kept as their dealias bands, next
+to its lattice's positions at each sample time.  Every worker count
+takes the same path; a one-thread pool runs its jobs first in, first out,
+so every solve starts after the reference.  The report does not depend on
+the worker count or the order.
 
-Each sample's filtered velocity is made once, by `run` from its stage's
-table, and serves the monitor row and the particle trajectory.  The
-reference keeps its samples as the dealias bands of their restrictions
-too, and traces its lattice with the same `TrajectoryStream` as the
-solves, after its run, making each velocity from its band as it pushes.
-Two sampled runs meet in one place, `compare_bands`, band to band: a
-solve and the reference, the Richardson run and the reference, and the
-`flows` command, which makes the same calls as a sweep's alpha:
-`reference_run`, `filtered_solve` and `compare_bands`.
+Every run is traced one way, after it ends, from its bands: `trace_bands`
+makes each sample's velocity from its band, with one velocity table per
+call, and yields the particle lattice's positions one sample at a time.
+A sweep's reference job and each solve job collect their own positions
+inside the job, so the tracing runs on the pool.  Two sampled runs meet
+in one place, `compare_bands`, band to band: a solve and the reference,
+the Richardson run and the reference, and the `flows` command, which
+makes the same calls as a sweep's alpha: `reference_run`,
+`filtered_solve`, `compare_bands` and `trace_bands`, its two traces in
+lockstep, so it holds no whole trajectory.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .bounds import BoundParams, linear_fit, t95_quantile, velocity_rate_K
 from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
 from .lagrangian import TrajectoryStream, cumulative_trapezoid, seed_particles
-from .solver import MonitorLog, SimState, SolverConfig, SolverError, run
+from .solver import MonitorLog, SolverConfig, SolverError, run
 from .spectral import Grid, PhysicalField, SpectralField, restrict
 from .spectral import irfft2_passes, pack_band, unpack_band
 from .vorticity import AlphaParam, _velocity_multipliers, biot_savart, lp_norm, torus_distance, velocity
@@ -364,15 +365,14 @@ class ConvergenceReport:
 @dataclass(frozen=True)
 class ReferenceRun:
     """The unfiltered reference of a study, run on the n_ref grid and kept
-    on the study grid: the restricted initial datum, the dealias band of
+    on the study grid: the restricted initial datum and the dealias band of
     each restricted sample (`pack_band`; restriction keeps the band only,
-    so the bands hold all of it) and the particle-lattice trajectories."""
+    so the bands hold all of it)."""
 
     grid: Grid
     solver: SolverConfig
     omega0: SpectralField
     bands: tuple
-    trajectory: tuple
 
     @property
     def times(self) -> np.ndarray:
@@ -383,13 +383,12 @@ class ReferenceRun:
 class FilteredSolve:
     """One filtered run on the study grid, before it meets the reference:
     the dealias band of each sample (`pack_band`; the solver keeps every
-    sample dealiased, so the bands hold all of it), the monitor log, the
-    particle-lattice trajectory and the initial velocity gap gamma0."""
+    sample dealiased, so the bands hold all of it), the monitor log and the
+    initial velocity gap gamma0."""
 
     alpha: float
     bands: tuple
     monitor: MonitorLog
-    trajectory: tuple
     gamma0: float
 
 
@@ -397,9 +396,7 @@ def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> 
     """Run the unfiltered reference on the n_ref grid, keeping each sample
     as the dealias band of its spectral restriction to the study grid.
     `datum` is the initial vorticity on the n_ref grid, built from
-    cfg.datum when not given.  The lattice is traced after the run, each
-    velocity made from its band as it is pushed, so at most two are alive:
-    during the run they would sit next to the n_ref stage's buffers."""
+    cfg.datum when not given."""
     grid = Grid(cfg.n)
     solver = cfg.solver_config()
     if datum is None:
@@ -407,50 +404,38 @@ def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> 
     omega0 = _study_restriction(datum, grid)
     bands = []
     run(datum, EULER, solver, on_sample=lambda s, u: bands.append(pack_band(restrict(s.q, grid))), monitor=False)
-    table = _velocity_multipliers(grid, EULER)
-    stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
-    for t, band in zip(solver.sample_times, bands):
-        stream.push(t, velocity(unpack_band(band, grid), EULER, table).physical())
-    return ReferenceRun(
-        grid=grid,
-        solver=solver,
-        omega0=omega0,
-        bands=tuple(bands),
-        trajectory=stream.finish(),
-    )
+    return ReferenceRun(grid=grid, solver=solver, omega0=omega0, bands=tuple(bands))
 
 
-def _banded_run(q0: SpectralField, a: AlphaParam, cfg: ExperimentConfig, on_sample=None, monitor=True):
+def _banded_run(q0: SpectralField, a: AlphaParam, cfg: ExperimentConfig, monitor=True):
     """`run` on the study's sample times, keeping each sample as its dealias
     band; returns the bands and the monitor log."""
     bands = []
-
-    def take(s: SimState, u):
-        bands.append(pack_band(s.q))
-        if on_sample is not None:
-            on_sample(s, u)
-
-    sim = run(q0, a, cfg.solver_config(), on_sample=take, monitor=monitor)
+    sim = run(q0, a, cfg.solver_config(), on_sample=lambda s, u: bands.append(pack_band(s.q)), monitor=monitor)
     return tuple(bands), sim.monitor
 
 
 def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig) -> FilteredSolve:
-    """Solve from the approximating-family datum of omega0 at this alpha,
-    following the particle lattice as the samples arrive.  Needs nothing of
-    the reference run but its initial datum.  Raises SolverError when the
-    solve fails."""
+    """Solve from the approximating-family datum of omega0 at this alpha.
+    Needs nothing of the reference run but its initial datum.  Raises
+    SolverError when the solve fails."""
     a = AlphaParam(alpha)
-    grid = omega0.grid
     q0 = approximating_family(omega0, a, cfg.family)
+    bands, monitor = _banded_run(q0, a, cfg)
+    return FilteredSolve(alpha=alpha, bands=bands, monitor=monitor, gamma0=initial_velocity_gap(q0, omega0, a))
+
+
+def trace_bands(bands, alpha: float, grid: Grid, cfg: ExperimentConfig):
+    """Yield the positions of the study's particle lattice at each sample
+    time of a run on `grid`, given as the dealias bands of its samples
+    (`pack_band`): each velocity K^alpha q is made from its band with one
+    velocity table per call and pushed into one `TrajectoryStream`, so at
+    most two velocities and one set of positions are alive."""
+    a = AlphaParam(alpha)
+    table = _velocity_multipliers(grid, a)
     stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
-    bands, monitor = _banded_run(q0, a, cfg, on_sample=lambda s, u: stream.push(s.t, u.physical()))
-    return FilteredSolve(
-        alpha=alpha,
-        bands=bands,
-        monitor=monitor,
-        trajectory=stream.finish(),
-        gamma0=initial_velocity_gap(q0, omega0, a),
-    )
+    for t, band in zip(cfg.solver_config().sample_times, bands):
+        yield stream.push(t, velocity(unpack_band(band, grid), a, table).physical())
 
 
 def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, times, p_list=CSV_PS):
@@ -497,15 +482,16 @@ def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, 
     return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}, cumulative_trapezoid(times, gaps)
 
 
-def _alpha_record(solve: FilteredSolve, ref: ReferenceRun, cfg: ExperimentConfig) -> AlphaRecord:
-    """The comparison half of an alpha: the solve measured against the
-    reference."""
+def _alpha_record(
+    solve: FilteredSolve, trajectory: tuple, ref: ReferenceRun, ref_trajectory: tuple, cfg: ExperimentConfig
+) -> AlphaRecord:
+    """The comparison half of an alpha: the solve and its lattice's
+    positions at each sample time (`trace_bands`) measured against the
+    reference's."""
     vel_err, vort_err, delta = compare_bands(
         solve.bands, solve.alpha, ref.bands, 0.0, ref.grid, ref.times, cfg.p_list
     )
-    flow_dist = np.array(
-        [float(torus_distance(pa, pr).mean()) for pa, pr in zip(solve.trajectory, ref.trajectory)]
-    )
+    flow_dist = np.array([float(torus_distance(pa, pr).mean()) for pa, pr in zip(trajectory, ref_trajectory)])
     monitor = solve.monitor
     return AlphaRecord(
         alpha=solve.alpha,
@@ -541,7 +527,11 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         # too and, on two or more workers, may start first; the two runs are
         # then the same computation.  The solves follow, costliest
         # (smallest alpha) first.
-        reference = pool.submit(reference_run, cfg, datum)
+        def traced_reference():
+            ref = reference_run(cfg, datum)
+            return ref, tuple(trace_bands(ref.bands, 0.0, ref.grid, cfg))
+
+        reference = pool.submit(traced_reference)
 
         def done_reference() -> None:
             # a job that starts after the reference failed fails at once
@@ -552,14 +542,15 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
             done_reference()
             return _banded_run(omega0, EULER, cfg, monitor=False)
 
-        def solve(alpha: float) -> FilteredSolve:
+        def solve(alpha: float):
             done_reference()
-            return filtered_solve(alpha, omega0, cfg)
+            solved = filtered_solve(alpha, omega0, cfg)
+            return solved, tuple(trace_bands(solved.bands, alpha, omega0.grid, cfg))
 
         jobs = [pool.submit(richardson)]
         jobs += [pool.submit(solve, alpha) for alpha in reversed(alphas)]
         try:
-            ref = reference.result()
+            ref, ref_trajectory = reference.result()
             # Same-resolution unfiltered run: its gap to the restricted
             # reference estimates the discretization error floor
             # (Richardson consistency).
@@ -573,7 +564,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
                 if isinstance(job.exception(), SolverError):
                     records[i] = AlphaRecord(alpha=alphas[i], failed=True, error=str(job.exception()))
                 else:
-                    records[i] = _alpha_record(job.result(), ref, cfg)
+                    records[i] = _alpha_record(*job.result(), ref, ref_trajectory, cfg)
         except BaseException:
             for job in jobs:
                 job.cancel()

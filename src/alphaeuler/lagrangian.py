@@ -5,7 +5,7 @@ in space (Catmull-Rom kernel, periodic wrap) and linearly in time between
 trajectory samples.  Backward integration is supported, so both the forward
 flow map and the back-trajectory foot points used for vorticity transport
 reconstruction come from the same integrator, and a `TrajectoryStream`
-traces either way, one pushed sample at a time.
+traces either way, one pushed sample at a time, keeping no history.
 
 `bicubic_sample` reads the field from a halo-padded copy: (c, n+3, n+3)
 planes that repeat the periodic field's last row and column before it and
@@ -24,8 +24,9 @@ same order.
 
 `advect_particles` advances across one sample interval, and
 `TrajectoryStream.push` calls it once per interval with the interval's
-two samples.  A stage time that rounding puts a hair outside the interval
-extrapolates within that pair.
+two samples and returns the positions it reaches: a caller that wants a
+whole trajectory collects the pushes itself.  A stage time that rounding
+puts a hair outside the interval extrapolates within that pair.
 """
 
 from __future__ import annotations
@@ -252,14 +253,14 @@ def advect_particles(
 
 class TrajectoryStream:
     """Positions of a particle set at each sample time of a run, advanced
-    as the velocity samples arrive (`push`), so no run's velocities are
-    held whole.
+    as the velocity samples arrive and returned by `push`, so neither the
+    run's velocities nor its positions are held whole.
 
     The first sample is at the particles' `t_origin`; the second sets the
     direction, forward or back, which every later one must keep.  Only the
-    last sample is kept.  Each later one advances the particles across the
-    interval between the two with `advect_particles`, which reads just
-    those two samples.
+    last sample and the last positions are kept.  Each later sample
+    advances the particles across the interval between the two with
+    `advect_particles`, which reads just those two samples.
     """
 
     def __init__(self, grid: Grid, particles: ParticleSet, substeps: int = 4):
@@ -270,11 +271,12 @@ class TrajectoryStream:
         self._substeps = substeps
         self._last = None
         self._sign = 0.0
-        self.positions = [particles.positions]
 
-    def push(self, t: float, snapshot: np.ndarray) -> None:
-        """Take the (2, n, n) velocity sample at time t and advance the
-        particles to t; a rejected sample leaves the stream as it was."""
+    def push(self, t: float, snapshot: np.ndarray) -> np.ndarray:
+        """Take the (2, n, n) velocity sample at time t and return the
+        particles' positions at t, advanced from the last sample's (the
+        particles' own at the first sample); a rejected sample leaves the
+        stream as it was."""
         t = float(t)
         n = self._grid.n
         if np.shape(snapshot) != (2, n, n):
@@ -294,12 +296,8 @@ class TrajectoryStream:
             self._sign = sign
             times, samples = ((t_prev, t), (u_prev, snapshot)) if sign > 0 else ((t, t_prev), (snapshot, u_prev))
             self._particles = advect_particles(self._particles, times, samples, t, substeps=self._substeps)
-            self.positions.append(self._particles.positions)
         self._last = (t, snapshot)
-
-    def finish(self) -> tuple:
-        """The positions at every sample time pushed, the first included."""
-        return tuple(self.positions)
+        return self._particles.positions
 
 
 def measure_preservation_defect(
@@ -345,11 +343,12 @@ def flow_distance(
 ) -> FlowComparison:
     """Mean/rms torus distance between matched particle sets, the averaged
     log-distance functional at scale delta, and the calibrated bound
-    c_cal / |log delta| (inapplicable when delta >= 1)."""
+    c_cal / |log delta| (inapplicable when delta >= 1); delta must be
+    positive and finite."""
     if pa.count != pb.count:
         raise ValueError("particle sets must have matching counts")
-    if delta <= 0.0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:  # NaN included
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < c_cal < math.inf:  # NaN included
         raise ValueError(f"c_cal must be positive and finite, got {c_cal}")
     d = torus_distance(pa.positions, pb.positions)

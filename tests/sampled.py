@@ -20,12 +20,10 @@ def run_states(q0, a, cfg, **kwargs):
 
 def trajectory_of(states, stride, substeps) -> tuple:
     """The particle lattice streamed through the velocities of sampled
-    states, each made afresh from its state."""
+    states, each made afresh from its state: the positions of every push."""
     grid = states[0].grid
     stream = TrajectoryStream(grid, seed_particles(grid, stride, t=states[0].t), substeps)
-    for s in states:
-        stream.push(s.t, velocity(s.q, s.a).physical())
-    return stream.finish()
+    return tuple(stream.push(s.t, velocity(s.q, s.a).physical()) for s in states)
 
 
 def velocity_l1_distance(snap_a, snap_b, grid) -> float:

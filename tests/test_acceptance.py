@@ -96,14 +96,14 @@ def transport_run():
     q0 = SpectralField(g, ae.smooth_random(grid=g, **SMOOTH).coeffs * 10.0)
     times = np.linspace(0.0, 1.0, 65)
     forward = TrajectoryStream(g, seed_particles(g), substeps=4)
-    velocities = []
+    velocities, positions = [], []
 
     def follow(s, u):
         velocities.append(u.physical())
-        forward.push(s.t, velocities[-1])
+        positions.append(forward.push(s.t, velocities[-1]))
 
     sim = ae.run(q0, AlphaParam(0.1), SolverConfig(t_end=1.0, sample_times=times), on_sample=follow)
-    return g, q0, sim, ParticleSet(forward.finish()[-1], 1.0), (times, velocities)
+    return g, q0, sim, ParticleSet(positions[-1], 1.0), (times, velocities)
 
 
 def trace_back(particles, grid, samples):
@@ -111,9 +111,8 @@ def trace_back(particles, grid, samples):
     through the samples pushed last to first."""
     times, velocities = samples
     stream = TrajectoryStream(grid, particles, substeps=4)
-    for t, snapshot in zip(times[::-1], velocities[::-1]):
-        stream.push(t, snapshot)
-    return ParticleSet(stream.finish()[-1], float(times[0]))
+    positions = [stream.push(t, snapshot) for t, snapshot in zip(times[::-1], velocities[::-1])]
+    return ParticleSet(positions[-1], float(times[0]))
 
 
 def test_criterion_1_spectral_identities():

@@ -176,6 +176,27 @@ class TestFlowsCommand:
         final = lines[-1].split(",")
         assert float(final[1]) > 0  # the filtered shear lags the reference
 
+    def test_flows_holds_no_whole_trajectory(self, tmp_path):
+        # the two lattices are traced in lockstep and each sample is reduced
+        # at once, so the traced peak stays below the bytes of the two
+        # whole trajectories it used to hold
+        import tracemalloc
+
+        path = tmp_path / "dense.cfg"
+        path.write_text(SHEAR_CFG.replace("n = 32", "n = 64").replace("samples = 4", "samples = 64")
+                        .replace("particle_stride = 8", "particle_stride = 1"))
+        cfg = load_config(path)
+        assert (cfg.n, cfg.n_ref, cfg.samples, cfg.particle_stride) == (64, 64, 64, 1)
+        trajectories = 2 * (cfg.samples + 1) * cfg.n**2 * 16
+        tracemalloc.start()
+        try:
+            assert main(["flows", "--config", str(path), "--output", str(tmp_path / "flows")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len((tmp_path / "flows" / "flows.csv").read_text().splitlines()) == 2 + cfg.samples + 1
+        assert peak < trajectories
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--c-cal", "nan"), ("--c-cal", "inf"), ("--c-cal", "0"), ("--c-cal", "-2"),

@@ -511,28 +511,31 @@ class TestSweepInvariants:
 
 class TestJobGraph:
     def test_streamed_trajectory_matches_history_trajectory(self):
+        # traced from the solve's bands, the lattice takes the bits of the
+        # trace through the velocities of the run's own states
         from alphaeuler import AlphaParam, Grid, approximating_family
-        from alphaeuler.harness import build_datum, filtered_solve
+        from alphaeuler.harness import build_datum, filtered_solve, trace_bands
 
         cfg = smooth_config(family="mollified")
         omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
         a = AlphaParam(cfg.alpha_list[0])
         _, states = run_states(approximating_family(omega0, a, cfg.family), a, cfg.solver_config())
         expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
-        got = filtered_solve(a.alpha, omega0, cfg).trajectory
+        got = tuple(trace_bands(filtered_solve(a.alpha, omega0, cfg).bands, a.alpha, omega0.grid, cfg))
         assert len(got) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
 
     def test_reference_trajectory_matches_history_trajectory(self):
         from alphaeuler import SimState
-        from alphaeuler.harness import EULER, reference_run
+        from alphaeuler.harness import EULER, reference_run, trace_bands
 
         cfg = smooth_config()
         ref = reference_run(cfg)
         states = [SimState(float(t), unpack_band(band, ref.grid), EULER) for t, band in zip(ref.times, ref.bands)]
         expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
-        assert len(ref.trajectory) == len(expected) == cfg.samples + 1
-        assert all(x.tobytes() == y.tobytes() for x, y in zip(ref.trajectory, expected))
+        got = tuple(trace_bands(ref.bands, 0.0, ref.grid, cfg))
+        assert len(got) == len(expected) == cfg.samples + 1
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
 
     def test_reference_keeps_the_band_of_each_sample(self):
         # the samples are the restrictions of the reference's states, bit
@@ -618,6 +621,25 @@ class TestJobGraph:
         solve = filtered_solve(cfg.alpha_list[0], omega0, cfg)
         assert builds == [(cfg.n, cfg.alpha_list[0])] * 2
         assert len(solve.bands) == cfg.samples + 1
+
+    def test_trace_builds_one_velocity_table(self, monkeypatch):
+        # every velocity of a trace is made from its band with the one
+        # table of the call
+        from alphaeuler import harness
+        from alphaeuler.harness import reference_run, trace_bands
+
+        cfg = smooth_config()
+        ref = reference_run(cfg)
+        builds = []
+        build = harness._velocity_multipliers
+
+        def counting(grid, a):
+            builds.append((grid.n, a.alpha))
+            return build(grid, a)
+
+        monkeypatch.setattr(harness, "_velocity_multipliers", counting)
+        assert len(tuple(trace_bands(ref.bands, 0.0, ref.grid, cfg))) == cfg.samples + 1
+        assert builds == [(cfg.n, 0.0)]
 
     def test_alpha_failing_while_reference_runs_keeps_its_slot(self, report, monkeypatch):
         from alphaeuler import harness
@@ -734,25 +756,33 @@ class TestJobGraph:
     def test_compared_solves_are_released(self, monkeypatch):
         # a join that kept its jobs would hold every solve until the sweep
         # ends; on one worker, a comparison meets at most the solve it
-        # compares and the one solved meanwhile
+        # compares and the one solved meanwhile.  A solve job ends with its
+        # trace, so a solve counts once its lattice is traced: the job
+        # still running holds its solve whatever the join does
         import weakref
 
         from alphaeuler import harness
 
         solves = []
+        traced = set()
         live = []
-        solve, record = harness.filtered_solve, harness._alpha_record
+        solve, record, trace = harness.filtered_solve, harness._alpha_record, harness.trace_bands
 
         def tracked_solve(alpha, omega0, cfg):
             out = solve(alpha, omega0, cfg)
-            solves.append(weakref.ref(out))
+            solves.append((alpha, weakref.ref(out)))
             return out
 
-        def counting_record(solve, ref, cfg):
-            live.append(sum(r() is not None for r in solves))
-            return record(solve, ref, cfg)
+        def tracked_trace(bands, alpha, grid, cfg):
+            yield from trace(bands, alpha, grid, cfg)
+            traced.add(alpha)
+
+        def counting_record(*args):
+            live.append(sum(r() is not None for alpha, r in solves if alpha in traced))
+            return record(*args)
 
         monkeypatch.setattr(harness, "filtered_solve", tracked_solve)
+        monkeypatch.setattr(harness, "trace_bands", tracked_trace)
         monkeypatch.setattr(harness, "_alpha_record", counting_record)
         alphas = tuple(2.0**-k for k in range(2, 8))
         run_sweep(smooth_config(workers=1, alpha_list=alphas, richardson=False))

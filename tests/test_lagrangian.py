@@ -258,9 +258,7 @@ class TestBufferedAdvection:
 
         def trace(p, times, snapshots):
             stream = TrajectoryStream(g, p)
-            for t, u in zip(times, snapshots):
-                stream.push(t, u)
-            return stream.finish()
+            return [stream.push(t, u) for t, u in zip(times, snapshots)]
 
         serial = [trace(*job) for job in jobs]
         results = [None] * len(jobs)
@@ -466,6 +464,13 @@ class TestFlowDistance:
         with pytest.raises(ValueError, match="c_cal"):
             flow_distance(p, p, delta=0.5, c_cal=c_cal)
 
+    @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -2.0])
+    def test_delta_not_positive_and_finite_rejected(self, delta):
+        # a NaN delta used to give a NaN g_delta, and an infinite one 0.0
+        p = seed_particles(Grid(16))
+        with pytest.raises(ValueError, match=f"delta must be positive and finite, got {delta}"):
+            flow_distance(p, p, delta=delta)
+
     def test_constant_offset(self):
         g = Grid(16)
         p = seed_particles(g)
@@ -546,9 +551,7 @@ class TestTrajectoryStream:
 
     def streamed(self, times, snapshots, grid, stride, substeps):
         stream = TrajectoryStream(grid, seed_particles(grid, stride, t=float(times[0])), substeps=substeps)
-        for t, snap in zip(times, snapshots):
-            stream.push(t, snap)
-        return stream.finish()
+        return [stream.push(t, snap) for t, snap in zip(times, snapshots)]
 
     @pytest.mark.parametrize("count", [2, 3, 8])
     def test_bitwise_equal_to_full_history(self, count):
@@ -581,29 +584,46 @@ class TestTrajectoryStream:
         times = np.linspace(0.0, 1.0, 5)
         forward = self.streamed(times, [u] * 5, g, 2, 4)
         stream = TrajectoryStream(g, ParticleSet(forward[-1], 1.0), substeps=4)
-        for t in times[::-1]:
-            stream.push(t, u)
-        back = stream.finish()[-1]
+        back = [stream.push(t, u) for t in times[::-1]][-1]
         assert torus_distance(back, forward[0]).max() < 1e-12
 
+    class Collected:
+        """A stream on Grid(8) with the positions of every push it took."""
+
+        def __init__(self, *times):
+            g = Grid(8)
+            self.stream = TrajectoryStream(g, seed_particles(g, 4, t=times[0]), substeps=2)
+            self.positions = []
+            for t in times:
+                self.push(t, np.full((2, 8, 8), t))
+
+        def push(self, t, snapshot):
+            self.positions.append(self.stream.push(t, snapshot))
+
     def stream(self, *times):
-        g = Grid(8)
-        stream = TrajectoryStream(g, seed_particles(g, 4, t=times[0]), substeps=2)
-        for t in times:
-            stream.push(t, np.full((2, 8, 8), t))
-        return stream
+        return self.Collected(*times)
+
+    def assert_as_if_never_rejected(self, stream, times):
+        # a rejected push leaves the stream as it was: pushed the samples
+        # at `times` and then one at 0.5, it gives the bits of a stream
+        # that never saw the rejected sample
+        expected = self.stream(*times)
+        expected.push(0.5, np.ones((2, 8, 8)))
+        assert [x.tobytes() for x in stream.positions] == [x.tobytes() for x in expected.positions]
 
     @pytest.mark.parametrize("t", [0.0, -0.5, np.nan])
     def test_time_not_after_the_last_rejected_at_push(self, t):
         # after one push, a repeated or NaN time sets no direction; after
         # a forward interval, an earlier time reverses it
-        stream = self.stream(0.0, 0.25) if t < 0 else self.stream(0.0)
+        times = (0.0, 0.25) if t < 0 else (0.0,)
+        stream = self.stream(*times)
         before = list(stream.positions)
         with pytest.raises(ValueError, match="increase"):
             stream.push(t, np.ones((2, 8, 8)))
         assert stream.positions == before
         stream.push(0.5, np.ones((2, 8, 8)))
-        assert len(stream.finish()) == len(before) + 1
+        assert len(stream.positions) == len(before) + 1
+        self.assert_as_if_never_rejected(stream, times)
 
     @pytest.mark.parametrize("t", [0.75, 1.0, np.nan])
     def test_backward_stream_rejects_a_time_not_before_the_last(self, t):
@@ -611,9 +631,7 @@ class TestTrajectoryStream:
         with pytest.raises(ValueError, match="decrease"):
             stream.push(t, np.ones((2, 8, 8)))
         stream.push(0.5, np.ones((2, 8, 8)))
-        expected = self.stream(1.0, 0.75)
-        expected.push(0.5, np.ones((2, 8, 8)))
-        assert [x.tobytes() for x in stream.finish()] == [x.tobytes() for x in expected.finish()]
+        self.assert_as_if_never_rejected(stream, (1.0, 0.75))
 
     @pytest.mark.parametrize("t", [0.0, 0.5, np.nan])
     def test_first_time_other_than_the_particles_rejected(self, t):
@@ -623,19 +641,20 @@ class TestTrajectoryStream:
         stream = TrajectoryStream(g, seed_particles(g, 4, t=0.3))
         with pytest.raises(ValueError, match=f"particles' time 0.3, got {t}"):
             stream.push(t, np.ones((2, 8, 8)))
-        stream.push(0.3, np.ones((2, 8, 8)))
-        stream.push(1.3, np.ones((2, 8, 8)))
-        first, last = stream.finish()
+        first, last = stream.push(0.3, np.ones((2, 8, 8))), stream.push(1.3, np.ones((2, 8, 8)))
         assert torus_distance(last, first + 1.0).max() < 1e-14
 
     @pytest.mark.parametrize("t", [np.inf, -np.inf])
     def test_infinite_time_rejected(self, t):
         # an infinite interval would leave every position NaN
-        for stream in (self.stream(0.0), self.stream(0.0, 0.25), self.stream(1.0, 0.75)):
+        for times in ((0.0,), (0.0, 0.25), (1.0, 0.75)):
+            stream = self.stream(*times)
             before = list(stream.positions)
             with pytest.raises(ValueError, match="finite"):
                 stream.push(t, np.ones((2, 8, 8)))
             assert stream.positions == before
+            stream.push(0.5, np.ones((2, 8, 8)))
+            self.assert_as_if_never_rejected(stream, times)
 
     @pytest.mark.parametrize("shape", [(2, 16, 16), (8, 8), (3, 8, 8)])
     def test_wrong_shape_rejected_at_push(self, shape):
@@ -647,7 +666,7 @@ class TestTrajectoryStream:
         with pytest.raises(ValueError, match="shape"):
             stream.push(0.5, np.zeros(shape))
         stream.push(0.5, np.ones((2, 8, 8)))
-        assert len(stream.finish()) == 2
+        assert len(stream.positions) == 2
 
 
 class TestVelocityL1Gap:
