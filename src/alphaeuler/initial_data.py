@@ -21,8 +21,9 @@ from .spectral import (
     dealias_cutoff,
     l2_norm,
     to_spectral,
+    wrap_periodic,
 )
-from .vorticity import AlphaParam, _require_mean_zero, helmholtz_filter_scalar, torus_distance
+from .vorticity import AlphaParam, _require_mean_zero, helmholtz_filter_scalar
 
 
 def smooth_random(
@@ -82,9 +83,10 @@ def disc_patch(
     of that many cells for spectral-ringing studies."""
     if not 0.0 < radius < math.pi:
         raise ValueError("radius must lie in (0, pi)")
-    x1, x2 = grid.mesh
-    pts = np.stack([x1, x2], axis=-1)
-    inside = torus_distance(pts, np.asarray(center, dtype=float)) <= radius
+    # the torus distance from the centre, from the wrapped offsets along
+    # each axis: one (n,) array each, not an (n, n, 2) mesh
+    d1, d2 = (wrap_periodic(grid.x - c + np.pi) - np.pi for c in np.asarray(center, dtype=float))
+    inside = np.hypot(d1[:, None], d2[None, :]) <= radius
     field = _mean_free_spectral(amplitude * inside.astype(float), grid)
     if mollify_cells > 0.0:
         sigma = mollify_cells * grid.dx

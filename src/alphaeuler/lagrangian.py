@@ -10,7 +10,8 @@ traces either way, one pushed sample at a time, keeping no history.
 `bicubic_sample` reads the field from a halo-padded copy: (c, n+3, n+3)
 planes that repeat the periodic field's last row and column before it and
 its first two after it.  The 16 taps of a particle then sit at constant
-offsets from one start index, so the stencil takes one `% n` per axis and
+offsets from one start index, so the stencil wraps one cell index per axis
+(`& (n - 1)` for a power-of-two n, as every `Grid` has, else `% n`) and
 each tap gathers every component with one `take`.  The copy and the
 stencil, weight, index and tap arrays live in a `BicubicWork`;
 `advect_particles` builds one per call, blends the interval's two samples
@@ -26,7 +27,10 @@ same order.
 `TrajectoryStream.push` calls it once per interval with the interval's
 two samples and returns the positions it reaches: a caller that wants a
 whole trajectory collects the pushes itself.  A stage time that rounding
-puts a hair outside the interval extrapolates within that pair.
+puts a hair outside the interval extrapolates within that pair.  The RK4
+stage positions stay unwrapped, since the cell wrap covers them; positions
+are wrapped into [0, 2*pi) only where a `ParticleSet` is made, once per
+`advect_particles` call, by `spectral.wrap_periodic`.
 """
 
 from __future__ import annotations
@@ -36,22 +40,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import TWO_PI, Grid, PhysicalField
+from .spectral import TWO_PI, Grid, PhysicalField, _is_power_of_two, wrap_periodic
 from .vorticity import torus_distance
 
 
 @dataclass
 class ParticleSet:
-    """Particle positions on the torus, tagged with the time they refer to."""
+    """Particle positions on the torus, tagged with the time they refer to:
+    a C-ordered (count, 2) array in [0, 2*pi)."""
 
     positions: np.ndarray
     t_origin: float
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float)
+        self.positions = np.asarray(self.positions, dtype=float, order="C")
         if self.positions.ndim != 2 or self.positions.shape[1] != 2:
             raise ValueError("positions must have shape (count, 2)")
-        self.positions = np.mod(self.positions, TWO_PI)
+        self.positions = wrap_periodic(self.positions)
 
     @property
     def count(self) -> int:
@@ -148,13 +153,20 @@ def bicubic_sample(
         out = np.empty(values.shape[:-2] + (count,))
     n = values.shape[-1]
 
-    # cells: floor(positions / dx) mod n; f: the offsets in them
-    f = np.divide(positions.T, dx, out=work.coords)
+    # cells: floor(positions / dx) mod n; f: the offsets in them.  One
+    # axis at a time: a ufunc reading (count, 2) positions into (2, count)
+    # rows allocates an iterator buffer
+    f = work.coords
+    for axis in range(2):
+        np.divide(positions[:, axis], dx, out=f[axis])
     floors = np.floor(f, out=work.floors)
     np.subtract(f, floors, out=f)
     cells = work.cells
     np.copyto(cells, floors, casting="unsafe")
-    np.remainder(cells, n, out=cells)
+    if _is_power_of_two(n):  # two's complement: -1 & (n - 1) is n - 1
+        np.bitwise_and(cells, n - 1, out=cells)
+    else:
+        np.remainder(cells, n, out=cells)
     start = np.multiply(cells[0], n + 3, out=work.start)
     start += cells[1]
 
@@ -181,7 +193,9 @@ def bicubic_sample(
 
     # summed from +0.0 in the one-shot order, so the signs of zeros match
     # too; the indices are in range, and mode="raise" would copy `out`.
-    # The array method skips np.take's Python dispatch
+    # The array method skips np.take's Python dispatch.  Each component
+    # row takes the weight product on its own: broadcast over the
+    # (c, count) gather, the product allocates an iterator buffer
     gathered = work.gathered
     term = gathered.reshape(out.shape)
     out[...] = 0.0
@@ -189,7 +203,10 @@ def bicubic_sample(
     for wa in work.weights[:, 0]:
         for wb in work.weights[:, 1]:
             next(taps).take(start, axis=1, out=gathered, mode="clip")
-            out += np.multiply(term, np.multiply(wa, wb, out=work.pair), out=term)
+            pair = np.multiply(wa, wb, out=work.pair)
+            for row in gathered:
+                row *= pair
+            out += term
     return out
 
 
@@ -248,7 +265,7 @@ def advect_particles(
         acc += k
         x += np.multiply(acc, h / 6.0, out=acc)
         t += h
-    return ParticleSet(np.mod(x, TWO_PI, order="C"), t1)
+    return ParticleSet(x, t1)
 
 
 class TrajectoryStream:

@@ -31,6 +31,27 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def wrap_periodic(x) -> np.ndarray:
+    """x mod 2*pi in [0, 2*pi): a new array in x's memory layout, bit for
+    bit np.mod(np.mod(x, TWO_PI), TWO_PI).
+
+    One np.mod rounds a value a hair below 0 up to exactly 2*pi; the second
+    maps that to +0.0.  Values in [-2*pi, 4*pi) move by one 2*pi instead:
+    the shift down is exact there, the shift up rounds as np.mod's does,
+    and -0.0 becomes +0.0.  NaN, inf and farther values, and scalars, take
+    the two np.mod calls.
+    """
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0 or x.size == 0 or not (x.min() >= -TWO_PI and x.max() < 2.0 * TWO_PI):  # NaN included
+        return np.mod(np.mod(x, TWO_PI), TWO_PI)
+    # 1 below 0, -1 at or past 2 pi, else 0, times 2 pi; +0.0 + -0.0 is +0.0
+    out = (np.less(x, 0.0).view(np.int8) - np.greater_equal(x, TWO_PI).view(np.int8)).astype(float)
+    out *= TWO_PI
+    out += x
+    np.copyto(out, 0.0, where=out == TWO_PI)
+    return out
+
+
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 

@@ -23,6 +23,7 @@ from .spectral import (
     parseval_sum,
     spectral_derivative,
     to_physical,
+    wrap_periodic,
 )
 
 MEAN_TOL = 1e-12
@@ -184,7 +185,7 @@ def torus_distance(x, y):
     equals the minimum of |x - y - 2*pi*k| over the nine integer shifts.
     """
     diff = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
-    wrapped = (diff + np.pi) % TWO_PI - np.pi
+    wrapped = wrap_periodic(diff + np.pi) - np.pi
     dist = np.hypot(wrapped[..., 0], wrapped[..., 1])
     return float(dist) if dist.ndim == 0 else dist
 

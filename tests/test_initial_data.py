@@ -95,6 +95,22 @@ class TestDiscPatch:
         assert np.abs(to_physical(q).values).max() <= 1.0
         assert l2_norm(q) < 0.2
 
+    @pytest.mark.parametrize("n", [64, 256])
+    def test_datum_bitwise_equals_the_mesh_formula(self, n):
+        # membership by the torus distance of every node of the (n, n, 2)
+        # mesh, its offsets wrapped with one %
+        g = Grid(n)
+        x1, x2 = g.mesh
+        pts = np.stack([x1, x2], axis=-1)
+        for center in ((np.pi, np.pi), (0.01, 6.28), (6.0, 0.3), (0.0, 0.0)):
+            diff = pts - np.asarray(center)
+            wrapped = (diff + np.pi) % (2 * np.pi) - np.pi
+            inside = np.hypot(wrapped[..., 0], wrapped[..., 1]) <= 1.0
+            values = 2.0 * inside.astype(float)
+            expected = np.fft.rfft2(values - values.mean(), norm="forward")
+            expected[0, 0] = 0.0
+            assert disc_patch(center, 1.0, 2.0, g).coeffs.tobytes() == expected.tobytes()
+
     def test_radius_validated(self):
         g = Grid(32)
         for radius in (0.0, np.pi, 4.0):

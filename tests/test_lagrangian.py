@@ -171,10 +171,11 @@ PROPERTY = settings(max_examples=40, deadline=None, database=None, derandomize=T
 
 @st.composite
 def sampling_cases(draw):
-    """A scalar or (2, n, n) field of odd, even or non-power-of-two size and
+    """A scalar or (2, n, n) field of odd, even or non-power-of-two size
+    (power-of-two cells wrap by a mask, the others by a remainder) and
     positions from far below 0 to several periods past 2 pi, grid nodes
     among them."""
-    n = draw(st.sampled_from([5, 8, 17, 48]))
+    n = draw(st.sampled_from([5, 8, 16, 17, 48, 64]))
     shape = draw(st.sampled_from([(n, n), (2, n, n)]))
     count = draw(st.sampled_from([1, 2, 7, 24]))
     values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(shape)
@@ -299,6 +300,30 @@ class TestBufferedAdvection:
             tracemalloc.stop()
         assert peak <= 2 * result.nbytes
 
+    @pytest.mark.parametrize("transposed", [False, True])
+    def test_reused_sample_allocates_no_iterator_buffer(self, transposed):
+        # a ufunc that broadcasts or mixes layouts allocates a 64 KB
+        # iterator buffer at 4,096 particles; the positions are a C-ordered
+        # (count, 2) array, or the (count, 2) view of (2, count) rows that
+        # advect_particles passes
+        import tracemalloc
+
+        g, (_, snapshots) = self.history(128)
+        x = seed_particles(g, 2).positions
+        if transposed:
+            x = np.ascontiguousarray(x.T).T
+        work = BicubicWork((2, 128, 128), x.shape[0])
+        out = np.empty((2, x.shape[0]))
+        work.load(snapshots[0])
+        bicubic_sample(work.field, x, g.dx, work, out)
+        tracemalloc.start()
+        try:
+            bicubic_sample(work.field, x, g.dx, work, out)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
+
     @pytest.mark.parametrize("backward", [False, True])
     def test_one_interval_reads_only_its_two_samples(self, backward):
         # the last substep lands a rounding error past the interval's end
@@ -383,6 +408,38 @@ class TestAdvection:
         g = Grid(16)
         with pytest.raises(ValueError):
             advect_particles(seed_particles(g), *constant_pair(1.0, 0.0, g, t0=0.0, t1=1.0), 2.0)
+
+
+class TestParticleSet:
+    def test_a_hair_below_zero_wraps_to_plus_zero(self):
+        # one np.mod rounds -1e-17 + 2 pi up to 2 pi itself
+        assert np.mod(-1e-17, 2 * np.pi) == 2 * np.pi
+        x = ParticleSet(np.array([[-1e-17, 0.0]]), 0.0).positions
+        assert x[0, 0] == 0.0 and not np.signbit(x[0, 0])
+
+    def test_positions_lie_in_the_period(self):
+        rng = np.random.default_rng(0)
+        edges = np.array([-0.0, -5e-324, -1e-17, 2 * np.pi, np.nextafter(2 * np.pi, 0.0), -2 * np.pi, 4 * np.pi])
+        wide = rng.uniform(-50.0, 50.0, size=(500, 2))
+        near_zero = rng.uniform(-1e-15, 1e-15, size=(500, 2))
+        rows = np.ascontiguousarray(wide.T).T  # the layout advect_particles hands over
+        for x in (wide, near_zero, np.column_stack([edges, edges[::-1]]), rows):
+            positions = ParticleSet(x, 0.0).positions
+            assert np.all((positions >= 0.0) & (positions < 2 * np.pi))
+            assert not np.signbit(positions).any()
+            assert positions.flags.c_contiguous
+
+    def test_stream_dipping_below_zero_returns_plus_zero(self):
+        g = Grid(8)
+        u = np.stack([np.full((8, 8), -1e-17), np.zeros((8, 8))])
+        p0 = ParticleSet(np.array([[0.0, 1.0]]), 0.0)
+        # the particle moves a hair below 0, where one np.mod gives 2 pi
+        assert bicubic_sample(u, p0.positions, g.dx)[0, 0] < 0.0
+        stream = TrajectoryStream(g, p0, substeps=2)
+        stream.push(0.0, u)
+        x = stream.push(1.0, u)
+        assert x[0, 0] == 0.0 and not np.signbit(x[0, 0])
+        assert x[0, 1] == 1.0
 
 
 class TestMeasurePreservation:

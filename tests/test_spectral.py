@@ -20,7 +20,7 @@ from alphaeuler import (
     to_physical,
     to_spectral,
 )
-from alphaeuler.spectral import irfft2_passes, l2_norm, parseval_sum
+from alphaeuler.spectral import TWO_PI, irfft2_passes, l2_norm, parseval_sum, wrap_periodic
 from sampled import run_states
 
 TOL = 1e-12
@@ -325,3 +325,63 @@ class TestRestrict:
     def test_rejects_refinement(self):
         with pytest.raises(ValueError):
             restrict(SpectralField(Grid(8), np.zeros((8, 5), dtype=np.complex128)), Grid(16))
+
+
+class TestWrapPeriodic:
+    """`wrap_periodic` against the double np.mod it stands for, bit for bit."""
+
+    @staticmethod
+    def double_mod(x):
+        with np.errstate(invalid="ignore"):
+            return np.mod(np.mod(x, TWO_PI), TWO_PI)
+
+    def assert_matches(self, x):
+        with np.errstate(invalid="ignore"):
+            got = wrap_periodic(x)
+        assert got.shape == np.shape(x)
+        assert got.tobytes() == self.double_mod(x).tobytes()
+
+    def test_edges_of_the_shift_range(self):
+        edges = [
+            -0.0, 0.0, 5e-324, -5e-324, -1e-17, -1e-300, TWO_PI, np.nextafter(TWO_PI, 0.0),
+            np.nextafter(TWO_PI, 7.0), -TWO_PI, np.nextafter(-TWO_PI, 0.0), np.pi, -np.pi,
+            np.nextafter(2.0 * TWO_PI, 0.0),
+        ]
+        self.assert_matches(np.array(edges))
+        # every edge alone too: the shift or the fallback is chosen per call
+        for x in edges:
+            self.assert_matches(np.array(x))
+
+    def test_second_period_shifts_exactly(self):
+        self.assert_matches(np.linspace(TWO_PI, np.nextafter(2.0 * TWO_PI, 0.0), 4097))
+
+    @pytest.mark.parametrize("extra", [40.0, -40.0, 2.0 * TWO_PI, np.nextafter(-TWO_PI, -7.0), np.nan, np.inf, -np.inf])
+    def test_fallback(self, extra):
+        x = np.array([-1e-17, -0.0, 1.0, TWO_PI, 7.0, extra])
+        self.assert_matches(x)
+        self.assert_matches(x[::-1].reshape(3, 2).T)
+
+    def test_far_values_near_multiples_of_the_period(self):
+        # a single np.mod of these lands on exactly 2 pi
+        far = np.array([-k * TWO_PI for k in range(1, 40)])
+        self.assert_matches(np.concatenate([far, np.nextafter(far, 0.0), np.nextafter(far, -np.inf)]))
+
+    def test_random_positions_keep_their_layout(self):
+        rng = np.random.default_rng(0)
+        rows = rng.uniform(-TWO_PI, 2.0 * TWO_PI, size=(2, 4096))
+        rows[:, :64] = rng.uniform(-1e-15, 1e-15, size=(2, 64))
+        for x in (rows, rows.T, rows.T[::3]):
+            self.assert_matches(x)
+            assert wrap_periodic(x).strides == self.double_mod(x).strides
+
+    def test_result_is_a_new_array_in_the_period(self):
+        x = np.array([[-1e-17, 0.5], [TWO_PI, 3.0]])
+        got = wrap_periodic(x)
+        assert not np.shares_memory(got, x)
+        assert np.all((got >= 0.0) & (got < TWO_PI))
+        assert got[0, 0] == 0.0 and not np.signbit(got[0, 0])
+
+    def test_empty_and_scalar(self):
+        self.assert_matches(np.empty((0, 2)))
+        self.assert_matches(np.float64(-1e-17))
+        assert wrap_periodic([[1.0, -0.5]]).tobytes() == self.double_mod(np.array([[1.0, -0.5]])).tobytes()
