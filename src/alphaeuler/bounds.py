@@ -48,8 +48,9 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class ModulusEstimate:
-    """Translation modulus of continuity psi, either the power law h^s or a
-    sampled nondecreasing table interpolated linearly."""
+    """Translation modulus of continuity psi(h) = h^s, the besov kind; a
+    fit (`besov_modulus_fit`) also keeps its sampled (|h|, value) table
+    and its raw slope."""
 
     kind: str
     s: float | None = None
@@ -57,31 +58,15 @@ class ModulusEstimate:
     slope: float | None = None
 
     def __post_init__(self):
-        if self.kind == "besov":
-            if self.s is None or not 0.0 < self.s <= 1.0:
-                raise ValueError("besov modulus requires an exponent s in (0, 1]")
-        elif self.kind == "generic":
-            if self.table is None:
-                raise ValueError("generic modulus requires a sampled table")
-            t = np.asarray(self.table, dtype=float)
-            if t.ndim != 2 or t.shape[1] != 2 or t.shape[0] < 2:
-                raise ValueError("table must hold at least two (h, psi) rows")
-            if np.any(np.diff(t[:, 0]) <= 0) or np.any(np.diff(t[:, 1]) < 0):
-                raise ValueError("table must be increasing in h, nondecreasing in psi")
-        else:
+        if self.kind != "besov":
             raise ValueError(f"unknown modulus kind {self.kind!r}")
+        if self.s is None or not 0.0 < self.s <= 1.0:
+            raise ValueError("besov modulus requires an exponent s in (0, 1]")
 
     def __call__(self, h: float) -> float:
         if h < 0:
             raise ValueError("modulus arguments must be nonnegative")
-        if self.kind == "besov":
-            return float(h**self.s)
-        t = np.asarray(self.table, dtype=float)
-        if h == 0.0:
-            return 0.0
-        if h < t[0, 0] or h > t[-1, 0]:
-            raise ValueError(f"h={h} outside the sampled modulus range")
-        return float(np.interp(h, t[:, 0], t[:, 1]))
+        return float(h**self.s)
 
 
 def gamma0(
@@ -250,25 +235,18 @@ def default_shifts(n: int) -> list[tuple[int, int]]:
     return shifts
 
 
-def besov_modulus_fit(
-    omega0: PhysicalField, p: float, shifts=None
-) -> ModulusEstimate:
+def besov_modulus_fit(omega0: PhysicalField, p: float) -> ModulusEstimate:
     """Fit the translation modulus ||f(. + h) - f||_{L^p} ~ |h|^s.
 
-    Shifts are integer cell displacements (grid-commensurate, evaluated by
-    array rolls); the exponent is the log-log least-squares slope, capped
-    at 1 since Lipschitz data saturates there.  Returns a besov-kind
-    estimate that also carries the sampled (|h|, value) table and the raw
-    slope.
+    Shifts are the integer cell displacements of `default_shifts`
+    (grid-commensurate, evaluated by array rolls); the exponent is the
+    log-log least-squares slope, capped at 1 since Lipschitz data saturates
+    there.  Returns a besov-kind estimate that also carries the sampled
+    (|h|, value) table and the raw slope.
     """
     g = omega0.grid
-    if shifts is None:
-        shifts = default_shifts(g.n)
-    shifts = [tuple(map(int, sh)) for sh in shifts]
-    if len(shifts) < 3:
-        raise ValueError("at least 3 shifts are required for a fit")
     hs, vals = [], []
-    for j1, j2 in shifts:
+    for j1, j2 in default_shifts(g.n):
         shifted = np.roll(omega0.values, (-j1, -j2), axis=(0, 1))
         diff = PhysicalField(g, shifted - omega0.values)
         value = lp_norm(diff, p)

@@ -22,17 +22,18 @@ from .harness import (
     SweepError,
     _finite_list,
     _parse,
+    banded_run,
     build_datum,
     compare_bands,
     csv_lines,
     csv_row,
     filtered_solve,
     load_config,
-    reference_run,
     run_sweep,
+    study_datum,
     trace_bands,
 )
-from .lagrangian import ParticleSet, flow_distance
+from .lagrangian import flow_distance
 from .solver import SolverError, run, save_checkpoint
 from .spectral import Grid
 from .vorticity import AlphaParam
@@ -134,23 +135,19 @@ def cmd_flows(args) -> int:
     for flag, value in (("--alpha", alpha), ("--c-cal", args.c_cal)):
         if not 0.0 < value < math.inf:  # NaN included
             raise ValueError(f"{flag} must be positive and finite, got {value}")
-    ref = reference_run(cfg)
-    solve = filtered_solve(alpha, ref.omega0, cfg)
-    delta = compare_bands(solve.bands, alpha, ref.bands, 0.0, ref.grid, ref.times, p_list=())[2]
+    datum, omega0 = study_datum(cfg)
+    ref = banded_run(datum, 0.0, cfg, monitor=False)
+    solve = filtered_solve(alpha, omega0, cfg)
+    delta = compare_bands(solve, ref, cfg, p_list=())[2]
     delta_total = float(delta[-1])
 
     out = _resolve_output(cfg.output_dir, args.output, "flows_output")
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     # the two lattices advance in lockstep, one sample's positions at a time
-    traces = zip(trace_bands(solve.bands, alpha, ref.grid, cfg), trace_bands(ref.bands, 0.0, ref.grid, cfg))
-    for j, (t, (pa, pr)) in enumerate(zip(ref.times, traces)):
-        comp = flow_distance(
-            ParticleSet(pa, float(t)),
-            ParticleSet(pr, float(t)),
-            delta=max(delta_total, 1e-300),
-            c_cal=args.c_cal,
-        )
+    traces = zip(trace_bands(solve, cfg), trace_bands(ref, cfg))
+    for j, (t, (pa, pr)) in enumerate(zip(cfg.solver_config().sample_times, traces)):
+        comp = flow_distance(pa, pr, delta=max(delta_total, 1e-300), c_cal=args.c_cal)
         rows.append((t, comp.mean_distance, comp.l2_distance, comp.g_delta, delta[j], comp.log_bound))
     lines = csv_lines("t,mean_distance,l2_distance,g_delta,delta,log_bound", rows)
     (out / "flows.csv").write_text("\n".join(lines) + "\n")

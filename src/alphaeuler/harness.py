@@ -6,31 +6,36 @@ velocity/vorticity/flow-map errors against the spectrally restricted
 reference at shared sample times, fits log-log rates, and persists a CSV
 table plus a JSON summary.
 
-A filtered solve (`filtered_solve`) needs only the initial datum and the
-sample times, not the reference, so the reference, the Richardson run and
-every alpha solve go to one pool of `effective_workers()` threads at once:
-the reference first, then the Richardson run, then the solves smallest
-alpha first.  The filter bounds |u|, so a smaller alpha never takes fewer
-CFL steps, and the costliest solves start first.  `run_sweep`'s own thread
-is the one place a solve meets the reference: it waits for the reference,
+Every run of a study is one `banded_run`, kept as a `BandedRun`: its
+alpha and the dealias band of each sample's restriction to the study grid.
+The reference is the unfiltered run of the n_ref datum, the Richardson run
+the unfiltered run of its restriction omega0 (`study_datum` makes both),
+and a filtered solve (`filtered_solve`) the run of omega0's
+approximating-family datum at its alpha, with its gamma0.  A solve needs
+only omega0, not the reference, so the reference, the Richardson run and
+every solve go to one pool of `effective_workers()` threads at once: the
+reference first, then the Richardson run, then the solves smallest alpha
+first.  The filter bounds |u|, so a smaller alpha never takes fewer CFL
+steps, and the costliest solves start first.  `run_sweep`'s own thread is
+the one place a solve meets the reference: it waits for the reference,
 takes the Richardson gap, then compares each solve in the order they were
 submitted, while the pool runs the next.  A solve waiting for its
-comparison holds little: its samples are kept as their dealias bands, next
-to its lattice's positions at each sample time.  Every worker count
-takes the same path; a one-thread pool runs its jobs first in, first out,
-so every solve starts after the reference.  The report does not depend on
-the worker count or the order.
+comparison holds little: its bands, next to its lattice's positions at
+each sample time.  Every worker count takes the same path; a one-thread
+pool runs its jobs first in, first out, so every solve starts after the
+reference.  The report does not depend on the worker count or the order.
 
 Every run is traced one way, after it ends, from its bands: `trace_bands`
-makes each sample's velocity from its band, with one velocity table per
+writes each sample's velocity from its band, with one velocity table per
 call, and yields the particle lattice's positions one sample at a time.
 A sweep's reference job and each solve job collect their own positions
-inside the job, so the tracing runs on the pool.  Two sampled runs meet
-in one place, `compare_bands`, band to band: a solve and the reference,
-the Richardson run and the reference, and the `flows` command, which
-makes the same calls as a sweep's alpha: `reference_run`,
+inside the job, so the tracing runs on the pool.  Two runs meet in one
+place, `compare_bands`, band to band: a solve and the reference, the
+Richardson run and the reference, and the `flows` command, which makes
+the same calls as a sweep's alpha: `study_datum`, `banded_run`,
 `filtered_solve`, `compare_bands` and `trace_bands`, its two traces in
-lockstep, so it holds no whole trajectory.
+lockstep, so it holds no whole trajectory.  Both read the study grid and
+the sample times from the config.
 """
 
 from __future__ import annotations
@@ -51,9 +56,8 @@ from .bounds import gamma0 as initial_velocity_gap
 from .initial_data import approximating_family, disc_patch, fractal_patch, shear, smooth_random
 from .lagrangian import TrajectoryStream, cumulative_trapezoid, seed_particles
 from .solver import MonitorLog, SolverConfig, SolverError, run
-from .spectral import Grid, PhysicalField, SpectralField, restrict
-from .spectral import irfft2_passes, pack_band, unpack_band
-from .vorticity import AlphaParam, _velocity_multipliers, biot_savart, lp_norm, torus_distance, velocity
+from .spectral import Grid, PhysicalField, SpectralField, band_index, irfft2_passes, pack_band, restrict
+from .vorticity import AlphaParam, _velocity_multipliers, biot_savart, lp_norm, torus_distance
 from .vorticity import velocity_l2, velocity_l2_distance
 
 CSV_COLUMNS = (
@@ -67,9 +71,6 @@ WORKERS_ENV = "AEUL_WORKERS"
 # The Richardson gate: the reference's restriction gap must stay below this
 # fraction of the smallest filtered velocity error.
 RICHARDSON_FACTOR = 0.1
-
-EULER = AlphaParam(0.0)
-
 
 class SweepError(RuntimeError):
     """Sweep-level failure (e.g. the reference failed its consistency check)."""
@@ -201,18 +202,6 @@ def build_datum(spec: DatumSpec, grid: Grid, default_seed: int = 0) -> SpectralF
     if scale != 1.0:
         datum = SpectralField(grid, datum.coeffs * scale)
     return datum
-
-
-def _study_restriction(datum: SpectralField, grid: Grid) -> SpectralField:
-    """The datum restricted to the study grid, which must keep some of it:
-    a restriction that is identically zero would give a table of zeros."""
-    omega0 = restrict(datum, grid)
-    if not omega0.coeffs.any():
-        raise ValueError(
-            f"the [datum] vorticity has no mode in the dealias band |k| <= "
-            f"{grid.kmax_dealias} of the n = {grid.n} study grid"
-        )
-    return omega0
 
 
 @dataclass
@@ -363,87 +352,79 @@ class ConvergenceReport:
 
 
 @dataclass(frozen=True)
-class ReferenceRun:
-    """The unfiltered reference of a study, run on the n_ref grid and kept
-    on the study grid: the restricted initial datum and the dealias band of
-    each restricted sample (`pack_band`; restriction keeps the band only,
-    so the bands hold all of it)."""
-
-    grid: Grid
-    solver: SolverConfig
-    omega0: SpectralField
-    bands: tuple
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.solver.sample_times
-
-
-@dataclass(frozen=True)
-class FilteredSolve:
-    """One filtered run on the study grid, before it meets the reference:
-    the dealias band of each sample (`pack_band`; the solver keeps every
-    sample dealiased, so the bands hold all of it), the monitor log and the
-    initial velocity gap gamma0."""
+class BandedRun:
+    """One run of a study, kept on the study grid: the filter scale, the
+    dealias band of each sample's restriction to the study grid
+    (`banded_run`), the monitor log when the run kept one, and the initial
+    velocity gap gamma0 of a filtered solve."""
 
     alpha: float
     bands: tuple
-    monitor: MonitorLog
-    gamma0: float
+    monitor: MonitorLog | None = None
+    gamma0: float = float("nan")
 
 
-def reference_run(cfg: ExperimentConfig, datum: SpectralField | None = None) -> ReferenceRun:
-    """Run the unfiltered reference on the n_ref grid, keeping each sample
-    as the dealias band of its spectral restriction to the study grid.
-    `datum` is the initial vorticity on the n_ref grid, built from
-    cfg.datum when not given."""
+def study_datum(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
+    """The initial vorticity on the n_ref grid and its restriction omega0
+    to the study grid, which must keep some of it: a restriction that is
+    identically zero would give a table of zeros."""
     grid = Grid(cfg.n)
-    solver = cfg.solver_config()
-    if datum is None:
-        datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-    omega0 = _study_restriction(datum, grid)
+    datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+    omega0 = restrict(datum, grid)
+    if not omega0.coeffs.any():
+        raise ValueError(
+            f"the [datum] vorticity has no mode in the dealias band |k| <= "
+            f"{grid.kmax_dealias} of the n = {grid.n} study grid"
+        )
+    return datum, omega0
+
+
+def banded_run(q0: SpectralField, alpha: float, cfg: ExperimentConfig, monitor: bool = True) -> BandedRun:
+    """`run` q0, on the n_ref grid or the study grid, over the study's
+    sample times, keeping each sample as the dealias band of its
+    restriction to the study grid (`pack_band`: restriction keeps the band
+    only, so the bands hold all of it)."""
+    grid = Grid(cfg.n)
     bands = []
-    run(datum, EULER, solver, on_sample=lambda s, u: bands.append(pack_band(restrict(s.q, grid))), monitor=False)
-    return ReferenceRun(grid=grid, solver=solver, omega0=omega0, bands=tuple(bands))
+    sim = run(
+        q0, AlphaParam(alpha), cfg.solver_config(),
+        on_sample=lambda s, u: bands.append(pack_band(s.q, grid)), monitor=monitor,
+    )
+    return BandedRun(alpha, tuple(bands), sim.monitor)
 
 
-def _banded_run(q0: SpectralField, a: AlphaParam, cfg: ExperimentConfig, monitor=True):
-    """`run` on the study's sample times, keeping each sample as its dealias
-    band; returns the bands and the monitor log."""
-    bands = []
-    sim = run(q0, a, cfg.solver_config(), on_sample=lambda s, u: bands.append(pack_band(s.q)), monitor=monitor)
-    return tuple(bands), sim.monitor
-
-
-def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig) -> FilteredSolve:
-    """Solve from the approximating-family datum of omega0 at this alpha.
-    Needs nothing of the reference run but its initial datum.  Raises
-    SolverError when the solve fails."""
+def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig) -> BandedRun:
+    """Solve from the approximating-family datum of omega0 at this alpha,
+    with its gamma0.  Needs nothing of the reference run but its initial
+    datum.  Raises SolverError when the solve fails."""
     a = AlphaParam(alpha)
     q0 = approximating_family(omega0, a, cfg.family)
-    bands, monitor = _banded_run(q0, a, cfg)
-    return FilteredSolve(alpha=alpha, bands=bands, monitor=monitor, gamma0=initial_velocity_gap(q0, omega0, a))
+    return replace(banded_run(q0, alpha, cfg), gamma0=initial_velocity_gap(q0, omega0, a))
 
 
-def trace_bands(bands, alpha: float, grid: Grid, cfg: ExperimentConfig):
+def trace_bands(run: BandedRun, cfg: ExperimentConfig):
     """Yield the positions of the study's particle lattice at each sample
-    time of a run on `grid`, given as the dealias bands of its samples
-    (`pack_band`): each velocity K^alpha q is made from its band with one
-    velocity table per call and pushed into one `TrajectoryStream`, so at
-    most two velocities and one set of positions are alive."""
-    a = AlphaParam(alpha)
-    table = _velocity_multipliers(grid, a)
+    time of a run: each velocity K^alpha q is written from its band, the
+    band's rows of the one velocity table of the call times the band, into
+    a zeroed two-plane half spectrum, and pushed into one
+    `TrajectoryStream`, so at most two velocities and one set of positions
+    are alive."""
+    grid = Grid(cfg.n)
+    rows, width = band_index(grid, grid.n)
+    table = _velocity_multipliers(grid, AlphaParam(run.alpha))[:, rows, :width]
+    spec = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
     stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
-    for t, band in zip(cfg.solver_config().sample_times, bands):
-        yield stream.push(t, velocity(unpack_band(band, grid), a, table).physical())
+    for t, band in zip(cfg.solver_config().sample_times, run.bands):
+        spec[..., :width] = 0.0  # the inverse passes overwrite these columns
+        spec[:, rows, :width] = table * band.reshape(rows.size, width)
+        yield stream.push(t, irfft2_passes(spec))
 
 
-def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, times, p_list=CSV_PS):
-    """The gaps between two sampled runs on `grid`, given as the dealias
-    bands of their samples (`pack_band`): per sample the L2 velocity
+def compare_bands(run_a: BandedRun, run_b: BandedRun, cfg: ExperimentConfig, p_list):
+    """The gaps between two runs of a study: per sample the L2 velocity
     distance and the L^p vorticity distance for each p in `p_list`, and
-    delta(t), the L1 velocity distance integrated over `times` (trapezoid
-    rule).  Comparing a run against itself yields exact zeros.
+    delta(t), the L1 velocity distance integrated over the sample times
+    (trapezoid rule).  Comparing a run against itself yields exact zeros.
 
     Per sample one two-plane half-spectrum stack, written on the band's
     rows and columns, is transformed twice: first the two components of
@@ -452,20 +433,19 @@ def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, 
     taken by Parseval before the transform, and whose difference in
     physical space serves every p; an empty `p_list` skips that second
     transform."""
-    width = grid.kmax_dealias + 1
-    # a band lists the rows of the band's k1 in order, each over k2 <= kmax
-    rows = np.flatnonzero(grid.keep_mask[:, 0])
+    grid = Grid(cfg.n)
+    rows, width = band_index(grid, grid.n)
     block = (rows.size, width)
-    a, b = AlphaParam(alpha_a), AlphaParam(alpha_b)
+    a, b = AlphaParam(run_a.alpha), AlphaParam(run_b.alpha)
     k_a = _velocity_multipliers(grid, a)[:, rows, :width]
     k_b = _velocity_multipliers(grid, b)[:, rows, :width]
     spec = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
     phys = np.empty((2, grid.n, grid.n))
     vel, gaps = [], []
     vort = {p: [] for p in p_list}
-    for band_a, band_b in zip(bands_a, bands_b):
+    for band_a, band_b in zip(run_a.bands, run_b.bands):
         qa, qb = band_a.reshape(block), band_b.reshape(block)
-        spec[..., :width] = 0.0  # the inverse passes overwrite these columns
+        spec[..., :width] = 0.0
         spec[:, rows, :width] = k_a * qa - k_b * qb
         irfft2_passes(spec, out=phys)
         gaps.append(np.sqrt(phys[0] ** 2 + phys[1] ** 2).sum() * grid.cell_area)
@@ -479,23 +459,22 @@ def compare_bands(bands_a, alpha_a: float, bands_b, alpha_b: float, grid: Grid, 
         diff = PhysicalField(grid, phys[0] - phys[1])
         for p in p_list:
             vort[p].append(lp_norm(diff, p))
+    times = cfg.solver_config().sample_times
     return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}, cumulative_trapezoid(times, gaps)
 
 
 def _alpha_record(
-    solve: FilteredSolve, trajectory: tuple, ref: ReferenceRun, ref_trajectory: tuple, cfg: ExperimentConfig
+    solve: BandedRun, trajectory: tuple, ref: BandedRun, ref_trajectory: tuple, cfg: ExperimentConfig
 ) -> AlphaRecord:
     """The comparison half of an alpha: the solve and its lattice's
     positions at each sample time (`trace_bands`) measured against the
     reference's."""
-    vel_err, vort_err, delta = compare_bands(
-        solve.bands, solve.alpha, ref.bands, 0.0, ref.grid, ref.times, cfg.p_list
-    )
+    vel_err, vort_err, delta = compare_bands(solve, ref, cfg, cfg.p_list)
     flow_dist = np.array([float(torus_distance(pa, pr).mean()) for pa, pr in zip(trajectory, ref_trajectory)])
     monitor = solve.monitor
     return AlphaRecord(
         alpha=solve.alpha,
-        times=ref.times,
+        times=cfg.solver_config().sample_times,
         vel_l2_err=vel_err,
         vort_err=vort_err,
         flow_dist=flow_dist,
@@ -516,8 +495,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     If the reference, a solve or a comparison raises, the jobs not yet
     started are cancelled and the exception propagates."""
     workers = cfg.effective_workers()
-    datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-    omega0 = _study_restriction(datum, Grid(cfg.n))
+    datum, omega0 = study_datum(cfg)
     alphas = cfg.alpha_list
     records = [None] * len(alphas)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -528,8 +506,8 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         # then the same computation.  The solves follow, costliest
         # (smallest alpha) first.
         def traced_reference():
-            ref = reference_run(cfg, datum)
-            return ref, tuple(trace_bands(ref.bands, 0.0, ref.grid, cfg))
+            ref = banded_run(datum, 0.0, cfg, monitor=False)
+            return ref, tuple(trace_bands(ref, cfg))
 
         reference = pool.submit(traced_reference)
 
@@ -540,12 +518,12 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
 
         def richardson():
             done_reference()
-            return _banded_run(omega0, EULER, cfg, monitor=False)
+            return banded_run(omega0, 0.0, cfg, monitor=False)
 
         def solve(alpha: float):
             done_reference()
             solved = filtered_solve(alpha, omega0, cfg)
-            return solved, tuple(trace_bands(solved.bands, alpha, omega0.grid, cfg))
+            return solved, tuple(trace_bands(solved, cfg))
 
         jobs = [pool.submit(richardson)]
         jobs += [pool.submit(solve, alpha) for alpha in reversed(alphas)]
@@ -554,9 +532,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
             # Same-resolution unfiltered run: its gap to the restricted
             # reference estimates the discretization error floor
             # (Richardson consistency).
-            richardson_error = float(compare_bands(
-                jobs.pop(0).result()[0], 0.0, ref.bands, 0.0, ref.grid, ref.times, p_list=()
-            )[0].max())
+            richardson_error = float(compare_bands(jobs.pop(0).result(), ref, cfg, p_list=())[0].max())
             # Each job is dropped once taken, and no name holds a compared
             # solve, so it is freed before the next solve is waited for.
             for i in reversed(range(len(alphas))):
@@ -600,13 +576,13 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         n=cfg.n,
         n_ref=cfg.n_ref,
         t_end=cfg.t_end,
-        times=ref.times,
+        times=cfg.solver_config().sample_times,
         p_list=cfg.p_list,
         records=records,
         velocity_rate=velocity_rate,
         vorticity_rates=vorticity_rates,
         richardson_error=richardson_error,
-        u0_l2=velocity_l2(biot_savart(ref.omega0)),
+        u0_l2=velocity_l2(biot_savart(omega0)),
     )
     compare_bounds(report, BoundParams(horizon=max(1.0, cfg.t_end)))
     if cfg.output_dir is not None:

@@ -71,28 +71,16 @@ def _mean_free_spectral(values: np.ndarray, grid: Grid) -> SpectralField:
     return SpectralField(grid, out)
 
 
-def disc_patch(
-    center: tuple[float, float],
-    radius: float,
-    amplitude: float,
-    grid: Grid,
-    mollify_cells: float = 0.0,
-) -> SpectralField:
+def disc_patch(center: tuple[float, float], radius: float, amplitude: float, grid: Grid) -> SpectralField:
     """Mean-free disc of vorticity: amplitude inside, rasterized by
-    cell-center membership.  mollify_cells > 0 applies a Gaussian smoothing
-    of that many cells for spectral-ringing studies."""
+    cell-center membership."""
     if not 0.0 < radius < math.pi:
         raise ValueError("radius must lie in (0, pi)")
     # the torus distance from the centre, from the wrapped offsets along
     # each axis: one (n,) array each, not an (n, n, 2) mesh
     d1, d2 = (wrap_periodic(grid.x - c + np.pi) - np.pi for c in np.asarray(center, dtype=float))
     inside = np.hypot(d1[:, None], d2[None, :]) <= radius
-    field = _mean_free_spectral(amplitude * inside.astype(float), grid)
-    if mollify_cells > 0.0:
-        sigma = mollify_cells * grid.dx
-        kernel = np.exp(-0.5 * sigma * sigma * grid.ksq)
-        field = SpectralField(grid, field.coeffs * kernel)
-    return field
+    return _mean_free_spectral(amplitude * inside.astype(float), grid)
 
 
 def _koch_refine(vertices: np.ndarray) -> np.ndarray:
@@ -140,16 +128,14 @@ def boundary_cells(inside: np.ndarray) -> np.ndarray:
     return edges
 
 
-def box_counting_dimension(
-    cells: np.ndarray, fit_sizes=None
-) -> tuple[float, list[tuple[int, int]]]:
+def box_counting_dimension(cells: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
     """Box-counting dimension of a cell mask from dyadic box counts.
 
     Counts occupied boxes of side 1, 2, 4, ... cells and fits the slope of
-    log N against log(1/side) over fit_sizes.  The default window {4, 8, 16}
-    sits above the rasterization floor (1-2 cell boxes saturate on the
-    pixelated boundary) and below the coarse scales where too few boxes
-    remain to count.
+    log N against log(1/side) over the window {4, 8, 16}, or every side
+    when fewer than two of those are counted.  The window sits above the
+    rasterization floor (1-2 cell boxes saturate on the pixelated boundary)
+    and below the coarse scales where too few boxes remain to count.
     """
     n = cells.shape[0]
     sizes = []
@@ -162,11 +148,10 @@ def box_counting_dimension(
         coarse = cells.reshape(n // s, s, n // s, s).any(axis=(1, 3))
         counts.append(int(coarse.sum()))
     table = list(zip(sizes, counts))
-    if fit_sizes is None:
-        fit_sizes = [s for s in sizes if s in (4, 8, 16)]
-        if len(fit_sizes) < 2:
-            fit_sizes = sizes
-    pts = [(s, c) for s, c in table if s in set(fit_sizes) and c > 0]
+    fit_sizes = {s for s in sizes if s in (4, 8, 16)}
+    if len(fit_sizes) < 2:
+        fit_sizes = set(sizes)
+    pts = [(s, c) for s, c in table if s in fit_sizes and c > 0]
     if len(pts) < 2:
         raise ValueError("not enough box scales for a dimension estimate")
     log_inv_s = np.log([1.0 / s for s, _ in pts])

@@ -47,16 +47,22 @@ from .vorticity import torus_distance
 @dataclass
 class ParticleSet:
     """Particle positions on the torus, tagged with the time they refer to:
-    a C-ordered (count, 2) array in [0, 2*pi)."""
+    a C-ordered (count, 2) array in [0, 2*pi), from finite positions at a
+    finite time."""
 
     positions: np.ndarray
     t_origin: float
 
     def __post_init__(self):
-        self.positions = np.asarray(self.positions, dtype=float, order="C")
-        if self.positions.ndim != 2 or self.positions.shape[1] != 2:
+        x = np.asarray(self.positions, dtype=float, order="C")
+        if x.ndim != 2 or x.shape[1] != 2:
             raise ValueError("positions must have shape (count, 2)")
-        self.positions = wrap_periodic(self.positions)
+        finite = np.isfinite(x)
+        if not finite.all():
+            raise ValueError(f"particle positions must be finite, got {x[~finite][0]}")
+        if not math.isfinite(self.t_origin):
+            raise ValueError(f"a particle set's t_origin must be finite, got {self.t_origin}")
+        self.positions = wrap_periodic(x)
 
     @property
     def count(self) -> int:
@@ -355,20 +361,18 @@ class FlowComparison:
     applicable: bool
 
 
-def flow_distance(
-    pa: ParticleSet, pb: ParticleSet, delta: float, c_cal: float = 1.0
-) -> FlowComparison:
-    """Mean/rms torus distance between matched particle sets, the averaged
-    log-distance functional at scale delta, and the calibrated bound
-    c_cal / |log delta| (inapplicable when delta >= 1); delta must be
-    positive and finite."""
-    if pa.count != pb.count:
-        raise ValueError("particle sets must have matching counts")
+def flow_distance(xa: np.ndarray, xb: np.ndarray, delta: float, c_cal: float = 1.0) -> FlowComparison:
+    """Mean/rms torus distance between matched (count, 2) particle
+    positions, wrapped or not, the averaged log-distance functional at
+    scale delta, and the calibrated bound c_cal / |log delta| (inapplicable
+    when delta >= 1); delta must be positive and finite."""
+    if np.shape(xa) != np.shape(xb):
+        raise ValueError(f"particle positions must have matching shapes, got {np.shape(xa)} and {np.shape(xb)}")
     if not 0.0 < delta < math.inf:  # NaN included
         raise ValueError(f"delta must be positive and finite, got {delta}")
     if not 0.0 < c_cal < math.inf:  # NaN included
         raise ValueError(f"c_cal must be positive and finite, got {c_cal}")
-    d = torus_distance(pa.positions, pb.positions)
+    d = torus_distance(xa, xb)
     mean_distance = float(d.mean())
     l2_distance = float(np.sqrt((d**2).mean()))
     g_delta = float(np.log(d / delta + 1.0).mean())

@@ -18,7 +18,9 @@ Every inverse transform in the package, ``to_physical`` included, goes
 through ``irfft2_passes``: the two per-axis passes of ``irfft2``, with the
 complex one over the dealias band's columns only when the columns past it
 are empty.  Sums over the whole lattice of a quantity even in k go through
-``parseval_sum``, which owns the column weights.
+``parseval_sum``, which owns the column weights.  A dealiased field's
+coefficients inside the band are kept flat (``pack_band``), row by row in
+the one layout ``band_index`` gives.
 """
 
 from __future__ import annotations
@@ -225,18 +227,32 @@ def dealias(f: SpectralField) -> SpectralField:
     return SpectralField(f.grid, np.where(f.grid.keep_mask, f.coeffs, 0.0))
 
 
-def pack_band(f: SpectralField) -> np.ndarray:
-    """The coefficients inside the dealias band, row by row, a flat array
-    about 44 % the size of the half spectrum: all that a dealiased field
-    holds."""
-    return f.coeffs[f.grid.keep_mask]
+def band_index(grid: Grid, n: int) -> tuple[np.ndarray, int]:
+    """Where the dealias band of `grid` sits in an n-row half spectrum,
+    n >= grid.n: its rows, k1 = 0 .. kmax then -kmax .. -1 in FFT order,
+    and its width, the columns k2 = 0 .. kmax.  A band lists these rows
+    in order, each over the width."""
+    if grid.n > n:
+        raise ValueError("target grid must not be finer than the source")
+    kmax = grid.kmax_dealias
+    return np.concatenate([np.arange(kmax + 1), np.arange(n - kmax, n)]), kmax + 1
+
+
+def pack_band(f: SpectralField, grid: Grid) -> np.ndarray:
+    """The coefficients of f inside the dealias band of `grid`, no finer
+    than f's, row by row (`band_index`), taken in one gather: a flat array
+    about 44 % the size of grid's half spectrum, all that f's restriction
+    to grid holds."""
+    rows, width = band_index(grid, f.grid.n)
+    return f.coeffs[rows, :width].ravel()
 
 
 def unpack_band(band: np.ndarray, grid: Grid) -> SpectralField:
-    """Inverse of `pack_band` for a dealiased field: the band back in place
-    and +0 outside it."""
+    """Inverse of `pack_band` on `grid`: the band back in place and +0
+    outside it."""
+    rows, width = band_index(grid, grid.n)
     coeffs = np.zeros((grid.n, grid.n // 2 + 1), dtype=np.complex128)
-    coeffs[grid.keep_mask] = band
+    coeffs[rows, :width] = band.reshape(rows.size, width)
     return SpectralField(grid, coeffs)
 
 
@@ -245,15 +261,9 @@ def restrict(f: SpectralField, coarse: Grid) -> SpectralField:
 
     Keeps the modes inside the coarse grid's dealias band; coefficients are
     resolution-independent under the Fourier-series convention, so this is a
-    plain copy of the rows of every signed k1 in the band, columns 0..kmax.
+    plain copy of the band.
     """
-    if coarse.n > f.grid.n:
-        raise ValueError("target grid must not be finer than the source")
-    kmax = coarse.kmax_dealias
-    k1 = np.concatenate([np.arange(0, kmax + 1), np.arange(-kmax, 0)])
-    out = np.zeros((coarse.n, coarse.n // 2 + 1), dtype=np.complex128)
-    out[k1 % coarse.n, : kmax + 1] = f.coeffs[k1 % f.grid.n, : kmax + 1]
-    return SpectralField(coarse, out)
+    return unpack_band(pack_band(f, coarse), coarse)
 
 
 def parseval_sum(density: np.ndarray) -> float:

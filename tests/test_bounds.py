@@ -224,20 +224,11 @@ class TestVorticityRateBound:
 
 
 class TestModulusEstimate:
-    def test_generic_interpolation(self):
-        table = np.array([[0.1, 0.2], [0.2, 0.4], [0.4, 0.5]])
-        mod = ModulusEstimate(kind="generic", table=table)
-        assert mod(0.15) == pytest.approx(0.3, rel=1e-12)
-        assert mod(0.0) == 0.0
-
-    def test_generic_out_of_range(self):
-        mod = ModulusEstimate(kind="generic", table=np.array([[0.1, 0.2], [0.2, 0.4]]))
-        with pytest.raises(ValueError):
-            mod(0.5)
-
-    def test_generic_must_be_monotone(self):
-        with pytest.raises(ValueError):
-            ModulusEstimate(kind="generic", table=np.array([[0.1, 0.5], [0.2, 0.4]]))
+    def test_unknown_kind_rejected(self):
+        # the table-interpolating "generic" kind is gone; a fit keeps its
+        # table as metadata of the besov kind
+        with pytest.raises(ValueError, match="unknown modulus kind 'generic'"):
+            ModulusEstimate(kind="generic", table=np.array([[0.1, 0.2], [0.2, 0.4]]))
 
     def test_besov_needs_s(self):
         with pytest.raises(ValueError):
@@ -263,12 +254,6 @@ class TestBesovFit:
         f = sample(g, lambda x1, x2: np.zeros_like(x1))
         with pytest.raises(ValueError):
             besov_modulus_fit(f, 2.0)
-
-    def test_too_few_shifts(self):
-        g = Grid(32)
-        f = sample(g, lambda x1, x2: np.cos(x1))
-        with pytest.raises(ValueError):
-            besov_modulus_fit(f, 2.0, shifts=[(1, 0), (2, 0)])
 
     def test_table_is_nondecreasing(self):
         g = Grid(64)

@@ -197,6 +197,26 @@ class TestFlowsCommand:
         assert len((tmp_path / "flows" / "flows.csv").read_text().splitlines()) == 2 + cfg.samples + 1
         assert peak < trajectories
 
+    def test_flows_wraps_each_position_once(self, shear_cfg, tmp_path, monkeypatch):
+        # a row used to wrap the stream's positions again, in a particle set
+        # of each lattice: two more wraps per row
+        from alphaeuler import lagrangian, vorticity
+
+        wraps = []
+        wrap = lagrangian.wrap_periodic
+
+        def counting(x):
+            wraps.append(np.shape(x))
+            return wrap(x)
+
+        monkeypatch.setattr(lagrangian, "wrap_periodic", counting)
+        monkeypatch.setattr(vorticity, "wrap_periodic", counting)
+        assert main(["flows", "--config", str(shear_cfg), "--alpha", "0.5", "--output", str(tmp_path / "f")]) == 0
+        samples = load_config(shear_cfg).samples
+        # each lattice's seed and its advance across each sample interval,
+        # and the torus distance of each row
+        assert len(wraps) == 2 * (1 + samples) + (samples + 1)
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--c-cal", "nan"), ("--c-cal", "inf"), ("--c-cal", "0"), ("--c-cal", "-2"),

@@ -429,16 +429,12 @@ class TestSweepInvariants:
         assert smooth_config().effective_workers() == 2
 
     def test_self_comparison_yields_zero(self):
-        from alphaeuler import AlphaParam, Grid, SolverConfig, smooth_random
-        from alphaeuler.harness import compare_bands
-        from alphaeuler.spectral import pack_band
+        from alphaeuler import smooth_random
+        from alphaeuler.harness import CSV_PS, banded_run, compare_bands
 
-        g = Grid(32)
-        q0 = smooth_random(3, 2.0, 5, g)
-        times = np.linspace(0.0, 0.2, 3)
-        _, states = run_states(q0, AlphaParam(0.1), SolverConfig(t_end=0.2, sample_times=times))
-        bands = [pack_band(s.q) for s in states]
-        vel, vort, delta = compare_bands(bands, 0.1, bands, 0.1, g, times)
+        cfg = smooth_config(n=32, n_ref=32, t_end=0.2, samples=2)
+        solve = banded_run(smooth_random(3, 2.0, 5, Grid(32)), 0.1, cfg)
+        vel, vort, delta = compare_bands(solve, solve, cfg, CSV_PS)
         assert not vel.any()
         assert not any(arr.any() for arr in vort.values())
         assert not delta.any()
@@ -446,19 +442,21 @@ class TestSweepInvariants:
     def test_compare_bands_matches_per_p_formula(self):
         # one transform per sample, reused for every p, must reproduce the
         # per-p evaluation bit for bit
-        from alphaeuler import AlphaParam, Grid, SolverConfig, smooth_random
-        from alphaeuler.harness import CSV_PS, compare_bands
+        from alphaeuler import AlphaParam, Grid, smooth_random
+        from alphaeuler.harness import CSV_PS, BandedRun, compare_bands
         from alphaeuler.spectral import pack_band, parseval_sum
         from alphaeuler.vorticity import velocity_l2_distance
 
         g = Grid(32)
-        times = np.linspace(0.0, 0.2, 3)
-        cfg = SolverConfig(t_end=0.2, sample_times=times)
+        cfg = smooth_config(n=32, n_ref=32, t_end=0.2, samples=2)
         a, b = AlphaParam(0.1), AlphaParam(0.0)
-        qs_a = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), a, cfg)[1]]
-        qs_b = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), b, cfg)[1]]
+        qs_a = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), a, cfg.solver_config())[1]]
+        qs_b = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), b, cfg.solver_config())[1]]
         vel, vort, _ = compare_bands(
-            [pack_band(q) for q in qs_a], 0.1, [pack_band(q) for q in qs_b], 0.0, g, times
+            BandedRun(0.1, tuple(pack_band(q, g) for q in qs_a)),
+            BandedRun(0.0, tuple(pack_band(q, g) for q in qs_b)),
+            cfg,
+            CSV_PS,
         )
         filt = 1.0 / (1.0 + 0.1 * g.ksq)
         for j, (qa, qb) in enumerate(zip(qs_a, qs_b)):
@@ -473,19 +471,13 @@ class TestSweepInvariants:
     def test_empty_p_list_skips_only_the_vorticity_gaps(self):
         # the Richardson gate and `flows` ask for no vorticity gap; the
         # velocity gaps and delta are those of the full comparison
-        from alphaeuler import AlphaParam, Grid, SolverConfig, smooth_random
-        from alphaeuler.harness import compare_bands
-        from alphaeuler.spectral import pack_band
+        from alphaeuler import smooth_random
+        from alphaeuler.harness import CSV_PS, banded_run, compare_bands
 
-        g = Grid(32)
-        times = np.linspace(0.0, 0.2, 3)
-        cfg = SolverConfig(t_end=0.2, sample_times=times)
-        bands = [
-            [pack_band(s.q) for s in run_states(smooth_random(3, 2.0, 5, g), AlphaParam(alpha), cfg)[1]]
-            for alpha in (0.1, 0.0)
-        ]
-        vel, vort, delta = compare_bands(bands[0], 0.1, bands[1], 0.0, g, times)
-        vel_only, vort_none, delta_only = compare_bands(bands[0], 0.1, bands[1], 0.0, g, times, p_list=())
+        cfg = smooth_config(n=32, n_ref=32, t_end=0.2, samples=2)
+        runs = [banded_run(smooth_random(3, 2.0, 5, Grid(32)), alpha, cfg) for alpha in (0.1, 0.0)]
+        vel, vort, delta = compare_bands(*runs, cfg, CSV_PS)
+        vel_only, vort_none, delta_only = compare_bands(*runs, cfg, p_list=())
         assert vort and vort_none == {}
         assert vel_only.tobytes() == vel.tobytes()
         assert delta_only.tobytes() == delta.tobytes()
@@ -493,20 +485,41 @@ class TestSweepInvariants:
     def test_richardson_error_is_the_gap_to_the_restricted_reference(self, cfg, report):
         # the gate reads the sup-in-time L2 velocity distance of the
         # same-grid Euler run to the restricted reference, bit for bit
-        from alphaeuler import restrict
-        from alphaeuler.harness import EULER
+        from alphaeuler import AlphaParam, restrict
         from alphaeuler.vorticity import velocity_l2_distance
 
+        euler = AlphaParam(0.0)
         grid = Grid(cfg.n)
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-        _, ref_states = run_states(datum, EULER, cfg.solver_config(), monitor=False)
-        _, states = run_states(restrict(datum, grid), EULER, cfg.solver_config(), monitor=False)
+        _, ref_states = run_states(datum, euler, cfg.solver_config(), monitor=False)
+        _, states = run_states(restrict(datum, grid), euler, cfg.solver_config(), monitor=False)
         assert len(states) == len(ref_states) == cfg.samples + 1
         expected = max(
-            velocity_l2_distance(s.q, EULER, restrict(r.q, grid), EULER) for s, r in zip(states, ref_states)
+            velocity_l2_distance(s.q, euler, restrict(r.q, grid), euler) for s, r in zip(states, ref_states)
         )
         assert expected > 0.0
         assert report.richardson_error == expected
+
+
+def patch_reference(monkeypatch, reference):
+    """Run the sweep's reference, the one banded run on the n_ref grid of
+    these configs (n < n_ref), as `reference(run_it)`, where `run_it()`
+    runs it as the package does; every other run is the package's."""
+    banded = harness.banded_run
+
+    def patched(q0, alpha, cfg, monitor=True):
+        if q0.grid.n == cfg.n_ref:
+            return reference(lambda: banded(q0, alpha, cfg, monitor))
+        return banded(q0, alpha, cfg, monitor)
+
+    monkeypatch.setattr(harness, "banded_run", patched)
+
+
+def reference_of(cfg):
+    """The reference run of a study, as a sweep makes it."""
+    from alphaeuler.harness import banded_run, study_datum
+
+    return banded_run(study_datum(cfg)[0], 0.0, cfg, monitor=False)
 
 
 class TestJobGraph:
@@ -521,48 +534,49 @@ class TestJobGraph:
         a = AlphaParam(cfg.alpha_list[0])
         _, states = run_states(approximating_family(omega0, a, cfg.family), a, cfg.solver_config())
         expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
-        got = tuple(trace_bands(filtered_solve(a.alpha, omega0, cfg).bands, a.alpha, omega0.grid, cfg))
+        got = tuple(trace_bands(filtered_solve(a.alpha, omega0, cfg), cfg))
         assert len(got) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
 
     def test_reference_trajectory_matches_history_trajectory(self):
-        from alphaeuler import SimState
-        from alphaeuler.harness import EULER, reference_run, trace_bands
+        from alphaeuler import AlphaParam, SimState
+        from alphaeuler.harness import trace_bands
 
         cfg = smooth_config()
-        ref = reference_run(cfg)
-        states = [SimState(float(t), unpack_band(band, ref.grid), EULER) for t, band in zip(ref.times, ref.bands)]
+        ref = reference_of(cfg)
+        grid, times = Grid(cfg.n), cfg.solver_config().sample_times
+        states = [SimState(float(t), unpack_band(band, grid), AlphaParam(0.0)) for t, band in zip(times, ref.bands)]
         expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
-        got = tuple(trace_bands(ref.bands, 0.0, ref.grid, cfg))
+        got = tuple(trace_bands(ref, cfg))
         assert len(got) == len(expected) == cfg.samples + 1
         assert all(x.tobytes() == y.tobytes() for x, y in zip(got, expected))
 
     def test_reference_keeps_the_band_of_each_sample(self):
         # the samples are the restrictions of the reference's states, bit
         # for bit, kept as their dealias bands
-        from alphaeuler import restrict
-        from alphaeuler.harness import EULER, reference_run
+        from alphaeuler import AlphaParam, restrict
         from alphaeuler.spectral import pack_band
 
         cfg = smooth_config()
-        ref = reference_run(cfg)
+        ref = reference_of(cfg)
+        grid = Grid(cfg.n)
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-        _, states = run_states(datum, EULER, cfg.solver_config(), monitor=False)
-        expected = [restrict(s.q, ref.grid) for s in states]
-        got = [unpack_band(band, ref.grid) for band in ref.bands]
-        assert len(ref.bands) == len(got) == len(expected) == len(ref.times)
+        _, states = run_states(datum, AlphaParam(0.0), cfg.solver_config(), monitor=False)
+        expected = [restrict(s.q, grid) for s in states]
+        got = [unpack_band(band, grid) for band in ref.bands]
+        assert ref.alpha == 0.0
+        assert len(ref.bands) == len(got) == len(expected) == cfg.samples + 1
         for band, q, e in zip(ref.bands, got, expected):
-            assert q.grid == ref.grid
+            assert q.grid == grid
             assert q.coeffs.tobytes() == e.coeffs.tobytes()
-            assert band.tobytes() == pack_band(e).tobytes()
+            assert band.tobytes() == pack_band(e, grid).tobytes()
 
     def test_reference_holds_no_physical_sample(self):
         # the reference used to keep each sample's (2, n, n) velocity and its
         # full half spectrum; the bands are all it keeps of a sample now
-        from alphaeuler.harness import reference_run
-
-        ref = reference_run(smooth_config())
-        n = ref.grid.n
+        cfg = smooth_config()
+        ref = reference_of(cfg)
+        n = cfg.n
         arrays = []
         for f in fields(ref):
             value = getattr(ref, f.name)
@@ -571,31 +585,33 @@ class TestJobGraph:
                     arrays.append(item)
         assert not any(x.shape == (2, n, n) for x in arrays)
         assert all(band.ndim == 1 for band in ref.bands)
-        half_spectra = len(ref.times) * n * (n // 2 + 1) * 16
+        half_spectra = (cfg.samples + 1) * n * (n // 2 + 1) * 16
         assert sum(band.nbytes for band in ref.bands) == pytest.approx(0.44 * half_spectra, rel=0.05)
 
     def test_velocity_gap_matches_physical_formula(self):
         # one inverse transform of the spectral velocity difference; the
         # oracle subtracts the two physical velocities
         from alphaeuler import AlphaParam, velocity
-        from alphaeuler.harness import EULER, compare_bands, filtered_solve, reference_run
+        from alphaeuler.harness import CSV_PS, compare_bands, filtered_solve, study_datum
         from alphaeuler.lagrangian import cumulative_trapezoid
 
         cfg = smooth_config(family="mollified")
-        ref = reference_run(cfg)
+        ref = reference_of(cfg)
+        omega0 = study_datum(cfg)[1]
+        grid, times = omega0.grid, cfg.solver_config().sample_times
         for alpha in cfg.alpha_list:
-            solve = filtered_solve(alpha, ref.omega0, cfg)
+            solve = filtered_solve(alpha, omega0, cfg)
             a = AlphaParam(alpha)
             gaps = [
                 velocity_l1_distance(
-                    velocity(unpack_band(band, ref.grid), a).physical(),
-                    velocity(unpack_band(band_ref, ref.grid), EULER).physical(),
-                    ref.grid,
+                    velocity(unpack_band(band, grid), a).physical(),
+                    velocity(unpack_band(band_ref, grid), AlphaParam(0.0)).physical(),
+                    grid,
                 )
                 for band, band_ref in zip(solve.bands, ref.bands)
             ]
-            expected = cumulative_trapezoid(ref.times, gaps)
-            got = compare_bands(solve.bands, alpha, ref.bands, 0.0, ref.grid, ref.times)[2]
+            expected = cumulative_trapezoid(times, gaps)
+            got = compare_bands(solve, ref, cfg, CSV_PS)[2]
             assert expected[-1] > 0.0
             np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0.0)
 
@@ -625,11 +641,10 @@ class TestJobGraph:
     def test_trace_builds_one_velocity_table(self, monkeypatch):
         # every velocity of a trace is made from its band with the one
         # table of the call
-        from alphaeuler import harness
-        from alphaeuler.harness import reference_run, trace_bands
+        from alphaeuler.harness import trace_bands
 
         cfg = smooth_config()
-        ref = reference_run(cfg)
+        ref = reference_of(cfg)
         builds = []
         build = harness._velocity_multipliers
 
@@ -638,16 +653,15 @@ class TestJobGraph:
             return build(grid, a)
 
         monkeypatch.setattr(harness, "_velocity_multipliers", counting)
-        assert len(tuple(trace_bands(ref.bands, 0.0, ref.grid, cfg))) == cfg.samples + 1
+        assert len(tuple(trace_bands(ref, cfg))) == cfg.samples + 1
         assert builds == [(cfg.n, 0.0)]
 
     def test_alpha_failing_while_reference_runs_keeps_its_slot(self, report, monkeypatch):
-        from alphaeuler import harness
         from alphaeuler.solver import SolverError
 
         failed = threading.Event()
         reference_done = threading.Event()
-        solve, reference = harness.filtered_solve, harness.reference_run
+        solve = harness.filtered_solve
         solved_first = []  # solved before the reference was done
 
         def failing_solve(alpha, omega0, cfg):
@@ -658,15 +672,15 @@ class TestJobGraph:
                 solved_first.append(alpha)
             return solve(alpha, omega0, cfg)
 
-        def late_reference(cfg, datum=None):
+        def late_reference(run_it):
             if not failed.wait(timeout=60):
                 raise AssertionError("the alpha solve never failed")
-            out = reference(cfg, datum)
+            out = run_it()
             reference_done.set()
             return out
 
         monkeypatch.setattr(harness, "filtered_solve", failing_solve)
-        monkeypatch.setattr(harness, "reference_run", late_reference)
+        patch_reference(monkeypatch, late_reference)
         got = run_sweep(smooth_config(workers=2))
         assert [r.alpha for r in got.records] == [0.25, 0.125, 0.0625]
         assert [r.failed for r in got.records] == [False, True, False]
@@ -685,7 +699,6 @@ class TestJobGraph:
         # the pool takes each queued solve after the failure: none may run
         import time
 
-        from alphaeuler import harness
         from alphaeuler.solver import SolverError
 
         solved = []
@@ -696,13 +709,13 @@ class TestJobGraph:
             solved.append(alpha)
             return solve(alpha, omega0, cfg)
 
-        def failing_reference(cfg, datum=None):
+        def failing_reference(run_it):
             if workers == 1:
                 time.sleep(0.05)
             raise boom
 
         monkeypatch.setattr(harness, "filtered_solve", counting_solve)
-        monkeypatch.setattr(harness, "reference_run", failing_reference)
+        patch_reference(monkeypatch, failing_reference)
         alphas = tuple(2.0**-k for k in range(2, 10))
         with pytest.raises(SolverError) as info:
             run_sweep(smooth_config(workers=workers, alpha_list=alphas))
@@ -717,30 +730,28 @@ class TestJobGraph:
         # reference raises; it must fail at once, as the solves do
         import time
 
-        from alphaeuler import harness
-
         boom = RuntimeError("reference blew up late")
         banded = []
-        banded_run = harness._banded_run
 
-        def late_failing_reference(cfg, datum=None):
+        def late_failing_reference(run_it):
             time.sleep(0.05)
             raise boom
 
-        def counting_banded_run(*args, **kwargs):
-            banded.append(args[1].alpha)
-            return banded_run(*args, **kwargs)
+        patch_reference(monkeypatch, late_failing_reference)
+        reference = harness.banded_run
 
-        monkeypatch.setattr(harness, "reference_run", late_failing_reference)
-        monkeypatch.setattr(harness, "_banded_run", counting_banded_run)
+        def counting_banded_run(q0, alpha, cfg, monitor=True):
+            if q0.grid.n != cfg.n_ref:
+                banded.append(alpha)
+            return reference(q0, alpha, cfg, monitor)
+
+        monkeypatch.setattr(harness, "banded_run", counting_banded_run)
         with pytest.raises(RuntimeError) as info:
             run_sweep(smooth_config(workers=1))
         assert info.value is boom
         assert banded == []
 
     def test_solves_start_smallest_alpha_first(self, monkeypatch):
-        from alphaeuler import harness
-
         order = []
         solve = harness.filtered_solve
 
@@ -757,11 +768,10 @@ class TestJobGraph:
         # a join that kept its jobs would hold every solve until the sweep
         # ends; on one worker, a comparison meets at most the solve it
         # compares and the one solved meanwhile.  A solve job ends with its
-        # trace, so a solve counts once its lattice is traced: the job
-        # still running holds its solve whatever the join does
+        # trace, so a solve (an alpha > 0 run) counts once its lattice is
+        # traced: the job still running holds its solve whatever the join
+        # does
         import weakref
-
-        from alphaeuler import harness
 
         solves = []
         traced = set()
@@ -773,9 +783,9 @@ class TestJobGraph:
             solves.append((alpha, weakref.ref(out)))
             return out
 
-        def tracked_trace(bands, alpha, grid, cfg):
-            yield from trace(bands, alpha, grid, cfg)
-            traced.add(alpha)
+        def tracked_trace(run, cfg):
+            yield from trace(run, cfg)
+            traced.add(run.alpha)
 
         def counting_record(*args):
             live.append(sum(r() is not None for alpha, r in solves if alpha in traced))
@@ -794,12 +804,11 @@ class TestJobGraph:
         """A sweep whose comparisons raise; on two workers every solve is
         done before the reference, and each is compared once the reference
         is done."""
-        from alphaeuler import harness
         from alphaeuler.harness import SweepError
 
         solved = threading.Event()
         count = []
-        solve, reference = harness.filtered_solve, harness.reference_run
+        solve = harness.filtered_solve
         boom = SweepError("comparison blew up")
 
         def counting_solve(alpha, omega0, cfg):
@@ -809,16 +818,16 @@ class TestJobGraph:
                 solved.set()
             return out
 
-        def late_reference(cfg, datum=None):
+        def late_reference(run_it):
             if workers > 1 and not solved.wait(timeout=60):
                 raise AssertionError("the alpha solves never finished")
-            return reference(cfg, datum)
+            return run_it()
 
         def failing_record(*args):
             raise boom
 
         monkeypatch.setattr(harness, "filtered_solve", counting_solve)
-        monkeypatch.setattr(harness, "reference_run", late_reference)
+        patch_reference(monkeypatch, late_reference)
         monkeypatch.setattr(harness, "_alpha_record", failing_record)
         return boom
 
@@ -841,14 +850,13 @@ class TestJobGraph:
         assert "Traceback" not in err
 
     def test_reference_failure_exits_2(self, tmp_path, monkeypatch, capsys):
-        from alphaeuler import harness
         from alphaeuler.cli import main
         from alphaeuler.solver import SolverError
 
-        def failing_reference(cfg, datum=None):
+        def failing_reference(run_it):
             raise SolverError("reference blew up")
 
-        monkeypatch.setattr(harness, "reference_run", failing_reference)
+        patch_reference(monkeypatch, failing_reference)
         path = tmp_path / "exp.cfg"
         path.write_text(SHEAR_CFG + "workers = 2\n")
         assert main(["sweep", "--config", str(path), "--output", str(tmp_path / "out")]) == 2

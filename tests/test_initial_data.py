@@ -117,15 +117,6 @@ class TestDiscPatch:
             with pytest.raises(ValueError):
                 disc_patch((np.pi, np.pi), radius, 1.0, g)
 
-    def test_mollified_variant_is_smoother(self):
-        g = Grid(128)
-        sharp = disc_patch((np.pi, np.pi), 1.0, 1.0, g)
-        soft = disc_patch((np.pi, np.pi), 1.0, 1.0, g, mollify_cells=1.0)
-        k = g.kmax_dealias
-        tail_sharp = np.abs(sharp.coeffs[k - 2 : k + 1, :]).sum()
-        tail_soft = np.abs(soft.coeffs[k - 2 : k + 1, :]).sum()
-        assert tail_soft < tail_sharp
-
 
 class TestFractalPatch:
     def test_depth_zero_square(self):

@@ -1,6 +1,7 @@
 import csv
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -411,6 +412,20 @@ class TestAdvection:
 
 
 class TestParticleSet:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_position_rejected(self, bad):
+        # inf used to wrap to NaN with a RuntimeWarning, and NaN passed
+        x = np.array([[1.0, 2.0], [3.0, bad]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"particle positions must be finite, got {bad}"):
+                ParticleSet(x, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_time_rejected(self, bad):
+        with pytest.raises(ValueError, match=f"t_origin must be finite, got {bad}"):
+            ParticleSet(np.zeros((3, 2)), bad)
+
     def test_a_hair_below_zero_wraps_to_plus_zero(self):
         # one np.mod rounds -1e-17 + 2 pi up to 2 pi itself
         assert np.mod(-1e-17, 2 * np.pi) == 2 * np.pi
@@ -504,51 +519,66 @@ class TestLagrangianVorticity:
 class TestFlowDistance:
     def test_identical_sets(self):
         g = Grid(16)
-        p = seed_particles(g)
+        p = seed_particles(g).positions
         comp = flow_distance(p, p, delta=0.01)
         assert comp.mean_distance == 0.0
         assert comp.g_delta == 0.0
 
     def test_log_bound_example(self):
         g = Grid(16)
-        p = seed_particles(g)
+        p = seed_particles(g).positions
         comp = flow_distance(p, p, delta=np.exp(-10.0), c_cal=1.0)
         assert comp.log_bound == pytest.approx(0.1, rel=1e-12)
 
     @pytest.mark.parametrize("c_cal", [np.nan, np.inf, 0.0, -2.0])
     def test_c_cal_not_positive_and_finite_rejected(self, c_cal):
-        p = seed_particles(Grid(16))
+        p = seed_particles(Grid(16)).positions
         with pytest.raises(ValueError, match="c_cal"):
             flow_distance(p, p, delta=0.5, c_cal=c_cal)
 
     @pytest.mark.parametrize("delta", [np.nan, np.inf, -np.inf, 0.0, -2.0])
     def test_delta_not_positive_and_finite_rejected(self, delta):
         # a NaN delta used to give a NaN g_delta, and an infinite one 0.0
-        p = seed_particles(Grid(16))
+        p = seed_particles(Grid(16)).positions
         with pytest.raises(ValueError, match=f"delta must be positive and finite, got {delta}"):
             flow_distance(p, p, delta=delta)
 
     def test_constant_offset(self):
         g = Grid(16)
-        p = seed_particles(g)
-        q = ParticleSet(p.positions + [0.2, 0.0], 0.0)
+        p = seed_particles(g).positions
+        q = p + [0.2, 0.0]
         comp = flow_distance(p, q, delta=0.01)
         assert comp.mean_distance == pytest.approx(0.2, rel=1e-12)
         assert comp.l2_distance == pytest.approx(0.2, rel=1e-12)
 
     def test_delta_above_one_inapplicable(self):
         g = Grid(16)
-        p = seed_particles(g)
+        p = seed_particles(g).positions
         comp = flow_distance(p, p, delta=1.5)
         assert not comp.applicable
         assert np.isnan(comp.log_bound)
 
     def test_diameter_invariant(self):
         rng = np.random.default_rng(5)
-        a = ParticleSet(rng.uniform(0, 2 * np.pi, (200, 2)), 0.0)
-        b = ParticleSet(rng.uniform(0, 2 * np.pi, (200, 2)), 0.0)
+        a = rng.uniform(0, 2 * np.pi, (200, 2))
+        b = rng.uniform(0, 2 * np.pi, (200, 2))
         comp = flow_distance(a, b, delta=0.5)
         assert comp.mean_distance <= np.pi * np.sqrt(2)
+
+    def test_unwrapped_positions_measure_as_wrapped(self):
+        # `flows` hands over the stream's positions as they are; a shift by
+        # whole periods changes no distance
+        rng = np.random.default_rng(6)
+        a, b = rng.uniform(0, 2 * np.pi, (2, 200, 2))
+        wrapped = flow_distance(a, b, delta=0.5)
+        shifted = flow_distance(a + 2 * np.pi, b - 4 * np.pi, delta=0.5)
+        assert shifted.mean_distance == pytest.approx(wrapped.mean_distance, rel=1e-12)
+        assert shifted.g_delta == pytest.approx(wrapped.g_delta, rel=1e-12)
+
+    def test_mismatched_shapes_rejected(self):
+        p = seed_particles(Grid(16)).positions
+        with pytest.raises(ValueError, match="matching shapes"):
+            flow_distance(p, p[:-1], delta=0.5)
 
 
 class TestHistory:
@@ -571,9 +601,12 @@ class TestHistory:
         # direction, or NaN
         g = Grid(16)
         steady = constant_pair(1.0, 0.0, g, t0=0.0, t1=1.0)
-        for t0, t1 in [(1.5, 0.5), (0.5, -0.5), (0.5, np.nan), (np.nan, 0.5)]:
+        for t0, t1 in [(1.5, 0.5), (0.5, -0.5), (0.5, np.nan)]:
             with pytest.raises(ValueError, match="outside"):
                 advect_particles(seed_particles(g, 4, t=t0), *steady, t1)
+        # a NaN origin is refused where the particle set is made
+        with pytest.raises(ValueError, match="t_origin must be finite, got nan"):
+            advect_particles(seed_particles(g, 4, t=np.nan), *steady, 0.5)
 
 
 def overshooting_times(count, substeps, seed):

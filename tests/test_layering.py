@@ -4,6 +4,7 @@ spectral -> vorticity -> solver/lagrangian/bounds/initial_data -> harness
 -> cli stays acyclic without lazy imports."""
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -119,3 +120,85 @@ def test_the_caller_check_sees_an_uncalled_name():
     path = PACKAGE / "m.py"
     tree = ast.parse("def f():\n    return f()\n\ndef g():\n    return 1\n\nclass C:\n    x = g()\n")
     assert uncalled_names({path: tree}) == ["C", "f"]
+
+
+# Defaulted parameters passed only from outside the package: the documented
+# entry hooks `cli.main(argv)` and `sweep_csv_lines(timestamp)`.
+ENTRY_PARAMETERS = {("main", "argv"), ("sweep_csv_lines", "timestamp")}
+
+
+def defaulted_parameters(tree):
+    """(callee name, parameter, position) of every parameter with a default
+    of the module-level functions and the methods of a module.  A method's
+    positions skip self, and its callee name is the method's, or the
+    class's for `__init__`; the position is None for a keyword-only
+    parameter.  `__call__` is left out: its calls are calls of an instance,
+    which a name does not tell from other calls."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef)
+    found = []
+
+    def add(name, fn, skip):
+        a = fn.args
+        positional = (a.posonlyargs + a.args)[skip:]
+        first_default = len(positional) - len(a.defaults)
+        found.extend((name, arg.arg, i) for i, arg in enumerate(positional) if i >= first_default)
+        found.extend((name, arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+
+    for node in tree.body:
+        if isinstance(node, kinds):
+            add(node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, kinds) and item.name != "__call__":
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    add(node.name if item.name == "__init__" else item.name, item, 0 if static else 1)
+    return found
+
+
+def passed_parameters(tree):
+    """(callee name, positional count, keywords) of every call in a tree:
+    a `*` argument counts as every position and a `**` one as every key
+    (None among the keywords)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+            name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            count = math.inf if any(isinstance(a, ast.Starred) for a in node.args) else len(node.args)
+            found.append((name, count, {k.arg for k in node.keywords}))
+    return found
+
+
+def unpassed_parameters(sources):
+    """The (callee name, parameter) pairs of the package modules among
+    `sources` that no call in any source passes, by position or by
+    keyword."""
+    calls = [call for tree in sources.values() for call in passed_parameters(tree)]
+    return sorted(
+        (name, param)
+        for path, tree in sources.items()
+        if path.parent == PACKAGE
+        for name, param, pos in defaulted_parameters(tree)
+        if not any(
+            callee == name and ((pos is not None and count > pos) or param in keys or None in keys)
+            for callee, count, keys in calls
+        )
+    )
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    # a default that no package or demo call overrides is a capability
+    # that only tests use
+    paths = [p for p in MODULES if p.name != "__init__.py"] + sorted(DEMOS.glob("*.py"))
+    sources = {path: _tree(path) for path in paths}
+    assert set(unpassed_parameters(sources)) == ENTRY_PARAMETERS
+
+
+def test_the_parameter_check_sees_an_unpassed_parameter():
+    path = PACKAGE / "m.py"
+    source = (
+        "def f(x, y=1, *, z=2):\n    return x\n\n"
+        "class C:\n    def __init__(self, a=0):\n        pass\n\n    def m(self, b=0, c=1):\n        return b\n\n"
+        "f(0, 1)\nf(0, **{})\nC()\nC().m(*())\n"
+    )
+    assert unpassed_parameters({path: ast.parse(source)}) == [("C", "a")]
+    assert unpassed_parameters({path: ast.parse(source.replace("f(0, **{})", "f(0)"))}) == [("C", "a"), ("f", "z")]

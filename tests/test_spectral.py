@@ -307,7 +307,7 @@ class TestBandPacking:
         times = np.linspace(0.0, 0.02, 3)
         _, states = run_states(q0, AlphaParam(0.01), SolverConfig(t_end=0.02, sample_times=times))
         for state in states:
-            band = pack_band(state.q)
+            band = pack_band(state.q, g)
             assert band.size < 0.45 * state.q.coeffs.size
             back = unpack_band(band, g)
             assert back.grid == g
