@@ -19,7 +19,7 @@ q0 = ae.shear(g)
 
 for alpha in (0.0, 0.1, 1.0):
     s = ae.SimState(0.0, q0, ae.AlphaParam(alpha))
-    cfg = ae.SolverConfig(t_end=1e9)
+    cfg = ae.SolverConfig()
     for _ in range(200):
         s = step(s, cfg)
     drift = np.abs(ae.to_physical(s.q).values - ae.to_physical(q0).values).max()

@@ -17,7 +17,7 @@ q0 = ae.SpectralField(g, ae.smooth_random(11, 2.0, 4, g).coeffs * 10.0)
 a = ae.AlphaParam(0.1)
 times = np.linspace(0.0, 1.0, 9)
 
-sim = ae.run(q0, a, ae.SolverConfig(t_end=1.0, cfl=0.4, sample_times=times))
+sim = ae.run(q0, a, ae.SolverConfig(cfl=0.4), times)
 mon = sim.monitor
 print(f"{'t':>6} {'energy':>12} {'alpha-norm':>12} {'||q||_2':>12} {'||q||_inf':>12}")
 for j, t in enumerate(mon.times):
@@ -31,7 +31,7 @@ print(f"L2 vorticity drift: {mon.q_l2_drift().max():.2e}")
 print("\nfixed-step refinement (worst conserved-quantity drift):")
 prev = None
 for dt in (0.02, 0.01, 0.005):
-    sim = ae.run(q0, a, ae.SolverConfig(t_end=1.0, fixed_dt=dt, sample_times=times))
+    sim = ae.run(q0, a, ae.SolverConfig(fixed_dt=dt), times)
     worst = max(sim.monitor.alpha_norm_drift().max(), sim.monitor.q_l2_drift().max())
     note = f"  ratio vs 2dt: {prev / worst:5.1f}" if prev else ""
     print(f"  dt={dt:7.4f}: drift {worst:.3e}{note}")

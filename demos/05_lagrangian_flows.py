@@ -39,7 +39,7 @@ cfg = ae.ExperimentConfig(
 datum, omega0 = study_datum(cfg)
 ref = banded_run(datum, 0.0, cfg, monitor=False)
 solve = filtered_solve(alpha, omega0, cfg)
-g, times = omega0.grid, cfg.solver_config().sample_times
+g, times = omega0.grid, cfg.sample_times
 
 
 def flow_map(run):

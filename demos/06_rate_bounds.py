@@ -12,7 +12,6 @@ Run:  python3 demos/06_rate_bounds.py
 
 import math
 
-import numpy as np
 from scipy.integrate import quad
 
 import alphaeuler as ae
@@ -41,7 +40,7 @@ print(f"quadrature of the comparison integral: {integral:.8f} (expected {c2 * t}
 
 k_val = ae.velocity_rate_K(ae.AlphaParam(0.01), 1.0, params)
 flow = ae.flow_rate_bound(k_val, 1.0, 0.0, 1.0, 1.0)
-mod = ae.ModulusEstimate(kind="besov", s=0.5)
+mod = ae.ModulusEstimate(0.5)
 vort = ae.vorticity_rate_bound(k_val, mod, 2.0, params)
 print(f"\nK(0.01, 1) = {k_val:.4f} -> flow bound {flow:.4f}, L2 vorticity bound {vort:.4f}")
 

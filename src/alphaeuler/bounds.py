@@ -48,20 +48,13 @@ class BoundParams:
 
 @dataclass(frozen=True)
 class ModulusEstimate:
-    """Translation modulus of continuity psi(h) = h^s, the besov kind; a
-    fit (`besov_modulus_fit`) also keeps its sampled (|h|, value) table
-    and its raw slope."""
+    """Translation modulus of continuity psi(h) = h^s of Besov data."""
 
-    kind: str
-    s: float | None = None
-    table: np.ndarray | None = None
-    slope: float | None = None
+    s: float
 
     def __post_init__(self):
-        if self.kind != "besov":
-            raise ValueError(f"unknown modulus kind {self.kind!r}")
-        if self.s is None or not 0.0 < self.s <= 1.0:
-            raise ValueError("besov modulus requires an exponent s in (0, 1]")
+        if not 0.0 < self.s <= 1.0:  # NaN included
+            raise ValueError(f"besov modulus requires an exponent s in (0, 1], got {self.s}")
 
     def __call__(self, h: float) -> float:
         if h < 0:
@@ -241,8 +234,7 @@ def besov_modulus_fit(omega0: PhysicalField, p: float) -> ModulusEstimate:
     Shifts are the integer cell displacements of `default_shifts`
     (grid-commensurate, evaluated by array rolls); the exponent is the
     log-log least-squares slope, capped at 1 since Lipschitz data saturates
-    there.  Returns a besov-kind estimate that also carries the sampled
-    (|h|, value) table and the raw slope.
+    there.
     """
     g = omega0.grid
     hs, vals = [], []
@@ -255,11 +247,7 @@ def besov_modulus_fit(omega0: PhysicalField, p: float) -> ModulusEstimate:
             vals.append(value)
     if len(hs) < 3:
         raise ValueError("degenerate data: translation differences vanish")
-    hs = np.asarray(hs)
-    vals = np.asarray(vals)
     slope = float(linear_fit(np.log(hs), np.log(vals))[0])
     if slope <= 0:
         raise ValueError("modulus does not vanish at zero: nonpositive slope")
-    order = np.argsort(hs)
-    table = np.column_stack([hs[order], np.maximum.accumulate(vals[order])])
-    return ModulusEstimate(kind="besov", s=min(slope, 1.0), table=table, slope=slope)
+    return ModulusEstimate(min(slope, 1.0))

@@ -102,7 +102,7 @@ def cmd_simulate(args) -> int:
     if not 0.0 <= alpha < math.inf:  # NaN included
         raise ValueError(f"--alpha must be finite and >= 0, got {alpha}")
     q0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
-    sim = run(q0, AlphaParam(alpha), cfg.solver_config())
+    sim = run(q0, AlphaParam(alpha), cfg.solver_config(), cfg.sample_times)
     out = _resolve_output(cfg.output_dir, args.output, "simulate_output")
     out.mkdir(parents=True, exist_ok=True)
     mon = sim.monitor
@@ -137,6 +137,7 @@ def cmd_flows(args) -> int:
             raise ValueError(f"{flag} must be positive and finite, got {value}")
     datum, omega0 = study_datum(cfg)
     ref = banded_run(datum, 0.0, cfg, monitor=False)
+    del datum  # freed before the solve and the traces: the reference run is all they need of it
     solve = filtered_solve(alpha, omega0, cfg)
     delta = compare_bands(solve, ref, cfg, p_list=())[2]
     delta_total = float(delta[-1])
@@ -146,7 +147,7 @@ def cmd_flows(args) -> int:
     rows = []
     # the two lattices advance in lockstep, one sample's positions at a time
     traces = zip(trace_bands(solve, cfg), trace_bands(ref, cfg))
-    for j, (t, (pa, pr)) in enumerate(zip(cfg.solver_config().sample_times, traces)):
+    for j, (t, (pa, pr)) in enumerate(zip(cfg.sample_times, traces)):
         comp = flow_distance(pa, pr, delta=max(delta_total, 1e-300), c_cal=args.c_cal)
         rows.append((t, comp.mean_distance, comp.l2_distance, comp.g_delta, delta[j], comp.log_bound))
     lines = csv_lines("t,mean_distance,l2_distance,g_delta,delta,log_bound", rows)
@@ -163,7 +164,7 @@ def cmd_bounds(args) -> int:
     if args.nt < 1:
         raise ValueError(f"--nt must be at least 1, got {args.nt}")
     params = BoundParams(**{f.name: getattr(args, f.name) for f in fields(BoundParams)})
-    modulus = ModulusEstimate(kind="besov", s=args.besov_s)
+    modulus = ModulusEstimate(args.besov_s)
     ts = np.linspace(0.0, args.horizon, args.nt)
     lines = ["alpha,t,K,flow_bound,vort_bound"]
     for alpha in alphas:

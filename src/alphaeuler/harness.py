@@ -35,7 +35,8 @@ Richardson run and the reference, and the `flows` command, which makes
 the same calls as a sweep's alpha: `study_datum`, `banded_run`,
 `filtered_solve`, `compare_bands` and `trace_bands`, its two traces in
 lockstep, so it holds no whole trajectory.  Both read the study grid and
-the sample times from the config.
+the one clock of every run, `ExperimentConfig.sample_times`, from the
+config; the report keeps that clock once, as `ConvergenceReport.times`.
 """
 
 from __future__ import annotations
@@ -263,14 +264,14 @@ class ExperimentConfig:
             raise ValueError(f"{WORKERS_ENV} must be at least 1, got {env!r}")
         return workers
 
+    @property
+    def sample_times(self) -> np.ndarray:
+        """The clock of every run: samples + 1 equally spaced times on [0, t_end]."""
+        return np.linspace(0.0, self.t_end, self.samples + 1)
+
     def solver_config(self) -> SolverConfig:
-        """Solver settings of every run of the study, sampled at samples + 1
-        equally spaced times on [0, t_end]."""
-        return SolverConfig(
-            t_end=self.t_end,
-            cfl=self.cfl,
-            sample_times=np.linspace(0.0, self.t_end, self.samples + 1),
-        )
+        """The step settings of every run of the study."""
+        return SolverConfig(cfl=self.cfl)
 
 
 @dataclass
@@ -305,7 +306,6 @@ def fit_rate(pairs) -> RateFit:
 @dataclass
 class AlphaRecord:
     alpha: float
-    times: np.ndarray | None = None
     vel_l2_err: np.ndarray | None = None
     vort_err: dict = field(default_factory=dict)
     flow_dist: np.ndarray | None = None
@@ -337,7 +337,6 @@ class BoundsComparison:
 class ConvergenceReport:
     n: int
     n_ref: int
-    t_end: float
     times: np.ndarray
     p_list: tuple
     records: list
@@ -387,7 +386,7 @@ def banded_run(q0: SpectralField, alpha: float, cfg: ExperimentConfig, monitor: 
     grid = Grid(cfg.n)
     bands = []
     sim = run(
-        q0, AlphaParam(alpha), cfg.solver_config(),
+        q0, AlphaParam(alpha), cfg.solver_config(), cfg.sample_times,
         on_sample=lambda s, u: bands.append(pack_band(s.q, grid)), monitor=monitor,
     )
     return BandedRun(alpha, tuple(bands), sim.monitor)
@@ -414,7 +413,7 @@ def trace_bands(run: BandedRun, cfg: ExperimentConfig):
     table = _velocity_multipliers(grid, AlphaParam(run.alpha))[:, rows, :width]
     spec = np.zeros((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
     stream = TrajectoryStream(grid, seed_particles(grid, cfg.particle_stride), cfg.substeps)
-    for t, band in zip(cfg.solver_config().sample_times, run.bands):
+    for t, band in zip(cfg.sample_times, run.bands):
         spec[..., :width] = 0.0  # the inverse passes overwrite these columns
         spec[:, rows, :width] = table * band.reshape(rows.size, width)
         yield stream.push(t, irfft2_passes(spec))
@@ -459,8 +458,7 @@ def compare_bands(run_a: BandedRun, run_b: BandedRun, cfg: ExperimentConfig, p_l
         diff = PhysicalField(grid, phys[0] - phys[1])
         for p in p_list:
             vort[p].append(lp_norm(diff, p))
-    times = cfg.solver_config().sample_times
-    return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}, cumulative_trapezoid(times, gaps)
+    return np.array(vel), {p: np.array(errs) for p, errs in vort.items()}, cumulative_trapezoid(cfg.sample_times, gaps)
 
 
 def _alpha_record(
@@ -474,7 +472,6 @@ def _alpha_record(
     monitor = solve.monitor
     return AlphaRecord(
         alpha=solve.alpha,
-        times=cfg.solver_config().sample_times,
         vel_l2_err=vel_err,
         vort_err=vort_err,
         flow_dist=flow_dist,
@@ -495,7 +492,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     If the reference, a solve or a comparison raises, the jobs not yet
     started are cancelled and the exception propagates."""
     workers = cfg.effective_workers()
-    datum, omega0 = study_datum(cfg)
+    *held, omega0 = study_datum(cfg)  # the reference job pops the n_ref datum: no name keeps it alive
     alphas = cfg.alpha_list
     records = [None] * len(alphas)
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -506,7 +503,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         # then the same computation.  The solves follow, costliest
         # (smallest alpha) first.
         def traced_reference():
-            ref = banded_run(datum, 0.0, cfg, monitor=False)
+            ref = banded_run(held.pop(), 0.0, cfg, monitor=False)
             return ref, tuple(trace_bands(ref, cfg))
 
         reference = pool.submit(traced_reference)
@@ -575,8 +572,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     report = ConvergenceReport(
         n=cfg.n,
         n_ref=cfg.n_ref,
-        t_end=cfg.t_end,
-        times=cfg.solver_config().sample_times,
+        times=cfg.sample_times,
         p_list=cfg.p_list,
         records=records,
         velocity_rate=velocity_rate,
@@ -598,14 +594,12 @@ def compare_bounds(report: ConvergenceReport, params: BoundParams) -> Convergenc
     flagged, and the minimal uniform constant c1 = c2 = c restoring
     domination (if any) is reported.
     """
-    if params.horizon < report.t_end:
+    if params.horizon < report.times[-1]:
         raise ValueError("bound horizon must cover the report's time span")
 
     def curve(rec: AlphaRecord, p: BoundParams) -> np.ndarray:
         p_rec = replace(p, gamma0=rec.gamma0)
-        return np.array(
-            [velocity_rate_K(AlphaParam(rec.alpha), float(t), p_rec) for t in rec.times]
-        )
+        return np.array([velocity_rate_K(AlphaParam(rec.alpha), float(t), p_rec) for t in report.times])
 
     ok = report.ok_records()
     curves = {}
@@ -648,7 +642,7 @@ def sweep_csv_lines(report: ConvergenceReport, timestamp: str | None = None) -> 
         (rec.alpha, t, rec.vel_l2_err[j], *(rec.vort_err[p][j] for p in CSV_PS),
          rec.flow_dist[j], rec.delta[j], rec.alphanorm_drift[j], rec.energy[j])
         for rec in report.ok_records()
-        for j, t in enumerate(rec.times)
+        for j, t in enumerate(report.times)
     ]
     return csv_lines(CSV_COLUMNS, rows, timestamp)
 
@@ -661,7 +655,7 @@ def summary_dict(report: ConvergenceReport) -> dict:
     return {
         "n": report.n,
         "n_ref": report.n_ref,
-        "t_end": report.t_end,
+        "t_end": report.times[-1],
         "u0_l2": report.u0_l2,
         "richardson_error": report.richardson_error,
         "velocity_rate": _ratefit_dict(report.velocity_rate),
@@ -710,7 +704,9 @@ def load_config(path) -> ExperimentConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None, default_section="")
     parser.optionxform = str
     try:
-        parser.read(str(path), encoding="utf-8")
+        parser.read_string(path.read_text(encoding="utf-8"), source=str(path))
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, say, or not UTF-8
+        raise ValueError(f"config file {path} cannot be read: {exc}") from None
     except configparser.Error as exc:
         raise ValueError(f"config file {path} is malformed: {exc}") from None
 

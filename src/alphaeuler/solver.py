@@ -4,7 +4,8 @@ The advected vorticity q obeys dq/dt = -u . grad q with u the Helmholtz
 filtered Biot-Savart velocity of q (alpha = 0 recovers the plain Euler
 solver: the filter is then an exact identity).  The nonlinear term is
 formed pseudo-spectrally and dealiased; time stepping is classical
-four-stage Runge-Kutta with a CFL-limited step.
+four-stage Runge-Kutta with a CFL-limited step (``SolverConfig``), clipped
+to land on each of the sample times that are a run's one clock.
 
 States hold q as a ``SpectralField``, the ``rfft2`` half spectrum of shape
 (n, n//2 + 1).  An ``AdvectionStage`` holds the operator tables of one
@@ -53,7 +54,6 @@ and keeps the stored half.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 
@@ -87,16 +87,12 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    t_end: float
     cfl: float = 0.5
-    sample_times: np.ndarray | None = None
     fixed_dt: float | None = None  # bypass the CFL choice (convergence studies)
 
     def __post_init__(self):
         if not 0.0 < self.cfl <= 1.0:
             raise ValueError(f"cfl must lie in (0, 1], got {self.cfl}")
-        if not 0.0 <= self.t_end < math.inf:  # NaN included
-            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
         if self.fixed_dt is not None and not self.fixed_dt > 0.0:  # inf stays: max_dt caps it
             raise ValueError(f"fixed_dt must be positive, got {self.fixed_dt}")
 
@@ -345,37 +341,36 @@ def run(
     q0: SpectralField,
     a: AlphaParam,
     cfg: SolverConfig,
+    sample_times,
     on_sample=None,
     monitor: bool = True,
 ) -> SimRun:
-    """Integrate from t = 0 to cfg.t_end, sampling monitors along the way.
-
-    If cfg.sample_times is set, steps are clipped so the trajectory lands
-    exactly on those times (which must start at 0 and end at t_end);
-    otherwise samples are taken after every step.  `on_sample(state, u)`
-    is invoked at every sample with the state and its filtered velocity,
-    made once per sample from the stage's table and shared with the
-    monitor row; the run keeps no state but the last.  monitor=False skips
-    the monitor rows and the velocities, passes u=None to `on_sample` and
-    leaves SimRun.monitor None, without changing the states.  The initial
-    vorticity is dealiased, and an alpha = 0 run steps with the
-    `_EulerStage`, which needs dealiased input.
+    """Integrate from t = 0 onto each of `sample_times`, the run's clock:
+    non-empty, starting at exactly 0, finite and strictly increasing, or a
+    ValueError names the fault.  The last step before each time is clipped
+    to land on it.  `on_sample(state, u)` is invoked at every sample with
+    the state and its filtered velocity, made once per sample from the
+    stage's table and shared with the monitor row; the run keeps no state
+    but the last.  monitor=False skips the monitor rows and the
+    velocities, passes u=None to `on_sample` and leaves SimRun.monitor
+    None, without changing the states.  The initial vorticity is
+    dealiased, and an alpha = 0 run steps with the `_EulerStage`, which
+    needs dealiased input.
     """
+    times = np.asarray(sample_times, dtype=float)
+    if times.ndim != 1 or times.size == 0:
+        raise ValueError(f"sample_times must be a non-empty list of times, got shape {times.shape}")
+    if not np.isfinite(times).all():
+        raise ValueError("sample_times must be finite")
+    if times[0] != 0.0:
+        raise ValueError(f"sample_times must start at 0, got {times[0]}")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("sample_times must increase strictly")
     _require_mean_zero(q0, "initial vorticity")
     q_start = dealias(q0).coeffs
     q_start[0, 0] = 0.0
     stage = _EulerStage(q0.grid) if a.alpha == 0.0 else AdvectionStage(q0.grid, a)
     state = SimState(0.0, SpectralField(q0.grid, q_start), a)
-
-    if cfg.sample_times is not None:
-        targets = np.asarray(cfg.sample_times, dtype=float)
-        if targets[0] != 0.0 or abs(targets[-1] - cfg.t_end) > 1e-12:
-            raise ValueError("sample_times must span [0, t_end]")
-        if np.any(np.diff(targets) <= 0):
-            raise ValueError("sample_times must be strictly increasing")
-    else:
-        targets = None
-
     rows = []
 
     def take_sample(s: SimState):
@@ -387,16 +382,11 @@ def run(
             on_sample(s, u)
 
     take_sample(state)
-    if targets is not None:
-        for target in targets[1:]:
-            while state.t < target - 1e-13:
-                state = step(state, cfg, max_dt=target - state.t, stage=stage)
-            state = SimState(target, state.q, a, state.step_count)
-            take_sample(state)
-    else:
-        while state.t < cfg.t_end - 1e-13:
-            state = step(state, cfg, max_dt=cfg.t_end - state.t, stage=stage)
-            take_sample(state)
+    for target in times[1:]:
+        while state.t < target - 1e-13:
+            state = step(state, cfg, max_dt=target - state.t, stage=stage)
+        state = SimState(target, state.q, a, state.step_count)
+        take_sample(state)
 
     log = MonitorLog(*(np.asarray(c, dtype=float) for c in zip(*rows))) if monitor else None
     return SimRun(state, log)

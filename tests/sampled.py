@@ -11,10 +11,10 @@ from alphaeuler import PhysicalField, lp_norm, run, seed_particles, to_physical,
 from alphaeuler.lagrangian import TrajectoryStream
 
 
-def run_states(q0, a, cfg, **kwargs):
+def run_states(q0, a, cfg, sample_times, **kwargs):
     """`run`, and the list of the states it samples, in order."""
     states = []
-    sim = run(q0, a, cfg, on_sample=lambda s, u: states.append(s), **kwargs)
+    sim = run(q0, a, cfg, sample_times, on_sample=lambda s, u: states.append(s), **kwargs)
     return sim, states
 
 

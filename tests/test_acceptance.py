@@ -102,7 +102,7 @@ def transport_run():
         velocities.append(u.physical())
         positions.append(forward.push(s.t, velocities[-1]))
 
-    sim = ae.run(q0, AlphaParam(0.1), SolverConfig(t_end=1.0, sample_times=times), on_sample=follow)
+    sim = ae.run(q0, AlphaParam(0.1), SolverConfig(), times, on_sample=follow)
     return g, q0, sim, ParticleSet(positions[-1], 1.0), (times, velocities)
 
 
@@ -162,7 +162,7 @@ def test_criterion_2_conservation():
 
     drifts = {}
     for alpha in (0.0, 0.1):
-        sim = ae.run(q0, AlphaParam(alpha), SolverConfig(t_end=1.0, cfl=0.4, sample_times=times))
+        sim = ae.run(q0, AlphaParam(alpha), SolverConfig(cfl=0.4), times)
         drifts[alpha] = (
             sim.monitor.alpha_norm_drift().max(),
             sim.monitor.q_l2_drift().max(),
@@ -174,7 +174,7 @@ def test_criterion_2_conservation():
         worst = {}
         for dt in (0.01, 0.005):
             sim = ae.run(
-                q0, AlphaParam(alpha), SolverConfig(t_end=1.0, fixed_dt=dt, sample_times=times)
+                q0, AlphaParam(alpha), SolverConfig(fixed_dt=dt), times
             )
             worst[dt] = max(
                 sim.monitor.alpha_norm_drift().max(), sim.monitor.q_l2_drift().max()
@@ -195,7 +195,7 @@ def test_criterion_3_steady_shear():
     worst = 0.0
     for alpha in (0.0, 0.1, 1.0):
         s = SimState(0.0, q0, AlphaParam(alpha))
-        cfg = SolverConfig(t_end=1e9)
+        cfg = SolverConfig()
         for _ in range(1000):
             s = step(s, cfg)
         diff = PhysicalField(g, ae.to_physical(s.q).values - ae.to_physical(q0).values)

@@ -188,19 +188,19 @@ class TestFlowRateBound:
 
 class TestVorticityRateBound:
     def test_zero_k(self):
-        mod = ModulusEstimate(kind="besov", s=0.5)
+        mod = ModulusEstimate(0.5)
         assert vorticity_rate_bound(0.0, mod, 2.0, BoundParams()) == 0.0
 
     def test_branch_selection_at_T_zero_like(self):
         # for K < 1 and tiny horizon the max picks the smaller exponent
-        mod = ModulusEstimate(kind="besov", s=0.5)
+        mod = ModulusEstimate(0.5)
         params = BoundParams(c=1.0, m=1.0, horizon=1e-12)
         k = 0.0001
         val = vorticity_rate_bound(k, mod, 2.0, params)
         assert val == pytest.approx(k**0.25, rel=1e-6)
 
     def test_frozen_value(self):
-        mod = ModulusEstimate(kind="besov", s=0.5)
+        mod = ModulusEstimate(0.5)
         params = BoundParams(c=1.0, m=2.0, horizon=1.0)
         assert vorticity_rate_bound(0.01, mod, 2.0, params) == pytest.approx(
             VORT_BOUND_EXAMPLE, rel=1e-12
@@ -210,29 +210,26 @@ class TestVorticityRateBound:
         params = BoundParams(c=1.0, m=1.0, horizon=1e-300)
         for p in (1.5, 2.0, 4.0):
             s = 1.0 / (2.0 * p)
-            mod = ModulusEstimate(kind="besov", s=s)
+            mod = ModulusEstimate(s)
             k = 0.01
             assert mod(k) == pytest.approx(k ** (1.0 / (2.0 * p)), rel=1e-12)
             val = vorticity_rate_bound(k, mod, p, params)
             assert val == pytest.approx(k**s, rel=1e-9)
 
     def test_p_range_validated(self):
-        mod = ModulusEstimate(kind="besov", s=0.5)
+        mod = ModulusEstimate(0.5)
         for p in (1.0, math.inf):
             with pytest.raises(ValueError):
                 vorticity_rate_bound(0.1, mod, p, BoundParams())
 
 
 class TestModulusEstimate:
-    def test_unknown_kind_rejected(self):
-        # the table-interpolating "generic" kind is gone; a fit keeps its
-        # table as metadata of the besov kind
-        with pytest.raises(ValueError, match="unknown modulus kind 'generic'"):
-            ModulusEstimate(kind="generic", table=np.array([[0.1, 0.2], [0.2, 0.4]]))
-
     def test_besov_needs_s(self):
-        with pytest.raises(ValueError):
-            ModulusEstimate(kind="besov")
+        with pytest.raises(TypeError):
+            ModulusEstimate()
+        for s in (0.0, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"exponent s in \(0, 1\], got"):
+                ModulusEstimate(s)
 
 
 class TestBesovFit:
@@ -240,7 +237,7 @@ class TestBesovFit:
         g = Grid(128)
         f = sample(g, lambda x1, x2: np.cos(x1))
         fit = besov_modulus_fit(f, 2.0)
-        assert fit.slope == pytest.approx(1.0, abs=0.05)
+        assert fit.s == pytest.approx(1.0, abs=0.05)
         assert fit.s <= 1.0
 
     def test_disc_patch_half(self):
@@ -254,12 +251,6 @@ class TestBesovFit:
         f = sample(g, lambda x1, x2: np.zeros_like(x1))
         with pytest.raises(ValueError):
             besov_modulus_fit(f, 2.0)
-
-    def test_table_is_nondecreasing(self):
-        g = Grid(64)
-        f = sample(g, lambda x1, x2: np.cos(x1) + np.sin(2 * x2))
-        fit = besov_modulus_fit(f, 2.0)
-        assert np.all(np.diff(fit.table[:, 1]) >= 0)
 
 
 class TestLinearFit:

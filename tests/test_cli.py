@@ -217,6 +217,31 @@ class TestFlowsCommand:
         # and the torus distance of each row
         assert len(wraps) == 2 * (1 + samples) + (samples + 1)
 
+    def test_datum_is_released_before_the_traces(self, shear_cfg, tmp_path, monkeypatch):
+        # flows used to hold the n_ref datum through both traces
+        import weakref
+
+        import alphaeuler.cli as cli
+        from alphaeuler.lagrangian import TrajectoryStream
+
+        datums, alive = [], []
+        study, push = cli.study_datum, TrajectoryStream.push
+
+        def tracked_study(cfg):
+            datum, omega0 = study(cfg)
+            datums.append(weakref.ref(datum))
+            return datum, omega0
+
+        def checking_push(self, t, u):
+            alive.append(datums[0]() is not None)
+            return push(self, t, u)
+
+        monkeypatch.setattr(cli, "study_datum", tracked_study)
+        monkeypatch.setattr(TrajectoryStream, "push", checking_push)
+        assert main(["flows", "--config", str(shear_cfg), "--output", str(tmp_path / "f")]) == 0
+        assert len(datums) == 1
+        assert alive and not any(alive)
+
     @pytest.mark.parametrize(
         "flag, value",
         [("--c-cal", "nan"), ("--c-cal", "inf"), ("--c-cal", "0"), ("--c-cal", "-2"),
@@ -539,6 +564,27 @@ class TestConfigSyntax:
         assert named in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
+
+    def test_directory_as_config_exits_1_naming_it(self, tmp_path, capsys, monkeypatch):
+        # the parser skipped what it could not open: "config requires a
+        # [datum] section"
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "configs"
+        cfg.mkdir()
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config file {cfg} cannot be read: " in err
+        assert "Traceback" not in err
+
+    def test_non_utf8_config_exits_1_naming_it(self, tmp_path, capsys, monkeypatch):
+        # the decode error named no file
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes(SHEAR_CFG.encode() + b"# caf\xe9 \xff\n")
+        assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: config file {cfg} cannot be read: 'utf-8' codec can't decode byte 0xe9" in err
+        assert "Traceback" not in err
 
     def test_percent_sign_is_literal(self, tmp_path):
         # it used to end in an InterpolationSyntaxError

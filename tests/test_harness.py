@@ -55,7 +55,6 @@ def _self_errors(times, p_list):
     zeros = np.zeros_like(times)
     return AlphaRecord(
         alpha=0.0,
-        times=times,
         vel_l2_err=zeros.copy(),
         vort_err={p: zeros.copy() for p in p_list},
         flow_dist=zeros.copy(),
@@ -450,8 +449,9 @@ class TestSweepInvariants:
         g = Grid(32)
         cfg = smooth_config(n=32, n_ref=32, t_end=0.2, samples=2)
         a, b = AlphaParam(0.1), AlphaParam(0.0)
-        qs_a = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), a, cfg.solver_config())[1]]
-        qs_b = [s.q for s in run_states(smooth_random(3, 2.0, 5, g), b, cfg.solver_config())[1]]
+        q0, times = smooth_random(3, 2.0, 5, g), cfg.sample_times
+        qs_a = [s.q for s in run_states(q0, a, cfg.solver_config(), times)[1]]
+        qs_b = [s.q for s in run_states(q0, b, cfg.solver_config(), times)[1]]
         vel, vort, _ = compare_bands(
             BandedRun(0.1, tuple(pack_band(q, g) for q in qs_a)),
             BandedRun(0.0, tuple(pack_band(q, g) for q in qs_b)),
@@ -491,8 +491,8 @@ class TestSweepInvariants:
         euler = AlphaParam(0.0)
         grid = Grid(cfg.n)
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-        _, ref_states = run_states(datum, euler, cfg.solver_config(), monitor=False)
-        _, states = run_states(restrict(datum, grid), euler, cfg.solver_config(), monitor=False)
+        _, ref_states = run_states(datum, euler, cfg.solver_config(), cfg.sample_times, monitor=False)
+        _, states = run_states(restrict(datum, grid), euler, cfg.solver_config(), cfg.sample_times, monitor=False)
         assert len(states) == len(ref_states) == cfg.samples + 1
         expected = max(
             velocity_l2_distance(s.q, euler, restrict(r.q, grid), euler) for s, r in zip(states, ref_states)
@@ -532,7 +532,7 @@ class TestJobGraph:
         cfg = smooth_config(family="mollified")
         omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
         a = AlphaParam(cfg.alpha_list[0])
-        _, states = run_states(approximating_family(omega0, a, cfg.family), a, cfg.solver_config())
+        _, states = run_states(approximating_family(omega0, a, cfg.family), a, cfg.solver_config(), cfg.sample_times)
         expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
         got = tuple(trace_bands(filtered_solve(a.alpha, omega0, cfg), cfg))
         assert len(got) == len(expected) == cfg.samples + 1
@@ -544,7 +544,7 @@ class TestJobGraph:
 
         cfg = smooth_config()
         ref = reference_of(cfg)
-        grid, times = Grid(cfg.n), cfg.solver_config().sample_times
+        grid, times = Grid(cfg.n), cfg.sample_times
         states = [SimState(float(t), unpack_band(band, grid), AlphaParam(0.0)) for t, band in zip(times, ref.bands)]
         expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
         got = tuple(trace_bands(ref, cfg))
@@ -561,7 +561,7 @@ class TestJobGraph:
         ref = reference_of(cfg)
         grid = Grid(cfg.n)
         datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
-        _, states = run_states(datum, AlphaParam(0.0), cfg.solver_config(), monitor=False)
+        _, states = run_states(datum, AlphaParam(0.0), cfg.solver_config(), cfg.sample_times, monitor=False)
         expected = [restrict(s.q, grid) for s in states]
         got = [unpack_band(band, grid) for band in ref.bands]
         assert ref.alpha == 0.0
@@ -598,7 +598,7 @@ class TestJobGraph:
         cfg = smooth_config(family="mollified")
         ref = reference_of(cfg)
         omega0 = study_datum(cfg)[1]
-        grid, times = omega0.grid, cfg.solver_config().sample_times
+        grid, times = omega0.grid, cfg.sample_times
         for alpha in cfg.alpha_list:
             solve = filtered_solve(alpha, omega0, cfg)
             a = AlphaParam(alpha)
@@ -799,6 +799,31 @@ class TestJobGraph:
         assert len(live) == len(alphas)
         assert max(live) <= 2
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_datum_is_released_once_the_reference_has_run(self, monkeypatch, workers):
+        # the sweep used to hold the n_ref datum, in a local name and in the
+        # reference job, until it ended; the first comparison, the
+        # Richardson gap, comes after the reference has run
+        import weakref
+
+        datums, alive = [], []
+        study, compare = harness.study_datum, harness.compare_bands
+
+        def tracked_study(cfg):
+            datum, omega0 = study(cfg)
+            datums.append(weakref.ref(datum))
+            return datum, omega0
+
+        def checking_compare(*args, **kwargs):
+            alive.append(datums[0]() is not None)
+            return compare(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "study_datum", tracked_study)
+        monkeypatch.setattr(harness, "compare_bands", checking_compare)
+        run_sweep(smooth_config(workers=workers))
+        assert len(datums) == 1
+        assert alive and not any(alive)
+
     @staticmethod
     def _failing_comparison(monkeypatch, workers):
         """A sweep whose comparisons raise; on two workers every solve is
@@ -903,7 +928,6 @@ class TestCompareBounds:
         report = ConvergenceReport(
             n=32,
             n_ref=64,
-            t_end=1.0,
             times=times,
             p_list=(1.0, 2.0, 4.0),
             records=[rec],
@@ -928,7 +952,6 @@ class TestCompareBounds:
         report = ConvergenceReport(
             n=32,
             n_ref=64,
-            t_end=1.0,
             times=times,
             p_list=(1.0, 2.0, 4.0),
             records=[],
@@ -948,7 +971,6 @@ def test_summary_serializable():
     report = ConvergenceReport(
         n=32,
         n_ref=64,
-        t_end=1.0,
         times=times,
         p_list=(1.0, 2.0, 4.0),
         records=[rec, AlphaRecord(alpha=0.5, failed=True, error="boom")],

@@ -122,6 +122,34 @@ def test_the_caller_check_sees_an_uncalled_name():
     assert uncalled_names({path: tree}) == ["C", "f"]
 
 
+def unread_imports(tree):
+    """(line, name) of every name an import binds that the module never
+    reads; `import a.b` binds `a`, and `__future__` imports bind none."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(node.lineno, (alias.asname or alias.name).split(".")[0]) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, alias.asname or alias.name) for alias in node.names if alias.name != "*"]
+    reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    return sorted((line, name) for line, name in bound if name not in reads)
+
+
+def test_no_module_or_demo_imports_a_name_it_never_reads():
+    # `__init__` imports its names to re-export them
+    paths = [p for p in MODULES if p.name != "__init__.py"] + sorted(DEMOS.glob("*.py"))
+    unread = {path.name: unread_imports(_tree(path)) for path in paths}
+    assert {name: found for name, found in unread.items() if found} == {}
+
+
+def test_the_import_check_sees_an_unread_import():
+    source = (
+        "from __future__ import annotations\nimport os.path\nimport numpy as np\n"
+        "from m import a, b as c\n\nx: a = os.getcwd()\n"
+    )
+    assert unread_imports(ast.parse(source)) == [(3, "np"), (4, "c")]
+
+
 # Defaulted parameters passed only from outside the package: the documented
 # entry hooks `cli.main(argv)` and `sweep_csv_lines(timestamp)`.
 ENTRY_PARAMETERS = {("main", "argv"), ("sweep_csv_lines", "timestamp")}

@@ -192,7 +192,7 @@ class TestRhs:
         g = Grid(16)
         state = SimState(0.0, shear(g), AlphaParam(0.1))
         with pytest.raises(ValueError):
-            step(state, SolverConfig(t_end=1.0), stage=AdvectionStage(g, AlphaParam(0.2)))
+            step(state, SolverConfig(), stage=AdvectionStage(g, AlphaParam(0.2)))
 
 
 class TestEulerStage:
@@ -231,15 +231,15 @@ class TestEulerStage:
             return real_step(state, cfg, max_dt, stage)
 
         monkeypatch.setattr(solver, "step", recording_step)
-        run(scaled(smooth_random(2, 2.0, 5, Grid(32)), 5.0), AlphaParam(alpha), SolverConfig(t_end=0.1))
+        run(scaled(smooth_random(2, 2.0, 5, Grid(32)), 5.0), AlphaParam(alpha), SolverConfig(), [0.0, 0.1])
         assert stages and set(stages) == {expected}
 
     def test_euler_run_matches_advection_stage_steps(self):
         g = Grid(64)
         q0 = scaled(smooth_random(7, 2.0, 6, g), 5.0)
         times = np.linspace(0.0, 0.4, 5)
-        cfg = SolverConfig(t_end=0.4, sample_times=times)
-        _, states = run_states(q0, AlphaParam(0.0), cfg)
+        cfg = SolverConfig()
+        _, states = run_states(q0, AlphaParam(0.0), cfg, times)
         stage = AdvectionStage(g, AlphaParam(0.0))
         s = states[0]
         for target, sampled in zip(times[1:], states[1:]):
@@ -278,7 +278,7 @@ class TestBandColumns:
         g = Grid(n)
         a = AlphaParam(alpha)
         stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
-        cfg = SolverConfig(t_end=1.0)
+        cfg = SolverConfig()
         state = step(SimState(0.0, dealias(random_vorticity(g, seed=5)), a), cfg, stage=stage)
         seen = self.count_calls(monkeypatch)
         step(state, cfg, stage=stage)
@@ -304,7 +304,7 @@ class TestStep:
     def test_steady_shear_100_steps(self, alpha):
         g = Grid(32)
         q0 = shear(g)
-        cfg = SolverConfig(t_end=100.0)
+        cfg = SolverConfig()
         s = SimState(0.0, q0, AlphaParam(alpha))
         for _ in range(100):
             s = step(s, cfg)
@@ -314,14 +314,14 @@ class TestStep:
     def test_zero_field_fixed(self):
         g = Grid(16)
         q0 = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
-        s = step(SimState(0.0, q0, AlphaParam(0.0)), SolverConfig(t_end=1.0))
+        s = step(SimState(0.0, q0, AlphaParam(0.0)), SolverConfig())
         assert np.abs(s.q.coeffs).max() == 0.0
         assert s.t > 0  # the floor speed keeps dt finite
 
     def test_mean_zero_along_run(self):
         g = Grid(64)
         q0 = scaled(smooth_random(1, 2.0, 5, g), 5.0)
-        _, states = run_states(q0, AlphaParam(0.1), SolverConfig(t_end=0.5))
+        _, states = run_states(q0, AlphaParam(0.1), SolverConfig(), np.linspace(0.0, 0.5, 11))
         for s in states:
             assert abs(s.q.coeffs[0, 0]) < 1e-13
 
@@ -330,14 +330,14 @@ class TestStep:
         coeffs = np.zeros((16, 9), dtype=np.complex128)
         coeffs[1, 0] = np.nan
         with pytest.raises(SolverError):
-            step(SimState(0.0, SpectralField(g, coeffs), AlphaParam(0.0)), SolverConfig(t_end=1.0))
+            step(SimState(0.0, SpectralField(g, coeffs), AlphaParam(0.0)), SolverConfig())
 
     def test_inf_vorticity_aborts_with_time_and_step(self):
         g = Grid(16)
         q = shear(g)
         q.coeffs[2, 1] = np.inf
         with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"t=0\.25, step 3"):
-            step(SimState(0.25, q, AlphaParam(0.1), step_count=3), SolverConfig(t_end=1.0))
+            step(SimState(0.25, q, AlphaParam(0.1), step_count=3), SolverConfig())
 
     @pytest.mark.parametrize("alpha", [0.0, 0.01])
     def test_warm_step_allocates_only_the_new_state(self, alpha):
@@ -346,7 +346,7 @@ class TestStep:
         g = Grid(256)
         a = AlphaParam(alpha)
         stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
-        cfg = SolverConfig(t_end=1.0)
+        cfg = SolverConfig()
         state = step(SimState(0.0, dealias(random_vorticity(g, seed=3)), a), cfg, stage=stage)
         tracemalloc.start()
         try:
@@ -364,7 +364,7 @@ class TestStep:
         a = AlphaParam(0.02)
         q0 = scaled(smooth_random(9, 2.0, 6, g), 5.0)
         times = np.linspace(0.0, 0.3, 4)
-        cfg = SolverConfig(t_end=0.3, cfl=0.5, sample_times=times)
+        cfg = SolverConfig(cfl=0.5)
         stage = AdvectionStage(g, a)
         q = dealias(q0).coeffs
         t = 0.0
@@ -380,7 +380,7 @@ class TestStep:
                 t += dt
             t = target
             expected.append(q)
-        got = [s.q.coeffs for s in run_states(q0, a, cfg)[1]]
+        got = [s.q.coeffs for s in run_states(q0, a, cfg, times)[1]]
         assert len(got) == len(expected)
         assert all(np.array_equal(x, y) for x, y in zip(got, expected))
 
@@ -405,7 +405,7 @@ class TestStep:
         with np.errstate(all="ignore"), pytest.raises(
             SolverError, match=r"non-finite vorticity .* t=0\.5, step 7"
         ):
-            step(state, SolverConfig(t_end=1.0))
+            step(state, SolverConfig())
         assert len(calls) == 4
 
     @pytest.mark.parametrize("alpha", [0.0, 0.01])
@@ -432,7 +432,7 @@ class TestStep:
         with np.errstate(all="ignore"), pytest.raises(
             SolverError, match=r"non-finite vorticity .* t=0\.5, step 7"
         ):
-            step(state, SolverConfig(t_end=1.0), stage=stage)
+            step(state, SolverConfig(), stage=stage)
         assert len(calls) == 4
 
     def test_rejects_nonzero_mean(self):
@@ -440,21 +440,16 @@ class TestStep:
         q = shear(g)
         q.coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
-            step(SimState(0.0, q, AlphaParam(0.0)), SolverConfig(t_end=1.0))
+            step(SimState(0.0, q, AlphaParam(0.0)), SolverConfig())
 
 
 class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs, named",
         [
-            # t_end = nan ran to t = 0 and returned one sample; t_end = inf
-            # without sample times stepped forever; fixed_dt = nan failed
-            # late, as a velocity overflow
-            (dict(t_end=float("nan")), "t_end must be finite and nonnegative, got nan"),
-            (dict(t_end=float("inf")), "t_end must be finite and nonnegative, got inf"),
-            (dict(t_end=-1.0), "t_end must be finite and nonnegative, got -1.0"),
-            (dict(t_end=1.0, fixed_dt=float("nan")), "fixed_dt must be positive, got nan"),
-            (dict(t_end=1.0, fixed_dt=0.0), "fixed_dt must be positive, got 0.0"),
+            # fixed_dt = nan failed late, as a velocity overflow
+            (dict(fixed_dt=float("nan")), "fixed_dt must be positive, got nan"),
+            (dict(fixed_dt=0.0), "fixed_dt must be positive, got 0.0"),
         ],
     )
     def test_bad_time_is_named(self, kwargs, named):
@@ -464,17 +459,40 @@ class TestSolverConfig:
 
     def test_infinite_fixed_dt_is_capped_by_the_sample_times(self):
         times = np.linspace(0.0, 0.2, 3)
-        cfg = SolverConfig(t_end=0.2, fixed_dt=float("inf"), sample_times=times)
-        sim, states = run_states(shear(Grid(16)), AlphaParam(0.1), cfg)
+        cfg = SolverConfig(fixed_dt=float("inf"))
+        sim, states = run_states(shear(Grid(16)), AlphaParam(0.1), cfg, times)
         assert [s.t for s in states] == list(times)
         assert sim.final.step_count == 2
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "times, named",
+        [
+            ([], "sample_times must be a non-empty list of times, got shape (0,)"),
+            ([[0.0, 0.1]], "sample_times must be a non-empty list of times, got shape (1, 2)"),
+            ([0.0, np.nan], "sample_times must be finite"),
+            ([np.nan, 0.1], "sample_times must be finite"),
+            ([0.0, np.inf], "sample_times must be finite"),
+            ([0.1, 0.2], "sample_times must start at 0, got 0.1"),
+            ([1e-300, 0.2], "sample_times must start at 0, got 1e-300"),
+            ([0.0, 0.2, 0.2], "sample_times must increase strictly"),
+            ([0.0, 0.2, 0.1], "sample_times must increase strictly"),
+        ],
+        ids=["empty", "2d", "nan", "nan_start", "inf", "late_start", "tiny_start", "repeat", "backward"],
+    )
+    def test_bad_clock_is_named_before_any_step(self, monkeypatch, times, named):
+        steps = []
+        monkeypatch.setattr(solver, "step", lambda *args, **kwargs: steps.append(1))
+        with pytest.raises(ValueError) as info:
+            run(shear(Grid(16)), AlphaParam(0.1), SolverConfig(), times)
+        assert str(info.value) == named
+        assert steps == []
+
     def test_t_end_zero_returns_initial_state(self):
         g = Grid(16)
         q0 = shear(g)
-        sim, states = run_states(q0, AlphaParam(0.2), SolverConfig(t_end=0.0))
+        sim, states = run_states(q0, AlphaParam(0.2), SolverConfig(), [0.0])
         assert len(states) == 1
         assert states[0] is sim.final
         assert sim.final.t == 0.0
@@ -485,12 +503,12 @@ class TestRun:
         coeffs = np.zeros((16, 9), dtype=np.complex128)
         coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
-            run(SpectralField(g, coeffs), AlphaParam(0.0), SolverConfig(t_end=0.1))
+            run(SpectralField(g, coeffs), AlphaParam(0.0), SolverConfig(), [0.0, 0.1])
 
     def test_zero_field_run_has_zero_drift(self):
         g = Grid(16)
         q0 = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
-        sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.1))
+        sim = run(q0, AlphaParam(0.1), SolverConfig(), [0.0, 0.1])
         assert sim.monitor.alpha_norm_drift().max() == 0.0
         assert sim.monitor.q_l2_drift().max() == 0.0
 
@@ -498,14 +516,14 @@ class TestRun:
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         times = np.linspace(0.0, 0.5, 6)
-        sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.5, sample_times=times))
+        sim = run(q0, AlphaParam(0.1), SolverConfig(), times)
         assert np.array_equal(sim.monitor.times, times)
 
     def test_conservation_sanity(self):
         g = Grid(64)
         q0 = scaled(smooth_random(11, 2.0, 4, g), 5.0)
         times = np.linspace(0.0, 1.0, 5)
-        sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=1.0, cfl=0.4, sample_times=times))
+        sim = run(q0, AlphaParam(0.1), SolverConfig(cfl=0.4), times)
         assert sim.monitor.alpha_norm_drift().max() < 1e-5
         assert sim.monitor.q_l2_drift().max() < 1e-5
 
@@ -515,7 +533,7 @@ class TestRun:
         times = np.linspace(0.0, 0.5, 3)
 
         def drift(cfl):
-            sim = run(q0, AlphaParam(0.1), SolverConfig(t_end=0.5, cfl=cfl, sample_times=times))
+            sim = run(q0, AlphaParam(0.1), SolverConfig(cfl=cfl), times)
             return sim.monitor.q_l2_drift().max()
 
         coarse, fine = drift(0.8), drift(0.4)
@@ -525,7 +543,7 @@ class TestRun:
     def test_monitor_tracks_lp_norms(self):
         g = Grid(32)
         q0 = shear(g)
-        sim = run(q0, AlphaParam(0.0), SolverConfig(t_end=0.2))
+        sim = run(q0, AlphaParam(0.0), SolverConfig(), [0.0, 0.2])
         qp = to_physical(dealias(q0))
         assert sim.monitor.q_l2[0] == pytest.approx(lp_norm(qp, 2), rel=1e-12)
         assert sim.monitor.q_linf[-1] == pytest.approx(1.0, abs=1e-9)
@@ -533,9 +551,9 @@ class TestRun:
     def test_unmonitored_run_has_the_same_states(self):
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
-        cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
-        _, watched = run_states(q0, AlphaParam(0.1), cfg)
-        bare_run, bare = run_states(q0, AlphaParam(0.1), cfg, monitor=False)
+        cfg, times = SolverConfig(), np.linspace(0.0, 0.3, 4)
+        _, watched = run_states(q0, AlphaParam(0.1), cfg, times)
+        bare_run, bare = run_states(q0, AlphaParam(0.1), cfg, times, monitor=False)
         assert bare_run.monitor is None
         assert len(bare) == len(watched)
         for a, b in zip(watched, bare):
@@ -551,12 +569,12 @@ class TestRun:
         monkeypatch.setattr(solver, "velocity", lambda *args, **kwargs: made.append(1) or make(*args, **kwargs))
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
-        cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
+        cfg, times = SolverConfig(), np.linspace(0.0, 0.3, 4)
         seen = []
-        run(q0, AlphaParam(0.1), cfg, on_sample=lambda s, u: seen.append(u), monitor=False)
+        run(q0, AlphaParam(0.1), cfg, times, on_sample=lambda s, u: seen.append(u), monitor=False)
         assert seen == [None] * 4
         assert made == []
-        run(q0, AlphaParam(0.1), cfg)
+        run(q0, AlphaParam(0.1), cfg, times)
         assert len(made) == 4
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
@@ -567,10 +585,10 @@ class TestRun:
 
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
-        cfg = SolverConfig(t_end=0.3, sample_times=np.linspace(0.0, 0.3, 4))
+        times = np.linspace(0.0, 0.3, 4)
         seen = []
-        sim = run(q0, AlphaParam(alpha), cfg, on_sample=lambda s, u: seen.append((s, u)))
-        assert [s.t for s, _ in seen] == list(cfg.sample_times)
+        sim = run(q0, AlphaParam(alpha), SolverConfig(), times, on_sample=lambda s, u: seen.append((s, u)))
+        assert [s.t for s, _ in seen] == list(times)
         assert seen[-1][0] is sim.final
         for j, (s, u) in enumerate(seen):
             expected = velocity(s.q, s.a)
@@ -583,8 +601,8 @@ class TestRun:
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         times = np.linspace(0.0, 0.3, 4)
-        cfg = SolverConfig(t_end=0.3, sample_times=times)
-        _, states = run_states(q0, AlphaParam(0.1), cfg)
+        cfg = SolverConfig()
+        _, states = run_states(q0, AlphaParam(0.1), cfg, times)
         s = states[0]
         for target, sampled in zip(times[1:], states[1:]):
             while s.t < target - 1e-13:
@@ -599,11 +617,11 @@ class TestRun:
 
         g = Grid(64)
         q0 = scaled(smooth_random(4, 2.0, 5, g), 5.0)
-        cfg = SolverConfig(t_end=0.2, sample_times=np.linspace(0.0, 0.2, 3))
+        cfg, times = SolverConfig(), np.linspace(0.0, 0.2, 3)
         alphas = (0.05, 0.02)
 
         def job(alpha):
-            sim, states = run_states(q0, AlphaParam(alpha), cfg)
+            sim, states = run_states(q0, AlphaParam(alpha), cfg, times)
             return [s.q.coeffs for s in states], sim.monitor.alpha_norm
 
         serial = [job(alpha) for alpha in alphas]

@@ -305,7 +305,7 @@ class TestBandPacking:
         g = Grid(n)
         q0 = disc_patch((np.pi, np.pi), 1.0, 1.0, g)
         times = np.linspace(0.0, 0.02, 3)
-        _, states = run_states(q0, AlphaParam(0.01), SolverConfig(t_end=0.02, sample_times=times))
+        _, states = run_states(q0, AlphaParam(0.01), SolverConfig(), times)
         for state in states:
             band = pack_band(state.q, g)
             assert band.size < 0.45 * state.q.coeffs.size
