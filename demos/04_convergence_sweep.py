@@ -28,7 +28,7 @@ report = ae.run_sweep(cfg)
 
 print(f"reference self-consistency gap: {report.richardson_error:.3e}")
 print(f"{'alpha':>10} {'vel L2 err':>12} {'vort L2 err':>12} {'flow dist':>12} {'delta':>10}")
-for rec in report.ok_records():
+for rec in report.records:
     print(
         f"{rec.alpha:10.6f} {rec.sup_vel_err():12.6e} {rec.sup_vort_err(2.0):12.6e} "
         f"{np.max(rec.flow_dist):12.6e} {rec.delta[-1]:10.4f}"

@@ -11,7 +11,7 @@ and the Student-t quantile of the measured rates live here too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -38,6 +38,9 @@ class BoundParams:
     horizon: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"bound constant {f.name} must be finite, got {getattr(self, f.name)!r}")
         if min(self.c1, self.c2, self.c) <= 0:
             raise ValueError("constants c1, c2, c must be positive")
         if self.m < 0 or self.gamma0 < 0:

@@ -213,9 +213,12 @@ def _read_csv(path: Path):
 
 def _number(path: Path, lineno: int, column: str, cell: str) -> float:
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         raise ValueError(f"{path} line {lineno}, column {column}: {cell!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path} line {lineno}, column {column}: {cell!r} is not finite")
+    return value
 
 
 def cmd_report(args) -> int:

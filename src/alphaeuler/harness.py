@@ -37,6 +37,11 @@ the same calls as a sweep's alpha: `study_datum`, `banded_run`,
 lockstep, so it holds no whole trajectory.  Both read the study grid and
 the one clock of every run, `ExperimentConfig.sample_times`, from the
 config; the report keeps that clock once, as `ConvergenceReport.times`.
+
+A completed solve is one `AlphaRecord`, which keeps the solve's own
+`MonitorLog`.  The report's `records` hold only those, in `alpha_list`
+order, and its `failures` map each alpha whose solve raised SolverError
+to the message.
 """
 
 from __future__ import annotations
@@ -305,18 +310,16 @@ def fit_rate(pairs) -> RateFit:
 
 @dataclass
 class AlphaRecord:
+    """A completed solve's errors against the reference at each sample
+    time, with its gamma0 and its own monitor log."""
+
     alpha: float
-    vel_l2_err: np.ndarray | None = None
-    vort_err: dict = field(default_factory=dict)
-    flow_dist: np.ndarray | None = None
-    delta: np.ndarray | None = None
-    alphanorm_drift: np.ndarray | None = None
-    alpha_norm: np.ndarray | None = None
-    energy: np.ndarray | None = None
-    q_l2_drift: np.ndarray | None = None
-    gamma0: float = float("nan")
-    failed: bool = False
-    error: str = ""
+    vel_l2_err: np.ndarray
+    vort_err: dict
+    flow_dist: np.ndarray
+    delta: np.ndarray
+    monitor: MonitorLog
+    gamma0: float
 
     def sup_vel_err(self) -> float:
         return float(np.max(self.vel_l2_err))
@@ -327,8 +330,6 @@ class AlphaRecord:
 
 @dataclass
 class BoundsComparison:
-    params: BoundParams
-    curves: dict
     exceeded: list
     rescaled_c: float | None
 
@@ -338,16 +339,13 @@ class ConvergenceReport:
     n: int
     n_ref: int
     times: np.ndarray
-    p_list: tuple
     records: list
+    failures: dict
     velocity_rate: RateFit | None
     vorticity_rates: dict
     richardson_error: float
     u0_l2: float
     bounds: BoundsComparison | None = None
-
-    def ok_records(self) -> list:
-        return [r for r in self.records if not r.failed]
 
 
 @dataclass(frozen=True)
@@ -469,19 +467,7 @@ def _alpha_record(
     reference's."""
     vel_err, vort_err, delta = compare_bands(solve, ref, cfg, cfg.p_list)
     flow_dist = np.array([float(torus_distance(pa, pr).mean()) for pa, pr in zip(trajectory, ref_trajectory)])
-    monitor = solve.monitor
-    return AlphaRecord(
-        alpha=solve.alpha,
-        vel_l2_err=vel_err,
-        vort_err=vort_err,
-        flow_dist=flow_dist,
-        delta=delta,
-        alphanorm_drift=monitor.alpha_norm_drift(),
-        alpha_norm=monitor.alpha_norm,
-        energy=monitor.energy,
-        q_l2_drift=monitor.q_l2_drift(),
-        gamma0=solve.gamma0,
-    )
+    return AlphaRecord(solve.alpha, vel_err, vort_err, flow_dist, delta, solve.monitor, solve.gamma0)
 
 
 def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
@@ -494,7 +480,7 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
     workers = cfg.effective_workers()
     *held, omega0 = study_datum(cfg)  # the reference job pops the n_ref datum: no name keeps it alive
     alphas = cfg.alpha_list
-    records = [None] * len(alphas)
+    records, failures = [], {}
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # The reference is submitted first, so it is the first unfiltered
         # run on the n_ref grid to start: traces tell it from the Richardson
@@ -532,23 +518,22 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
             richardson_error = float(compare_bands(jobs.pop(0).result(), ref, cfg, p_list=())[0].max())
             # Each job is dropped once taken, and no name holds a compared
             # solve, so it is freed before the next solve is waited for.
-            for i in reversed(range(len(alphas))):
+            for alpha in reversed(alphas):
                 job = jobs.pop(0)
                 if isinstance(job.exception(), SolverError):
-                    records[i] = AlphaRecord(alpha=alphas[i], failed=True, error=str(job.exception()))
+                    failures[alpha] = str(job.exception())
                 else:
-                    records[i] = _alpha_record(*job.result(), ref, ref_trajectory, cfg)
+                    records.insert(0, _alpha_record(*job.result(), ref, ref_trajectory, cfg))
         except BaseException:
             for job in jobs:
                 job.cancel()
             raise
 
-    ok = [r for r in records if not r.failed]
-    if not ok:
+    if not records:
         raise SweepError("every filtered run failed; nothing to report")
 
     if cfg.richardson:
-        min_err = min(r.sup_vel_err() for r in ok)
+        min_err = min(r.sup_vel_err() for r in records)
         if richardson_error > RICHARDSON_FACTOR * min_err:
             raise SweepError(
                 "reference self-consistency failure: restriction gap "
@@ -562,10 +547,10 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         except ValueError:  # fewer than 3 runs, or a degenerate fit
             return None
 
-    velocity_rate = fit_or_none([(r.alpha, r.sup_vel_err()) for r in ok])
+    velocity_rate = fit_or_none([(r.alpha, r.sup_vel_err()) for r in records])
     vorticity_rates = {}
     for p in cfg.p_list:
-        fit = fit_or_none([(r.alpha, r.sup_vort_err(p)) for r in ok])
+        fit = fit_or_none([(r.alpha, r.sup_vort_err(p)) for r in records])
         if fit is not None:
             vorticity_rates[p] = fit
 
@@ -573,8 +558,8 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
         n=cfg.n,
         n_ref=cfg.n_ref,
         times=cfg.sample_times,
-        p_list=cfg.p_list,
         records=records,
+        failures=failures,
         velocity_rate=velocity_rate,
         vorticity_rates=vorticity_rates,
         richardson_error=richardson_error,
@@ -597,27 +582,20 @@ def compare_bounds(report: ConvergenceReport, params: BoundParams) -> Convergenc
     if params.horizon < report.times[-1]:
         raise ValueError("bound horizon must cover the report's time span")
 
-    def curve(rec: AlphaRecord, p: BoundParams) -> np.ndarray:
+    def exceeds(rec: AlphaRecord, p: BoundParams) -> bool:
         p_rec = replace(p, gamma0=rec.gamma0)
-        return np.array([velocity_rate_K(AlphaParam(rec.alpha), float(t), p_rec) for t in report.times])
+        curve = [velocity_rate_K(AlphaParam(rec.alpha), float(t), p_rec) for t in report.times]
+        return bool(np.any(rec.vel_l2_err > np.array(curve)))
 
-    ok = report.ok_records()
-    curves = {}
-    exceeded = []
-    for rec in ok:
-        curves[rec.alpha] = curve(rec, params)
-        if np.any(rec.vel_l2_err > curves[rec.alpha]):
-            exceeded.append(rec.alpha)
-
+    exceeded = [rec.alpha for rec in report.records if exceeds(rec, params)]
     rescaled_c = None
     if exceeded:
         for c in np.logspace(-3.0, 3.0, 601):
-            scaled = replace(params, c1=c, c2=c, c=c)
-            if not any(np.any(rec.vel_l2_err > curve(rec, scaled)) for rec in ok):
+            if not any(exceeds(rec, replace(params, c1=c, c2=c, c=c)) for rec in report.records):
                 rescaled_c = float(c)
                 break
 
-    report.bounds = BoundsComparison(params, curves, exceeded, rescaled_c)
+    report.bounds = BoundsComparison(exceeded, rescaled_c)
     return report
 
 
@@ -636,13 +614,13 @@ def csv_lines(header: str, rows, timestamp: str | None = None) -> list:
 
 
 def sweep_csv_lines(report: ConvergenceReport, timestamp: str | None = None) -> list:
-    """The lines of `sweep.csv`: a row per sample time of each run that
-    did not fail."""
+    """The lines of `sweep.csv`: a row per sample time of each completed
+    solve."""
     rows = [
         (rec.alpha, t, rec.vel_l2_err[j], *(rec.vort_err[p][j] for p in CSV_PS),
-         rec.flow_dist[j], rec.delta[j], rec.alphanorm_drift[j], rec.energy[j])
-        for rec in report.ok_records()
-        for j, t in enumerate(report.times)
+         rec.flow_dist[j], rec.delta[j], drift, rec.monitor.energy[j])
+        for rec in report.records
+        for j, (t, drift) in enumerate(zip(report.times, rec.monitor.alpha_norm_drift()))
     ]
     return csv_lines(CSV_COLUMNS, rows, timestamp)
 
@@ -662,15 +640,12 @@ def summary_dict(report: ConvergenceReport) -> dict:
         "vorticity_rates": {
             repr(p): _ratefit_dict(f) for p, f in report.vorticity_rates.items()
         },
-        "alphas": [r.alpha for r in report.records],
-        "gamma0": {repr(r.alpha): r.gamma0 for r in report.ok_records()},
-        "sup_vel_err": {repr(r.alpha): r.sup_vel_err() for r in report.ok_records()},
-        "sup_vort_err_l2": {
-            repr(r.alpha): r.sup_vort_err(2.0) for r in report.ok_records()
-        },
-        "failures": {
-            repr(r.alpha): r.error for r in report.records if r.failed
-        },
+        # alpha_list is strictly decreasing, so this is it, failed alphas included
+        "alphas": sorted([r.alpha for r in report.records] + list(report.failures), reverse=True),
+        "gamma0": {repr(r.alpha): r.gamma0 for r in report.records},
+        "sup_vel_err": {repr(r.alpha): r.sup_vel_err() for r in report.records},
+        "sup_vort_err_l2": {repr(r.alpha): r.sup_vort_err(2.0) for r in report.records},
+        "failures": {repr(alpha): error for alpha, error in report.failures.items()},
         "bounds": None
         if report.bounds is None
         else {

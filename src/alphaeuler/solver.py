@@ -419,9 +419,9 @@ def save_checkpoint(state: SimState, path) -> None:
 
 def load_checkpoint(path) -> SimState:
     """Read a snapshot written by `save_checkpoint`.  Raises ValueError for
-    a malformed file: bad header or size, non-finite coefficients, nonzero
-    mean, or coefficients that are not conjugate-symmetric to within
-    SYMMETRY_TOL (not a real field)."""
+    a malformed file: bad header or size, a non-finite time or
+    coefficients, nonzero mean, or coefficients that are not
+    conjugate-symmetric to within SYMMETRY_TOL (not a real field)."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) < _HEADER.size:
@@ -431,6 +431,8 @@ def load_checkpoint(path) -> SimState:
         raise ValueError(f"bad checkpoint magic {magic!r}")
     if version != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {version}")
+    if not np.isfinite(t):
+        raise ValueError(f"checkpoint time is not finite: {t}")
     expected = _HEADER.size + 16 * n * n
     if len(raw) != expected:
         raise ValueError("checkpoint payload size does not match the header")

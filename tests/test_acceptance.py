@@ -227,7 +227,7 @@ def test_criterion_3_steady_shear():
 
 
 def test_criterion_4_velocity_rate(smooth_sweep):
-    recs = smooth_sweep.ok_records()
+    recs = smooth_sweep.records
     sups = [r.sup_vel_err() for r in recs]
     decreasing = all(b < a for a, b in zip(sups, sups[1:]))
     slope = smooth_sweep.velocity_rate.slope
@@ -241,13 +241,13 @@ def test_criterion_4_velocity_rate(smooth_sweep):
 
 
 def test_criterion_5_vorticity_rate(smooth_sweep, patch_sweep):
-    recs = smooth_sweep.ok_records()
+    recs = smooth_sweep.records
     sups = [r.sup_vort_err(2.0) for r in recs]
     decreasing = all(b < a for a, b in zip(sups, sups[1:]))
     smooth_slope = smooth_sweep.vorticity_rates[2.0].slope
 
     patch_slope = patch_sweep.vorticity_rates[2.0].slope
-    patch_drift = max(r.q_l2_drift.max() for r in patch_sweep.ok_records())
+    patch_drift = max(r.monitor.q_l2_drift().max() for r in patch_sweep.records)
 
     ok = decreasing and smooth_slope >= 0.1 and patch_slope >= 0.05 and patch_drift <= 1e-2
     assert criterion(
@@ -259,11 +259,11 @@ def test_criterion_5_vorticity_rate(smooth_sweep, patch_sweep):
 
 
 def test_criterion_6_energy_of_limit(smooth_sweep):
-    recs = smooth_sweep.ok_records()
-    gaps = [abs(r.energy[-1] - smooth_sweep.u0_l2) for r in recs]
+    recs = smooth_sweep.records
+    gaps = [abs(r.monitor.energy[-1] - smooth_sweep.u0_l2) for r in recs]
     vanishing = all(b < a for a, b in zip(gaps, gaps[1:])) and gaps[-1] <= 0.1 * gaps[0]
 
-    residuals = [r.alpha_norm[-1] ** 2 - r.energy[-1] ** 2 for r in recs]
+    residuals = [r.monitor.alpha_norm[-1] ** 2 - r.monitor.energy[-1] ** 2 for r in recs]
     slope = np.polyfit(np.log([r.alpha for r in recs]), np.log(residuals), 1)[0]
     proportional = 0.85 <= slope <= 1.15
 
@@ -302,7 +302,7 @@ def test_criterion_7_lagrangian_consistency(transport_run):
 
 
 def test_criterion_8_flow_distance_bound(gentle_sweep):
-    recs = gentle_sweep.ok_records()
+    recs = gentle_sweep.records
     applicable = all(r.delta[-1] < 1.0 for r in recs)
     c_cal = float(np.max(recs[0].flow_dist)) * abs(math.log(recs[0].delta[-1]))
     holds = True

@@ -60,6 +60,16 @@ class TestGamma0:
         assert vals[-1] < 1e-3 * vals[0]
 
 
+class TestBoundParams:
+    @pytest.mark.parametrize("name", ["c1", "c2", "c", "m", "gamma0", "alpha_bar", "horizon"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_constant_is_named(self, name, value):
+        # a NaN c1, c2, c, m or gamma0 passed every sign check and gave NaN
+        # bounds; an infinite horizon failed later, inside velocity_rate_K
+        with pytest.raises(ValueError, match=f"bound constant {name} must be finite, got {value!r}"):
+            BoundParams(**{name: value})
+
+
 class TestVelocityRateK:
     def test_t_zero_collapses(self):
         p = BoundParams(c1=1.0, c2=1.0, c=1.0, gamma0=0.0, horizon=1.0)

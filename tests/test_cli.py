@@ -85,12 +85,20 @@ class TestBoundsCommand:
             (["--alphas", "0.1 nan"], "--alphas = '0.1 nan' is invalid: expected a finite number"),
             (["--alphas", "0.1", "--nt", "-1"], "--nt must be at least 1, got -1"),
             (["--alphas", "0.1", "--nt", "0"], "--nt must be at least 1, got 0"),
+            (["--alphas", "0.1", "--c1", "nan"], "bound constant c1 must be finite, got nan"),
+            (["--alphas", "0.1", "--c", "nan"], "bound constant c must be finite, got nan"),
+            (["--alphas", "0.1", "--m", "nan"], "bound constant m must be finite, got nan"),
+            (["--alphas", "0.1", "--gamma0", "nan"], "bound constant gamma0 must be finite, got nan"),
+            (["--alphas", "0.1", "--T", "inf"], "bound constant horizon must be finite, got inf"),
         ],
-        ids=["alphas_token", "alphas_nan", "nt_negative", "nt_zero"],
+        ids=["alphas_token", "alphas_nan", "nt_negative", "nt_zero", "c1_nan", "c_nan", "m_nan", "gamma0_nan",
+             "T_inf"],
     )
     def test_bad_flag_value_is_named(self, capsys, flags, named):
         # "could not convert string to float: 'abc'" named no flag, and
         # --nt -1 ended in numpy's "Number of samples, -1, must be non-negative."
+        # A NaN constant wrote rows of nan and exited 0, and --T inf printed
+        # a numpy RuntimeWarning before failing on t = nan.
         assert main(["bounds", *flags]) == 1
         err = capsys.readouterr().err
         assert named in err
@@ -288,12 +296,18 @@ class TestReportCommand:
                 "line 4, column vel_l2_err: 'abc' is not a number",
             ),
             (CSV_COLUMNS + "\nhalf,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n", "line 3, column alpha: 'half' is not a number"),
+            (
+                CSV_COLUMNS + "\n0.5,0.0,1.0,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n0.5,0.1,nan,0.0,0.0,0.0,0.0,0.0,0.0,1.0\n",
+                "line 4, column vel_l2_err: 'nan' is not finite",
+            ),
+            (CSV_COLUMNS + "\n0.5,0.0,1.0,0.0,inf,0.0,0.0,0.0,0.0,1.0\n", "line 3, column vort_l2_err: 'inf' is not finite"),
         ],
-        ids=["flows_csv", "header_only", "short_row", "not_a_number", "alpha_not_a_number"],
+        ids=["flows_csv", "header_only", "short_row", "not_a_number", "alpha_not_a_number", "nan_cell", "inf_cell"],
     )
     def test_bad_input_exits_1(self, tmp_path, capsys, body, named):
         # a flows CSV ended in KeyError: 'alpha' and a short row in an
-        # IndexError, each with a traceback
+        # IndexError, each with a traceback; max(sup, nan) kept sup, so a
+        # NaN error cell left rates.csv as if it were not there
         path = tmp_path / "input.csv"
         path.write_text("# generated 2026-01-01\n" + body)
         report_out = tmp_path / "report"

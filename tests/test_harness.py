@@ -2,7 +2,7 @@ import json
 import re
 import sys
 import threading
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,7 @@ from alphaeuler.harness import (
     sweep_csv_lines,
     summary_dict,
 )
+from alphaeuler.solver import MonitorLog
 from alphaeuler.spectral import unpack_band
 from sampled import run_states, trajectory_of, velocity_l1_distance, vorticity_lp_distance
 
@@ -59,9 +60,7 @@ def _self_errors(times, p_list):
         vort_err={p: zeros.copy() for p in p_list},
         flow_dist=zeros.copy(),
         delta=zeros.copy(),
-        alphanorm_drift=zeros.copy(),
-        energy=zeros.copy(),
-        q_l2_drift=zeros.copy(),
+        monitor=MonitorLog(times, *(zeros.copy() for _ in range(6))),
         gamma0=0.0,
     )
 
@@ -335,9 +334,8 @@ def test_readme_config_reference_matches_the_schema(table):
     assert table in README.read_text()
 
 
-@pytest.fixture(scope="module")
-def shear_report():
-    cfg = ExperimentConfig(
+def shear_config():
+    return ExperimentConfig(
         datum=DatumSpec("shear"),
         alpha_list=(0.5,),
         n=32,
@@ -346,7 +344,11 @@ def shear_report():
         samples=4,
         particle_stride=4,
     )
-    return run_sweep(cfg)
+
+
+@pytest.fixture(scope="module")
+def shear_report():
+    return run_sweep(shear_config())
 
 
 @pytest.fixture(scope="module")
@@ -375,20 +377,31 @@ class TestSteadyShearSweep:
     def test_reference_is_self_consistent(self, shear_report):
         assert shear_report.richardson_error < 1e-10
 
-    def test_default_bound_overlay(self, shear_report):
-        assert shear_report.bounds.params == BoundParams(horizon=1.0)
-        assert list(shear_report.bounds.curves) == [0.5]
+    def test_default_bound_overlay(self, monkeypatch):
+        # the overlay evaluates the bound of each record, at its own gamma0,
+        # with the default constants and horizon max(1, t_end)
+        evaluated = []
+        rate_K = harness.velocity_rate_K
+
+        def recording(a, t, params):
+            evaluated.append((a.alpha, replace(params, gamma0=0.0)))
+            return rate_K(a, t, params)
+
+        monkeypatch.setattr(harness, "velocity_rate_K", recording)
+        run_sweep(shear_config())
+        assert evaluated[0][1] == BoundParams(horizon=1.0)
+        assert sorted({alpha for alpha, _ in evaluated}) == [0.5]
 
 
 class TestSweepInvariants:
     def test_errors_nonnegative(self, report):
-        for rec in report.ok_records():
+        for rec in report.records:
             assert np.all(rec.vel_l2_err >= 0)
             for arr in rec.vort_err.values():
                 assert np.all(arr >= 0)
 
     def test_errors_decrease_with_alpha(self, report):
-        sups = [r.sup_vel_err() for r in report.ok_records()]
+        sups = [r.sup_vel_err() for r in report.records]
         assert all(b < a for a, b in zip(sups, sups[1:]))
 
     def test_csv_written_with_schema(self, cfg, report):
@@ -682,16 +695,16 @@ class TestJobGraph:
         monkeypatch.setattr(harness, "filtered_solve", failing_solve)
         patch_reference(monkeypatch, late_reference)
         got = run_sweep(smooth_config(workers=2))
-        assert [r.alpha for r in got.records] == [0.25, 0.125, 0.0625]
-        assert [r.failed for r in got.records] == [False, True, False]
-        assert got.records[1].error == "injected failure"
+        assert [r.alpha for r in got.records] == [0.25, 0.0625]
+        assert got.failures == {0.125: "injected failure"}
+        assert summary_dict(got)["alphas"] == [0.25, 0.125, 0.0625]
         # the solve done before the reference (alpha 0.0625, solved before
         # the failing one) is compared as the serial sweep's solves are,
         # after the reference: the two must agree bit for bit
         assert 0.0625 in solved_first
-        for i in (0, 2):
-            assert np.array_equal(got.records[i].vel_l2_err, report.records[i].vel_l2_err)
-            assert np.array_equal(got.records[i].delta, report.records[i].delta)
+        for rec, serial in zip(got.records, (report.records[0], report.records[2])):
+            assert np.array_equal(rec.vel_l2_err, serial.vel_l2_err)
+            assert np.array_equal(rec.delta, serial.delta)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_reference_failure_cancels_solves_and_propagates(self, workers, monkeypatch):
@@ -901,7 +914,7 @@ class TestRichardsonGate:
     def test_gate_can_be_disabled(self):
         cfg = smooth_config(alpha_list=(1e-12,), t_end=0.5, richardson=False)
         report = run_sweep(cfg)
-        assert len(report.ok_records()) == 1
+        assert len(report.records) == 1
 
 
 class TestCompareBounds:
@@ -929,8 +942,8 @@ class TestCompareBounds:
             n=32,
             n_ref=64,
             times=times,
-            p_list=(1.0, 2.0, 4.0),
             records=[rec],
+            failures={},
             velocity_rate=None,
             vorticity_rates={},
             richardson_error=0.0,
@@ -947,21 +960,23 @@ class TestCompareBounds:
         curve = [velocity_rate_K(AlphaParam(0.01), float(t), params) for t in times]
         assert np.all(rec.vel_l2_err <= np.asarray(curve))
 
-    def test_empty_report_annotation(self):
+    def test_empty_report_annotation(self, monkeypatch):
+        evaluated = []
+        monkeypatch.setattr(harness, "velocity_rate_K", lambda *args: evaluated.append(args))
         times = np.linspace(0.0, 1.0, 3)
         report = ConvergenceReport(
             n=32,
             n_ref=64,
             times=times,
-            p_list=(1.0, 2.0, 4.0),
             records=[],
+            failures={},
             velocity_rate=None,
             vorticity_rates={},
             richardson_error=0.0,
             u0_l2=1.0,
         )
         report = compare_bounds(report, BoundParams(horizon=1.0))
-        assert report.bounds.curves == {}
+        assert evaluated == []  # no bound curve
         assert report.bounds.exceeded == []
 
 
@@ -972,8 +987,8 @@ def test_summary_serializable():
         n=32,
         n_ref=64,
         times=times,
-        p_list=(1.0, 2.0, 4.0),
-        records=[rec, AlphaRecord(alpha=0.5, failed=True, error="boom")],
+        records=[rec],
+        failures={0.5: "boom"},
         velocity_rate=None,
         vorticity_rates={},
         richardson_error=0.0,

@@ -122,6 +122,55 @@ def test_the_caller_check_sees_an_uncalled_name():
     assert uncalled_names({path: tree}) == ["C", "f"]
 
 
+# `asdict` writes a RateFit whole to summary.json: no attribute reads it.
+UNREAD_FIELDS = {("RateFit", "intercept")}
+
+
+def annotated_fields(tree):
+    """(class name, field name) of every annotated field of a module-level
+    class of a module."""
+    return [
+        (node.name, item.target.id)
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    ]
+
+
+def unread_fields(sources):
+    """The annotated fields of the package modules among `sources` whose
+    name no source reads as an attribute.  The match is by name only, so a
+    field whose name is read on some other object (`params` on a
+    DatumSpec, `p_list` on an ExperimentConfig) passes."""
+    reads = {
+        node.attr
+        for tree in sources.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        (cls, name)
+        for path, tree in sources.items()
+        if path.parent == PACKAGE
+        for cls, name in annotated_fields(tree)
+        if name not in reads
+    )
+
+
+def test_every_field_is_read():
+    # a field that no package module or demo reads is data that only tests use
+    paths = [p for p in MODULES if p.name != "__init__.py"] + sorted(DEMOS.glob("*.py"))
+    sources = {path: _tree(path) for path in paths}
+    assert set(unread_fields(sources)) == UNREAD_FIELDS
+
+
+def test_the_field_check_sees_an_unread_field():
+    path = PACKAGE / "m.py"
+    source = "class C:\n    x: int\n    y: int = 0\n    z = 1\n\ndef f(c):\n    c.y = c.x\n    return C.z\n"
+    assert unread_fields({path: ast.parse(source)}) == [("C", "y")]
+
+
 def unread_imports(tree):
     """(line, name) of every name an import binds that the module never
     reads; `import a.b` binds `a`, and `__future__` imports bind none."""

@@ -1,3 +1,6 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -706,6 +709,19 @@ class TestCheckpoint:
         for value in (np.nan, np.inf):
             with pytest.raises(ValueError, match="not finite"):
                 load_checkpoint(self._edited(tmp_path, {(2, 3): value}))
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_time(self, tmp_path, t):
+        # a NaN time was saved and loaded back as the state's clock
+        import struct
+
+        path = tmp_path / "state.aeul"
+        save_checkpoint(SimState(0.0, shear(Grid(8)), AlphaParam(0.1)), path)
+        raw = bytearray(path.read_bytes())
+        struct.pack_into("<d", raw, struct.calcsize("<4sIId"), t)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint time is not finite: {t}")):
+            load_checkpoint(path)
 
     def test_rejects_nonzero_mean(self, tmp_path):
         with pytest.raises(ValueError, match="zero mean"):
