@@ -101,7 +101,7 @@ def cmd_simulate(args) -> int:
     alpha = args.alpha if args.alpha is not None else cfg.alpha_list[0]
     if not 0.0 <= alpha < math.inf:  # NaN included
         raise ValueError(f"--alpha must be finite and >= 0, got {alpha}")
-    q0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
+    q0 = build_datum(cfg.datum, Grid(cfg.n))
     sim = run(q0, AlphaParam(alpha), cfg.solver_config(), cfg.sample_times)
     out = _resolve_output(cfg.output_dir, args.output, "simulate_output")
     out.mkdir(parents=True, exist_ok=True)

@@ -113,6 +113,13 @@ def _family(raw: str) -> str:
     return raw
 
 
+def _cfl(raw) -> float:
+    value = float(raw)
+    if not 0.0 < value <= 1.0:  # NaN included
+        raise ValueError("expected a number in (0, 1]")
+    return value
+
+
 def _unknown(what: str, accepted) -> ValueError:
     return ValueError(f"unknown {what} (accepted: {', '.join(accepted)})")
 
@@ -125,16 +132,13 @@ def _list_of(cast):
 _finite_list = _list_of(_finite)
 _real_list = _list_of(float)
 
-# The default of a [datum] seed: the [sweep] seed.
-SWEEP_SEED = "[sweep] seed"
-
 # Every [datum] kind: its builder, called with the grid and the kind's keys,
 # and those keys as {key: (cast, default)}.  Each builder looks its
 # generator up when called, so a wrapper installed on the module sees it.
 DATUM_KINDS = {
     "smooth_random": (
         lambda grid, **keys: smooth_random(grid=grid, **keys),
-        {"seed": (int, SWEEP_SEED), "spectrum_slope": (_finite, 2.0), "k_max": (int, 4)},
+        {"seed": (int, 0), "spectrum_slope": (_finite, 2.0), "k_max": (int, 4)},
     ),
     "disc_patch": (
         lambda grid, center_x, center_y, **keys: disc_patch((center_x, center_y), grid=grid, **keys),
@@ -160,7 +164,6 @@ CONFIG_KEYS = {
     "sweep": {
         "alphas": ("alpha_list", _finite_list),
         "p_list": ("p_list", _real_list),
-        "seed": ("seed", int),
         "particle_stride": ("particle_stride", int),
         "substeps": ("substeps", int),
         "family": ("family", _family),
@@ -195,13 +198,10 @@ class DatumSpec:
         object.__setattr__(self, "params", params)
 
 
-def build_datum(spec: DatumSpec, grid: Grid, default_seed: int = 0) -> SpectralField:
+def build_datum(spec: DatumSpec, grid: Grid) -> SpectralField:
     """The kind's builder on `grid`, each key the spec's value or its
     default, times `scale`."""
-    values = {
-        key: default_seed if default is SWEEP_SEED else default
-        for key, (_, default) in _datum_keys(spec.kind).items()
-    }
+    values = {key: default for key, (_, default) in _datum_keys(spec.kind).items()}
     values.update(spec.params)
     scale = values.pop("scale")
     datum = DATUM_KINDS[spec.kind][0](grid, **values)
@@ -218,7 +218,6 @@ class ExperimentConfig:
     n_ref: int
     t_end: float
     p_list: tuple = CSV_PS
-    seed: int = 0
     output_dir: Path | None = None
     cfl: float = 0.5
     samples: int = 32
@@ -241,6 +240,7 @@ class ExperimentConfig:
             raise ValueError("the reference grid must be at least as fine")
         if not 0 < self.t_end < math.inf:
             raise ValueError("t_end must be positive and finite")
+        _parse("[time] cfl", self.cfl, _cfl)
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
         if self.particle_stride < 1 or self.n % self.particle_stride != 0:
@@ -366,7 +366,7 @@ def study_datum(cfg: ExperimentConfig) -> tuple[SpectralField, SpectralField]:
     to the study grid, which must keep some of it: a restriction that is
     identically zero would give a table of zeros."""
     grid = Grid(cfg.n)
-    datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+    datum = build_datum(cfg.datum, Grid(cfg.n_ref))
     omega0 = restrict(datum, grid)
     if not omega0.coeffs.any():
         raise ValueError(
@@ -385,7 +385,7 @@ def banded_run(q0: SpectralField, alpha: float, cfg: ExperimentConfig, monitor: 
     bands = []
     sim = run(
         q0, AlphaParam(alpha), cfg.solver_config(), cfg.sample_times,
-        on_sample=lambda s, u: bands.append(pack_band(s.q, grid)), monitor=monitor,
+        on_sample=lambda s: bands.append(pack_band(s.q, grid)), monitor=monitor,
     )
     return BandedRun(alpha, tuple(bands), sim.monitor)
 
@@ -605,15 +605,14 @@ def csv_row(values) -> str:
     return ",".join(repr(float(v)) for v in values)
 
 
-def csv_lines(header: str, rows, timestamp: str | None = None) -> list:
+def csv_lines(header: str, rows) -> list:
     """The lines of a CSV file the package writes: `# generated` and the
-    UTC time (or `timestamp`), the header, then a `csv_row` per row."""
-    if timestamp is None:
-        timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    UTC time, the header, then a `csv_row` per row."""
+    timestamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
     return [f"# generated {timestamp}", header] + [csv_row(row) for row in rows]
 
 
-def sweep_csv_lines(report: ConvergenceReport, timestamp: str | None = None) -> list:
+def sweep_csv_lines(report: ConvergenceReport) -> list:
     """The lines of `sweep.csv`: a row per sample time of each completed
     solve."""
     rows = [
@@ -622,7 +621,7 @@ def sweep_csv_lines(report: ConvergenceReport, timestamp: str | None = None) -> 
         for rec in report.records
         for j, (t, drift) in enumerate(zip(report.times, rec.monitor.alpha_norm_drift()))
     ]
-    return csv_lines(CSV_COLUMNS, rows, timestamp)
+    return csv_lines(CSV_COLUMNS, rows)
 
 
 def _ratefit_dict(fit: RateFit | None):

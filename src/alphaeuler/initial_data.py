@@ -128,7 +128,7 @@ def boundary_cells(inside: np.ndarray) -> np.ndarray:
     return edges
 
 
-def box_counting_dimension(cells: np.ndarray) -> tuple[float, list[tuple[int, int]]]:
+def box_counting_dimension(cells: np.ndarray) -> float:
     """Box-counting dimension of a cell mask from dyadic box counts.
 
     Counts occupied boxes of side 1, 2, 4, ... cells and fits the slope of
@@ -147,17 +147,16 @@ def box_counting_dimension(cells: np.ndarray) -> tuple[float, list[tuple[int, in
     for s in sizes:
         coarse = cells.reshape(n // s, s, n // s, s).any(axis=(1, 3))
         counts.append(int(coarse.sum()))
-    table = list(zip(sizes, counts))
     fit_sizes = {s for s in sizes if s in (4, 8, 16)}
     if len(fit_sizes) < 2:
         fit_sizes = set(sizes)
-    pts = [(s, c) for s, c in table if s in fit_sizes and c > 0]
+    pts = [(s, c) for s, c in zip(sizes, counts) if s in fit_sizes and c > 0]
     if len(pts) < 2:
         raise ValueError("not enough box scales for a dimension estimate")
     log_inv_s = np.log([1.0 / s for s, _ in pts])
     log_n = np.log([c for _, c in pts])
     slope = np.polyfit(log_inv_s, log_n, 1)[0]
-    return float(slope), table
+    return float(slope)
 
 
 KOCH_DIMENSION = math.log(4.0) / math.log(3.0)
@@ -202,14 +201,11 @@ def fractal_patch(
         inside[start : start + chunk] = _points_in_polygon(block, vertices)
     inside = inside.reshape(grid.n, grid.n)
 
-    dim_estimate, box_table = box_counting_dimension(boundary_cells(inside))
     field = _mean_free_spectral(amplitude * inside.astype(float), grid)
     metadata = {
-        "boundary_dim_estimate": dim_estimate,
-        "box_counts": box_table,
+        "boundary_dim_estimate": box_counting_dimension(boundary_cells(inside)),
         "nominal_dimension": 1.0 if depth == 0 else KOCH_DIMENSION,
         "edge_count": int(vertices.shape[0]),
-        "depth": depth,
     }
     return field, metadata
 

@@ -11,9 +11,9 @@ traces either way, one pushed sample at a time, keeping no history.
 planes that repeat the periodic field's last row and column before it and
 its first two after it.  The 16 taps of a particle then sit at constant
 offsets from one start index, so the stencil wraps one cell index per axis
-(`& (n - 1)` for a power-of-two n, as every `Grid` has, else `% n`) and
-each tap gathers every component with one `take`.  The copy and the
-stencil, weight, index and tap arrays live in a `BicubicWork`;
+(`& (n - 1)`: n is a power of two, as on every `Grid`) and each tap
+gathers every component with one `take`.  The copy and the stencil,
+weight, index and tap arrays live in a `BicubicWork`;
 `advect_particles` builds one per call, blends the interval's two samples
 straight into it, and keeps the RK4 stage positions in buffers of the
 call too.  Made afresh on every evaluation, those 128-256 KB
@@ -144,10 +144,14 @@ def bicubic_sample(
     (Catmull-Rom) interpolation; exact at the grid nodes.
 
     values has shape (..., n, n) and positions (count, 2); the result has
-    shape (..., count) and goes into `out` when given.  `work` passes in the
-    BicubicWork of this shape and count so its buffers are reused; values is
-    copied into it unless it is `work.field` itself, loaded already.
+    shape (..., count) and goes into `out` when given; n must be a power of
+    two.  `work` passes in the BicubicWork of this shape and count so its
+    buffers are reused; values is copied into it unless it is `work.field`
+    itself, loaded already.
     """
+    n = values.shape[-1]
+    if not _is_power_of_two(n):
+        raise ValueError(f"bicubic_sample needs a power-of-two grid size n, got n = {n}")
     count = positions.shape[0]
     if work is None:
         work = BicubicWork(values.shape, count)
@@ -157,11 +161,10 @@ def bicubic_sample(
         work.load(values)
     if out is None:
         out = np.empty(values.shape[:-2] + (count,))
-    n = values.shape[-1]
 
-    # cells: floor(positions / dx) mod n; f: the offsets in them.  One
-    # axis at a time: a ufunc reading (count, 2) positions into (2, count)
-    # rows allocates an iterator buffer
+    # cells: floor(positions / dx) mod n (two's complement: -1 & (n - 1) is
+    # n - 1); f: the offsets in them.  One axis at a time: a ufunc reading
+    # (count, 2) positions into (2, count) rows allocates an iterator buffer
     f = work.coords
     for axis in range(2):
         np.divide(positions[:, axis], dx, out=f[axis])
@@ -169,10 +172,7 @@ def bicubic_sample(
     np.subtract(f, floors, out=f)
     cells = work.cells
     np.copyto(cells, floors, casting="unsafe")
-    if _is_power_of_two(n):  # two's complement: -1 & (n - 1) is n - 1
-        np.bitwise_and(cells, n - 1, out=cells)
-    else:
-        np.remainder(cells, n, out=cells)
+    np.bitwise_and(cells, n - 1, out=cells)
     start = np.multiply(cells[0], n + 3, out=work.start)
     start += cells[1]
 
@@ -323,13 +323,9 @@ class TrajectoryStream:
         return self._particles.positions
 
 
-def measure_preservation_defect(
-    p0: ParticleSet, advected: ParticleSet, test_function: PhysicalField
-) -> float:
+def measure_preservation_defect(advected: ParticleSet, test_function: PhysicalField) -> float:
     """|mean of f over the advected particles - grid mean of f|; vanishes
     for an exactly measure-preserving flow sampled on the lattice."""
-    if p0.count != advected.count:
-        raise ValueError("particle sets must have matching counts")
     dx = test_function.grid.dx
     along_flow = bicubic_sample(test_function.values, advected.positions, dx)
     return float(abs(along_flow.mean() - test_function.values.mean()))

@@ -119,13 +119,12 @@ def _rk4_buffers(grid: Grid) -> np.ndarray:
 class AdvectionStage:
     """-u . grad q for one (grid, alpha).
 
-    Calling the stage with the coefficients of q returns the coefficients
-    of -u . grad q (dealiased, mean exactly zero) and the largest
-    collocation speed |u|: `slope`, then `speed`.  The coefficients go to
-    `out` when given, else to the one array a call allocates; the work
-    buffers make an instance usable by one thread at a time: build one per
-    run.  The inverse column pass covers the band columns only when q is
-    dealiased; any q is transformed exactly.
+    `slope` maps the coefficients of q to those of -u . grad q (dealiased,
+    mean exactly zero), into `out` when given, else into the one array a
+    call allocates; `speed` then reads the largest collocation speed |u|
+    of that input.  The work buffers make an instance usable by one thread
+    at a time: build one per run.  The inverse column pass covers the band
+    columns only when q is dealiased; any q is transformed exactly.
     """
 
     def __init__(self, grid: Grid, a: AlphaParam):
@@ -148,9 +147,6 @@ class AdvectionStage:
         self._phys = np.empty((4, n, n))
         self._prod = np.empty((n, n))
         self.rk4 = _rk4_buffers(grid)
-
-    def __call__(self, q: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        return self.slope(q, out), self.speed()
 
     def slope(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The coefficients of -u . grad q."""
@@ -177,9 +173,8 @@ class _EulerStage:
 
     Equal to ``AdvectionStage(grid, AlphaParam(0.0))`` up to roundoff on
     dealiased input, and its speed is that stage's bit for bit: u1 and u2
-    come from the same tables and the same transform passes.  `slope` and
-    `speed` split a call as in that stage.  The work buffers make an
-    instance usable by one thread at a time.
+    come from the same tables and the same transform passes.  The work
+    buffers make an instance usable by one thread at a time.
     """
 
     def __init__(self, grid: Grid):
@@ -195,9 +190,6 @@ class _EulerStage:
         self._phys = np.empty((2, n, n))
         self._prod = np.empty((2, n, n))
         self.rk4 = _rk4_buffers(grid)
-
-    def __call__(self, q: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-        return self.slope(q, out), self.speed()
 
     def slope(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The coefficients of -u . grad q, for dealiased q."""
@@ -260,7 +252,8 @@ def step(
     # acc gathers k1 + 2 k2 + 2 k3 + k4
     acc, k, x = stage.rk4
 
-    _, speed = stage(q0, out=acc)
+    stage.slope(q0, out=acc)
+    speed = stage.speed()
     if not np.isfinite(speed):
         raise SolverError(
             f"velocity is not finite at t={state.t}, step {state.step_count}; "
@@ -348,14 +341,12 @@ def run(
     """Integrate from t = 0 onto each of `sample_times`, the run's clock:
     non-empty, starting at exactly 0, finite and strictly increasing, or a
     ValueError names the fault.  The last step before each time is clipped
-    to land on it.  `on_sample(state, u)` is invoked at every sample with
-    the state and its filtered velocity, made once per sample from the
-    stage's table and shared with the monitor row; the run keeps no state
-    but the last.  monitor=False skips the monitor rows and the
-    velocities, passes u=None to `on_sample` and leaves SimRun.monitor
-    None, without changing the states.  The initial vorticity is
-    dealiased, and an alpha = 0 run steps with the `_EulerStage`, which
-    needs dealiased input.
+    to land on it.  `on_sample(state)` is invoked at every sample; the run
+    keeps no state but the last.  A monitor row takes the state's filtered
+    velocity from the stage's table.  monitor=False skips the monitor rows
+    and leaves SimRun.monitor None, without changing the states.  The
+    initial vorticity is dealiased, and an alpha = 0 run steps with the
+    `_EulerStage`, which needs dealiased input.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -374,12 +365,10 @@ def run(
     rows = []
 
     def take_sample(s: SimState):
-        u = None
         if monitor:
-            u = velocity(s.q, a, table=stage.mult[:2])
-            rows.append(_monitor_row(s, u))
+            rows.append(_monitor_row(s, velocity(s.q, a, table=stage.mult[:2])))
         if on_sample is not None:
-            on_sample(s, u)
+            on_sample(s)
 
     take_sample(state)
     for target in times[1:]:
@@ -406,7 +395,10 @@ def _full_coeffs(q: SpectralField) -> np.ndarray:
 def save_checkpoint(state: SimState, path) -> None:
     """Binary snapshot: magic, version, n, alpha, t, then the full (n, n)
     coefficient array as little-endian interleaved (re, im) float64 in
-    row-major order."""
+    row-major order.  A non-finite time, which `load_checkpoint` refuses,
+    raises ValueError before the file is created."""
+    if not np.isfinite(state.t):
+        raise ValueError(f"checkpoint time is not finite: {state.t}")
     g = state.grid
     header = _HEADER.pack(
         CHECKPOINT_MAGIC, CHECKPOINT_VERSION, g.n, state.a.alpha, state.t

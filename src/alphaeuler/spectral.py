@@ -162,10 +162,6 @@ class SpectralField:
         if self.coeffs.dtype != np.complex128:
             raise ValueError("coefficients must be complex128")
 
-    @property
-    def mean(self) -> float:
-        return float(self.coeffs[0, 0].real)
-
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
 

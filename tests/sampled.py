@@ -14,7 +14,7 @@ from alphaeuler.lagrangian import TrajectoryStream
 def run_states(q0, a, cfg, sample_times, **kwargs):
     """`run`, and the list of the states it samples, in order."""
     states = []
-    sim = run(q0, a, cfg, sample_times, on_sample=lambda s, u: states.append(s), **kwargs)
+    sim = run(q0, a, cfg, sample_times, on_sample=states.append, **kwargs)
     return sim, states
 
 

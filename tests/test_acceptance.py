@@ -98,8 +98,8 @@ def transport_run():
     forward = TrajectoryStream(g, seed_particles(g), substeps=4)
     velocities, positions = [], []
 
-    def follow(s, u):
-        velocities.append(u.physical())
+    def follow(s):
+        velocities.append(ae.velocity(s.q, s.a).physical())
         positions.append(forward.push(s.t, velocities[-1]))
 
     sim = ae.run(q0, AlphaParam(0.1), SolverConfig(), times, on_sample=follow)
@@ -286,9 +286,7 @@ def test_criterion_7_lagrangian_consistency(transport_run):
     )
 
     p0 = seed_particles(g)
-    defect = ae.measure_preservation_defect(
-        p0, forward, ae.sample(g, lambda x1, x2: np.cos(x2))
-    )
+    defect = ae.measure_preservation_defect(forward, ae.sample(g, lambda x1, x2: np.cos(x2)))
     back = trace_back(forward, g, samples)
     comp = float(ae.torus_distance(back.positions, p0.positions).mean())
 

@@ -502,6 +502,20 @@ class TestConfigValues:
         assert "[sweep] p_list" in err and named in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("value", ["2", "0", "-1"])
+    @pytest.mark.parametrize("command", ["sweep", "flows", "simulate"])
+    def test_cfl_outside_unit_interval_exits_1_naming_it(self, tmp_path, capsys, monkeypatch, command, value):
+        # cfl = 2 used to pass load_config and fail as the first run
+        # started, after the datum was built, with no key named
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "cfl.cfg"
+        cfg.write_text(SHEAR_CFG.replace("samples = 4", f"samples = 4\ncfl = {value}"))
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: [time] cfl = {float(value)!r} is invalid: expected a number in (0, 1]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_p_list_takes_inf(self, tmp_path):
         cfg = tmp_path / "norms.cfg"
         cfg.write_text(SHEAR_CFG + "p_list = 1, inf\n")
@@ -561,11 +575,19 @@ class TestConfigSyntax:
             ("[DEFAULT]\nsamples = 4\n" + SHEAR_CFG, "unknown config section [DEFAULT]"),
             (SHEAR_CFG.replace("n_ref = 64", "nref = 64"), "unknown [grid] key 'nref' (accepted: n, n_ref)"),
             (SHEAR_CFG.replace("samples = 4", "sample = 4"), "unknown [time] key 'sample' (accepted: t_end, cfl, samples)"),
-            (SHEAR_CFG + "worker = 2\n", "unknown [sweep] key 'worker' (accepted: alphas, p_list, seed,"),
+            (SHEAR_CFG + "worker = 2\n", "unknown [sweep] key 'worker' (accepted: alphas, p_list, particle_stride,"),
             (SHEAR_CFG + "particle_strde = 4\n", "unknown [sweep] key 'particle_strde'"),
+            (
+                SHEAR_CFG + "seed = 3\n",
+                "unknown [sweep] key 'seed' (accepted: alphas, p_list, particle_stride, substeps, family, "
+                "workers, richardson)",
+            ),
             (SHEAR_CFG + "\n[output]\ndirectory = o\n", "unknown [output] key 'directory' (accepted: dir)"),
         ],
-        ids=["section", "misspelt_section", "default_section", "grid", "time", "sweep", "sweep_stride", "output"],
+        ids=[
+            "section", "misspelt_section", "default_section", "grid", "time", "sweep", "sweep_stride",
+            "sweep_seed", "output",
+        ],
     )
     @pytest.mark.parametrize("command", ["sweep", "flows", "simulate"])
     def test_unknown_section_or_key_exits_1(self, tmp_path, capsys, monkeypatch, command, text, named):

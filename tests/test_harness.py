@@ -210,21 +210,20 @@ class TestConfigFile:
     def test_every_key_reaches_its_field(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(
-            "[datum]\nkind = smooth_random\nk_max = 3\n"
+            "[datum]\nkind = smooth_random\nk_max = 3\nseed = 5\n"
             "[grid]\nn = 32\nn_ref = 64\n"
             "[time]\nt_end = 0.25\ncfl = 0.4\nsamples = 4\n"
-            "[sweep]\nalphas = 0.5 0.25\np_list = 3\nseed = 5\nparticle_stride = 4\n"
+            "[sweep]\nalphas = 0.5 0.25\np_list = 3\nparticle_stride = 4\n"
             "substeps = 2\nfamily = mollified\nworkers = 2\nrichardson = off\n"
             "[output]\ndir = out\n"
         )
         expected = ExperimentConfig(
-            datum=DatumSpec("smooth_random", {"k_max": 3}),
+            datum=DatumSpec("smooth_random", {"k_max": 3, "seed": 5}),
             alpha_list=(0.5, 0.25),
             n=32,
             n_ref=64,
             t_end=0.25,
             p_list=(3.0,),
-            seed=5,
             output_dir=Path("out"),
             cfl=0.4,
             samples=4,
@@ -271,12 +270,11 @@ class TestDatumSpec:
         assert np.all(np.isfinite(datum.coeffs)) and datum.coeffs.any()
         assert datum.coeffs[0, 0] == 0.0
 
-    def test_datum_seed_defaults_to_the_sweep_seed(self):
+    def test_datum_seed_defaults_to_0(self):
         grid = Grid(32)
-        spec = DatumSpec("smooth_random")
-        seeded = build_datum(DatumSpec("smooth_random", {"seed": 7}), grid, default_seed=3)
-        assert np.array_equal(build_datum(spec, grid, default_seed=7).coeffs, seeded.coeffs)
-        assert not np.array_equal(build_datum(spec, grid, default_seed=3).coeffs, seeded.coeffs)
+        unseeded = build_datum(DatumSpec("smooth_random"), grid).coeffs
+        assert np.array_equal(unseeded, build_datum(DatumSpec("smooth_random", {"seed": 0}), grid).coeffs)
+        assert not np.array_equal(unseeded, build_datum(DatumSpec("smooth_random", {"seed": 3}), grid).coeffs)
 
     def test_unknown_key_names_key_and_kind(self):
         with pytest.raises(ValueError, match="'seed'.*'shear'"):
@@ -417,21 +415,22 @@ class TestSweepInvariants:
 
     def test_determinism_excluding_timestamp(self, cfg, report):
         again = run_sweep(smooth_config())
-        a = sweep_csv_lines(report, timestamp="X")
-        b = sweep_csv_lines(again, timestamp="X")
-        assert a == b
+        a = sweep_csv_lines(report)
+        b = sweep_csv_lines(again)
+        assert a[0].startswith("# generated ") and b[0].startswith("# generated ")
+        assert a[1:] == b[1:]
 
     def test_worker_count_does_not_change_results(self, report):
         # 3 workers on a 2-core machine, with frequent thread switches, so
         # that solves finish before, during and after the reference
-        expected_csv = sweep_csv_lines(report, timestamp="X")
+        expected_csv = sweep_csv_lines(report)[1:]  # all but `# generated`
         expected_summary = json.dumps(summary_dict(report), sort_keys=True)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for workers in (1, 2, 3):
                 again = run_sweep(smooth_config(workers=workers))
-                assert sweep_csv_lines(again, timestamp="X") == expected_csv
+                assert sweep_csv_lines(again)[1:] == expected_csv
                 assert json.dumps(summary_dict(again), sort_keys=True) == expected_summary
         finally:
             sys.setswitchinterval(interval)
@@ -503,7 +502,7 @@ class TestSweepInvariants:
 
         euler = AlphaParam(0.0)
         grid = Grid(cfg.n)
-        datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+        datum = build_datum(cfg.datum, Grid(cfg.n_ref))
         _, ref_states = run_states(datum, euler, cfg.solver_config(), cfg.sample_times, monitor=False)
         _, states = run_states(restrict(datum, grid), euler, cfg.solver_config(), cfg.sample_times, monitor=False)
         assert len(states) == len(ref_states) == cfg.samples + 1
@@ -543,7 +542,7 @@ class TestJobGraph:
         from alphaeuler.harness import build_datum, filtered_solve, trace_bands
 
         cfg = smooth_config(family="mollified")
-        omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
+        omega0 = build_datum(cfg.datum, Grid(cfg.n))
         a = AlphaParam(cfg.alpha_list[0])
         _, states = run_states(approximating_family(omega0, a, cfg.family), a, cfg.solver_config(), cfg.sample_times)
         expected = trajectory_of(states, cfg.particle_stride, cfg.substeps)
@@ -573,7 +572,7 @@ class TestJobGraph:
         cfg = smooth_config()
         ref = reference_of(cfg)
         grid = Grid(cfg.n)
-        datum = build_datum(cfg.datum, Grid(cfg.n_ref), cfg.seed)
+        datum = build_datum(cfg.datum, Grid(cfg.n_ref))
         _, states = run_states(datum, AlphaParam(0.0), cfg.solver_config(), cfg.sample_times, monitor=False)
         expected = [restrict(s.q, grid) for s in states]
         got = [unpack_band(band, grid) for band in ref.bands]
@@ -637,7 +636,7 @@ class TestJobGraph:
         from alphaeuler.harness import build_datum, filtered_solve
 
         cfg = smooth_config()
-        omega0 = build_datum(cfg.datum, Grid(cfg.n), cfg.seed)
+        omega0 = build_datum(cfg.datum, Grid(cfg.n))
         builds = []
         build = vorticity._velocity_multipliers
 

@@ -144,14 +144,14 @@ class TestBoxCounting:
         n = 256
         cells = np.zeros((n, n), dtype=bool)
         cells[64, :] = True  # a straight line of cells
-        dim, _ = box_counting_dimension(cells)
+        dim = box_counting_dimension(cells)
         assert dim == pytest.approx(1.0, abs=0.05)
 
     def test_filled_block_dimension_two(self):
         n = 256
         cells = np.zeros((n, n), dtype=bool)
         cells[32:224, 32:224] = True
-        dim, _ = box_counting_dimension(cells)
+        dim = box_counting_dimension(cells)
         assert dim == pytest.approx(2.0, abs=0.1)
 
     def test_boundary_cells_of_half_plane(self):

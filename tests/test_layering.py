@@ -200,8 +200,8 @@ def test_the_import_check_sees_an_unread_import():
 
 
 # Defaulted parameters passed only from outside the package: the documented
-# entry hooks `cli.main(argv)` and `sweep_csv_lines(timestamp)`.
-ENTRY_PARAMETERS = {("main", "argv"), ("sweep_csv_lines", "timestamp")}
+# entry hook `cli.main(argv)`.
+ENTRY_PARAMETERS = {("main", "argv")}
 
 
 def defaulted_parameters(tree):

@@ -151,7 +151,9 @@ class TestRhs:
         q = random_vorticity(g, seed=n)
         a = AlphaParam(alpha)
         expected, expected_speed = full_fft_advection(q, a, use_dealias)
-        got, speed = AdvectionStage(g, a)(q.coeffs)
+        stage = AdvectionStage(g, a)
+        got = stage.slope(q.coeffs)
+        speed = stage.speed()
         scale = np.abs(expected).max()
         if not use_dealias:
             dropped = ~g.keep_mask
@@ -172,7 +174,8 @@ class TestRhs:
         u1, u2, dq1, dq2 = np.fft.irfft2(stage.mult * q, s=(n, n), norm="forward")
         expected = np.fft.rfft2(u1 * dq1 + u2 * dq2, norm="forward") * stage.post
         expected_speed = float(np.sqrt((u1 * u1 + u2 * u2).max()))
-        got, speed = stage(q)
+        got = stage.slope(q)
+        speed = stage.speed()
         assert np.array_equal(got, expected)
         assert speed == expected_speed
 
@@ -182,10 +185,12 @@ class TestRhs:
         g = Grid(256)
         q = random_vorticity(g, seed=3).coeffs
         stage = AdvectionStage(g, AlphaParam(0.01))
-        stage(q)
+        stage.slope(q)
+        stage.speed()
         tracemalloc.start()
         try:
-            coeffs, _ = stage(q)
+            coeffs = stage.slope(q)
+            stage.speed()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -206,8 +211,11 @@ class TestEulerStage:
     def test_matches_advection_stage_on_dealiased_fields(self, n):
         g = Grid(n)
         q = dealias(random_vorticity(g, seed=n + 2)).coeffs
-        expected, expected_speed = AdvectionStage(g, AlphaParam(0.0))(q)
-        got, speed = _EulerStage(g)(q)
+        advection, euler = AdvectionStage(g, AlphaParam(0.0)), _EulerStage(g)
+        expected = advection.slope(q)
+        expected_speed = advection.speed()
+        got = euler.slope(q)
+        speed = euler.speed()
         assert np.abs(got - expected).max() <= 1e-11 * np.abs(expected).max()
         assert not got[~g.keep_mask].any()
         assert got[0, 0] == 0.0
@@ -218,9 +226,9 @@ class TestEulerStage:
         g = Grid(32)
         q = dealias(random_vorticity(g, seed=4)).coeffs
         stage = _EulerStage(g)
-        expected, _ = stage(q)
+        expected = stage.slope(q)
         out = np.full_like(q, np.nan)
-        got, _ = stage(q, out=out)
+        got = stage.slope(q, out=out)
         assert got is out
         assert np.array_equal(out, expected)
 
@@ -374,11 +382,11 @@ class TestStep:
         expected = [q]
         for target in times[1:]:
             while t < target - 1e-13:
-                k1, speed = stage(q)
-                dt = min(cfl_timestep(speed, g, cfg.cfl), target - t)
-                k2, _ = stage(q + 0.5 * dt * k1)
-                k3, _ = stage(q + 0.5 * dt * k2)
-                k4, _ = stage(q + dt * k3)
+                k1 = stage.slope(q)
+                dt = min(cfl_timestep(stage.speed(), g, cfg.cfl), target - t)
+                k2 = stage.slope(q + 0.5 * dt * k1)
+                k3 = stage.slope(q + 0.5 * dt * k2)
+                k4 = stage.slope(q + dt * k3)
                 q = q + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 t += dt
             t = target
@@ -390,8 +398,8 @@ class TestStep:
     def test_nonfinite_update_aborts(self, monkeypatch):
         # an inf that appears only in the last stage leaves every stage
         # speed finite; the check on the new vorticity must still catch it.
-        # All four stages make their slope with `slope`; the first one goes
-        # through `__call__`, which also makes the speed
+        # All four stages make their slope with `slope`; only the first one
+        # then reads its speed with `speed`
         calls = []
         real_slope = AdvectionStage.slope
 
@@ -564,7 +572,7 @@ class TestRun:
             assert np.array_equal(a.q.coeffs, b.q.coeffs)
 
     def test_unmonitored_run_makes_no_velocity(self, monkeypatch):
-        # no monitor row reads it, so on_sample gets None in its place
+        # only a monitor row reads it
         from alphaeuler import solver
 
         made = []
@@ -573,30 +581,25 @@ class TestRun:
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         cfg, times = SolverConfig(), np.linspace(0.0, 0.3, 4)
-        seen = []
-        run(q0, AlphaParam(0.1), cfg, times, on_sample=lambda s, u: seen.append(u), monitor=False)
-        assert seen == [None] * 4
+        run_states(q0, AlphaParam(0.1), cfg, times, monitor=False)
         assert made == []
         run(q0, AlphaParam(0.1), cfg, times)
         assert len(made) == 4
 
     @pytest.mark.parametrize("alpha", [0.0, 0.1])
-    def test_on_sample_gets_the_velocity_of_the_state(self, alpha):
-        # made once per sample from the stage's table, it must be bit for
-        # bit the velocity of the state, and it is the one the monitor reads
+    def test_monitor_reads_the_velocity_of_the_state(self, alpha):
+        # made once per sample from the stage's table, the velocity the
+        # monitor reads must be bit for bit that of the state
         from alphaeuler import alpha_norm, velocity_l2
 
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         times = np.linspace(0.0, 0.3, 4)
-        seen = []
-        sim = run(q0, AlphaParam(alpha), SolverConfig(), times, on_sample=lambda s, u: seen.append((s, u)))
-        assert [s.t for s, _ in seen] == list(times)
-        assert seen[-1][0] is sim.final
-        for j, (s, u) in enumerate(seen):
+        sim, seen = run_states(q0, AlphaParam(alpha), SolverConfig(), times)
+        assert [s.t for s in seen] == list(times)
+        assert seen[-1] is sim.final
+        for j, s in enumerate(seen):
             expected = velocity(s.q, s.a)
-            assert u.u1.coeffs.tobytes() == expected.u1.coeffs.tobytes()
-            assert u.u2.coeffs.tobytes() == expected.u2.coeffs.tobytes()
             assert sim.monitor.energy[j] == velocity_l2(expected)
             assert sim.monitor.alpha_norm[j] == alpha_norm(expected, s.a)
 
@@ -722,6 +725,14 @@ class TestCheckpoint:
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=re.escape(f"checkpoint time is not finite: {t}")):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_save_refuses_non_finite_time(self, tmp_path, t):
+        # the file was written, and load_checkpoint then refused it
+        path = tmp_path / "state.aeul"
+        with pytest.raises(ValueError, match=re.escape(f"checkpoint time is not finite: {t}")):
+            save_checkpoint(SimState(t, shear(Grid(8)), AlphaParam(0.1)), path)
+        assert not path.exists()
 
     def test_rejects_nonzero_mean(self, tmp_path):
         with pytest.raises(ValueError, match="zero mean"):
