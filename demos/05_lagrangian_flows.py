@@ -38,7 +38,7 @@ cfg = ae.ExperimentConfig(
 )
 datum, omega0 = study_datum(cfg)
 ref = banded_run(datum, 0.0, cfg, monitor=False)
-solve = filtered_solve(alpha, omega0, cfg)
+solve = filtered_solve(alpha, omega0, cfg, monitor=False)
 g, times = omega0.grid, cfg.sample_times
 
 

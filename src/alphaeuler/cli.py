@@ -138,7 +138,7 @@ def cmd_flows(args) -> int:
     datum, omega0 = study_datum(cfg)
     ref = banded_run(datum, 0.0, cfg, monitor=False)
     del datum  # freed before the solve and the traces: the reference run is all they need of it
-    solve = filtered_solve(alpha, omega0, cfg)
+    solve = filtered_solve(alpha, omega0, cfg, monitor=False)
     delta = compare_bands(solve, ref, cfg, p_list=())[2]
     delta_total = float(delta[-1])
 

@@ -390,13 +390,14 @@ def banded_run(q0: SpectralField, alpha: float, cfg: ExperimentConfig, monitor: 
     return BandedRun(alpha, tuple(bands), sim.monitor)
 
 
-def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig) -> BandedRun:
+def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig, monitor: bool = True) -> BandedRun:
     """Solve from the approximating-family datum of omega0 at this alpha,
-    with its gamma0.  Needs nothing of the reference run but its initial
-    datum.  Raises SolverError when the solve fails."""
+    with its gamma0; `monitor` goes to `banded_run`.  Needs nothing of the
+    reference run but its initial datum.  Raises SolverError when the
+    solve fails."""
     a = AlphaParam(alpha)
     q0 = approximating_family(omega0, a, cfg.family)
-    return replace(banded_run(q0, alpha, cfg), gamma0=initial_velocity_gap(q0, omega0, a))
+    return replace(banded_run(q0, alpha, cfg, monitor), gamma0=initial_velocity_gap(q0, omega0, a))
 
 
 def trace_bands(run: BandedRun, cfg: ExperimentConfig):

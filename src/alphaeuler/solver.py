@@ -40,12 +40,14 @@ the two stages agree to roundoff, which the k^2 weights scale by about
 the aliased products, so it keeps the advective form; at alpha > 0 q is
 not the curl of u, and the identity does not apply.
 
-Each stage also owns the work arrays of ``step`` (the slope sum, the
-slope and the stage input) and writes its slope into the ``out=`` buffer
-it is given, so a step allocates only the new state.  ``slope`` makes the
-coefficients and ``speed`` the largest |u| from the buffers the last
-``slope`` left; ``step`` reads the speed of its first stage only, the one
-the CFL time step needs.
+Each stage also owns the two work arrays of ``step``: the slope sum, and
+the stage input, which the stage's slope overwrites (``out`` may be the
+input ``q``: a stage reads it whole before it writes ``out``).  So a step
+allocates only the new state.  ``slope`` makes the coefficients and
+``speed`` the largest |u| from the buffers the last ``slope`` left;
+``step`` reads the speed of its first stage only, the one the CFL time
+step needs.  ``run`` keeps its dealiased initial copy in the first state
+only, so it is freed with that state.
 
 Checkpoints keep the full (n, n) coefficient array on disk: saving expands
 the half spectrum by conjugate symmetry, and loading checks that symmetry
@@ -112,8 +114,9 @@ class SimState:
 
 
 def _rk4_buffers(grid: Grid) -> np.ndarray:
-    """The work of one `step`: the slope sum, the slope and the stage input."""
-    return np.empty((3, grid.n, grid.n // 2 + 1), dtype=np.complex128)
+    """The work of one `step`: the slope sum, and the stage input that its
+    slope overwrites."""
+    return np.empty((2, grid.n, grid.n // 2 + 1), dtype=np.complex128)
 
 
 class AdvectionStage:
@@ -121,8 +124,9 @@ class AdvectionStage:
 
     `slope` maps the coefficients of q to those of -u . grad q (dealiased,
     mean exactly zero), into `out` when given, else into the one array a
-    call allocates; `speed` then reads the largest collocation speed |u|
-    of that input.  The work buffers make an instance usable by one thread
+    call allocates; `out` may be `q`, which is read whole before `out` is
+    written.  `speed` then reads the largest collocation speed |u| of that
+    input.  The work buffers make an instance usable by one thread
     at a time: build one per run.  The inverse column pass covers the band
     columns only when q is dealiased; any q is transformed exactly.
     """
@@ -145,14 +149,13 @@ class AdvectionStage:
         self.post = post
         self._spec = np.empty_like(mult)
         self._phys = np.empty((4, n, n))
-        self._prod = np.empty((n, n))
         self.rk4 = _rk4_buffers(grid)
 
     def slope(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The coefficients of -u . grad q."""
         spec = np.multiply(self.mult, q, out=self._spec)
         u1, u2, dq1, dq2 = irfft2_passes(spec, out=self._phys)
-        product = np.multiply(u1, dq1, out=self._prod)
+        product = np.multiply(u1, dq1, out=dq1)
         product += np.multiply(u2, dq2, out=dq2)
         # the spectrum buffer is free again once transformed
         half = np.fft.rfft(product, axis=-1, norm="forward", out=spec[0])
@@ -173,8 +176,9 @@ class _EulerStage:
 
     Equal to ``AdvectionStage(grid, AlphaParam(0.0))`` up to roundoff on
     dealiased input, and its speed is that stage's bit for bit: u1 and u2
-    come from the same tables and the same transform passes.  The work
-    buffers make an instance usable by one thread at a time.
+    come from the same tables and the same transform passes.  `out` may
+    be `q`, as in `AdvectionStage.slope`.  The work buffers make an
+    instance usable by one thread at a time.
     """
 
     def __init__(self, grid: Grid):
@@ -188,19 +192,19 @@ class _EulerStage:
         self.weights = np.stack([(grid.k1**2 - grid.k2**2) * keep, -grid.k1 * grid.k2 * keep])
         self._spec = np.empty_like(self.mult)
         self._phys = np.empty((2, n, n))
-        self._prod = np.empty((2, n, n))
+        self._prod = np.empty((n, n))
         self.rk4 = _rk4_buffers(grid)
 
     def slope(self, q: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """The coefficients of -u . grad q, for dealiased q."""
         spec = np.multiply(self.mult, q, out=self._spec)
         u1, u2 = irfft2_passes(spec, out=self._phys)
-        cross, diff = self._prod
-        np.multiply(u1, u2, out=cross)
+        # one product plane: u1 u2 goes forward before it takes u1^2 - u2^2
+        prod = np.multiply(u1, u2, out=self._prod)
+        np.fft.rfft(prod, axis=-1, norm="forward", out=spec[0])
         sq1 = np.multiply(u1, u1, out=u1)
         sq2 = np.multiply(u2, u2, out=u2)
-        np.subtract(sq1, sq2, out=diff)
-        np.fft.rfft(self._prod, axis=-1, norm="forward", out=spec)
+        np.fft.rfft(np.subtract(sq1, sq2, out=prod), axis=-1, norm="forward", out=spec[1])
         band = spec[..., : self.grid.kmax_dealias + 1]
         np.fft.fft(band, axis=-2, norm="forward", out=band)
         coeffs = np.multiply(spec[0], self.weights[0], out=out)
@@ -211,7 +215,7 @@ class _EulerStage:
         """The largest collocation speed |u| of the last `slope`'s input,
         from the squares it left in place of u1 and u2."""
         sq1, sq2 = self._phys
-        return float(np.sqrt(np.add(sq1, sq2, out=self._prod[0]).max()))
+        return float(np.sqrt(np.add(sq1, sq2, out=self._prod).max()))
 
 
 def cfl_timestep(speed: float, grid: Grid, cfl: float) -> float:
@@ -232,7 +236,12 @@ def step(
     and work arrays are reused; by default an AdvectionStage is built for
     this step.  The arithmetic keeps the operation order of
     q0 + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with q0 + (dt/2) k1 etc. as the
-    stage inputs; the new state is the one array a step allocates.
+    stage inputs; the new state is the one array a step allocates.  Two
+    work arrays serve: `acc` gathers the sum, and `k` holds each stage
+    input, which its slope overwrites.  The third and fourth inputs come
+    from the doubled slope already in `k`, as q0 + (dt/4) (2 k2) and
+    q0 + (dt/2) (2 k3): scaling by a power of two is exact, so each
+    product rounds the same exact value as (dt/2) k2 and dt k3, bit for bit.
 
     Only the first stage makes its speed, the one dt needs; a non-finite
     speed raises `SolverError` with t and the step count.  Stages 2-4 make
@@ -250,7 +259,7 @@ def step(
     _require_mean_zero(state.q, "vorticity passed to the RK4 step")
     q0 = state.q.coeffs
     # acc gathers k1 + 2 k2 + 2 k3 + k4
-    acc, k, x = stage.rk4
+    acc, k = stage.rk4
 
     stage.slope(q0, out=acc)
     speed = stage.speed()
@@ -265,14 +274,14 @@ def step(
     if dt <= 0.0:
         raise SolverError(f"nonpositive time step dt={dt} at t={state.t}")
 
-    np.add(q0, np.multiply(acc, 0.5 * dt, out=x), out=x)
-    stage.slope(x, out=k)
-    np.add(q0, np.multiply(k, 0.5 * dt, out=x), out=x)
+    np.add(q0, np.multiply(acc, 0.5 * dt, out=k), out=k)
+    stage.slope(k, out=k)
     acc += np.multiply(k, 2.0, out=k)
-    stage.slope(x, out=k)
-    np.add(q0, np.multiply(k, dt, out=x), out=x)
+    np.add(q0, np.multiply(k, 0.25 * dt, out=k), out=k)
+    stage.slope(k, out=k)
     acc += np.multiply(k, 2.0, out=k)
-    stage.slope(x, out=k)
+    np.add(q0, np.multiply(k, 0.5 * dt, out=k), out=k)
+    stage.slope(k, out=k)
     acc += k
     q_new = np.add(q0, np.multiply(acc, dt / 6.0, out=acc))
     if not np.isfinite(q_new).all():
@@ -358,10 +367,11 @@ def run(
     if np.any(np.diff(times) <= 0):
         raise ValueError("sample_times must increase strictly")
     _require_mean_zero(q0, "initial vorticity")
-    q_start = dealias(q0).coeffs
-    q_start[0, 0] = 0.0
     stage = _EulerStage(q0.grid) if a.alpha == 0.0 else AdvectionStage(q0.grid, a)
-    state = SimState(0.0, SpectralField(q0.grid, q_start), a)
+    # the first state holds the run's only dealiased copy of q0, dropped
+    # with that state after the first step
+    state = SimState(0.0, dealias(q0), a)
+    state.q.coeffs[0, 0] = 0.0
     rows = []
 
     def take_sample(s: SimState):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,9 +7,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from alphaeuler.cli import main
-from alphaeuler.harness import CSV_COLUMNS, load_config
+from alphaeuler.harness import CONFIG_KEYS, CSV_COLUMNS, DATUM_KINDS, ExperimentConfig, load_config
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -29,6 +33,53 @@ particle_stride = 8
 """
 
 K_001_T1 = 1.6176565479800037
+
+
+# Pieces of config text for the parser fuzz: every section and key the
+# schema knows and some it does not, values at the edges of each cast, and
+# lines that are not `key = value` at all.
+FUZZ_SECTIONS = ["datum", *CONFIG_KEYS, "DEFAULT", "Grid", "bogus", "dätum", " grid"]
+FUZZ_KEYS = sorted(
+    {"kind", "scale", *(key for _, keys in DATUM_KINDS.values() for key in keys),
+     *(key for keys in CONFIG_KEYS.values() for key in keys)}
+) + ["N", "seed ", "ключ", "x"]
+FUZZ_VALUES = [
+    "", "0", "1", "-1", "4", "32", "64", "3.5", "0.5", "0.5, 0.25", "0.5 0.25 0.125", "1e-3",
+    "1e999", "-1e999", "nan", "NaN", "inf", "-inf", "9" * 30, "9" * 5000, "0x10", "1_000",
+    "shear", "smooth_random", "disc_patch", "fractal_patch", "koch-like", "identity", "mollified",
+    "yes", "off", "flase", "out%x", "ü", "∞", "½", "１２", "\t4", "4 # comment", "[grid]", "a = b",
+]
+FUZZ_LINES = [
+    "no value here", "= 4", "[grid", "grid]", "[]", "  continued", "# comment", "; comment", ":", "[[x]]",
+]
+
+
+@st.composite
+def random_config_text(draw):
+    """Config text: the sections of SHEAR_CFG or none, some of their values
+    swapped out, random sections and entries merged in, and now and then a
+    malformed line."""
+    text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+    value = st.one_of(st.sampled_from(FUZZ_VALUES), text)
+    sections = {}
+    if draw(st.booleans()):
+        for block in SHEAR_CFG.strip().split("\n\n"):
+            header, *entries = block.splitlines()
+            sections[header[1:-1]] = dict(entry.split(" = ") for entry in entries)
+    for entries in sections.values():
+        for key in entries:
+            if draw(st.integers(0, 3)) == 0:
+                entries[key] = draw(value)
+    for name in draw(st.lists(st.sampled_from(FUZZ_SECTIONS), max_size=3)):
+        sections.setdefault(name, {}).update(draw(st.dictionaries(st.sampled_from(FUZZ_KEYS), value, max_size=4)))
+    lines = []
+    for name, entries in sections.items():
+        lines.append(f"[{name}]")
+        lines += [f"{key}{draw(st.sampled_from(['=', ':', ' = ']))}{v}" for key, v in entries.items()]
+    if draw(st.integers(0, 3)) == 0:
+        malformed = draw(st.one_of(st.sampled_from(FUZZ_LINES), text))
+        lines.insert(draw(st.integers(0, len(lines))), malformed)
+    return "\n".join(lines) + "\n"
 
 
 def _forbid_solves(monkeypatch):
@@ -627,6 +678,27 @@ class TestConfigSyntax:
         cfg = tmp_path / "percent.cfg"
         cfg.write_text(SHEAR_CFG + "\n[output]\ndir = out%x\n")
         assert load_config(cfg).output_dir == Path("out%x")
+
+    @settings(
+        max_examples=200, deadline=None, database=None, derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(text=random_config_text())
+    def test_random_config_text_loads_or_exits_1(self, tmp_path, monkeypatch, text):
+        # whatever the file holds, a config or a message naming the fault:
+        # never another exception, never a traceback
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "fuzz.cfg"
+        cfg.write_text(text, encoding="utf-8")
+        try:
+            loaded = load_config(cfg)
+        except (ValueError, FileNotFoundError):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+            assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
+        else:
+            assert isinstance(loaded, ExperimentConfig)
 
 
 class TestDatumValues:

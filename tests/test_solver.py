@@ -26,7 +26,7 @@ from alphaeuler import (
 )
 from alphaeuler import solver
 from alphaeuler.solver import AdvectionStage, _EulerStage, cfl_timestep, velocity
-from alphaeuler.spectral import spectral_derivative
+from alphaeuler.spectral import pack_band, spectral_derivative
 from sampled import run_states
 
 
@@ -179,6 +179,23 @@ class TestRhs:
         assert np.array_equal(got, expected)
         assert speed == expected_speed
 
+    @pytest.mark.parametrize("n", [16, 128])
+    @pytest.mark.parametrize(
+        "make", [_EulerStage, lambda g: AdvectionStage(g, AlphaParam(0.01))], ids=["euler", "advection"]
+    )
+    def test_slope_may_write_over_its_input(self, n, make):
+        # `step` hands each stage input in as `out`: the stage reads q
+        # whole before it writes
+        g = Grid(n)
+        q = dealias(random_vorticity(g, seed=n + 3)).coeffs
+        stage = make(g)
+        expected = stage.slope(q.copy())
+        expected_speed = stage.speed()
+        got = stage.slope(q, out=q)
+        assert got is q
+        assert got.tobytes() == expected.tobytes()
+        assert stage.speed() == expected_speed
+
     def test_stage_call_allocates_only_its_result(self):
         import tracemalloc
 
@@ -294,8 +311,10 @@ class TestBandColumns:
         seen = self.count_calls(monkeypatch)
         step(state, cfg, stage=stage)
         names = [name for name, _ in seen]
-        assert all(names.count(name) == 4 for name in self.ONE_AXIS)
-        assert len(names) == 16
+        # the Euler stage sends its two products forward one plane at a time
+        rfft = 8 if alpha == 0.0 else 4
+        assert {name: names.count(name) for name in self.ONE_AXIS} == {"fft": 4, "ifft": 4, "rfft": rfft, "irfft": 4}
+        assert len(names) == 12 + rfft
         # each column pass sees the band's kmax + 1 columns
         columns = {shape[-1] for name, shape in seen if name in ("fft", "ifft")}
         assert columns == {g.kmax_dealias + 1}
@@ -515,6 +534,47 @@ class TestRun:
         coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
             run(SpectralField(g, coeffs), AlphaParam(0.0), SolverConfig(), [0.0, 0.1])
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.1])
+    def test_a_sampled_state_is_freed_by_the_next_sample(self, alpha):
+        # the t = 0 state holds the run's dealiased copy of q0, and only it
+        import gc
+        import weakref
+
+        g = Grid(32)
+        q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
+        refs, alive = [], []
+
+        def on_sample(s):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            refs.append(weakref.ref(s.q.coeffs))
+
+        run(q0, AlphaParam(alpha), SolverConfig(), [0.0, 0.1, 0.2], on_sample=on_sample)
+        assert alive == [[], [False], [False, False]]
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.01])
+    def test_run_holds_its_stage_two_states_and_its_bands(self, alpha):
+        import tracemalloc
+
+        g = Grid(256)
+        a = AlphaParam(alpha)
+        q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
+        # a stage like the run's, which also fills the grid's cached tables
+        stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
+        stage_bytes = sum(v.nbytes for v in vars(stage).values() if isinstance(v, np.ndarray))
+        del stage
+        bands = []
+        tracemalloc.start()
+        try:
+            run(q0, a, SolverConfig(), [0.0, 0.01, 0.02], on_sample=lambda s: bands.append(pack_band(s.q, g)),
+                monitor=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the stage, the state a step starts from, the one it makes and the
+        # bands; a third state (a held copy of q0, say) is 4 % of the whole
+        assert peak <= stage_bytes + 1.05 * (2 * q0.coeffs.nbytes + sum(band.nbytes for band in bands))
 
     def test_zero_field_run_has_zero_drift(self):
         g = Grid(16)
