@@ -224,9 +224,14 @@ def _number(path: Path, lineno: int, column: str, cell: str) -> float:
 def cmd_report(args) -> int:
     out = Path(args.output)
     merged = []
-    # (source, alpha) -> (sup vel_l2_err, sup vort_l2_err, last flow_dist, last delta)
+    # (source, alpha) -> (sup vel_l2_err, sup vort_l2_err, last flow_dist, last delta);
+    # the source is the input path as given, since every sweep writes sweep.csv
     summary: dict[tuple[str, str], tuple] = {}
     for raw in args.inputs:
+        if args.inputs.count(raw) > 1:
+            raise ValueError(f"--inputs names {raw} more than once")
+        if "," in raw:  # it would split the source cell of its rows
+            raise ValueError(f"--inputs path {raw} holds a comma")
         path = Path(raw)
         header, rows = _read_csv(path)
         cols = {name: i for i, name in enumerate(header)}
@@ -236,9 +241,9 @@ def cmd_report(args) -> int:
         elif merged_header != merged[1]:
             raise ValueError(f"{path} has other columns than {args.inputs[0]}")
         for lineno, row in rows:
-            merged.append(f"{path.stem}," + ",".join(row))
+            merged.append(f"{raw}," + ",".join(row))
             value = {name: _number(path, lineno, name, row[cols[name]]) for name in REPORT_COLUMNS}
-            key = (path.stem, row[cols["alpha"]])
+            key = (raw, row[cols["alpha"]])
             sup_vel, sup_vort, _, _ = summary.get(key, (0.0, 0.0, 0.0, 0.0))
             summary[key] = (max(sup_vel, value["vel_l2_err"]), max(sup_vort, value["vort_l2_err"]),
                             value["flow_dist"], value["delta"])

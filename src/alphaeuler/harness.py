@@ -13,7 +13,7 @@ the unfiltered run of its restriction omega0 (`study_datum` makes both),
 and a filtered solve (`filtered_solve`) the run of omega0's
 approximating-family datum at its alpha, with its gamma0.  A solve needs
 only omega0, not the reference, so the reference, the Richardson run and
-every solve go to one pool of `effective_workers()` threads at once: the
+every solve go to one pool of `[sweep] workers` threads at once: the
 reference first, then the Richardson run, then the solves smallest alpha
 first.  The filter bounds |u|, so a smaller alpha never takes fewer CFL
 steps, and the costliest solves start first.  `run_sweep`'s own thread is
@@ -50,7 +50,7 @@ import configparser
 import datetime
 import json
 import math
-import os
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -72,8 +72,6 @@ CSV_COLUMNS = (
 )
 CSV_PS = (1.0, 2.0, 4.0)
 
-WORKERS_ENV = "AEUL_WORKERS"
-
 # The Richardson gate: the reference's restriction gap must stay below this
 # fraction of the smallest filtered velocity error.
 RICHARDSON_FACTOR = 0.1
@@ -93,31 +91,14 @@ def _parse(name: str, raw, cast):
         raise ValueError(f"{name} = {raw!r} is invalid: {exc}") from None
 
 
-def _finite(raw) -> float:
-    value = float(raw)
-    if not math.isfinite(value):
-        raise ValueError("expected a finite number")
-    return value
-
-
-def _boolean(raw: str) -> bool:
-    try:
-        return configparser.ConfigParser.BOOLEAN_STATES[raw.lower()]
-    except KeyError:
-        raise ValueError("expected 1/yes/true/on or 0/no/false/off") from None
-
-
-def _family(raw: str) -> str:
-    if raw not in ("identity", "mollified"):
-        raise ValueError("expected one of identity, mollified")
-    return raw
-
-
-def _cfl(raw) -> float:
-    value = float(raw)
-    if not 0.0 < value <= 1.0:  # NaN included
-        raise ValueError("expected a number in (0, 1]")
-    return value
+def _check(cast, accepts, expected: str):
+    """cast(raw), or a ValueError saying what is expected unless accepts(value)."""
+    def check(raw):
+        value = cast(raw)
+        if not accepts(value):  # a NaN fails every comparison, so it is rejected
+            raise ValueError(f"expected {expected}")
+        return value
+    return check
 
 
 def _unknown(what: str, accepted) -> ValueError:
@@ -125,12 +106,51 @@ def _unknown(what: str, accepted) -> ValueError:
 
 
 def _list_of(cast):
-    """The cast of a comma- or blank-separated list, entry by entry."""
-    return lambda raw: tuple(cast(tok) for tok in raw.replace(",", " ").split())
+    """The cast of a comma- or blank-separated list, entry by entry, or of
+    each entry of a sequence from code."""
+    return lambda raw: tuple(cast(tok) for tok in (raw.replace(",", " ").split() if isinstance(raw, str) else raw))
 
 
+def _integer(raw) -> int:
+    return int(raw) if isinstance(raw, str) else operator.index(raw)  # 2.5 from code is not 2
+
+
+_finite = _check(float, math.isfinite, "a finite number")
 _finite_list = _list_of(_finite)
 _real_list = _list_of(float)
+
+# The checks of the [section] keys: each takes a file's text or a value from code.
+_grid_size = _check(_integer, lambda n: n >= 8 and not n & (n - 1), "a power of two >= 8")
+_count = _check(_integer, lambda n: n >= 1, "an integer >= 1")
+_positive = _check(float, lambda x: 0.0 < x < math.inf, "a positive and finite number")
+_cfl = _check(float, lambda x: 0.0 < x <= 1.0, "a number in (0, 1]")
+_alphas = _check(
+    _real_list,
+    lambda a: a and all(0.0 < x < math.inf for x in a) and all(y < x for x, y in zip(a, a[1:])),
+    "strictly decreasing, positive and finite reals",
+)
+_family = _check(str, lambda f: f in ("identity", "mollified"), "one of identity, mollified")
+
+
+def _norms(raw) -> tuple:
+    """The p of every L^p error, CSV_PS always among them."""
+    ps = _real_list(raw)
+    bad = [p for p in ps if not p >= 1.0]  # NaN included
+    if bad:
+        raise ValueError(f"expected reals >= 1 (or inf), got {bad[0]!r}")
+    return tuple(sorted(set(ps) | set(CSV_PS)))
+
+
+def _boolean(raw) -> bool:
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[str(raw).lower()]  # True from code is "true"
+    except KeyError:
+        raise ValueError("expected 1/yes/true/on or 0/no/false/off") from None
+
+
+def _directory(raw) -> Path | None:
+    return Path(raw) if raw else None  # "" included
+
 
 # Every [datum] kind: its builder, called with the grid and the kind's keys,
 # and those keys as {key: (cast, default)}.  Each builder looks its
@@ -156,21 +176,22 @@ DATUM_KINDS = {
 DATUM_SCALE = {"scale": (_finite, 1.0)}
 
 # Each [section] key but the [datum] ones: its ExperimentConfig field and
-# its cast.  The defaults are the dataclass's: a key whose field has none is
-# required, except that [grid] n_ref falls back to n.
+# its check, which ExperimentConfig applies on construction.  The defaults
+# are the dataclass's: a key whose field has none is required, except that
+# [grid] n_ref falls back to n.
 CONFIG_KEYS = {
-    "grid": {"n": ("n", int), "n_ref": ("n_ref", int)},
-    "time": {"t_end": ("t_end", _finite), "cfl": ("cfl", _finite), "samples": ("samples", int)},
+    "grid": {"n": ("n", _grid_size), "n_ref": ("n_ref", _grid_size)},
+    "time": {"t_end": ("t_end", _positive), "cfl": ("cfl", _cfl), "samples": ("samples", _count)},
     "sweep": {
-        "alphas": ("alpha_list", _finite_list),
-        "p_list": ("p_list", _real_list),
-        "particle_stride": ("particle_stride", int),
-        "substeps": ("substeps", int),
+        "alphas": ("alpha_list", _alphas),
+        "p_list": ("p_list", _norms),
+        "particle_stride": ("particle_stride", _count),
+        "substeps": ("substeps", _count),
         "family": ("family", _family),
-        "workers": ("workers", int),
+        "workers": ("workers", _count),
         "richardson": ("richardson", _boolean),
     },
-    "output": {"dir": ("output_dir", str)},
+    "output": {"dir": ("output_dir", _directory)},
 }
 
 
@@ -212,6 +233,8 @@ def build_datum(spec: DatumSpec, grid: Grid) -> SpectralField:
 
 @dataclass
 class ExperimentConfig:
+    """A study's settings, each cast and checked by its CONFIG_KEYS check on construction."""
+
     datum: DatumSpec
     alpha_list: tuple
     n: int
@@ -224,50 +247,20 @@ class ExperimentConfig:
     particle_stride: int = 1
     substeps: int = 4
     family: str = "identity"
-    workers: int | None = None
+    workers: int = 1
     richardson: bool = True
 
     def __post_init__(self):
-        alphas = tuple(float(a) for a in self.alpha_list)
-        if len(alphas) == 0:
-            raise ValueError("alpha_list must not be empty")
-        if not all(0 < a < math.inf for a in alphas):  # NaN included
-            raise ValueError("alpha_list entries must be positive and finite")
-        if any(b >= a for a, b in zip(alphas, alphas[1:])):
-            raise ValueError("alpha_list must be strictly decreasing")
-        self.alpha_list = alphas
+        for section, keys in CONFIG_KEYS.items():
+            for key, (name, check) in keys.items():
+                setattr(self, name, _parse(f"[{section}] {key}", getattr(self, name), check))
         if self.n_ref < self.n:
-            raise ValueError("the reference grid must be at least as fine")
-        if not 0 < self.t_end < math.inf:
-            raise ValueError("t_end must be positive and finite")
-        _parse("[time] cfl", self.cfl, _cfl)
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
-        if self.particle_stride < 1 or self.n % self.particle_stride != 0:
+            raise ValueError(f"[grid] n_ref = {self.n_ref} is invalid: expected at least [grid] n = {self.n}")
+        if self.n % self.particle_stride:
             raise ValueError(
-                f"[sweep] particle_stride must be a positive divisor of n = {self.n}, "
-                f"got {self.particle_stride}"
+                f"[sweep] particle_stride = {self.particle_stride} is invalid: "
+                f"expected a divisor of [grid] n = {self.n}"
             )
-        if self.substeps < 1:
-            raise ValueError(f"[sweep] substeps must be at least 1, got {self.substeps}")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError(f"[sweep] workers must be at least 1, got {self.workers}")
-        _parse("[sweep] family", self.family, _family)
-        bad = [p for p in map(float, self.p_list) if not p >= 1.0]  # NaN included
-        if bad:
-            raise ValueError(f"[sweep] p_list entries must be >= 1 (or inf), got {bad[0]!r}")
-        self.p_list = tuple(sorted(set(float(p) for p in self.p_list) | set(CSV_PS)))
-        self.output_dir = Path(self.output_dir) if self.output_dir else None  # "" included
-
-    def effective_workers(self) -> int:
-        """[sweep] workers, else AEUL_WORKERS, else 1."""
-        if self.workers is not None:
-            return int(self.workers)
-        env = os.environ.get(WORKERS_ENV)
-        workers = _parse(WORKERS_ENV, env, int) if env else 1
-        if workers < 1:
-            raise ValueError(f"{WORKERS_ENV} must be at least 1, got {env!r}")
-        return workers
 
     @property
     def sample_times(self) -> np.ndarray:
@@ -478,11 +471,10 @@ def run_sweep(cfg: ExperimentConfig) -> ConvergenceReport:
 
     If the reference, a solve or a comparison raises, the jobs not yet
     started are cancelled and the exception propagates."""
-    workers = cfg.effective_workers()
     *held, omega0 = study_datum(cfg)  # the reference job pops the n_ref datum: no name keeps it alive
     alphas = cfg.alpha_list
     records, failures = [], {}
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
         # The reference is submitted first, so it is the first unfiltered
         # run on the n_ref grid to start: traces tell it from the Richardson
         # run that way.  With n == n_ref the Richardson run is on that grid
@@ -669,7 +661,8 @@ def persist_report(report: ConvergenceReport, cfg: ExperimentConfig) -> None:
 
 def load_config(path) -> ExperimentConfig:
     """Parse a flat key-value experiment file with [section] headers; an
-    unknown section or key is a ValueError naming it."""
+    unknown section or key is a ValueError naming it.  Each value goes to
+    ExperimentConfig as its text, and its CONFIG_KEYS check casts it."""
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"config file not found: {path}")
@@ -698,8 +691,7 @@ def load_config(path) -> ExperimentConfig:
         for key, raw in parser[section].items():
             if key not in keys:
                 raise _unknown(f"[{section}] key {key!r}", keys)
-            name, cast = keys[key]
-            values[name] = _parse(f"[{section}] {key}", raw, cast)
+            values[keys[key][0]] = raw  # ExperimentConfig checks and casts the text
 
     values.setdefault("n_ref", values.get("n"))  # with no n either, n is reported missing first
     labels = {name: f"[{section}] {key}" for section, keys in CONFIG_KEYS.items() for key, (name, _) in keys.items()}

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from alphaeuler.cli import main
 from alphaeuler.harness import CONFIG_KEYS, CSV_COLUMNS, DATUM_KINDS, ExperimentConfig, load_config
+from alphaeuler.lagrangian import seed_particles
+from alphaeuler.spectral import Grid
 
 DEMO_CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
 
@@ -333,6 +335,33 @@ class TestReportCommand:
         assert len(rates) == 1 + 2  # two alphas
         assert (report_out / "plot.gp").read_text().startswith("set logscale xy")
 
+    def test_two_sweeps_keep_their_own_rows(self, tmp_path):
+        # every sweep writes sweep.csv, and the file stem used to be the
+        # source: two sweeps merged into one row of both
+        a, b = tmp_path / "a" / "sweep.csv", tmp_path / "b" / "sweep.csv"
+        rows = {a: "0.5,0.0,6.0,0.0,1.0,0.0,0.7,0.1,0.0,1.0", b: "0.5,0.0,2.0,0.0,0.5,0.0,0.8,0.9,0.0,1.0"}
+        for path, row in rows.items():
+            path.parent.mkdir()
+            path.write_text(f"# generated 2026-01-01\n{CSV_COLUMNS}\n{row}\n")
+        report_out = tmp_path / "report"
+        assert main(["report", "--inputs", str(a), str(b), "--output", str(report_out)]) == 0
+        rates = (report_out / "rates.csv").read_text().splitlines()
+        assert rates[1:] == [f"{a},0.5,6.0,1.0,0.7,0.1", f"{b},0.5,2.0,0.5,0.8,0.9"]
+        merged = (report_out / "merged.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in merged[2:]] == [str(a), str(b)]
+
+    @pytest.mark.parametrize("folder, repeats, named", [("a", 2, "names {} more than once"), ("a,b", 1, "path {} holds a comma")])
+    def test_unusable_source_exits_1_naming_it(self, tmp_path, capsys, folder, repeats, named):
+        # the input path is the source cell of its rows
+        path = tmp_path / folder / "sweep.csv"
+        path.parent.mkdir()
+        path.write_text(f"{CSV_COLUMNS}\n0.5,0.0,1.0,0.0,1.0,0.0,0.0,0.0,0.0,1.0\n")
+        report_out = tmp_path / "report"
+        assert main(["report", "--inputs", *[str(path)] * repeats, "--output", str(report_out)]) == 1
+        err = capsys.readouterr().err
+        assert f"error: --inputs {named.format(path)}" in err
+        assert not report_out.exists()
+
     @pytest.mark.parametrize(
         "body, named",
         [
@@ -508,10 +537,9 @@ class TestConfigValues:
             ("samples = 4", "samples = four", "[time] samples = 'four'"),
             ("alphas = 0.5, 0.25", "alphas = 0.5, quarter", "[sweep] alphas = '0.5, quarter'"),
             ("kind = shear", "kind = shear\nwavenumber = 1.5", "[datum] wavenumber = '1.5'"),
-            (None, None, "AEUL_WORKERS = 'two'"),
-            ("t_end = 0.5", "t_end = nan", "[time] t_end = 'nan' is invalid: expected a finite number"),
-            ("t_end = 0.5", "t_end = inf", "[time] t_end = 'inf' is invalid: expected a finite number"),
-            ("samples = 4", "samples = 4\ncfl = nan", "[time] cfl = 'nan' is invalid: expected a finite number"),
+            ("t_end = 0.5", "t_end = nan", "[time] t_end = 'nan' is invalid: expected a positive and finite number"),
+            ("t_end = 0.5", "t_end = inf", "[time] t_end = 'inf' is invalid: expected a positive and finite number"),
+            ("samples = 4", "samples = 4\ncfl = nan", "[time] cfl = 'nan' is invalid: expected a number in (0, 1]"),
             ("alphas = 0.5, 0.25", "alphas = 0.5, nan, 0.1", "[sweep] alphas = '0.5, nan, 0.1' is invalid"),
             ("alphas = 0.5, 0.25", "alphas = inf, 0.5, 0.1", "[sweep] alphas = 'inf, 0.5, 0.1' is invalid"),
             (
@@ -521,7 +549,7 @@ class TestConfigValues:
             ),
         ],
         ids=[
-            "n", "n_ref", "t_end", "samples", "alphas", "datum", "workers_env",
+            "n", "n_ref", "t_end", "samples", "alphas", "datum",
             "t_end_nan", "t_end_inf", "cfl_nan", "alphas_nan", "alphas_inf", "family",
         ],
     )
@@ -529,12 +557,8 @@ class TestConfigValues:
         # the message used to be only "invalid literal for int() with base 10: '3.5e1'"
         _forbid_solves(monkeypatch)
         cfg = tmp_path / "bad.cfg"
-        if old is None:
-            monkeypatch.setenv("AEUL_WORKERS", "two")
-            cfg.write_text(SHEAR_CFG)
-        else:
-            assert old in SHEAR_CFG
-            cfg.write_text(SHEAR_CFG.replace(old, new, 1))
+        assert old in SHEAR_CFG
+        cfg.write_text(SHEAR_CFG.replace(old, new, 1))
         assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
         assert named in err
@@ -563,7 +587,7 @@ class TestConfigValues:
         cfg.write_text(SHEAR_CFG.replace("samples = 4", f"samples = 4\ncfl = {value}"))
         assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert f"error: [time] cfl = {float(value)!r} is invalid: expected a number in (0, 1]" in err
+        assert f"error: [time] cfl = {value!r} is invalid: expected a number in (0, 1]" in err
         assert "Traceback" not in err
         assert not (tmp_path / "o").exists()
 
@@ -572,28 +596,45 @@ class TestConfigValues:
         cfg.write_text(SHEAR_CFG + "p_list = 1, inf\n")
         assert load_config(cfg).p_list == (1.0, 2.0, 4.0, float("inf"))
 
-    @pytest.mark.parametrize(
-        "setting, value, named",
-        [
-            ("workers", "-3", "[sweep] workers must be at least 1, got -3"),
-            ("workers", "0", "[sweep] workers must be at least 1, got 0"),
-            ("AEUL_WORKERS", "0", "AEUL_WORKERS must be at least 1, got '0'"),
-            ("AEUL_WORKERS", "-2", "AEUL_WORKERS must be at least 1, got '-2'"),
-        ],
-    )
-    def test_non_positive_worker_count_exits_1(self, tmp_path, capsys, monkeypatch, setting, value, named):
-        # both used to run silently on one worker
+    @pytest.mark.parametrize("value", ["-3", "0"])
+    def test_non_positive_worker_count_exits_1(self, tmp_path, capsys, monkeypatch, value):
+        # it used to run silently on one worker
         _forbid_solves(monkeypatch)
         cfg = tmp_path / "workers.cfg"
-        if setting == "workers":
-            cfg.write_text(SHEAR_CFG + f"workers = {value}\n")
-        else:
-            monkeypatch.setenv(setting, value)
-            cfg.write_text(SHEAR_CFG)
+        cfg.write_text(SHEAR_CFG + f"workers = {value}\n")
         assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert named in err
+        assert f"[sweep] workers = {value!r} is invalid: expected an integer >= 1" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("n = 32", "n = 48", "[grid] n = '48' is invalid: expected a power of two >= 8"),
+            ("n = 32", "n = 0", "[grid] n = '0' is invalid: expected a power of two >= 8"),
+            ("n = 32", "n = -1", "[grid] n = '-1' is invalid: expected a power of two >= 8"),
+            ("n_ref = 64", "n_ref = 48", "[grid] n_ref = '48' is invalid: expected a power of two >= 8"),
+            ("n_ref = 64", "n_ref = 16", "[grid] n_ref = 16 is invalid: expected at least [grid] n = 32"),
+            (
+                "particle_stride = 8",
+                "particle_stride = 3",
+                "[sweep] particle_stride = 3 is invalid: expected a divisor of [grid] n = 32",
+            ),
+        ],
+        ids=["n_48", "n_0", "n_negative", "n_ref_48", "n_ref_coarser", "stride_not_a_divisor"],
+    )
+    @pytest.mark.parametrize("command", ["sweep", "flows", "simulate"])
+    def test_bad_grid_exits_1_naming_the_key(self, tmp_path, capsys, monkeypatch, command, old, new, named):
+        # n = 48 used to load and fail in Grid with a message that named no key
+        _forbid_solves(monkeypatch)
+        cfg = tmp_path / "grid.cfg"
+        assert old in SHEAR_CFG
+        cfg.write_text(SHEAR_CFG.replace(old, new, 1))
+        assert main([command, "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert f"error: {named}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
 
 class TestConfigSyntax:
@@ -684,6 +725,8 @@ class TestConfigSyntax:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(text=random_config_text())
+    @example(text=SHEAR_CFG.replace("n = 32", "n = 48"))  # it loaded, and the run failed in Grid
+    @example(text=SHEAR_CFG.replace("n_ref = 64", "n_ref = 48"))
     def test_random_config_text_loads_or_exits_1(self, tmp_path, monkeypatch, text):
         # whatever the file holds, a config or a message naming the fault:
         # never another exception, never a traceback
@@ -698,7 +741,10 @@ class TestConfigSyntax:
                 assert main(["sweep", "--config", str(cfg), "--output", str(tmp_path / "o")]) == 1
             assert err.getvalue().startswith("error: ") and "Traceback" not in err.getvalue()
         else:
+            # a loaded config holds a study the package can set up
             assert isinstance(loaded, ExperimentConfig)
+            Grid(loaded.n_ref)
+            seed_particles(Grid(loaded.n), loaded.particle_stride)
 
 
 class TestDatumValues:

@@ -22,6 +22,7 @@ from alphaeuler import (
 from alphaeuler import harness
 from alphaeuler.bounds import t95_quantile
 from alphaeuler.harness import (
+    CONFIG_KEYS,
     CSV_COLUMNS,
     DATUM_KINDS,
     AlphaRecord,
@@ -148,12 +149,49 @@ class TestConfigValidation:
             smooth_config(family="mollifed")
 
     def test_reference_grid_not_coarser(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("[grid] n_ref = 32 is invalid: expected at least [grid] n = 64")):
             smooth_config(n=64, n_ref=32)
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"n": 32.0}, "[grid] n = 32.0 is invalid"),
+            ({"samples": 0}, "[time] samples = 0 is invalid: expected an integer >= 1"),
+            ({"substeps": 2.5}, "[sweep] substeps = 2.5 is invalid"),
+            ({"workers": None}, "[sweep] workers = None is invalid"),
+            ({"richardson": "flase"}, "[sweep] richardson = 'flase' is invalid"),
+            ({"p_list": (2.0, 0.5)}, "[sweep] p_list = (2.0, 0.5) is invalid: expected reals >= 1 (or inf), got 0.5"),
+        ],
+        ids=["n_float", "samples", "substeps_fraction", "workers_none", "richardson", "p_list"],
+    )
+    def test_bad_value_from_code_is_named(self, overrides, message):
+        # a config built in code used to skip the casts of load_config
+        with pytest.raises(ValueError, match=re.escape(message)):
+            smooth_config(**overrides)
 
     def test_p_list_always_covers_csv_columns(self):
         cfg = smooth_config(p_list=(3.0,))
         assert {1.0, 2.0, 4.0} <= set(cfg.p_list)
+
+
+# The text of the required keys, and a file's text of every [section] key
+# with the value it means.
+REQUIRED_TEXT = {("grid", "n"): "32", ("grid", "n_ref"): "64", ("time", "t_end"): "0.5", ("sweep", "alphas"): "0.5"}
+KEY_TEXT = {
+    "n": ("16", 16),
+    "n_ref": ("128", 128),
+    "t_end": ("0.25", 0.25),
+    "cfl": ("0.4", 0.4),
+    "samples": ("4", 4),
+    "alphas": ("0.5 0.25", (0.5, 0.25)),
+    "p_list": ("3, inf", (1.0, 2.0, 3.0, 4.0, float("inf"))),
+    "particle_stride": ("4", 4),
+    "substeps": ("2", 2),
+    "family": ("mollified", "mollified"),
+    "workers": ("2", 2),
+    "richardson": ("off", False),
+    "dir": ("out", Path("out")),
+}
 
 
 class TestConfigFile:
@@ -235,6 +273,22 @@ class TestConfigFile:
         )
         assert load_config(path) == expected
 
+    @pytest.mark.parametrize("section, key", [(s, k) for s, keys in CONFIG_KEYS.items() for k in keys])
+    def test_config_from_code_equals_config_from_file(self, tmp_path, section, key):
+        # each key's file text, given to ExperimentConfig in code, makes the
+        # config that load_config makes of the file
+        text = {**REQUIRED_TEXT, (section, key): KEY_TEXT[key][0]}
+        lines = ["[datum]", "kind = shear"]
+        for s in CONFIG_KEYS:
+            lines += [f"[{s}]"] + [f"{k} = {v}" for (s_, k), v in text.items() if s_ == s]
+        path = tmp_path / "exp.cfg"
+        path.write_text("\n".join(lines) + "\n")
+        from_code = ExperimentConfig(
+            datum=DatumSpec("shear"), **{CONFIG_KEYS[s][k][0]: v for (s, k), v in text.items()}
+        )
+        assert getattr(from_code, CONFIG_KEYS[section][key][0]) == KEY_TEXT[key][1]
+        assert load_config(path) == from_code
+
     def test_empty_p_list_and_dir_take_the_defaults(self, tmp_path):
         path = tmp_path / "exp.cfg"
         path.write_text(SHEAR_CFG + "p_list =\n[output]\ndir =\n")
@@ -287,15 +341,20 @@ class TestDatumSpec:
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# The README's name for each cast of the schema.
+# The README's name for each cast of the schema: the values its check accepts.
 TYPE_NAMES = {
     int: "integer",
     str: "text",
     harness._finite: "finite real",
-    harness._boolean: "boolean",
-    harness._finite_list: "finite reals",
+    harness._grid_size: "power of two >= 8",
+    harness._count: "integer >= 1",
+    harness._positive: "positive finite real",
+    harness._cfl: "real in (0, 1]",
+    harness._alphas: "strictly decreasing positive finite reals",
+    harness._norms: "reals >= 1 (or `inf`)",
     harness._family: "`identity` or `mollified`",
-    harness._real_list: "reals",
+    harness._boolean: "boolean",
+    harness._directory: "text",
 }
 
 
@@ -434,10 +493,6 @@ class TestSweepInvariants:
                 assert json.dumps(summary_dict(again), sort_keys=True) == expected_summary
         finally:
             sys.setswitchinterval(interval)
-
-    def test_workers_env_override(self, monkeypatch):
-        monkeypatch.setenv("AEUL_WORKERS", "2")
-        assert smooth_config().effective_workers() == 2
 
     def test_self_comparison_yields_zero(self):
         from alphaeuler import smooth_random
