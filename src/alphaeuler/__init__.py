@@ -34,13 +34,10 @@ from .vorticity import (
 )
 from .solver import (
     MonitorLog,
-    SimRun,
     SimState,
     SolverConfig,
     SolverError,
-    load_checkpoint,
     run,
-    save_checkpoint,
     step,
 )
 from .lagrangian import (

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from .harness import (
     trace_bands,
 )
 from .lagrangian import flow_distance
-from .solver import SolverError, run, save_checkpoint
+from .solver import SolverError, run
 from .spectral import Grid
 from .vorticity import AlphaParam
 
@@ -102,14 +102,12 @@ def cmd_simulate(args) -> int:
     if not 0.0 <= alpha < math.inf:  # NaN included
         raise ValueError(f"--alpha must be finite and >= 0, got {alpha}")
     q0 = build_datum(cfg.datum, Grid(cfg.n))
-    sim = run(q0, AlphaParam(alpha), cfg.solver_config(), cfg.sample_times)
+    mon = run(q0, AlphaParam(alpha), cfg.solver_config(), cfg.sample_times)
     out = _resolve_output(cfg.output_dir, args.output, "simulate_output")
     out.mkdir(parents=True, exist_ok=True)
-    mon = sim.monitor
     columns = (mon.times, mon.energy, mon.alpha_norm, mon.q_l1, mon.q_l2, mon.q_l4, mon.q_linf)
     lines = csv_lines("t,energy,alpha_norm,q_l1,q_l2,q_l4,q_linf", zip(*columns))
     (out / "monitor.csv").write_text("\n".join(lines) + "\n")
-    save_checkpoint(sim.final, out / "checkpoint.aeul")
     drift = float(np.max(mon.alpha_norm_drift()))
     print(f"simulate: alpha={alpha} t_end={cfg.t_end} alpha-norm drift {drift:.3e}")
     print(f"wrote {out / 'monitor.csv'}")
@@ -118,7 +116,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg = load_config(args.config)
-    cfg.output_dir = _resolve_output(cfg.output_dir, args.output, "sweep_output")
+    cfg = replace(cfg, output_dir=_resolve_output(cfg.output_dir, args.output, "sweep_output"))
     report = run_sweep(cfg)
     if report.velocity_rate is not None:
         print(

@@ -231,9 +231,9 @@ def build_datum(spec: DatumSpec, grid: Grid) -> SpectralField:
     return datum
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """A study's settings, each cast and checked by its CONFIG_KEYS check on construction."""
+    """A study's settings, frozen, each cast and checked by its CONFIG_KEYS check on construction."""
 
     datum: DatumSpec
     alpha_list: tuple
@@ -253,7 +253,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for section, keys in CONFIG_KEYS.items():
             for key, (name, check) in keys.items():
-                setattr(self, name, _parse(f"[{section}] {key}", getattr(self, name), check))
+                object.__setattr__(self, name, _parse(f"[{section}] {key}", getattr(self, name), check))
         if self.n_ref < self.n:
             raise ValueError(f"[grid] n_ref = {self.n_ref} is invalid: expected at least [grid] n = {self.n}")
         if self.n % self.particle_stride:
@@ -376,11 +376,11 @@ def banded_run(q0: SpectralField, alpha: float, cfg: ExperimentConfig, monitor: 
     only, so the bands hold all of it)."""
     grid = Grid(cfg.n)
     bands = []
-    sim = run(
+    log = run(
         q0, AlphaParam(alpha), cfg.solver_config(), cfg.sample_times,
         on_sample=lambda s: bands.append(pack_band(s.q, grid)), monitor=monitor,
     )
-    return BandedRun(alpha, tuple(bands), sim.monitor)
+    return BandedRun(alpha, tuple(bands), log)
 
 
 def filtered_solve(alpha: float, omega0: SpectralField, cfg: ExperimentConfig, monitor: bool = True) -> BandedRun:

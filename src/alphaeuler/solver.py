@@ -56,7 +56,6 @@ and keeps the stored half.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +73,6 @@ from .vorticity import (
 )
 
 CFL_SPEED_FLOOR = 1e-12
-
-CHECKPOINT_MAGIC = b"AEUL"
-CHECKPOINT_VERSION = 1
-_HEADER = struct.Struct("<4sIIdd")
-# Largest |c(k) - conj(c(-k))| of a loaded checkpoint, relative to
-# max(1, max |c_k|): transform roundoff; beyond it the file holds no real field.
-SYMMETRY_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -317,15 +309,6 @@ def _relative_drift(series: np.ndarray) -> np.ndarray:
     return gap / ref if ref > 0.0 else gap
 
 
-@dataclass
-class SimRun:
-    """The last state of a run and its monitor log; the states along the
-    way go to the run's `on_sample`."""
-
-    final: SimState
-    monitor: MonitorLog | None
-
-
 def _monitor_row(state: SimState, u: VelocityField):
     qp = to_physical(state.q)
     return (
@@ -346,14 +329,14 @@ def run(
     sample_times,
     on_sample=None,
     monitor: bool = True,
-) -> SimRun:
+) -> MonitorLog | None:
     """Integrate from t = 0 onto each of `sample_times`, the run's clock:
     non-empty, starting at exactly 0, finite and strictly increasing, or a
     ValueError names the fault.  The last step before each time is clipped
-    to land on it.  `on_sample(state)` is invoked at every sample; the run
-    keeps no state but the last.  A monitor row takes the state's filtered
-    velocity from the stage's table.  monitor=False skips the monitor rows
-    and leaves SimRun.monitor None, without changing the states.  The
+    to land on it.  `on_sample(state)` is invoked at every sample, the last
+    included.  `run` returns the `MonitorLog` of the samples, each row from
+    the state's filtered velocity made with the stage's table, or None with
+    monitor=False, which skips the rows without changing the states.  The
     initial vorticity is dealiased, and an alpha = 0 run steps with the
     `_EulerStage`, which needs dealiased input.
     """
@@ -387,70 +370,5 @@ def run(
         state = SimState(target, state.q, a, state.step_count)
         take_sample(state)
 
-    log = MonitorLog(*(np.asarray(c, dtype=float) for c in zip(*rows))) if monitor else None
-    return SimRun(state, log)
+    return MonitorLog(*(np.asarray(c, dtype=float) for c in zip(*rows))) if monitor else None
 
-
-def _full_coeffs(q: SpectralField) -> np.ndarray:
-    """The full (n, n) coefficient array in FFT order: the stored k2 >= 0
-    columns and their conjugate mirror c(-k) = conj(c(k))."""
-    n = q.grid.n
-    nh = n // 2
-    out = np.empty((n, n), dtype=np.complex128)
-    out[:, : nh + 1] = q.coeffs
-    np.conjugate(q.coeffs[-np.arange(n) % n, nh - 1 : 0 : -1], out=out[:, nh + 1 :])
-    return out
-
-
-def save_checkpoint(state: SimState, path) -> None:
-    """Binary snapshot: magic, version, n, alpha, t, then the full (n, n)
-    coefficient array as little-endian interleaved (re, im) float64 in
-    row-major order.  A non-finite time, which `load_checkpoint` refuses,
-    raises ValueError before the file is created."""
-    if not np.isfinite(state.t):
-        raise ValueError(f"checkpoint time is not finite: {state.t}")
-    g = state.grid
-    header = _HEADER.pack(
-        CHECKPOINT_MAGIC, CHECKPOINT_VERSION, g.n, state.a.alpha, state.t
-    )
-    payload = _full_coeffs(state.q).astype("<c16", copy=False)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload.tobytes())
-
-
-def load_checkpoint(path) -> SimState:
-    """Read a snapshot written by `save_checkpoint`.  Raises ValueError for
-    a malformed file: bad header or size, a non-finite time or
-    coefficients, nonzero mean, or coefficients that are not
-    conjugate-symmetric to within SYMMETRY_TOL (not a real field)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < _HEADER.size:
-        raise ValueError("checkpoint file is truncated")
-    magic, version, n, alpha, t = _HEADER.unpack_from(raw)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"bad checkpoint magic {magic!r}")
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-    if not np.isfinite(t):
-        raise ValueError(f"checkpoint time is not finite: {t}")
-    expected = _HEADER.size + 16 * n * n
-    if len(raw) != expected:
-        raise ValueError("checkpoint payload size does not match the header")
-    coeffs = (
-        np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-        .reshape(n, n)
-        .astype(np.complex128)
-    )
-    if not np.isfinite(coeffs).all():
-        raise ValueError("checkpoint coefficients are not finite")
-    q = SpectralField(Grid(n), coeffs[:, : n // 2 + 1].copy())
-    _require_mean_zero(q, "checkpoint vorticity")
-    mirror = -np.arange(n) % n
-    defect = float(np.max(np.abs(coeffs - np.conj(coeffs[np.ix_(mirror, mirror)]))))
-    if defect > SYMMETRY_TOL * max(1.0, float(np.max(np.abs(coeffs)))):
-        raise ValueError(
-            f"checkpoint coefficients are not conjugate-symmetric (defect {defect:.3e})"
-        )
-    return SimState(t, q, AlphaParam(alpha))

@@ -12,10 +12,10 @@ from alphaeuler.lagrangian import TrajectoryStream
 
 
 def run_states(q0, a, cfg, sample_times, **kwargs):
-    """`run`, and the list of the states it samples, in order."""
+    """`run`'s monitor log, and the list of the states it samples, in order."""
     states = []
-    sim = run(q0, a, cfg, sample_times, on_sample=states.append, **kwargs)
-    return sim, states
+    log = run(q0, a, cfg, sample_times, on_sample=states.append, **kwargs)
+    return log, states
 
 
 def trajectory_of(states, stride, substeps) -> tuple:

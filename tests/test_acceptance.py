@@ -91,19 +91,21 @@ def patch_sweep():
 @pytest.fixture(scope="module")
 def transport_run():
     """A filtered run that traces the particle lattice forward as its
-    samples arrive, and keeps the velocity samples for the back-traces."""
+    samples arrive, and keeps the velocity samples for the back-traces and
+    the last sampled state."""
     g = Grid(128)
     q0 = SpectralField(g, ae.smooth_random(grid=g, **SMOOTH).coeffs * 10.0)
     times = np.linspace(0.0, 1.0, 65)
     forward = TrajectoryStream(g, seed_particles(g), substeps=4)
-    velocities, positions = [], []
+    velocities, positions, last = [], [], [None]
 
     def follow(s):
         velocities.append(ae.velocity(s.q, s.a).physical())
         positions.append(forward.push(s.t, velocities[-1]))
+        last[0] = s
 
-    sim = ae.run(q0, AlphaParam(0.1), SolverConfig(), times, on_sample=follow)
-    return g, q0, sim, ParticleSet(positions[-1], 1.0), (times, velocities)
+    ae.run(q0, AlphaParam(0.1), SolverConfig(), times, on_sample=follow)
+    return g, q0, last[0], ParticleSet(positions[-1], 1.0), (times, velocities)
 
 
 def trace_back(particles, grid, samples):
@@ -162,10 +164,10 @@ def test_criterion_2_conservation():
 
     drifts = {}
     for alpha in (0.0, 0.1):
-        sim = ae.run(q0, AlphaParam(alpha), SolverConfig(cfl=0.4), times)
+        log = ae.run(q0, AlphaParam(alpha), SolverConfig(cfl=0.4), times)
         drifts[alpha] = (
-            sim.monitor.alpha_norm_drift().max(),
-            sim.monitor.q_l2_drift().max(),
+            log.alpha_norm_drift().max(),
+            log.q_l2_drift().max(),
         )
     small = all(max(pair) <= 1e-6 for pair in drifts.values())
 
@@ -173,11 +175,11 @@ def test_criterion_2_conservation():
     for alpha in (0.0, 0.1):
         worst = {}
         for dt in (0.01, 0.005):
-            sim = ae.run(
+            log = ae.run(
                 q0, AlphaParam(alpha), SolverConfig(fixed_dt=dt), times
             )
             worst[dt] = max(
-                sim.monitor.alpha_norm_drift().max(), sim.monitor.q_l2_drift().max()
+                log.alpha_norm_drift().max(), log.q_l2_drift().max()
             )
         ratios[alpha] = worst[0.01] / worst[0.005]
     improves = all(r >= 16.0 for r in ratios.values())
@@ -276,11 +278,11 @@ def test_criterion_6_energy_of_limit(smooth_sweep):
 
 
 def test_criterion_7_lagrangian_consistency(transport_run):
-    g, q0, sim, forward, samples = transport_run
+    g, q0, final, forward, samples = transport_run
 
     feet = trace_back(seed_particles(g, t=1.0), g, samples)
     recon = ae.lagrangian_vorticity(ae.to_physical(q0), feet)
-    q_end = ae.to_physical(sim.final.q)
+    q_end = ae.to_physical(final.q)
     rel_l1 = ae.lp_norm(PhysicalField(g, recon.values - q_end.values), 1) / ae.lp_norm(
         q_end, 1
     )

@@ -2,7 +2,7 @@ import json
 import re
 import sys
 import threading
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -172,6 +172,25 @@ class TestConfigValidation:
     def test_p_list_always_covers_csv_columns(self):
         cfg = smooth_config(p_list=(3.0,))
         assert {1.0, 2.0, 4.0} <= set(cfg.p_list)
+
+    def test_a_field_cannot_be_assigned(self):
+        # `cfg.workers = 0` skipped its check and failed in ThreadPoolExecutor
+        cfg = smooth_config()
+        with pytest.raises(FrozenInstanceError):
+            cfg.workers = 0
+        assert cfg.workers == 1
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"workers": 0}, "[sweep] workers = 0 is invalid: expected an integer >= 1"),
+            ({"n": 48}, "[grid] n = 48 is invalid: expected a power of two >= 8"),
+        ],
+        ids=["workers", "n"],
+    )
+    def test_a_replaced_field_is_checked(self, changes, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(smooth_config(), **changes)
 
 
 # The text of the required keys, and a file's text of every [section] key

@@ -73,9 +73,6 @@ def test_the_check_sees_a_function_level_import():
 
 DEMOS = PACKAGE.parent.parent / "demos"
 
-# Documented in the README with no caller yet; ROADMAP item 7 gives it one.
-UNCALLED = {"load_checkpoint"}
-
 
 def public_definitions(tree):
     """The module-level public functions and classes of a module."""
@@ -113,7 +110,7 @@ def test_every_package_name_has_a_caller():
     # by a demo
     paths = [p for p in MODULES if p.name != "__init__.py"] + sorted(DEMOS.glob("*.py"))
     sources = {path: _tree(path) for path in paths}
-    assert set(uncalled_names(sources)) == UNCALLED
+    assert uncalled_names(sources) == []
 
 
 def test_the_caller_check_sees_an_uncalled_name():

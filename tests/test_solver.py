@@ -1,5 +1,3 @@
-import math
-import re
 
 import numpy as np
 import pytest
@@ -13,11 +11,9 @@ from alphaeuler import (
     SolverError,
     SpectralField,
     dealias,
-    load_checkpoint,
     lp_norm,
     run,
     sample,
-    save_checkpoint,
     shear,
     smooth_random,
     step,
@@ -490,9 +486,9 @@ class TestSolverConfig:
     def test_infinite_fixed_dt_is_capped_by_the_sample_times(self):
         times = np.linspace(0.0, 0.2, 3)
         cfg = SolverConfig(fixed_dt=float("inf"))
-        sim, states = run_states(shear(Grid(16)), AlphaParam(0.1), cfg, times)
+        _, states = run_states(shear(Grid(16)), AlphaParam(0.1), cfg, times)
         assert [s.t for s in states] == list(times)
-        assert sim.final.step_count == 2
+        assert states[-1].step_count == 2
 
 
 class TestRun:
@@ -522,11 +518,11 @@ class TestRun:
     def test_t_end_zero_returns_initial_state(self):
         g = Grid(16)
         q0 = shear(g)
-        sim, states = run_states(q0, AlphaParam(0.2), SolverConfig(), [0.0])
+        log, states = run_states(q0, AlphaParam(0.2), SolverConfig(), [0.0])
         assert len(states) == 1
-        assert states[0] is sim.final
-        assert sim.final.t == 0.0
-        assert np.array_equal(sim.final.q.coeffs, dealias(q0).coeffs)
+        assert states[0].t == 0.0
+        assert np.array_equal(states[0].q.coeffs, dealias(q0).coeffs)
+        assert np.array_equal(log.times, [0.0])
 
     def test_rejects_nonzero_mean(self):
         g = Grid(16)
@@ -579,24 +575,24 @@ class TestRun:
     def test_zero_field_run_has_zero_drift(self):
         g = Grid(16)
         q0 = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
-        sim = run(q0, AlphaParam(0.1), SolverConfig(), [0.0, 0.1])
-        assert sim.monitor.alpha_norm_drift().max() == 0.0
-        assert sim.monitor.q_l2_drift().max() == 0.0
+        log = run(q0, AlphaParam(0.1), SolverConfig(), [0.0, 0.1])
+        assert log.alpha_norm_drift().max() == 0.0
+        assert log.q_l2_drift().max() == 0.0
 
     def test_sample_times_hit_exactly(self):
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         times = np.linspace(0.0, 0.5, 6)
-        sim = run(q0, AlphaParam(0.1), SolverConfig(), times)
-        assert np.array_equal(sim.monitor.times, times)
+        log = run(q0, AlphaParam(0.1), SolverConfig(), times)
+        assert np.array_equal(log.times, times)
 
     def test_conservation_sanity(self):
         g = Grid(64)
         q0 = scaled(smooth_random(11, 2.0, 4, g), 5.0)
         times = np.linspace(0.0, 1.0, 5)
-        sim = run(q0, AlphaParam(0.1), SolverConfig(cfl=0.4), times)
-        assert sim.monitor.alpha_norm_drift().max() < 1e-5
-        assert sim.monitor.q_l2_drift().max() < 1e-5
+        log = run(q0, AlphaParam(0.1), SolverConfig(cfl=0.4), times)
+        assert log.alpha_norm_drift().max() < 1e-5
+        assert log.q_l2_drift().max() < 1e-5
 
     def test_fourth_order_drift_scaling(self):
         g = Grid(32)
@@ -604,8 +600,7 @@ class TestRun:
         times = np.linspace(0.0, 0.5, 3)
 
         def drift(cfl):
-            sim = run(q0, AlphaParam(0.1), SolverConfig(cfl=cfl), times)
-            return sim.monitor.q_l2_drift().max()
+            return run(q0, AlphaParam(0.1), SolverConfig(cfl=cfl), times).q_l2_drift().max()
 
         coarse, fine = drift(0.8), drift(0.4)
         assert fine > 0
@@ -614,18 +609,18 @@ class TestRun:
     def test_monitor_tracks_lp_norms(self):
         g = Grid(32)
         q0 = shear(g)
-        sim = run(q0, AlphaParam(0.0), SolverConfig(), [0.0, 0.2])
+        log = run(q0, AlphaParam(0.0), SolverConfig(), [0.0, 0.2])
         qp = to_physical(dealias(q0))
-        assert sim.monitor.q_l2[0] == pytest.approx(lp_norm(qp, 2), rel=1e-12)
-        assert sim.monitor.q_linf[-1] == pytest.approx(1.0, abs=1e-9)
+        assert log.q_l2[0] == pytest.approx(lp_norm(qp, 2), rel=1e-12)
+        assert log.q_linf[-1] == pytest.approx(1.0, abs=1e-9)
 
     def test_unmonitored_run_has_the_same_states(self):
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         cfg, times = SolverConfig(), np.linspace(0.0, 0.3, 4)
         _, watched = run_states(q0, AlphaParam(0.1), cfg, times)
-        bare_run, bare = run_states(q0, AlphaParam(0.1), cfg, times, monitor=False)
-        assert bare_run.monitor is None
+        bare_log, bare = run_states(q0, AlphaParam(0.1), cfg, times, monitor=False)
+        assert bare_log is None
         assert len(bare) == len(watched)
         for a, b in zip(watched, bare):
             assert (a.t, a.step_count) == (b.t, b.step_count)
@@ -655,13 +650,12 @@ class TestRun:
         g = Grid(32)
         q0 = scaled(smooth_random(2, 2.0, 5, g), 5.0)
         times = np.linspace(0.0, 0.3, 4)
-        sim, seen = run_states(q0, AlphaParam(alpha), SolverConfig(), times)
+        log, seen = run_states(q0, AlphaParam(alpha), SolverConfig(), times)
         assert [s.t for s in seen] == list(times)
-        assert seen[-1] is sim.final
         for j, s in enumerate(seen):
             expected = velocity(s.q, s.a)
-            assert sim.monitor.energy[j] == velocity_l2(expected)
-            assert sim.monitor.alpha_norm[j] == alpha_norm(expected, s.a)
+            assert log.energy[j] == velocity_l2(expected)
+            assert log.alpha_norm[j] == alpha_norm(expected, s.a)
 
     def test_sampled_run_equals_loop_of_public_steps(self):
         g = Grid(32)
@@ -687,8 +681,8 @@ class TestRun:
         alphas = (0.05, 0.02)
 
         def job(alpha):
-            sim, states = run_states(q0, AlphaParam(alpha), cfg, times)
-            return [s.q.coeffs for s in states], sim.monitor.alpha_norm
+            log, states = run_states(q0, AlphaParam(alpha), cfg, times)
+            return [s.q.coeffs for s in states], log.alpha_norm
 
         serial = [job(alpha) for alpha in alphas]
         interval = sys.getswitchinterval()
@@ -701,107 +695,3 @@ class TestRun:
         for (qs_a, mon_a), (qs_b, mon_b) in zip(serial, threaded):
             assert all(np.array_equal(x, y) for x, y in zip(qs_a, qs_b))
             assert np.array_equal(mon_a, mon_b)
-
-
-class TestCheckpoint:
-    def test_round_trip_bit_exact(self, tmp_path):
-        g = Grid(32)
-        q = smooth_random(3, 2.0, 6, g)
-        state = SimState(0.375, q, AlphaParam(0.125), step_count=7)
-        path = tmp_path / "state.aeul"
-        save_checkpoint(state, path)
-        back = load_checkpoint(path)
-        assert back.t == state.t
-        assert back.a.alpha == state.a.alpha
-        assert back.grid.n == 32
-        assert np.array_equal(back.q.coeffs, state.q.coeffs)
-
-    def test_layout(self, tmp_path):
-        import struct
-
-        g = Grid(8)
-        q = shear(g)
-        state = SimState(1.5, q, AlphaParam(0.25))
-        path = tmp_path / "state.aeul"
-        save_checkpoint(state, path)
-        raw = path.read_bytes()
-        magic, version, n, alpha, t = struct.unpack_from("<4sIIdd", raw)
-        assert magic == b"AEUL"
-        assert version == 1
-        assert n == 8
-        assert alpha == 0.25
-        assert t == 1.5
-        assert len(raw) == struct.calcsize("<4sIIdd") + 16 * 64
-        flat = np.frombuffer(raw, dtype="<f8", offset=struct.calcsize("<4sIIdd"))
-        # interleaved (re, im) in row-major order: entry (1, 0) is index n*2
-        assert flat[2 * 8] == 0.5
-
-    def test_rejects_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.aeul"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_rejects_truncated_payload(self, tmp_path):
-        g = Grid(8)
-        state = SimState(0.0, shear(g), AlphaParam(0.0))
-        path = tmp_path / "state.aeul"
-        save_checkpoint(state, path)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    @staticmethod
-    def _edited(tmp_path, edits):
-        """A checkpoint of a smooth field whose full on-disk array has the
-        given entries overwritten."""
-        import struct
-
-        path = tmp_path / "state.aeul"
-        q = smooth_random(3, 2.0, 4, Grid(16))
-        save_checkpoint(SimState(0.0, q, AlphaParam(0.1)), path)
-        raw = path.read_bytes()
-        head = struct.calcsize("<4sIIdd")
-        full = np.frombuffer(raw, dtype="<c16", offset=head).reshape(16, 16).copy()
-        for index, value in edits.items():
-            full[index] = value
-        path.write_bytes(raw[:head] + full.tobytes())
-        return path
-
-    def test_rejects_nonfinite_coefficients(self, tmp_path):
-        for value in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="not finite"):
-                load_checkpoint(self._edited(tmp_path, {(2, 3): value}))
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_rejects_non_finite_time(self, tmp_path, t):
-        # a NaN time was saved and loaded back as the state's clock
-        import struct
-
-        path = tmp_path / "state.aeul"
-        save_checkpoint(SimState(0.0, shear(Grid(8)), AlphaParam(0.1)), path)
-        raw = bytearray(path.read_bytes())
-        struct.pack_into("<d", raw, struct.calcsize("<4sIId"), t)
-        path.write_bytes(bytes(raw))
-        with pytest.raises(ValueError, match=re.escape(f"checkpoint time is not finite: {t}")):
-            load_checkpoint(path)
-
-    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
-    def test_save_refuses_non_finite_time(self, tmp_path, t):
-        # the file was written, and load_checkpoint then refused it
-        path = tmp_path / "state.aeul"
-        with pytest.raises(ValueError, match=re.escape(f"checkpoint time is not finite: {t}")):
-            save_checkpoint(SimState(t, shear(Grid(8)), AlphaParam(0.1)), path)
-        assert not path.exists()
-
-    def test_rejects_nonzero_mean(self, tmp_path):
-        with pytest.raises(ValueError, match="zero mean"):
-            load_checkpoint(self._edited(tmp_path, {(0, 0): 0.5}))
-
-    def test_rejects_broken_conjugate_symmetry(self, tmp_path):
-        # (1, 13) is k = (1, -3), in the mirrored half; roundoff passes
-        raw = self._edited(tmp_path, {}).read_bytes()
-        c = np.frombuffer(raw, dtype="<c16", offset=28).reshape(16, 16)[1, 13]
-        assert load_checkpoint(self._edited(tmp_path, {(1, 13): c * (1 + 1e-15)})).grid.n == 16
-        with pytest.raises(ValueError, match="conjugate-symmetric"):
-            load_checkpoint(self._edited(tmp_path, {(1, 13): c + 0.25}))

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -7,15 +5,12 @@ from alphaeuler import (
     AlphaParam,
     Grid,
     PhysicalField,
-    SimState,
     SpectralField,
     dealias,
     dealias_cutoff,
     dealias_mask,
-    load_checkpoint,
     restrict,
     sample,
-    save_checkpoint,
     spectral_derivative,
     to_physical,
     to_spectral,
@@ -31,18 +26,6 @@ def self_mirror_defect(f):
     k2 = 0 and n/2, the half-spectrum columns that are their own mirror."""
     cols = f.coeffs[:, [0, f.grid.n // 2]]
     return float(np.max(np.abs(cols - np.conj(cols[-np.arange(f.grid.n) % f.grid.n]))))
-
-
-def hermitian_defect(c):
-    """Max deviation of a full (n, n) array from c(-k) = conj(c(k))."""
-    mirrored = np.roll(c[::-1, ::-1], 1, axis=(0, 1))
-    return float(np.max(np.abs(c - np.conj(mirrored))))
-
-
-def checkpoint_payload(path, n):
-    """The full (n, n) coefficient array stored in a checkpoint file."""
-    offset = struct.calcsize("<4sIIdd")
-    return np.frombuffer(path.read_bytes(), dtype="<c16", offset=offset).reshape(n, n)
 
 
 def random_field(grid, seed=0):
@@ -192,28 +175,7 @@ class TestInversePasses:
 
 
 class TestHalfSpectrum:
-    """The stored layout is the rfft2 half spectrum; checkpoints keep the
-    full array, expanded by conjugate symmetry."""
-
-    @pytest.mark.parametrize("n", [8, 16, 64])
-    def test_half_full_half_round_trip_exact(self, n, tmp_path):
-        g = Grid(n)
-        q = to_spectral(random_field(g, seed=n))
-        q.coeffs[0, 0] = 0.0
-        assert q.coeffs.shape == (n, n // 2 + 1)
-        path = tmp_path / "q.aeul"
-        save_checkpoint(SimState(0.0, q, AlphaParam(0.0)), path)
-        assert np.array_equal(load_checkpoint(path).q.coeffs, q.coeffs)
-
-    @pytest.mark.parametrize("n", [8, 32])
-    def test_full_layout_is_hermitian_and_matches_fft2(self, n, tmp_path):
-        g = Grid(n)
-        f = random_field(g, seed=3)
-        path = tmp_path / "q.aeul"
-        save_checkpoint(SimState(0.0, to_spectral(f), AlphaParam(0.0)), path)
-        full = checkpoint_payload(path, n)
-        assert hermitian_defect(full) < TOL
-        assert np.abs(full - np.fft.fft2(f.values) / (n * n)).max() < TOL
+    """The stored layout is the rfft2 half spectrum."""
 
     def test_matches_rfft2_layout(self):
         g = Grid(16)
