@@ -24,7 +24,6 @@ from .vorticity import (
     curl,
     divergence,
     helmholtz_filter,
-    helmholtz_filter_scalar,
     helmholtz_unfilter,
     laplacian_l2,
     lp_norm,

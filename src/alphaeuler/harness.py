@@ -112,6 +112,8 @@ def _list_of(cast):
 
 
 def _integer(raw) -> int:
+    if isinstance(raw, bool):  # True from code is not 1
+        raise TypeError("expected an integer, got a bool")
     return int(raw) if isinstance(raw, str) else operator.index(raw)  # 2.5 from code is not 2
 
 
@@ -158,7 +160,7 @@ def _directory(raw) -> Path | None:
 DATUM_KINDS = {
     "smooth_random": (
         lambda grid, **keys: smooth_random(grid=grid, **keys),
-        {"seed": (int, 0), "spectrum_slope": (_finite, 2.0), "k_max": (int, 4)},
+        {"seed": (_integer, 0), "spectrum_slope": (_finite, 2.0), "k_max": (_integer, 4)},
     ),
     "disc_patch": (
         lambda grid, center_x, center_y, **keys: disc_patch((center_x, center_y), grid=grid, **keys),
@@ -167,9 +169,9 @@ DATUM_KINDS = {
     ),
     "fractal_patch": (
         lambda grid, **keys: fractal_patch(grid=grid, **keys)[0],
-        {"generator": (str, "koch-like"), "depth": (int, 2), "amplitude": (_finite, 1.0)},
+        {"generator": (str, "koch-like"), "depth": (_integer, 2), "amplitude": (_finite, 1.0)},
     ),
-    "shear": (lambda grid, **keys: shear(grid, **keys), {"wavenumber": (int, 1)}),
+    "shear": (lambda grid, **keys: shear(grid, **keys), {"wavenumber": (_integer, 1)}),
 }
 
 # The [datum] key of every kind: a factor applied to the whole field.

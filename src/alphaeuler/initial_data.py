@@ -23,7 +23,7 @@ from .spectral import (
     to_spectral,
     wrap_periodic,
 )
-from .vorticity import AlphaParam, _require_mean_zero, helmholtz_filter_scalar
+from .vorticity import AlphaParam, _require_mean_zero, helmholtz_filter
 
 
 def smooth_random(
@@ -219,7 +219,7 @@ def approximating_family(
     if mode == "identity":
         return omega0.copy()
     if mode == "mollified":
-        return helmholtz_filter_scalar(omega0, a)
+        return helmholtz_filter(omega0, a)
     raise ValueError(f"unknown approximating-family mode {mode!r}")
 
 

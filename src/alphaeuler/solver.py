@@ -48,10 +48,6 @@ allocates only the new state.  ``slope`` makes the coefficients and
 ``step`` reads the speed of its first stage only, the one the CFL time
 step needs.  ``run`` keeps its dealiased initial copy in the first state
 only, so it is freed with that state.
-
-Checkpoints keep the full (n, n) coefficient array on disk: saving expands
-the half spectrum by conjugate symmetry, and loading checks that symmetry
-and keeps the stored half.
 """
 
 from __future__ import annotations
@@ -99,10 +95,6 @@ class SimState:
     q: SpectralField
     a: AlphaParam
     step_count: int = 0
-
-    @property
-    def grid(self) -> Grid:
-        return self.q.grid
 
 
 def _rk4_buffers(grid: Grid) -> np.ndarray:
@@ -210,23 +202,18 @@ class _EulerStage:
         return float(np.sqrt(np.add(sq1, sq2, out=self._prod).max()))
 
 
-def cfl_timestep(speed: float, grid: Grid, cfl: float) -> float:
-    if not np.isfinite(speed):
-        raise SolverError("velocity is not finite; simulation aborted")
-    return cfl * grid.dx / max(speed, CFL_SPEED_FLOOR)
-
-
 def step(
     state: SimState,
     cfg: SolverConfig,
+    stage: AdvectionStage | _EulerStage,
     max_dt: float | None = None,
-    stage: AdvectionStage | _EulerStage | None = None,
 ) -> SimState:
-    """One RK4 step; dt is CFL-limited and optionally capped by max_dt.
+    """One RK4 step with `stage`, the stage its run built for the state's
+    grid and alpha (a ValueError names any other); dt is CFL-limited,
+    cfl dx / max(|u|, CFL_SPEED_FLOOR) unless `cfg.fixed_dt` sets it, and
+    optionally capped by max_dt.
 
-    `stage` passes in the stage of the state's grid and alpha so its tables
-    and work arrays are reused; by default an AdvectionStage is built for
-    this step.  The arithmetic keeps the operation order of
+    The arithmetic keeps the operation order of
     q0 + (dt/6) (k1 + 2 k2 + 2 k3 + k4), with q0 + (dt/2) k1 etc. as the
     stage inputs; the new state is the one array a step allocates.  Two
     work arrays serve: `acc` gathers the sum, and `k` holds each stage
@@ -243,10 +230,8 @@ def step(
     step's first stage then reads an infinite speed and raises.
     """
     a = state.a
-    g = state.grid
-    if stage is None:
-        stage = AdvectionStage(g, a)
-    elif (stage.grid, stage.alpha) != (g, a.alpha):
+    g = state.q.grid
+    if (stage.grid, stage.alpha) != (g, a.alpha):
         raise ValueError("the advection stage was built for another grid or alpha")
     _require_mean_zero(state.q, "vorticity passed to the RK4 step")
     q0 = state.q.coeffs
@@ -260,7 +245,7 @@ def step(
             f"velocity is not finite at t={state.t}, step {state.step_count}; "
             "simulation aborted"
         )
-    dt = cfg.fixed_dt if cfg.fixed_dt is not None else cfl_timestep(speed, g, cfg.cfl)
+    dt = cfg.fixed_dt if cfg.fixed_dt is not None else cfg.cfl * g.dx / max(speed, CFL_SPEED_FLOOR)
     if max_dt is not None:
         dt = min(dt, max_dt)
     if dt <= 0.0:
@@ -337,8 +322,9 @@ def run(
     included.  `run` returns the `MonitorLog` of the samples, each row from
     the state's filtered velocity made with the stage's table, or None with
     monitor=False, which skips the rows without changing the states.  The
-    initial vorticity is dealiased, and an alpha = 0 run steps with the
-    `_EulerStage`, which needs dealiased input.
+    initial vorticity is dealiased.  `run` builds one stage and hands it to
+    every `step`: the `_EulerStage`, which needs dealiased input, at
+    alpha = 0, else an `AdvectionStage`.
     """
     times = np.asarray(sample_times, dtype=float)
     if times.ndim != 1 or times.size == 0:
@@ -366,7 +352,7 @@ def run(
     take_sample(state)
     for target in times[1:]:
         while state.t < target - 1e-13:
-            state = step(state, cfg, max_dt=target - state.t, stage=stage)
+            state = step(state, cfg, stage, max_dt=target - state.t)
         state = SimState(target, state.q, a, state.step_count)
         take_sample(state)
 

@@ -10,7 +10,7 @@ the torus distance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -42,25 +42,34 @@ class AlphaParam:
 
 @dataclass(frozen=True)
 class VelocityField:
-    """Divergence-free vector field with spectral components (u1, u2)."""
+    """Divergence-free vector field: the half spectra of (u1, u2) as one
+    complex stack of shape (2, n, n//2 + 1), the layout of the velocity
+    table and of the solver's stages."""
 
-    u1: SpectralField
-    u2: SpectralField
+    grid: Grid
+    coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.u1.grid != self.u2.grid:
-            raise ValueError("velocity components live on different grids")
+        if self.coeffs.shape != (2, self.grid.n, self.grid.n // 2 + 1):
+            raise ValueError("velocity coefficient stack shape does not match grid")
 
-    @property
-    def grid(self) -> Grid:
-        return self.u1.grid
+    # the components, read-only `SpectralField` views of the stack
+    u1 = property(lambda self: _component(self, 0))
+    u2 = property(lambda self: _component(self, 1))
 
     def physical(self) -> np.ndarray:
         """Collocation samples stacked as an array of shape (2, n, n): one
-        `irfft2_passes` over the stacked coefficients, bitwise `to_physical`
-        per plane, with the column pass over the dealias band only when both
+        `irfft2_passes` over a copy of the stack, bitwise `to_physical` per
+        plane, with the column pass over the dealias band only when both
         components are dealiased, as the velocities of a run's states are."""
-        return irfft2_passes(np.stack([self.u1.coeffs, self.u2.coeffs]))
+        return irfft2_passes(self.coeffs.copy())
+
+
+def _component(u: VelocityField, j: int) -> SpectralField:
+    """Plane j of the stack as a read-only `SpectralField` view."""
+    view = u.coeffs[j].view()
+    view.flags.writeable = False
+    return SpectralField(u.grid, view)
 
 
 def _require_mean_zero(q: SpectralField, what: str) -> None:
@@ -92,9 +101,8 @@ def velocity(q: SpectralField, a: AlphaParam, table: np.ndarray | None = None) -
     (q.grid, a) when the caller holds them, as a run's stage does, so they
     are not built again."""
     _require_mean_zero(q, "vorticity passed to the Biot-Savart solve")
-    u = _velocity_multipliers(q.grid, a) if table is None else table.copy()
-    u *= q.coeffs
-    return VelocityField(SpectralField(q.grid, u[0]), SpectralField(q.grid, u[1]))
+    table = _velocity_multipliers(q.grid, a) if table is None else table
+    return VelocityField(q.grid, np.multiply(table, q.coeffs))
 
 
 def biot_savart(q: SpectralField) -> VelocityField:
@@ -112,24 +120,16 @@ def helmholtz_factor(grid: Grid, a: AlphaParam) -> np.ndarray:
     return 1.0 / (1.0 + a.alpha * grid.ksq)
 
 
-def helmholtz_filter_scalar(f: SpectralField, a: AlphaParam) -> SpectralField:
-    return SpectralField(f.grid, f.coeffs * helmholtz_factor(f.grid, a))
+def helmholtz_filter(f: SpectralField | VelocityField, a: AlphaParam) -> SpectralField | VelocityField:
+    """Apply (I - alpha Lap)^{-1} to a `SpectralField` or a `VelocityField`:
+    damp each mode by 1/(1 + alpha |k|^2)."""
+    return replace(f, coeffs=f.coeffs * helmholtz_factor(f.grid, a))
 
 
-def helmholtz_filter(v: VelocityField, a: AlphaParam) -> VelocityField:
-    """Apply (I - alpha Lap)^{-1}: damp each mode by 1/(1 + alpha |k|^2)."""
-    return VelocityField(
-        helmholtz_filter_scalar(v.u1, a), helmholtz_filter_scalar(v.u2, a)
-    )
-
-
-def helmholtz_unfilter(u: VelocityField, a: AlphaParam) -> VelocityField:
-    """Apply (I - alpha Lap), the exact inverse of the Helmholtz filter."""
-    factor = 1.0 + a.alpha * u.grid.ksq
-    return VelocityField(
-        SpectralField(u.u1.grid, u.u1.coeffs * factor),
-        SpectralField(u.u2.grid, u.u2.coeffs * factor),
-    )
+def helmholtz_unfilter(u: SpectralField | VelocityField, a: AlphaParam) -> SpectralField | VelocityField:
+    """Apply (I - alpha Lap), the exact inverse of `helmholtz_filter`, to a
+    `SpectralField` or a `VelocityField`."""
+    return replace(u, coeffs=u.coeffs * (1.0 + a.alpha * u.grid.ksq))
 
 
 def divergence(u: VelocityField) -> SpectralField:
@@ -153,7 +153,7 @@ def lp_norm(f: PhysicalField, p: float) -> float:
 
 
 def _coeff_weighted_sq(u: VelocityField, weight) -> float:
-    return parseval_sum(weight * (np.abs(u.u1.coeffs) ** 2 + np.abs(u.u2.coeffs) ** 2))
+    return parseval_sum(weight * (np.abs(u.coeffs[0]) ** 2 + np.abs(u.coeffs[1]) ** 2))
 
 
 def velocity_l2(u: VelocityField) -> float:

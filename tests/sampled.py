@@ -1,13 +1,13 @@
 """What the tests keep of a run that `run` itself streams away: every
-sampled state, collected through `on_sample`, and the particle trajectory
-through the velocities of sampled states; and the oracles of
-`harness.compare_bands`: the L1 velocity distance of two physical
-samples, behind delta, and the L^p distance of two vorticity samples made
-physical one at a time."""
+sampled state, collected through `on_sample`, the stage of every step,
+and the particle trajectory through the velocities of sampled states; and
+the oracles of `harness.compare_bands`: the L1 velocity distance of two
+physical samples, behind delta, and the L^p distance of two vorticity
+samples made physical one at a time."""
 
 import numpy as np
 
-from alphaeuler import PhysicalField, lp_norm, run, seed_particles, to_physical, velocity
+from alphaeuler import PhysicalField, lp_norm, run, seed_particles, solver, to_physical, velocity
 from alphaeuler.lagrangian import TrajectoryStream
 
 
@@ -18,10 +18,24 @@ def run_states(q0, a, cfg, sample_times, **kwargs):
     return log, states
 
 
+def record_stages(monkeypatch) -> list:
+    """Wrap `solver.step`, the step `run` calls, so that the returned list
+    gets the stage of every step taken from then on."""
+    stages = []
+    real_step = solver.step
+
+    def recording_step(state, cfg, stage, max_dt=None):
+        stages.append(stage)
+        return real_step(state, cfg, stage, max_dt)
+
+    monkeypatch.setattr(solver, "step", recording_step)
+    return stages
+
+
 def trajectory_of(states, stride, substeps) -> tuple:
     """The particle lattice streamed through the velocities of sampled
     states, each made afresh from its state: the positions of every push."""
-    grid = states[0].grid
+    grid = states[0].q.grid
     stream = TrajectoryStream(grid, seed_particles(grid, stride, t=states[0].t), substeps)
     return tuple(stream.push(s.t, velocity(s.q, s.a).physical()) for s in states)
 

@@ -21,10 +21,10 @@ from alphaeuler import (
     PhysicalField,
     SolverConfig,
     SpectralField,
-    SimState,
 )
 from alphaeuler.lagrangian import ParticleSet, TrajectoryStream, seed_particles
-from alphaeuler.solver import step
+from alphaeuler.solver import AdvectionStage, _EulerStage
+from sampled import record_stages, run_states
 
 ALPHAS = tuple(2.0**-k for k in range(4, 11))
 SMOOTH = {"seed": 11, "spectrum_slope": 2.0, "k_max": 4}
@@ -191,18 +191,21 @@ def test_criterion_2_conservation():
     assert criterion(2, small and improves, detail)
 
 
-def test_criterion_3_steady_shear():
+def test_criterion_3_steady_shear(monkeypatch):
+    # through `run`, so each alpha steps with the stage its runs take: the
+    # Euler stage at alpha = 0, the advection stage at alpha > 0
     g = Grid(32)
     q0 = ae.shear(g)
-    worst = 0.0
+    stages = record_stages(monkeypatch)
+    worst, fewest = 0.0, math.inf
     for alpha in (0.0, 0.1, 1.0):
-        s = SimState(0.0, q0, AlphaParam(alpha))
-        cfg = SolverConfig()
-        for _ in range(1000):
-            s = step(s, cfg)
-        diff = PhysicalField(g, ae.to_physical(s.q).values - ae.to_physical(q0).values)
+        _, states = run_states(q0, AlphaParam(alpha), SolverConfig(), [0.0, 200.0], monitor=False)
+        fewest = min(fewest, states[-1].step_count)
+        diff = PhysicalField(g, ae.to_physical(states[-1].q).values - ae.to_physical(q0).values)
         worst = max(worst, ae.lp_norm(diff, 2))
-    steady = worst <= 1e-10
+    kinds = {(stage.alpha, type(stage)) for stage in stages}
+    steady = worst <= 1e-10 and fewest >= 1000
+    steady &= kinds == {(0.0, _EulerStage), (0.1, AdvectionStage), (1.0, AdvectionStage)}
 
     sweep = ae.run_sweep(
         ExperimentConfig(
@@ -223,7 +226,7 @@ def test_criterion_3_steady_shear():
     assert criterion(
         3,
         steady and formula,
-        f"drift over 1e3 steps {worst:.1e} (<= 1e-10); "
+        f"drift over {fewest}+ steps per alpha {worst:.1e} (<= 1e-10, >= 1000 steps); "
         f"|vel_err - a/(1+a) pi sqrt(2)| = {gap:.1e} (<= 1e-8)",
     )
 

@@ -728,6 +728,9 @@ class TestConfigSyntax:
     @given(text=random_config_text())
     @example(text=SHEAR_CFG.replace("n = 32", "n = 48"))  # it loaded, and the run failed in Grid
     @example(text=SHEAR_CFG.replace("n_ref = 64", "n_ref = 48"))
+    # loaded texts with a reference grid below 64, which the drawn ones lack
+    @example(text=SHEAR_CFG.replace("n = 32\nn_ref = 64", "n = 16\nn_ref = 32"))
+    @example(text=SHEAR_CFG.replace("n = 32\nn_ref = 64", "n = 8\nn_ref = 16"))
     def test_random_config_text_loads_or_exits_1(self, tmp_path, monkeypatch, text):
         # whatever the file holds, a config or a message naming the fault:
         # never another exception, never a traceback

@@ -335,6 +335,22 @@ class TestDatumSpec:
         with pytest.raises(ValueError, match=re.escape(f"[datum] {key} = {raw!r} is invalid")):
             DatumSpec(kind, {key: raw})
 
+    @pytest.mark.parametrize(
+        "kind, key, raw, text",
+        [
+            ("smooth_random", "k_max", 4.7, "5"),
+            ("smooth_random", "seed", 2.9, "2"),
+            ("fractal_patch", "depth", 2.0, "1"),
+            ("shear", "wavenumber", True, "2"),
+        ],
+    )
+    def test_integer_key_from_code_is_not_truncated(self, kind, key, raw, text):
+        # a float or a bool from code is not an integer; file text is cast with int()
+        with pytest.raises(ValueError, match=re.escape(f"[datum] {key} = {raw!r} is invalid")):
+            DatumSpec(kind, {key: raw})
+        assert DatumSpec(kind, {key: text}).params == {key: int(text)}
+        assert DatumSpec(kind, {key: np.int64(text)}).params == {key: int(text)}
+
     @pytest.mark.parametrize("kind", sorted(DATUM_KINDS))
     def test_every_kind_builds_with_its_defaults(self, kind):
         grid = Grid(32)
@@ -362,7 +378,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 # The README's name for each cast of the schema: the values its check accepts.
 TYPE_NAMES = {
-    int: "integer",
+    harness._integer: "integer",
     str: "text",
     harness._finite: "finite real",
     harness._grid_size: "power of two >= 8",

@@ -21,9 +21,9 @@ from alphaeuler import (
     to_spectral,
 )
 from alphaeuler import solver
-from alphaeuler.solver import AdvectionStage, _EulerStage, cfl_timestep, velocity
+from alphaeuler.solver import CFL_SPEED_FLOOR, AdvectionStage, _EulerStage, velocity
 from alphaeuler.spectral import pack_band, spectral_derivative
-from sampled import run_states
+from sampled import record_stages, run_states
 
 
 def scaled(field, factor):
@@ -213,7 +213,7 @@ class TestRhs:
         g = Grid(16)
         state = SimState(0.0, shear(g), AlphaParam(0.1))
         with pytest.raises(ValueError):
-            step(state, SolverConfig(), stage=AdvectionStage(g, AlphaParam(0.2)))
+            step(state, SolverConfig(), AdvectionStage(g, AlphaParam(0.2)))
 
 
 class TestEulerStage:
@@ -247,16 +247,9 @@ class TestEulerStage:
 
     @pytest.mark.parametrize("alpha, expected", [(0.0, _EulerStage), (0.01, AdvectionStage)])
     def test_run_uses_it_only_at_alpha_zero(self, monkeypatch, alpha, expected):
-        stages = []
-        real_step = solver.step
-
-        def recording_step(state, cfg, max_dt=None, stage=None):
-            stages.append(type(stage))
-            return real_step(state, cfg, max_dt, stage)
-
-        monkeypatch.setattr(solver, "step", recording_step)
+        stages = record_stages(monkeypatch)
         run(scaled(smooth_random(2, 2.0, 5, Grid(32)), 5.0), AlphaParam(alpha), SolverConfig(), [0.0, 0.1])
-        assert stages and set(stages) == {expected}
+        assert stages and {type(stage) for stage in stages} == {expected}
 
     def test_euler_run_matches_advection_stage_steps(self):
         g = Grid(64)
@@ -268,7 +261,7 @@ class TestEulerStage:
         s = states[0]
         for target, sampled in zip(times[1:], states[1:]):
             while s.t < target - 1e-13:
-                s = step(s, cfg, max_dt=target - s.t, stage=stage)
+                s = step(s, cfg, stage, max_dt=target - s.t)
             assert s.step_count == sampled.step_count
             scale = np.abs(s.q.coeffs).max()
             assert np.abs(sampled.q.coeffs - s.q.coeffs).max() <= 1e-12 * scale
@@ -303,9 +296,9 @@ class TestBandColumns:
         a = AlphaParam(alpha)
         stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
         cfg = SolverConfig()
-        state = step(SimState(0.0, dealias(random_vorticity(g, seed=5)), a), cfg, stage=stage)
+        state = step(SimState(0.0, dealias(random_vorticity(g, seed=5)), a), cfg, stage)
         seen = self.count_calls(monkeypatch)
-        step(state, cfg, stage=stage)
+        step(state, cfg, stage)
         names = [name for name, _ in seen]
         # the Euler stage sends its two products forward one plane at a time
         rfft = 8 if alpha == 0.0 else 4
@@ -327,20 +320,21 @@ class TestBandColumns:
 
 class TestStep:
     @pytest.mark.parametrize("alpha", [0.0, 0.1, 1.0])
-    def test_steady_shear_100_steps(self, alpha):
+    def test_steady_shear_100_steps(self, monkeypatch, alpha):
+        # through `run`, so each alpha steps with the stage its runs take
         g = Grid(32)
         q0 = shear(g)
-        cfg = SolverConfig()
-        s = SimState(0.0, q0, AlphaParam(alpha))
-        for _ in range(100):
-            s = step(s, cfg)
-        diff = to_physical(s.q).values - to_physical(q0).values
+        stages = record_stages(monkeypatch)
+        _, states = run_states(q0, AlphaParam(alpha), SolverConfig(), [0.0, 20.0], monitor=False)
+        assert states[-1].step_count >= 100
+        assert {type(stage) for stage in stages} == {_EulerStage if alpha == 0.0 else AdvectionStage}
+        diff = to_physical(states[-1].q).values - to_physical(q0).values
         assert np.abs(diff).max() < 1e-10
 
     def test_zero_field_fixed(self):
         g = Grid(16)
         q0 = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
-        s = step(SimState(0.0, q0, AlphaParam(0.0)), SolverConfig())
+        s = step(SimState(0.0, q0, AlphaParam(0.0)), SolverConfig(), AdvectionStage(g, AlphaParam(0.0)))
         assert np.abs(s.q.coeffs).max() == 0.0
         assert s.t > 0  # the floor speed keeps dt finite
 
@@ -355,15 +349,17 @@ class TestStep:
         g = Grid(16)
         coeffs = np.zeros((16, 9), dtype=np.complex128)
         coeffs[1, 0] = np.nan
+        a = AlphaParam(0.0)
         with pytest.raises(SolverError):
-            step(SimState(0.0, SpectralField(g, coeffs), AlphaParam(0.0)), SolverConfig())
+            step(SimState(0.0, SpectralField(g, coeffs), a), SolverConfig(), AdvectionStage(g, a))
 
     def test_inf_vorticity_aborts_with_time_and_step(self):
         g = Grid(16)
         q = shear(g)
         q.coeffs[2, 1] = np.inf
+        a = AlphaParam(0.1)
         with np.errstate(all="ignore"), pytest.raises(SolverError, match=r"t=0\.25, step 3"):
-            step(SimState(0.25, q, AlphaParam(0.1), step_count=3), SolverConfig())
+            step(SimState(0.25, q, a, step_count=3), SolverConfig(), AdvectionStage(g, a))
 
     @pytest.mark.parametrize("alpha", [0.0, 0.01])
     def test_warm_step_allocates_only_the_new_state(self, alpha):
@@ -373,10 +369,10 @@ class TestStep:
         a = AlphaParam(alpha)
         stage = _EulerStage(g) if alpha == 0.0 else AdvectionStage(g, a)
         cfg = SolverConfig()
-        state = step(SimState(0.0, dealias(random_vorticity(g, seed=3)), a), cfg, stage=stage)
+        state = step(SimState(0.0, dealias(random_vorticity(g, seed=3)), a), cfg, stage)
         tracemalloc.start()
         try:
-            new = step(state, cfg, stage=stage)
+            new = step(state, cfg, stage)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -398,7 +394,7 @@ class TestStep:
         for target in times[1:]:
             while t < target - 1e-13:
                 k1 = stage.slope(q)
-                dt = min(cfl_timestep(stage.speed(), g, cfg.cfl), target - t)
+                dt = min(cfg.cfl * g.dx / max(stage.speed(), CFL_SPEED_FLOOR), target - t)
                 k2 = stage.slope(q + 0.5 * dt * k1)
                 k3 = stage.slope(q + 0.5 * dt * k2)
                 k4 = stage.slope(q + dt * k3)
@@ -431,7 +427,7 @@ class TestStep:
         with np.errstate(all="ignore"), pytest.raises(
             SolverError, match=r"non-finite vorticity .* t=0\.5, step 7"
         ):
-            step(state, SolverConfig())
+            step(state, SolverConfig(), AdvectionStage(g, AlphaParam(0.0)))
         assert len(calls) == 4
 
     @pytest.mark.parametrize("alpha", [0.0, 0.01])
@@ -458,7 +454,7 @@ class TestStep:
         with np.errstate(all="ignore"), pytest.raises(
             SolverError, match=r"non-finite vorticity .* t=0\.5, step 7"
         ):
-            step(state, SolverConfig(), stage=stage)
+            step(state, SolverConfig(), stage)
         assert len(calls) == 4
 
     def test_rejects_nonzero_mean(self):
@@ -466,7 +462,7 @@ class TestStep:
         q = shear(g)
         q.coeffs[0, 0] = 1.0
         with pytest.raises(ValueError):
-            step(SimState(0.0, q, AlphaParam(0.0)), SolverConfig())
+            step(SimState(0.0, q, AlphaParam(0.0)), SolverConfig(), AdvectionStage(g, AlphaParam(0.0)))
 
 
 class TestSolverConfig:
@@ -663,10 +659,11 @@ class TestRun:
         times = np.linspace(0.0, 0.3, 4)
         cfg = SolverConfig()
         _, states = run_states(q0, AlphaParam(0.1), cfg, times)
+        stage = AdvectionStage(g, AlphaParam(0.1))
         s = states[0]
         for target, sampled in zip(times[1:], states[1:]):
             while s.t < target - 1e-13:
-                s = step(s, cfg, max_dt=target - s.t)
+                s = step(s, cfg, stage, max_dt=target - s.t)
             s.t = target
             assert s.step_count == sampled.step_count
             assert np.array_equal(s.q.coeffs, sampled.q.coeffs)

@@ -116,8 +116,7 @@ def oracle_biot_savart(q):
     `spectral_derivative`: u = (d2 psi, -d1 psi)."""
     g = q.grid
     psi = SpectralField(g, q.coeffs * g.inv_ksq)
-    u2 = spectral_derivative(psi, 1)
-    return VelocityField(spectral_derivative(psi, 2), SpectralField(g, -u2.coeffs))
+    return VelocityField(g, np.stack([spectral_derivative(psi, 2).coeffs, -spectral_derivative(psi, 1).coeffs]))
 
 
 def oracle_velocity(q, a):
@@ -140,10 +139,7 @@ def oracle_gamma0(q0_alpha, omega0, a):
     """gamma0 from the difference of the two velocity fields."""
     u_alpha = oracle_velocity(q0_alpha, a)
     u0 = oracle_biot_savart(omega0)
-    diff = VelocityField(
-        SpectralField(u0.grid, u_alpha.u1.coeffs - u0.u1.coeffs),
-        SpectralField(u0.grid, u_alpha.u2.coeffs - u0.u2.coeffs),
-    )
+    diff = VelocityField(u0.grid, u_alpha.coeffs - u0.coeffs)
     return velocity_l2(diff) + a.alpha * laplacian_l2(u_alpha)
 
 
@@ -177,6 +173,19 @@ class TestVelocityTable:
                 assert np.all(u.u1.coeffs[:, n // 2] == 0.0)
                 assert np.all(u.u2.coeffs[n // 2, :] == 0.0)
 
+    def test_components_are_read_only_views_of_the_stack(self):
+        g = Grid(16)
+        u = velocity(white_vorticity(g, 5), AlphaParam(0.1))
+        for j, comp in enumerate((u.u1, u.u2)):
+            assert np.shares_memory(comp.coeffs, u.coeffs[j])
+            with pytest.raises(ValueError):
+                comp.coeffs[1, 0] = 0.0
+        assert u.coeffs.flags.writeable
+
+    def test_rejects_a_stack_of_another_shape(self):
+        with pytest.raises(ValueError, match="does not match grid"):
+            VelocityField(Grid(16), np.zeros((16, 9), dtype=np.complex128))
+
     @pytest.mark.parametrize("n", [8, 64, 256])
     def test_physical_is_per_component_to_physical(self, n):
         g = Grid(n)
@@ -198,10 +207,7 @@ class TestVelocityTable:
         qa, qb = random_vorticity(g, seed=5), random_vorticity(g, seed=6)
         a, b = AlphaParam(0.05), AlphaParam(0.0)
         ua, ub = velocity(qa, a), velocity(qb, b)
-        diff = VelocityField(
-            SpectralField(g, ua.u1.coeffs - ub.u1.coeffs),
-            SpectralField(g, ua.u2.coeffs - ub.u2.coeffs),
-        )
+        diff = VelocityField(g, ua.coeffs - ub.coeffs)
         assert velocity_l2_distance(qa, a, qb, b) == pytest.approx(velocity_l2(diff), rel=1e-14)
 
     @pytest.mark.parametrize("family", ["identity", "mollified"])
@@ -245,14 +251,12 @@ class TestHelmholtzFilter:
         coeffs = np.zeros((16, 9), dtype=np.complex128)
         coeffs[3, 4] = 1.0  # with its stored-by-symmetry mirror at (-3, -4)
         v = SpectralField(g, coeffs)
-        field = helmholtz_filter(
-            biot_savart(v), AlphaParam(0.25)
-        )  # filter acts mode-wise; check the scalar factor directly too
-        from alphaeuler import helmholtz_filter_scalar
-
-        filtered = helmholtz_filter_scalar(v, AlphaParam(0.25))
+        # one filter for scalar and vector fields, mode by mode
+        field = helmholtz_filter(biot_savart(v), AlphaParam(0.25))
+        filtered = helmholtz_filter(v, AlphaParam(0.25))
+        assert isinstance(filtered, SpectralField) and isinstance(field, VelocityField)
         assert filtered.coeffs[3, 4] == pytest.approx(1.0 / 7.25, rel=TOL)
-        assert field.grid.n == 16
+        assert field.coeffs[:, 3, 4] == pytest.approx(biot_savart(v).coeffs[:, 3, 4] / 7.25, rel=TOL)
 
     def test_contraction(self):
         g = Grid(32)
@@ -319,10 +323,8 @@ class TestNorms:
         assert alpha_norm(u, AlphaParam(0.5)) == pytest.approx(
             np.pi * np.sqrt(3), rel=TOL
         )
-        zero = SpectralField(g, np.zeros((16, 9), dtype=np.complex128))
-        from alphaeuler import VelocityField
-
-        assert alpha_norm(VelocityField(zero, zero), AlphaParam(0.5)) == 0.0
+        zero = VelocityField(g, np.zeros((2, 16, 9), dtype=np.complex128))
+        assert alpha_norm(zero, AlphaParam(0.5)) == 0.0
 
 
 class TestTorusDistance:
